@@ -782,7 +782,7 @@ let replay_speedup r = r.rebuild_spawn_ns /. r.cached_pool_ns
    each, replayed as whole batches.  The baseline answers the same
    request list one query at a time the way the seed serving path does —
    every query extracts its own feasible subgraph.  The batched path
-   routes the list through [Service.stgq_batch]: one context per
+   routes the list through [Service.stgq_batch_r]: one context per
    (initiator, s) group, pivot memos pre-warmed on the build domain, and
    the next group's build pipelined behind the current group's solves.
    A fresh service per round keeps the comparison honest: the batch
@@ -842,10 +842,16 @@ let batch_replay ~n ~days ~rounds ~initiators ~domains () =
         && Float.equal x.Query.st_total_distance y.Query.st_total_distance
     | _ -> false
   in
+  (* The default policy answers exactly or not at all. *)
+  let value = function
+    | Ok (a : _ Resilience.answer) -> a.value
+    | Error e ->
+        failwith (Format.asprintf "batched query failed: %a" Resilience.pp_error e)
+  in
   Engine.Pool.with_pool ?size:domains @@ fun pool ->
   (* Warm-up outside the clocks: code paths, allocator, pool domains. *)
   let warm = Service.create ~pool ti in
-  ignore (Service.stgq_batch warm reqs : Query.stg_solution option list);
+  ignore (Service.stgq_batch_r warm reqs);
   let t0 = Unix.gettimeofday () in
   let base = ref [] in
   for _ = 1 to rounds do
@@ -857,7 +863,7 @@ let batch_replay ~n ~days ~rounds ~initiators ~domains () =
   let batched = ref [] in
   for _ = 1 to rounds do
     let service = Service.create ~pool ti in
-    batched := Service.stgq_batch service reqs :: !batched
+    batched := List.map value (Service.stgq_batch_r service reqs) :: !batched
   done;
   let batched_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   let batch_mismatches =
@@ -1057,7 +1063,7 @@ let flightrec_phase () =
   let run_once () =
     List.iter
       (fun q ->
-        ignore (Service.stgq service ~initiator q : Query.stg_solution option))
+        ignore (Service.stgq_r service ~initiator q))
       queries
   in
   run_once () (* warm-up: contexts built and cached *);

@@ -177,28 +177,26 @@ let policy_of deadline_ms node_limit no_degrade =
 
 (* Shared printer for ladder outcomes. *)
 let print_resilient ~label ~pp_solution ~none_msg = function
-  | Ok a -> (
+  | Ok (a : _ Resilience.answer) -> (
       let qualifiers =
         String.concat ""
           [
-            (match a.Resilience.gap with
+            (match a.gap with
             | Some g when g > 0. -> Printf.sprintf ", gap <= %g" g
             | _ -> "");
-            (match a.Resilience.reason with
+            (match a.reason with
             | Some r -> ", budget " ^ Budget.reason_name r
             | None -> "");
-            (if a.Resilience.retries > 0 then
-               Printf.sprintf ", %d retries" a.Resilience.retries
+            (if a.retries > 0 then Printf.sprintf ", %d retries" a.retries
              else "");
           ]
       in
-      match a.Resilience.value with
+      match a.value with
       | Some sol ->
-          Fmt.pr "%s: %a@.  [rung %s%s]@." label pp_solution sol
-            (Resilience.rung_name a.Resilience.rung)
-            qualifiers
-      | None -> Fmt.pr "%s: %s.  [rung %s%s]@." label none_msg
-            (Resilience.rung_name a.Resilience.rung) qualifiers)
+          Fmt.pr "%s: %a@.  [rung %a%s]@." label pp_solution sol
+            Resilience.pp_rung a.rung qualifiers
+      | None -> Fmt.pr "%s: %s.  [rung %a%s]@." label none_msg
+            Resilience.pp_rung a.rung qualifiers)
   | Error e -> Fmt.pr "%s: %a@." label Resilience.pp_error e
 
 (* ------------------------------------------------------------------ *)
@@ -246,19 +244,13 @@ let sgq_cmd =
       trace_out =
     with_stats stats @@ fun () ->
     with_trace trace_out @@ fun () ->
-    let graph, _ = load_dataset src in
+    let graph, schedules = load_dataset src in
     let instance = { Query.graph; initiator = pick_initiator graph initiator } in
     let query = { Query.p; s; k } in
     match policy_of deadline node_budget no_degrade with
     | Some policy ->
-        let certify sol = Validate.certify_sg instance query sol in
-        Resilience.run ~policy
-          ~exact:(fun budget ->
-            let r = Sgselect.solve_report ~budget instance query in
-            Resilience.certify_outcome ~certify r.Sgselect.outcome)
-          ~heuristic:(fun budget ->
-            certify (Heuristics.beam_sgq ~budget instance query))
-          ()
+        let service = Service.create { Query.social = instance; schedules } in
+        Service.sgq_r ~policy service ~initiator:instance.Query.initiator query
         |> print_resilient ~label:"SGSelect (resilient)"
              ~pp_solution:Query.pp_sg_solution ~none_msg:"no feasible group"
     | None ->
@@ -324,21 +316,14 @@ let stgq_cmd =
     let query = { Query.p; s; k; m } in
     match policy_of deadline node_budget no_degrade with
     | Some policy ->
-        let certify sol = Validate.certify_stg ti query sol in
-        let exact budget =
-          match algo with
-          | St_parallel ->
-              Engine.Pool.with_pool ?size:domains (fun pool ->
-                  let r = Parallel.solve_report ~pool ~budget ti query in
-                  Resilience.certify_outcome ~certify r.Parallel.outcome)
-          | St_select | St_baseline | St_ip ->
-              let r = Stgselect.solve_report ~budget ti query in
-              Resilience.certify_outcome ~certify r.Stgselect.outcome
+        let answer ?pool () =
+          Service.stgq_r ~policy (Service.create ?pool ti)
+            ~initiator:ti.Query.social.Query.initiator query
         in
-        Resilience.run ~policy ~exact
-          ~heuristic:(fun budget ->
-            certify (Heuristics.beam_stgq ~budget ti query))
-          ()
+        (match algo with
+        | St_parallel ->
+            Engine.Pool.with_pool ?size:domains (fun pool -> answer ~pool ())
+        | St_select | St_baseline | St_ip -> answer ())
         |> print_resilient ~label:"STGSelect (resilient)"
              ~pp_solution:(Query.pp_stg_solution ~m) ~none_msg:"no feasible group/time"
     | None ->
@@ -555,9 +540,10 @@ let trace_sgq_cmd =
     let ti = { Query.social = { Query.graph; initiator }; schedules } in
     let service = Service.create ti in
     trace_query ~trace_out @@ fun () ->
-    match Service.sgq service ~initiator { Query.p; s; k } with
-    | Some sol -> Fmt.pr "SGSelect: %a@.@." Query.pp_sg_solution sol
-    | None -> Fmt.pr "SGSelect: no feasible group.@.@."
+    Service.sgq_r service ~initiator { Query.p; s; k }
+    |> print_resilient ~label:"SGSelect" ~pp_solution:Query.pp_sg_solution
+         ~none_msg:"no feasible group";
+    Fmt.pr "@."
   in
   Cmd.v
     (Cmd.info "sgq" ~doc:"Trace one Social Group Query.")
@@ -573,9 +559,10 @@ let trace_stgq_cmd =
     Engine.Pool.with_pool ?size:domains @@ fun pool ->
     let service = Service.create ~pool ti in
     trace_query ~trace_out @@ fun () ->
-    match Service.stgq service ~initiator { Query.p; s; k; m } with
-    | Some sol -> Fmt.pr "STGSelect: %a@.@." (Query.pp_stg_solution ~m) sol
-    | None -> Fmt.pr "STGSelect: no feasible group/time.@.@."
+    Service.stgq_r service ~initiator { Query.p; s; k; m }
+    |> print_resilient ~label:"STGSelect" ~pp_solution:(Query.pp_stg_solution ~m)
+         ~none_msg:"no feasible group/time";
+    Fmt.pr "@."
   in
   Cmd.v
     (Cmd.info "stgq"
@@ -1015,15 +1002,17 @@ let run_workload src p s k m rounds initiators domains =
   let graph, schedules = load_dataset src in
   let ti = { Query.social = { Query.graph; initiator = 0 }; schedules } in
   let queries = ref 0 in
+  let served = function
+    | Ok _ -> incr queries
+    | Error e -> Fmt.failwith "query failed: %a" Resilience.pp_error e
+  in
   (Engine.Pool.with_pool ?size:domains @@ fun pool ->
    let service = Service.create ~pool ti in
    for _round = 1 to rounds do
      for rank = 0 to initiators - 1 do
        let initiator = Workload.Scenario.pick_initiator ~rank graph in
-       (match Service.sgq service ~initiator { Query.p; s; k } with
-       | Some _ | None -> incr queries);
-       match Service.stgq service ~initiator { Query.p; s; k; m } with
-       | Some _ | None -> incr queries
+       served (Service.sgq_r service ~initiator { Query.p; s; k });
+       served (Service.stgq_r service ~initiator { Query.p; s; k; m })
      done
    done);
   !queries

@@ -55,110 +55,3 @@ let stgq ?(budget = 1e8) ?beam_width (ti : Query.temporal_instance) (query : Que
     | Beam -> Heuristics.beam_stgq ?width:beam_width ~ctx ti query
   in
   (Validate.certify_stg ti query solution, plan)
-
-(* Batched variants: requests against one dataset, grouped by
-   (initiator, s) through {!Engine.Batch} over a transient cache, so the
-   planner probe and the chosen solver of every group member share one
-   context — and with a pool, the next group's context build hides
-   behind this group's solves.  Each request still gets its own plan
-   (the p-dependent hardness estimate is per query even when the
-   context is shared). *)
-
-let sgq_batch ?(budget = 1e8) ?beam_width ?pool (instance : Query.instance)
-    (reqs : (int * Query.sgq) list) =
-  Query.check_instance instance;
-  List.iter (fun (_, q) -> Query.check_sgq q) reqs;
-  let cache = Engine.Cache.create instance.Query.graph in
-  Engine.Batch.run ?pool ~cache
-    ~key:(fun (initiator, (q : Query.sgq)) -> (initiator, q.s))
-    ~solve:(fun ctx (initiator, (q : Query.sgq)) ->
-      let instance = { instance with Query.initiator } in
-      let plan = make_plan ~budget ctx.Engine.Context.fg q.p in
-      let solution =
-        match plan.choice with
-        | Exact -> Sgselect.solve ~ctx instance q
-        | Beam -> Heuristics.beam_sgq ?width:beam_width ~ctx instance q
-      in
-      (Validate.certify_sg instance q solution, plan))
-    reqs
-
-let stgq_batch ?(budget = 1e8) ?beam_width ?pool
-    (ti : Query.temporal_instance) (reqs : (int * Query.stgq) list) =
-  Query.check_temporal_instance ti;
-  List.iter (fun (_, q) -> Query.check_stgq q) reqs;
-  (* The transient cache aliases the caller's schedules on purpose:
-     contexts and the certifier must read the same calendars. *)
-  let cache =
-    Engine.Cache.create ~schedules:ti.Query.schedules ti.social.Query.graph
-  in
-  Engine.Batch.run ?pool ~cache
-    ~key:(fun (initiator, (q : Query.stgq)) -> (initiator, q.s))
-    ~warm:(fun ctx (_, (q : Query.stgq)) ->
-      ignore (Engine.Context.pivots ctx ~m:q.m : int list))
-    ~solve:(fun ctx (initiator, (q : Query.stgq)) ->
-      let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-      let plan = make_plan ~budget ctx.Engine.Context.fg q.p in
-      let solution =
-        match plan.choice with
-        | Exact -> Stgselect.solve ~ctx ti q
-        | Beam -> Heuristics.beam_stgq ?width:beam_width ~ctx ti q
-      in
-      (Validate.certify_stg ti q solution, plan))
-    reqs
-
-(* Resilient variants: planning happens under [Resilience.protect] (so a
-   transient fault during context build retries instead of escaping
-   raw), then the plan routes into the ladder — a [Beam] plan enters at
-   the heuristic rung directly. *)
-
-let sgq_r ?(budget = 1e8) ?beam_width ?policy ?cancel instance
-    (query : Query.sgq) =
-  Query.check_sgq query;
-  match
-    Resilience.protect ?policy (fun () ->
-        let ctx = Feasible.context_of_instance instance ~s:query.s in
-        (ctx, make_plan ~budget ctx.Engine.Context.fg query.p))
-  with
-  | Error e -> (Error e, None)
-  | Ok (ctx, plan) ->
-      let certify solution = Validate.certify_sg instance query solution in
-      let heuristic b =
-        certify (Heuristics.beam_sgq ?width:beam_width ~ctx ~budget:b instance query)
-      in
-      let result =
-        match plan.choice with
-        | Exact ->
-            Resilience.run ?policy ?cancel
-              ~exact:(fun b ->
-                let report = Sgselect.solve_report ~ctx ~budget:b instance query in
-                Resilience.certify_outcome ~certify report.Sgselect.outcome)
-              ~heuristic ()
-        | Beam -> Resilience.run_heuristic ?policy ?cancel ~heuristic ()
-      in
-      (result, Some plan)
-
-let stgq_r ?(budget = 1e8) ?beam_width ?policy ?cancel
-    (ti : Query.temporal_instance) (query : Query.stgq) =
-  Query.check_stgq query;
-  match
-    Resilience.protect ?policy (fun () ->
-        let ctx = Feasible.context_of_temporal ti ~s:query.s in
-        (ctx, make_plan ~budget ctx.Engine.Context.fg query.p))
-  with
-  | Error e -> (Error e, None)
-  | Ok (ctx, plan) ->
-      let certify solution = Validate.certify_stg ti query solution in
-      let heuristic b =
-        certify (Heuristics.beam_stgq ?width:beam_width ~ctx ~budget:b ti query)
-      in
-      let result =
-        match plan.choice with
-        | Exact ->
-            Resilience.run ?policy ?cancel
-              ~exact:(fun b ->
-                let report = Stgselect.solve_report ~ctx ~budget:b ti query in
-                Resilience.certify_outcome ~certify report.Stgselect.outcome)
-              ~heuristic ()
-        | Beam -> Resilience.run_heuristic ?policy ?cancel ~heuristic ()
-      in
-      (result, Some plan)

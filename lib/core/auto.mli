@@ -40,40 +40,3 @@ val sgq :
 val stgq :
   ?budget:float -> ?beam_width:int -> Query.temporal_instance -> Query.stgq ->
   Query.stg_solution option * plan
-
-(** [sgq_batch ?budget ?beam_width ?pool instance reqs] plans and solves
-    every [(initiator, query)] request (the [instance]'s own initiator
-    is ignored — requests carry their own), results in input order.
-    Requests are grouped by [(initiator, s)] via {!Engine.Batch}: the
-    planner probe and the chosen solver of all group members share one
-    context, and with [pool] the next group's context build is pipelined
-    behind the current group's solves.  Every answer is certified. *)
-val sgq_batch :
-  ?budget:float -> ?beam_width:int -> ?pool:Engine.Pool.t ->
-  Query.instance -> (int * Query.sgq) list ->
-  (Query.sg_solution option * plan) list
-
-(** [stgq_batch ?budget ?beam_width ?pool ti reqs] — the temporal
-    analogue of {!sgq_batch}; the group's pivot lists are pre-warmed on
-    the build domain. *)
-val stgq_batch :
-  ?budget:float -> ?beam_width:int -> ?pool:Engine.Pool.t ->
-  Query.temporal_instance -> (int * Query.stgq) list ->
-  (Query.stg_solution option * plan) list
-
-(** [sgq_r ?budget ?beam_width ?policy ?cancel instance query] — the
-    resilient variant: planning runs under {!Resilience.protect} (the
-    plan is [None] when planning itself was unavailable), an [Exact]
-    plan walks the full {!Resilience} ladder, a [Beam] plan enters at
-    the heuristic rung.  Answers on every rung are certified. *)
-val sgq_r :
-  ?budget:float -> ?beam_width:int -> ?policy:Resilience.policy ->
-  ?cancel:bool Atomic.t -> Query.instance -> Query.sgq ->
-  (Query.sg_solution Resilience.answer, Resilience.error) result * plan option
-
-(** [stgq_r ?budget ?beam_width ?policy ?cancel ti query] — the temporal
-    analogue of {!sgq_r}. *)
-val stgq_r :
-  ?budget:float -> ?beam_width:int -> ?policy:Resilience.policy ->
-  ?cancel:bool Atomic.t -> Query.temporal_instance -> Query.stgq ->
-  (Query.stg_solution Resilience.answer, Resilience.error) result * plan option

@@ -162,8 +162,6 @@ let count_reason = function
   | Some Budget.Deadline -> Obs.Counter.incr m_deadline_hits
   | Some Budget.Node_limit | Some Budget.Cancelled | None -> ()
 
-(* One pass down the ladder with a fresh budget; returns the result or
-   re-raises the (non-transient) failure for [with_retries] to classify. *)
 let outcome_attr = function
   | Anytime.Optimal _ -> "optimal"
   | Anytime.Feasible_best _ -> "anytime"
@@ -172,14 +170,16 @@ let outcome_attr = function
 (* Run one rung inside its own span, tagging how it answered — so a
    trace shows which rung served the query and why the ladder moved. *)
 let rung_span name outcome_of f =
-  Obs.Trace.with_span ("resilience." ^ name) @@ fun () ->
+  Obs.Trace.with_span name @@ fun () ->
   let result = f () in
   Obs.Trace.add_attrs [ ("outcome", outcome_of result) ];
   result
 
+(* One pass down the ladder with a fresh budget; returns the result or
+   lets the failure escape for [run] to retry or classify. *)
 let descend policy ~cancel ~exact ~heuristic ~retries ~t0 =
   let budget = budget_of policy ~cancel in
-  match rung_span "exact" outcome_attr (fun () -> exact budget) with
+  match rung_span "resilience.exact" outcome_attr (fun () -> exact budget) with
   | Anytime.Optimal value ->
       observe_rung Exact ~t0;
       Ok { value; rung = Exact; gap = Some 0.; retries; reason = None }
@@ -206,7 +206,7 @@ let descend policy ~cancel ~exact ~heuristic ~retries ~t0 =
       else
         let hb = budget_of policy ~cancel in
         match
-          rung_span "heuristic"
+          rung_span "resilience.heuristic"
             (function Some _ -> "answered" | None -> "empty")
             (fun () -> heuristic hb)
         with
@@ -225,10 +225,21 @@ let descend policy ~cancel ~exact ~heuristic ~retries ~t0 =
             Obs.Counter.incr m_degraded;
             Error (Degraded { reason; retries }))
 
-let with_retries policy ~descend =
+let certify_outcome ~certify (outcome : 'a Anytime.outcome) =
+  match outcome with
+  | Anytime.Optimal v -> Anytime.Optimal (certify v)
+  | Anytime.Feasible_best fb -> (
+      match certify (Some fb.best) with
+      | Some best -> Anytime.Feasible_best { fb with best }
+      | None -> Anytime.Exhausted fb.reason)
+  | Anytime.Exhausted _ as e -> e
+
+(* Each attempt descends with fresh budgets; a transient fault retries
+   after a jittered backoff, anything else surviving is [Unavailable]. *)
+let run ?(policy = default_policy) ?cancel ~exact ~heuristic () =
   let rec attempt n =
     let t0 = Budget.now_ns () in
-    match descend ~retries:n ~t0 with
+    match descend policy ~cancel ~exact ~heuristic ~retries:n ~t0 with
     | result -> result
     | exception e when is_transient e && n < policy.max_retries ->
         Obs.Counter.incr m_retries;
@@ -243,39 +254,3 @@ let with_retries policy ~descend =
         Error (Unavailable { error = e; retries = n })
   in
   attempt 0
-
-let protect ?(policy = default_policy) f =
-  with_retries policy ~descend:(fun ~retries:_ ~t0:_ -> Ok (f ()))
-
-let certify_outcome ~certify (outcome : 'a Anytime.outcome) =
-  match outcome with
-  | Anytime.Optimal v -> Anytime.Optimal (certify v)
-  | Anytime.Feasible_best fb -> (
-      match certify (Some fb.best) with
-      | Some best -> Anytime.Feasible_best { fb with best }
-      | None -> Anytime.Exhausted fb.reason)
-  | Anytime.Exhausted _ as e -> e
-
-let run ?(policy = default_policy) ?cancel ~exact ~heuristic () =
-  with_retries policy
-    ~descend:(fun ~retries ~t0 -> descend policy ~cancel ~exact ~heuristic ~retries ~t0)
-
-let run_heuristic ?(policy = default_policy) ?cancel ~heuristic () =
-  with_retries policy ~descend:(fun ~retries ~t0 ->
-      let budget = budget_of policy ~cancel in
-      match heuristic budget with
-      | value ->
-          observe_rung Heuristic ~t0;
-          (match Budget.tripped budget with
-          | Some _ as r ->
-              count_reason r;
-              Obs.Counter.incr m_degraded
-          | None -> ());
-          Ok
-            {
-              value;
-              rung = Heuristic;
-              gap = None;
-              retries;
-              reason = Budget.tripped budget;
-            })

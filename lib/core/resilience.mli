@@ -85,12 +85,6 @@ type classification = {
 
 val classify : ('a answer, error) result -> classification
 
-(** [protect ?policy f] applies only the retry/classification half of
-    the ladder to a pre-solve step (context build, planning): transient
-    injected faults retry with the policy's backoff, any surviving
-    exception becomes {!Unavailable}.  No budget is imposed. *)
-val protect : ?policy:policy -> (unit -> 'a) -> ('a, error) result
-
 (** [certify_outcome ~certify outcome] re-checks the solution an outcome
     carries (feasibility, {e not} optimality — see {!Validate}): both
     [Optimal] and anytime [Feasible_best] answers pass through
@@ -111,18 +105,6 @@ val run :
   ?policy:policy ->
   ?cancel:bool Atomic.t ->
   exact:(Budget.t -> 'a Anytime.outcome) ->
-  heuristic:(Budget.t -> 'a option) ->
-  unit ->
-  ('a answer, error) result
-
-(** [run_heuristic ?policy ?cancel ~heuristic ()] enters the ladder at
-    the heuristic rung — for callers whose planner already chose a
-    heuristic (see {!Auto}).  Same budget construction, retry and
-    accounting; the answer's [rung] is always [Heuristic] and a [None]
-    value is a legitimate "nothing found" (not an error). *)
-val run_heuristic :
-  ?policy:policy ->
-  ?cancel:bool Atomic.t ->
   heuristic:(Budget.t -> 'a option) ->
   unit ->
   ('a answer, error) result

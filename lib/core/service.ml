@@ -23,23 +23,92 @@ let create ?(config = Search_core.default_config) ?(cache_capacity = 64) ?pool
   in
   { config; engine; schedules; pool }
 
-(* Every answer leaves the service with a validated certificate: the
-   solution is re-checked against the raw instance by Validate (which
-   shares no code with the search) before a caller can see it. *)
+(* --- query kinds -----------------------------------------------------
 
-(* Root span of a served query: every solver, context-build and
-   certify span below it (including pooled bucket spans on other
-   domains) stitches into one tree. *)
-let query_span name ~initiator (f : unit -> 'a) : 'a =
-  Obs.Trace.with_span name ~attrs:[ ("initiator", string_of_int initiator) ] f
+   Everything the request path needs to know about SGQ or STGQ — how to
+   check it, log it, build its instance, solve it exactly or by beam,
+   certify it and pre-warm its context — so the ladder, the spans and
+   the publication below are written once for both.  Every answer
+   leaves the service with a validated certificate: the solution is
+   re-checked against the raw instance by Validate (which shares no code
+   with the search) before a caller can see it. *)
+
+type ('q, 'inst, 'sol) kind = {
+  name : string;
+  span : string;
+  batch_span : string;
+  latency : Obs.Histogram.t;
+  check : 'q -> unit;
+  params : 'q -> (string * int) list;
+  radius : 'q -> int;
+  instance : t -> initiator:int -> 'inst;
+  exact :
+    t -> pool:Engine.Pool.t option -> ctx:Engine.Context.t -> budget:Budget.t ->
+    'inst -> 'q -> 'sol Anytime.outcome;
+  beam : ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q -> 'sol option;
+  certify : 'inst -> 'q -> 'sol option -> 'sol option;
+  warm : Engine.Context.t -> 'q -> unit;
+}
+
+let sg =
+  {
+    name = "sgq";
+    span = "service.sgq";
+    batch_span = "service.sgq_batch";
+    latency = Instr.sgq_latency;
+    check = Query.check_sgq;
+    params = (fun (q : Query.sgq) -> [ ("p", q.p); ("s", q.s); ("k", q.k) ]);
+    radius = (fun (q : Query.sgq) -> q.s);
+    instance =
+      (fun t ~initiator -> { Query.graph = Engine.Cache.graph t.engine; initiator });
+    exact =
+      (fun t ~pool:_ ~ctx ~budget instance q ->
+        (Sgselect.solve_report ~config:t.config ~ctx ~budget instance q)
+          .Sgselect.outcome);
+    beam = (fun ~ctx ~budget instance q -> Heuristics.beam_sgq ~ctx ~budget instance q);
+    certify = Validate.certify_sg;
+    warm = (fun _ _ -> ());
+  }
+
+let stg =
+  {
+    name = "stgq";
+    span = "service.stgq";
+    batch_span = "service.stgq_batch";
+    latency = Instr.stgq_latency;
+    check = Query.check_stgq;
+    params =
+      (fun (q : Query.stgq) -> [ ("p", q.p); ("s", q.s); ("k", q.k); ("m", q.m) ]);
+    radius = (fun (q : Query.stgq) -> q.s);
+    instance =
+      (fun t ~initiator ->
+        {
+          Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
+          schedules = t.schedules;
+        });
+    (* With a pool the buckets share the policy budget. *)
+    exact =
+      (fun t ~pool ~ctx ~budget ti q ->
+        match pool with
+        | Some pool ->
+            (Parallel.solve_report ~config:t.config ~pool ~ctx ~budget ti q)
+              .Parallel.outcome
+        | None ->
+            (Stgselect.solve_report ~config:t.config ~ctx ~budget ti q)
+              .Stgselect.outcome);
+    beam = (fun ~ctx ~budget ti q -> Heuristics.beam_stgq ~ctx ~budget ti q);
+    certify = Validate.certify_stg;
+    (* Pre-fill the Lemma-4 pivot memo for every window length the group
+       will ask for, on the build domain, off the solve path. *)
+    warm = (fun ctx (q : Query.stgq) -> ignore (Engine.Context.pivots ctx ~m:q.m : int list));
+  }
 
 (* --- flight-recorder publication ------------------------------------
 
-   Every completed query — resilient or exact, single or batched —
-   reports its outcome once: to {!Obs.Flightrec} (which decides whether
-   the stitched trace is worth retaining) and to {!Obs.Events} (one
-   JSONL record).  Costs two atomic loads per query while both sinks
-   are off. *)
+   Every completed query reports its outcome once: to {!Obs.Flightrec}
+   (which decides whether the stitched trace is worth retaining) and to
+   {!Obs.Events} (one JSONL record).  Costs two atomic loads per query
+   while both sinks are off. *)
 
 let plane_on () = Obs.Flightrec.enabled () || Obs.Events.enabled ()
 
@@ -47,24 +116,6 @@ let current_trace_id () =
   match Obs.Trace.current () with
   | Some c -> c.Obs.Trace.trace_id
   | None -> 0
-
-let sgq_params (q : Query.sgq) = [ ("p", q.p); ("s", q.s); ("k", q.k) ]
-
-let stgq_params (q : Query.stgq) =
-  [ ("p", q.p); ("s", q.s); ("k", q.k); ("m", q.m) ]
-
-(* The classification of a plain (non-resilient) solve: it either
-   returned a certified answer or raised out of the whole query. *)
-let exact_classification _result =
-  {
-    Resilience.c_rung = "exact";
-    c_ok = true;
-    c_degraded = false;
-    c_unavailable = false;
-    c_retries = 0;
-    c_trip = None;
-    c_gap = Some 0.;
-  }
 
 let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
     (c : Resilience.classification) =
@@ -81,128 +132,66 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
     ?gap:c.c_gap ?trip:c.c_trip ~retries:c.c_retries ~latency_ns ~cache_hit
     ~journalled_bytes:0 ()
 
-(* [recorded] opens the query root span, runs [body] inside it, then —
-   with the span closed, so the stitched tree is complete — classifies
-   and publishes.  Identical to [query_span span body] while the plane
-   is off. *)
-let recorded ~kind ~span ~initiator ~params t ~classify body =
-  if not (plane_on ()) then query_span span ~initiator body
+(* --- the request path -------------------------------------------------
+
+   [request] answers one query.  It opens the [service.<kind>] root span
+   (every solver, context-build and certify span below it, including
+   pooled bucket spans on other domains, stitches into one tree) and
+   walks the {!Resilience} ladder: the exact rung, the anytime incumbent
+   with its gap, then a budgeted beam — each rung's answer certified
+   under a [service.certify] span.  With the root span closed, so the
+   tree is complete, it classifies and publishes the outcome once.
+
+   [lookup] fetches the request's context: a cache lookup for a single
+   request, made inside each rung so a faulted build is retried, or the
+   batch group's shared lookup.  The query event's [cache_hit] is the
+   outcome of the first lookup that returned. *)
+
+let request kind ?policy ?cancel t ~pool ~lookup ~initiator q =
+  let hit = ref None in
+  let context () =
+    let found : Engine.Cache.lookup = lookup () in
+    if Option.is_none !hit then hit := Some found.hit;
+    found.ctx
+  in
+  let answer () =
+    Obs.time_hist kind.latency @@ fun () ->
+    kind.check q;
+    let instance = kind.instance t ~initiator in
+    let certify solution =
+      Obs.Trace.with_span "service.certify" @@ fun () ->
+      Obs.time_hist Instr.certify_latency @@ fun () ->
+      kind.certify instance q solution
+    in
+    Resilience.run ?policy ?cancel
+      ~exact:(fun budget ->
+        Resilience.certify_outcome ~certify
+          (kind.exact t ~pool ~ctx:(context ()) ~budget instance q))
+      ~heuristic:(fun budget ->
+        certify (kind.beam ~ctx:(context ()) ~budget instance q))
+      ()
+  in
+  let attrs = [ ("initiator", string_of_int initiator) ] in
+  if not (plane_on ()) then Obs.Trace.with_span kind.span ~attrs answer
   else begin
     let t0 = Obs.now_ns () in
-    let hits0 = (Engine.Cache.stats t.engine).Engine.Cache.hits in
     let trace_id = ref 0 in
     let result =
-      query_span span ~initiator (fun () ->
+      Obs.Trace.with_span kind.span ~attrs (fun () ->
           trace_id := current_trace_id ();
-          body ())
+          answer ())
     in
-    let cache_hit = (Engine.Cache.stats t.engine).Engine.Cache.hits > hits0 in
-    publish ~kind ~initiator ~params ~trace_id:!trace_id ~t0 ~cache_hit
-      (classify result);
+    publish ~kind:kind.name ~initiator ~params:(kind.params q)
+      ~trace_id:!trace_id ~t0 ~cache_hit:(!hit = Some true)
+      (Resilience.classify result);
     result
   end
 
-let sgq t ~initiator (query : Query.sgq) =
-  recorded ~kind:"sgq" ~span:"service.sgq" ~initiator
-    ~params:(sgq_params query) t ~classify:exact_classification
-  @@ fun () ->
-  Obs.time_hist Instr.sgq_latency @@ fun () ->
-  Query.check_sgq query;
-  let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-  let instance = { Query.graph = Engine.Cache.graph t.engine; initiator } in
-  let solution = Sgselect.solve ~config:t.config ~ctx instance query in
-  Obs.Trace.with_span "service.certify" @@ fun () ->
-  Obs.time_hist Instr.certify_latency @@ fun () ->
-  Validate.certify_sg instance query solution
-
-let stgq t ~initiator (query : Query.stgq) =
-  recorded ~kind:"stgq" ~span:"service.stgq" ~initiator
-    ~params:(stgq_params query) t ~classify:exact_classification
-  @@ fun () ->
-  Obs.time_hist Instr.stgq_latency @@ fun () ->
-  Query.check_stgq query;
-  let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-  let ti =
-    {
-      Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
-      schedules = t.schedules;
-    }
-  in
-  let solution =
-    match t.pool with
-    | Some pool -> Parallel.solve ~config:t.config ~pool ~ctx ti query
-    | None -> Stgselect.solve ~config:t.config ~ctx ti query
-  in
-  Obs.Trace.with_span "service.certify" @@ fun () ->
-  Obs.time_hist Instr.certify_latency @@ fun () ->
-  Validate.certify_stg ti query solution
-
-(* Resilient variants: the degradation ladder of {!Resilience} wrapped
-   around the same solvers.  Context build and certification both run
-   inside the retried closures, so an injected fault at either site is
-   retryable; the certificate is feasibility-checked on every rung
-   (anytime and heuristic answers included). *)
-
-let sgq_r ?policy ?cancel t ~initiator (query : Query.sgq) =
-  recorded ~kind:"sgq" ~span:"service.sgq" ~initiator
-    ~params:(sgq_params query) t ~classify:Resilience.classify
-  @@ fun () ->
-  Obs.Trace.add_attrs [ ("resilient", "true") ];
-  Obs.time_hist Instr.sgq_latency @@ fun () ->
-  Query.check_sgq query;
-  let instance = { Query.graph = Engine.Cache.graph t.engine; initiator } in
-  let certify solution =
-    Obs.Trace.with_span "service.certify" @@ fun () ->
-    Obs.time_hist Instr.certify_latency @@ fun () ->
-    Validate.certify_sg instance query solution
-  in
-  let exact budget =
-    let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-    let report = Sgselect.solve_report ~config:t.config ~ctx ~budget instance query in
-    Resilience.certify_outcome ~certify report.Sgselect.outcome
-  in
-  let heuristic budget =
-    let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-    certify (Heuristics.beam_sgq ~ctx ~budget instance query)
-  in
-  Resilience.run ?policy ?cancel ~exact ~heuristic ()
-
-let stgq_r ?policy ?cancel t ~initiator (query : Query.stgq) =
-  recorded ~kind:"stgq" ~span:"service.stgq" ~initiator
-    ~params:(stgq_params query) t ~classify:Resilience.classify
-  @@ fun () ->
-  Obs.Trace.add_attrs [ ("resilient", "true") ];
-  Obs.time_hist Instr.stgq_latency @@ fun () ->
-  Query.check_stgq query;
-  let ti =
-    {
-      Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
-      schedules = t.schedules;
-    }
-  in
-  let certify solution =
-    Obs.Trace.with_span "service.certify" @@ fun () ->
-    Obs.time_hist Instr.certify_latency @@ fun () ->
-    Validate.certify_stg ti query solution
-  in
-  let exact budget =
-    let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-    let outcome =
-      match t.pool with
-      | Some pool ->
-          (Parallel.solve_report ~config:t.config ~pool ~ctx ~budget ti query)
-            .Parallel.outcome
-      | None ->
-          (Stgselect.solve_report ~config:t.config ~ctx ~budget ti query)
-            .Stgselect.outcome
-    in
-    Resilience.certify_outcome ~certify outcome
-  in
-  let heuristic budget =
-    let ctx = Engine.Cache.context t.engine ~initiator ~s:query.s in
-    certify (Heuristics.beam_stgq ~ctx ~budget ti query)
-  in
-  Resilience.run ?policy ?cancel ~exact ~heuristic ()
+(* A single request fetches its context from the cache and, with a pool
+   attached, solves STGQ with the pooled parallel kernel. *)
+let single kind ?policy ?cancel t ~initiator q =
+  request kind ?policy ?cancel t ~pool:t.pool ~initiator q ~lookup:(fun () ->
+      Engine.Cache.lookup t.engine ~initiator ~s:(kind.radius q))
 
 (* Batched answering: group the in-flight requests by (initiator, s),
    fetch one context per group through the cache, and pipeline context
@@ -210,134 +199,32 @@ let stgq_r ?policy ?cancel t ~initiator (query : Query.stgq) =
    {!Engine.Batch}).  Solves run the sequential kernel on the calling
    domain — the pool accelerates the builds, not the solves — which is
    what keeps every batched answer bit-identical to the
-   one-query-at-a-time path.  The whole batch runs inside one
+   one-query-at-a-time path.  Each request walks its own ladder with
+   budgets built fresh from the policy per attempt, so one slow query
+   degrades alone.  The whole batch runs inside one
    {!Engine.Cache.with_solves} region, so a concurrent calendar edit
    lands between batches, never between a solve and its certification. *)
-
-let sgq_batch t (reqs : (int * Query.sgq) list) =
-  List.iter (fun (_, q) -> Query.check_sgq q) reqs;
-  Obs.Trace.with_span "service.sgq_batch"
+let batch kind ?policy ?cancel t reqs =
+  List.iter (fun (_, q) -> kind.check q) reqs;
+  Obs.Trace.with_span kind.batch_span
     ~attrs:[ ("queries", string_of_int (List.length reqs)) ]
   @@ fun () ->
   Engine.Cache.with_solves t.engine @@ fun () ->
   Engine.Batch.run ?pool:t.pool ~cache:t.engine
-    ~key:(fun (initiator, (q : Query.sgq)) -> (initiator, q.s))
-    ~solve:(fun ctx (initiator, (q : Query.sgq)) ->
-      recorded ~kind:"sgq" ~span:"service.sgq" ~initiator
-        ~params:(sgq_params q) t ~classify:exact_classification
-      @@ fun () ->
-      Obs.time_hist Instr.sgq_latency @@ fun () ->
-      let instance = { Query.graph = Engine.Cache.graph t.engine; initiator } in
-      let solution = Sgselect.solve ~config:t.config ~ctx instance q in
-      Obs.Trace.with_span "service.certify" @@ fun () ->
-      Obs.time_hist Instr.certify_latency @@ fun () ->
-      Validate.certify_sg instance q solution)
+    ~key:(fun (initiator, q) -> (initiator, kind.radius q))
+    ~warm:(fun ctx (_, q) -> kind.warm ctx q)
+    ~solve:(fun found (initiator, q) ->
+      request kind ?policy ?cancel t ~pool:None ~initiator q ~lookup:(fun () ->
+          found))
     reqs
 
-let stgq_batch t (reqs : (int * Query.stgq) list) =
-  List.iter (fun (_, q) -> Query.check_stgq q) reqs;
-  Obs.Trace.with_span "service.stgq_batch"
-    ~attrs:[ ("queries", string_of_int (List.length reqs)) ]
-  @@ fun () ->
-  Engine.Cache.with_solves t.engine @@ fun () ->
-  Engine.Batch.run ?pool:t.pool ~cache:t.engine
-    ~key:(fun (initiator, (q : Query.stgq)) -> (initiator, q.s))
-    ~warm:(fun ctx (_, (q : Query.stgq)) ->
-      (* Pre-fill the Lemma-4 pivot memo for every window length the
-         group will ask for, on the build domain, off the solve path. *)
-      ignore (Engine.Context.pivots ctx ~m:q.m : int list))
-    ~solve:(fun ctx (initiator, (q : Query.stgq)) ->
-      recorded ~kind:"stgq" ~span:"service.stgq" ~initiator
-        ~params:(stgq_params q) t ~classify:exact_classification
-      @@ fun () ->
-      Obs.time_hist Instr.stgq_latency @@ fun () ->
-      let ti =
-        {
-          Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
-          schedules = t.schedules;
-        }
-      in
-      let solution = Stgselect.solve ~config:t.config ~ctx ti q in
-      Obs.Trace.with_span "service.certify" @@ fun () ->
-      Obs.time_hist Instr.certify_latency @@ fun () ->
-      Validate.certify_stg ti q solution)
-    reqs
+let sgq_r ?policy ?cancel t ~initiator q = single sg ?policy ?cancel t ~initiator q
 
-(* Resilient batches: the grouping/pipelining is identical, but each
-   query walks its own {!Resilience} ladder with budgets built fresh
-   from the policy per attempt — one slow query exhausts its own
-   deadline and degrades alone; its groupmates' budgets are untouched. *)
+let stgq_r ?policy ?cancel t ~initiator q = single stg ?policy ?cancel t ~initiator q
 
-let sgq_batch_r ?policy ?cancel t (reqs : (int * Query.sgq) list) =
-  List.iter (fun (_, q) -> Query.check_sgq q) reqs;
-  Obs.Trace.with_span "service.sgq_batch"
-    ~attrs:
-      [
-        ("queries", string_of_int (List.length reqs)); ("resilient", "true");
-      ]
-  @@ fun () ->
-  Engine.Cache.with_solves t.engine @@ fun () ->
-  Engine.Batch.run ?pool:t.pool ~cache:t.engine
-    ~key:(fun (initiator, (q : Query.sgq)) -> (initiator, q.s))
-    ~solve:(fun ctx (initiator, (q : Query.sgq)) ->
-      recorded ~kind:"sgq" ~span:"service.sgq" ~initiator
-        ~params:(sgq_params q) t ~classify:Resilience.classify
-      @@ fun () ->
-      Obs.Trace.add_attrs [ ("resilient", "true") ];
-      Obs.time_hist Instr.sgq_latency @@ fun () ->
-      let instance = { Query.graph = Engine.Cache.graph t.engine; initiator } in
-      let certify solution =
-        Obs.Trace.with_span "service.certify" @@ fun () ->
-        Obs.time_hist Instr.certify_latency @@ fun () ->
-        Validate.certify_sg instance q solution
-      in
-      let exact budget =
-        let report =
-          Sgselect.solve_report ~config:t.config ~ctx ~budget instance q
-        in
-        Resilience.certify_outcome ~certify report.Sgselect.outcome
-      in
-      let heuristic budget = certify (Heuristics.beam_sgq ~ctx ~budget instance q) in
-      Resilience.run ?policy ?cancel ~exact ~heuristic ())
-    reqs
+let sgq_batch_r ?policy ?cancel t reqs = batch sg ?policy ?cancel t reqs
 
-let stgq_batch_r ?policy ?cancel t (reqs : (int * Query.stgq) list) =
-  List.iter (fun (_, q) -> Query.check_stgq q) reqs;
-  Obs.Trace.with_span "service.stgq_batch"
-    ~attrs:
-      [
-        ("queries", string_of_int (List.length reqs)); ("resilient", "true");
-      ]
-  @@ fun () ->
-  Engine.Cache.with_solves t.engine @@ fun () ->
-  Engine.Batch.run ?pool:t.pool ~cache:t.engine
-    ~key:(fun (initiator, (q : Query.stgq)) -> (initiator, q.s))
-    ~warm:(fun ctx (_, (q : Query.stgq)) ->
-      ignore (Engine.Context.pivots ctx ~m:q.m : int list))
-    ~solve:(fun ctx (initiator, (q : Query.stgq)) ->
-      recorded ~kind:"stgq" ~span:"service.stgq" ~initiator
-        ~params:(stgq_params q) t ~classify:Resilience.classify
-      @@ fun () ->
-      Obs.Trace.add_attrs [ ("resilient", "true") ];
-      Obs.time_hist Instr.stgq_latency @@ fun () ->
-      let ti =
-        {
-          Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
-          schedules = t.schedules;
-        }
-      in
-      let certify solution =
-        Obs.Trace.with_span "service.certify" @@ fun () ->
-        Obs.time_hist Instr.certify_latency @@ fun () ->
-        Validate.certify_stg ti q solution
-      in
-      let exact budget =
-        let report = Stgselect.solve_report ~config:t.config ~ctx ~budget ti q in
-        Resilience.certify_outcome ~certify report.Stgselect.outcome
-      in
-      let heuristic budget = certify (Heuristics.beam_stgq ~ctx ~budget ti q) in
-      Resilience.run ?policy ?cancel ~exact ~heuristic ())
-    reqs
+let stgq_batch_r ?policy ?cancel t reqs = batch stg ?policy ?cancel t reqs
 
 let cache_stats t =
   let s = Engine.Cache.stats t.engine in

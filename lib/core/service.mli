@@ -8,8 +8,12 @@
     full {!Engine.Context}s per [(initiator, s)] in {!Engine.Cache}'s
     O(1) LRU.  Calendar changes are applied in place and seen by every
     cached context immediately — only social-graph changes invalidate
-    (see {!update_graph}).  With a {!Engine.Pool} attached, STGQ answers
-    are computed by the pooled parallel solver. *)
+    (see {!update_graph}).  With a {!Engine.Pool} attached, single STGQ
+    answers are computed by the pooled parallel solver.
+
+    Four query functions share one request path: a single or batched
+    SGQ or STGQ, each answered through the {!Resilience} ladder and
+    certified on every rung. *)
 
 type t
 
@@ -29,25 +33,18 @@ val create :
   ?config:Search_core.config -> ?cache_capacity:int -> ?pool:Engine.Pool.t ->
   Query.temporal_instance -> t
 
-(** [sgq t ~initiator query] answers an SGQ for any member.  The answer
-    carries a validated certificate: it was re-checked against the raw
-    instance by {!Validate} before being returned.
-    @raise Validate.Certificate_failure if the re-check fails (a solver
-    bug surfacing — never user error). *)
-val sgq : t -> initiator:int -> Query.sgq -> Query.sg_solution option
-
-(** [stgq t ~initiator query] answers an STGQ for any member; certified
-    like {!sgq}. *)
-val stgq : t -> initiator:int -> Query.stgq -> Query.stg_solution option
-
-(** [sgq_r ?policy ?cancel t ~initiator query] answers through the
-    {!Resilience} degradation ladder: exact within the policy's budget,
-    else the best anytime incumbent with its gap bound, else a budgeted
-    beam heuristic, else a typed error — never a hang or a raw
-    exception.  Context construction and certification run inside the
-    retried closures, so transient faults at either are retried; every
-    returned value (any rung) carries a validated feasibility
-    certificate. *)
+(** [sgq_r ?policy ?cancel t ~initiator query] answers an SGQ for any
+    member through the {!Resilience} degradation ladder: exact within
+    the policy's budget (the default policy's is unlimited, so the answer
+    is the exact optimum), else the best anytime incumbent with its gap
+    bound, else a budgeted beam heuristic, else a typed error — never a
+    hang or a raw exception.  Context construction and certification run
+    inside the retried closures, so transient faults at either are
+    retried.  Every returned value (any rung) carries a validated
+    certificate: it was re-checked against the raw instance by
+    {!Validate} before being returned; a failed re-check (a solver bug
+    surfacing) is {!Resilience.Unavailable}.
+    @raise Invalid_argument on a malformed query. *)
 val sgq_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> initiator:int -> Query.sgq ->
@@ -61,31 +58,27 @@ val stgq_r :
   t -> initiator:int -> Query.stgq ->
   (Query.stg_solution Resilience.answer, Resilience.error) result
 
-(** [sgq_batch t reqs] answers every [(initiator, query)] request,
-    results in input order, each certified exactly as {!sgq} certifies.
-    Requests are grouped by [(initiator, s)] and each group shares one
-    cached context ({!Engine.Batch}); with a pool attached, the context
-    build for the next group is pipelined behind the current group's
-    solves.  Answers are bit-identical to calling {!sgq} per request. *)
-val sgq_batch : t -> (int * Query.sgq) list -> Query.sg_solution option list
-
-(** [stgq_batch t reqs] — the temporal analogue of {!sgq_batch}.  The
-    group's Lemma-4 pivot lists are pre-warmed on the build domain, so
-    solves start with every shared pruning artifact in place. *)
-val stgq_batch : t -> (int * Query.stgq) list -> Query.stg_solution option list
-
-(** [sgq_batch_r ?policy ?cancel t reqs] — batched {!sgq_r}: same
-    grouping and context sharing, but each request walks its own
-    {!Resilience} ladder with per-attempt budgets built fresh from
-    [policy], so one slow query degrades alone without consuming its
-    groupmates' budgets. *)
+(** [sgq_batch_r ?policy ?cancel t reqs] answers every
+    [(initiator, query)] request, results in input order, each exactly
+    as {!sgq_r} answers it.  Requests are grouped by [(initiator, s)]
+    and each group shares one cached context ({!Engine.Batch}); with a
+    pool attached, the context build for the next group is pipelined
+    behind the current group's solves, which run the sequential kernel —
+    so answers are bit-identical to calling {!sgq_r} per request on a
+    pool-less service.  Each request walks its own ladder with
+    per-attempt budgets built fresh from [policy], so one slow query
+    degrades alone without consuming its groupmates' budgets.  The batch
+    runs inside one {!Engine.Cache.with_solves} region: calendar edits
+    land between batches. *)
 val sgq_batch_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> (int * Query.sgq) list ->
   (Query.sg_solution Resilience.answer, Resilience.error) result list
 
-(** [stgq_batch_r ?policy ?cancel t reqs] — batched {!stgq_r} with the
-    same per-query budget isolation. *)
+(** [stgq_batch_r ?policy ?cancel t reqs] — the temporal analogue of
+    {!sgq_batch_r}.  The group's Lemma-4 pivot lists are pre-warmed on
+    the build domain, so solves start with every shared pruning artifact
+    in place. *)
 val stgq_batch_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> (int * Query.stgq) list ->

@@ -80,11 +80,11 @@ let run ?pool ~cache ~key ?(warm = fun _ _ -> ()) ~solve reqs =
          captures is immutable or internally locked (the cache). *)
       let fetch g () =
         let t0 = Obs.now_ns () in
-        let ctx = Cache.context cache ~initiator:g.g_initiator ~s:g.g_s in
-        List.iter (fun (_, req) -> warm ctx req) g.g_members;
-        (ctx, Obs.now_ns () -. t0)
+        let found = Cache.lookup cache ~initiator:g.g_initiator ~s:g.g_s in
+        List.iter (fun (_, req) -> warm found.Cache.ctx req) g.g_members;
+        (found, Obs.now_ns () -. t0)
       in
-      let solve_group g ctx ~overlap_ns =
+      let solve_group g found ~overlap_ns =
         Obs.Trace.with_span "batch.group"
           ~attrs:
             [
@@ -94,16 +94,16 @@ let run ?pool ~cache ~key ?(warm = fun _ _ -> ()) ~solve reqs =
               ("pipeline.overlap_ns", string_of_int (int_of_float overlap_ns));
             ]
         @@ fun () ->
-        List.iter (fun (i, req) -> results.(i) <- Some (solve ctx req)) g.g_members
+        List.iter (fun (i, req) -> results.(i) <- Some (solve found req)) g.g_members
       in
       (match pool with
       | None ->
           (* No pipeline: builds are inline, sharing still applies. *)
           List.iter
             (fun g ->
-              let ctx, build_ns = fetch g () in
+              let found, build_ns = fetch g () in
               total_build := !total_build +. build_ns;
-              solve_group g ctx ~overlap_ns:0.)
+              solve_group g found ~overlap_ns:0.)
             groups
       | Some pool ->
           (* Pipeline: the build for group k+1 is in flight on a worker
@@ -111,7 +111,7 @@ let run ?pool ~cache ~key ?(warm = fun _ _ -> ()) ~solve reqs =
              whatever the solves did not already hide. *)
           let rec loop g fut rest =
             let t0 = Obs.now_ns () in
-            let ctx, build_ns = Pool.await fut in
+            let found, build_ns = Pool.await fut in
             let wait_ns = Obs.now_ns () -. t0 in
             let overlap_ns = Float.max 0. (build_ns -. wait_ns) in
             total_build := !total_build +. build_ns;
@@ -121,7 +121,7 @@ let run ?pool ~cache ~key ?(warm = fun _ _ -> ()) ~solve reqs =
               | [] -> None
               | g' :: rest' -> Some (g', Pool.submit pool (fetch g'), rest')
             in
-            solve_group g ctx ~overlap_ns;
+            solve_group g found ~overlap_ns;
             match next with
             | None -> ()
             | Some (g', fut', rest') -> loop g' fut' rest'

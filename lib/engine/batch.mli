@@ -32,7 +32,9 @@
     - [warm ctx req] (default: nothing) runs on the domain that fetched
       the group's context, before any solve — use it to pre-compute
       memoized artifacts (e.g. [Context.pivots ~m]) off the solve path;
-    - [solve ctx req] runs on the calling domain.
+    - [solve lookup req] runs on the calling domain; [lookup] is the
+      group's one {!Cache.lookup} (its context, and whether it was a
+      cache hit).
 
     Without a pool the same grouping and sharing apply; builds simply
     happen inline.  The caller must not be a worker of [pool] (awaiting
@@ -42,6 +44,6 @@ val run :
   cache:Cache.t ->
   key:('req -> int * int) ->
   ?warm:(Context.t -> 'req -> unit) ->
-  solve:(Context.t -> 'req -> 'res) ->
+  solve:(Cache.lookup -> 'req -> 'res) ->
   'req list ->
   'res list

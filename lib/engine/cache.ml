@@ -131,7 +131,9 @@ let insert t key ctx =
   push_front t n;
   Obs.Gauge.set m_entries (Hashtbl.length t.table)
 
-let context t ~initiator ~s =
+type lookup = { ctx : Context.t; hit : bool }
+
+let lookup t ~initiator ~s =
   let key = (initiator, s) in
   Obs.Counter.incr m_lookups;
   Mutex.lock t.lock;
@@ -149,7 +151,7 @@ let context t ~initiator ~s =
         Obs.Trace.add_attrs
           [ ("context.cache", if waited then "coalesced" else "hit") ];
         Log.debug (fun m -> m "context cache hit for (q=%d, s=%d)" initiator s);
-        n.ctx
+        { ctx = n.ctx; hit = true }
     | None ->
         if Hashtbl.mem t.building key then begin
           if not waited then begin
@@ -190,10 +192,12 @@ let context t ~initiator ~s =
               finish_build ();
               if t.graph_gen = gen then insert t key ctx;
               Mutex.unlock t.lock;
-              ctx
+              { ctx; hit = false }
         end
   in
   obtain ~waited:false
+
+let context t ~initiator ~s = (lookup t ~initiator ~s).ctx
 
 let with_solves t f =
   Mutex.protect t.lock (fun () -> t.solvers <- t.solvers + 1);
@@ -239,7 +243,7 @@ let clear t = Mutex.protect t.lock (fun () -> clear_locked t)
 let drop_touched_locked t touched =
   let doomed =
     Hashtbl.fold
-      (fun key n acc ->
+      (fun key (n : node) acc ->
         let to_sub = n.ctx.Context.fg.Feasible.to_sub in
         let affected =
           List.exists

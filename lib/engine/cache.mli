@@ -60,10 +60,19 @@ val graph : t -> Socgraph.Graph.t
     the recovery differential gate asserts. *)
 val epoch : t -> int
 
-(** [context t ~initiator ~s] returns the cached context for the key,
+(** The outcome of one lookup: the context, and whether it came from
+    the table ([hit = false] means this caller built it).  A lookup that
+    slept on another caller's in-flight build counts as a hit, matching
+    {!stats}. *)
+type lookup = { ctx : Context.t; hit : bool }
+
+(** [lookup t ~initiator ~s] returns the cached context for the key,
     building (and possibly evicting the least-recently-used entry)
     on a miss.  Concurrent misses on the same key coalesce onto one
     build. *)
+val lookup : t -> initiator:int -> s:int -> lookup
+
+(** [context t ~initiator ~s] is [(lookup t ~initiator ~s).ctx]. *)
 val context : t -> initiator:int -> s:int -> Context.t
 
 (** [with_solves t f] runs [f] inside a {e solve region}: {!set_graph}

@@ -13,7 +13,6 @@ let m_builds = Obs.counter "engine.context.builds"
 let build ?schedules graph ~initiator ~s =
   Faultinject.fire Faultinject.Context_build;
   Obs.Counter.incr m_builds;
-  Obs.Span.with_ "context.build" @@ fun () ->
   Obs.Trace.with_span "context.build"
     ~attrs:[ ("initiator", string_of_int initiator); ("s", string_of_int s) ]
   @@ fun () ->

@@ -2,7 +2,7 @@
 
     Three layers, one entry module:
     - the {b metric registry} ({!Registry}, re-exported flat here):
-      interned counters/gauges/histograms, the span ring, snapshots,
+      interned counters/gauges/histograms, snapshots,
       {!delta} diffing and the table/JSON reporters;
     - {b query-level tracing} ({!Trace}): hierarchical spans across
       domains, stitched trees, Chrome-trace/Perfetto export and the

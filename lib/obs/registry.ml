@@ -1,7 +1,7 @@
 (* lint: allow-file toplevel-state *)
-(* Process-wide metric registry.  The registry, the enabled flag and the
-   span ring are deliberately process-global: metrics exist so that any
-   layer can publish without threading handles through every API. *)
+(* Process-wide metric registry.  The registry and the enabled flag are
+   deliberately process-global: metrics exist so that any layer can
+   publish without threading handles through every API. *)
 
 (* Domain-safety contract for the typed analysis: every global here is
    either Atomic, a per-domain shard indexed by [Domain.self ()], or
@@ -173,84 +173,6 @@ module Histogram = struct
     Atomic.set t.max_ns 0
 end
 
-module Span = struct
-  type span = {
-    sp_name : string;
-    sp_start_ns : float;
-    sp_dur_ns : float;
-  }
-
-  let capacity = 256
-
-  (* The ring is mutex-protected: spans are coarse (whole queries,
-     context builds), so the lock is far off any hot path. *)
-  let ring : span option array = Array.make capacity None
-
-  let ring_lock = Mutex.create ()
-
-  let next = ref 0
-
-  let total = ref 0
-
-  (* Spans silently overwritten before anyone read them.  Surfaced as
-     the `obs.spans.dropped` counter in snapshots so a truncated trace
-     is visible instead of just short. *)
-  let dropped_count = ref 0
-
-  let record sp =
-    Mutex.lock ring_lock;
-    (match ring.(!next) with Some _ -> Stdlib.incr dropped_count | None -> ());
-    ring.(!next) <- Some sp;
-    next := (!next + 1) mod capacity;
-    Stdlib.incr total;
-    Mutex.unlock ring_lock
-
-  let dropped () =
-    Mutex.lock ring_lock;
-    let d = !dropped_count in
-    Mutex.unlock ring_lock;
-    d
-
-  let with_ name f =
-    if not (Atomic.get enabled_flag) then f ()
-    else begin
-      let t0 = now_ns () in
-      let finish () =
-        record { sp_name = name; sp_start_ns = t0; sp_dur_ns = now_ns () -. t0 }
-      in
-      match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e
-    end
-
-  let recent () =
-    Mutex.lock ring_lock;
-    let out = ref [] in
-    (* Oldest-to-newest is [next, next+1, ...); consing yields newest
-       first. *)
-    for i = 0 to capacity - 1 do
-      match ring.((!next + i) mod capacity) with
-      | Some sp -> out := sp :: !out
-      | None -> ()
-    done;
-    Mutex.unlock ring_lock;
-    !out
-
-  let total_recorded () = !total
-
-  let reset () =
-    Mutex.lock ring_lock;
-    Array.fill ring 0 capacity None;
-    next := 0;
-    total := 0;
-    dropped_count := 0;
-    Mutex.unlock ring_lock
-end
-
 (* ------------------------------------------------------------------ *)
 (* External sources.  Sibling modules (Trace) keep their own state but
    want their counters in every snapshot and their buffers emptied by
@@ -341,7 +263,6 @@ let reset () =
       | M_gauge g -> Gauge.reset g
       | M_histogram h -> Histogram.reset h)
     (registered ());
-  Span.reset ();
   List.iter (fun f -> f ()) !external_reset_hooks
 
 (* ------------------------------------------------------------------ *)
@@ -382,7 +303,6 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * gauge_reading) list;
   histograms : (string * histogram_summary) list;
-  spans : Span.span list;
 }
 
 let by_name (a, _) (b, _) = String.compare a b
@@ -410,7 +330,6 @@ let snapshot () =
               } )
             :: !histograms)
     (registered ());
-  counters := ("obs.spans.dropped", Span.dropped ()) :: !counters;
   List.iter
     (fun source -> List.iter (fun kv -> counters := kv :: !counters) (source ()))
     !external_counter_sources;
@@ -418,7 +337,6 @@ let snapshot () =
     counters = List.sort by_name !counters;
     gauges = List.sort by_name !gauges;
     histograms = List.sort by_name !histograms;
-    spans = Span.recent ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +364,7 @@ let delta older newer =
               } ))
       newer.histograms
   in
-  { counters; gauges = newer.gauges; histograms; spans = newer.spans }
+  { counters; gauges = newer.gauges; histograms }
 
 (* ------------------------------------------------------------------ *)
 (* Reporters.                                                          *)
@@ -454,9 +372,6 @@ let delta older newer =
 let table s =
   let sections = ref [] in
   let add title header rows = if rows <> [] then sections := Report.table ~title ~header rows :: !sections in
-  add "spans (newest first)"
-    [ "span"; "duration" ]
-    (List.map (fun (sp : Span.span) -> [ sp.Span.sp_name; Report.ns sp.Span.sp_dur_ns ]) s.spans);
   add "histograms" [ "histogram"; "count"; "p50"; "p90"; "p99"; "max"; "total" ]
     (List.map
        (fun (name, h) ->
@@ -536,25 +451,11 @@ let json s =
                ] ))
          s.histograms)
   in
-  let spans =
-    "["
-    ^ String.concat ", "
-        (List.map
-           (fun (sp : Span.span) ->
-             json_object
-               [
-                 ("name", "\"" ^ json_escape sp.Span.sp_name ^ "\"");
-                 ("dur_ns", Printf.sprintf "%.0f" sp.Span.sp_dur_ns);
-               ])
-           s.spans)
-    ^ "]"
-  in
   String.concat "\n"
     [
       "{";
       Printf.sprintf "  \"counters\": %s," counters;
       Printf.sprintf "  \"gauges\": %s," gauges;
-      Printf.sprintf "  \"histograms\": %s," histograms;
-      Printf.sprintf "  \"spans\": %s" spans;
+      Printf.sprintf "  \"histograms\": %s" histograms;
       "}";
     ]

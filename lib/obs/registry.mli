@@ -1,5 +1,5 @@
-(** Process-wide observability: registry-based counters, gauges,
-    log-bucketed latency histograms and a fixed-size span ring.
+(** Process-wide observability: registry-based counters, gauges and
+    log-bucketed latency histograms.
 
     The paper's evaluation is entirely about *where time goes* — nodes
     expanded, pruning effectiveness, serving-path latency — so the
@@ -133,35 +133,6 @@ module Histogram : sig
   val reset : t -> unit
 end
 
-module Span : sig
-  (** Lightweight tracing: completed spans land in a fixed-size ring
-      buffer (oldest overwritten first). *)
-
-  type span = {
-    sp_name : string;
-    sp_start_ns : float;  (** wall clock at entry *)
-    sp_dur_ns : float;
-  }
-
-  (** Ring capacity (spans retained). *)
-  val capacity : int
-
-  (** [with_ name f] runs [f ()]; when instrumentation is enabled the
-      elapsed time is recorded as a span named [name], whether [f]
-      returns or raises. *)
-  val with_ : string -> (unit -> 'a) -> 'a
-
-  (** Completed spans, newest first, at most {!capacity}. *)
-  val recent : unit -> span list
-
-  (** Spans recorded since the last reset (including overwritten ones). *)
-  val total_recorded : unit -> int
-
-  (** Spans lost to ring overwrite since the last reset — surfaced as
-      the [obs.spans.dropped] counter in every snapshot. *)
-  val dropped : unit -> int
-end
-
 (** {1 External sources}
 
     Sibling modules of the registry (the tracer) register read hooks at
@@ -226,7 +197,6 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * gauge_reading) list;
   histograms : (string * histogram_summary) list;
-  spans : Span.span list;  (** newest first *)
 }
 
 val snapshot : unit -> snapshot
@@ -234,7 +204,7 @@ val snapshot : unit -> snapshot
 (** [delta older newer] — what happened between two snapshots.
     Counters and histogram [h_count]/[h_sum_ns] are subtracted (clamped
     at 0, so metrics that were reset in between read as 0 rather than
-    negative); gauges, histogram quantile estimates and spans are taken
+    negative); gauges and histogram quantile estimates are taken
     from [newer] as-is (log buckets cannot be re-quantiled after the
     fact).  Used by [stats serve] and the bench replay to report rates
     instead of monotonically-growing totals. *)

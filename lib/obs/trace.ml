@@ -31,7 +31,8 @@ type span = {
 
 (* ------------------------------------------------------------------ *)
 (* Switch — separate from the metric registry's so metric overhead
-   experiments (BENCH_obs.json) keep their baseline semantics.          *)
+   experiments (_build/default/BENCH_obs.json) keep their baseline
+   semantics. *)
 
 let enabled_flag = Atomic.make false
 

@@ -367,7 +367,7 @@ let r_section r ~expect_tag =
    before a single edge is read, so the vertex count must be bounded
    here: a ~30-byte image declaring n ~ 4e9 under a valid CRC would
    otherwise force multi-GiB allocations.  The cap is two orders of
-   magnitude above the scale gates (1e5 users in BENCH_scale.json). *)
+   magnitude above the scale gates (1e5 users in _build/default/BENCH_scale.json). *)
 let max_vertices = 1 lsl 24
 
 let decode_graph_section p =

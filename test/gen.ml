@@ -238,3 +238,36 @@ let qtest ?(count = 200) name arbitrary prop =
   let rand = Random.State.make [| test_seed |] in
   QCheck_alcotest.to_alcotest ~rand
     (QCheck.Test.make ~count:(count * iters) ~name arbitrary prop)
+
+(* A dense deterministic STGQ instance big enough that the exact solver
+   crosses several budget checkpoints (256 nodes each), so small node
+   limits and short deadlines trip mid-search. *)
+let dense_ti, dense_q =
+  let n = 22 in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      edges := (u, v, float_of_int (1 + ((u + (3 * v)) mod 19))) :: !edges
+    done
+  done;
+  let horizon = 40 in
+  let schedules =
+    Array.init n (fun v ->
+        let a = Timetable.Availability.create ~horizon in
+        Timetable.Availability.set_free a (v mod 3) (horizon - 1 - (v mod 2));
+        a)
+  in
+  ( {
+      Stgq_core.Query.social =
+        { Stgq_core.Query.graph = Socgraph.Graph.of_edges n !edges; initiator = 0 };
+      schedules;
+    },
+    { Stgq_core.Query.p = 10; s = 2; k = 5; m = 3 } )
+
+(* The value of a service answer under the default policy, whose
+   unlimited budget always answers on the exact rung; a typed ladder
+   error fails the test. *)
+let served = function
+  | Ok (a : _ Stgq_core.Resilience.answer) -> a.value
+  | Error e ->
+      Alcotest.failf "served query failed: %a" Stgq_core.Resilience.pp_error e

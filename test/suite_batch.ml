@@ -16,6 +16,28 @@ let stg_eq a b =
       && Float.equal x.Query.st_total_distance y.Query.st_total_distance
   | _ -> false
 
+let sg_eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Query.sg_solution), Some (y : Query.sg_solution) ->
+      x.Query.attendees = y.Query.attendees
+      && close x.Query.total_distance y.Query.total_distance
+  | _ -> false
+
+(* Whole-answer equality: the value and how the ladder reached it. *)
+let answer_eq value_eq a b =
+  match (a, b) with
+  | Ok (x : _ Resilience.answer), Ok (y : _ Resilience.answer) ->
+      value_eq x.value y.value && x.rung = y.rung && x.gap = y.gap
+      && x.reason = y.reason
+  | Error (Resilience.Degraded x), Error (Resilience.Degraded y) ->
+      x.reason = y.reason
+  | _ -> false
+
+(* Under the default policy and under a node limit (each request's
+   ladder builds its own budgets, so a batch member trips or answers
+   exactly as it would alone), batched answers equal the one-at-a-time
+   answers of a pool-less service. *)
 let prop_batch_matches_unbatched =
   Gen.qtest ~count:40 "batched answers = unbatched service answers"
     (Gen.stg_case ()) (fun case ->
@@ -26,26 +48,51 @@ let prop_batch_matches_unbatched =
       (* Two interleaved passes over the initiators: the batch must
          group them and still answer in input order. *)
       let reqs = List.concat_map (fun i -> [ (i, query) ]) (inits @ inits) in
-      let service = Service.create ti in
-      let batched = Service.stgq_batch service reqs in
-      let unbatched =
-        List.map (fun (i, q) -> Service.stgq service ~initiator:i q) reqs
-      in
       let sg_reqs = List.map (fun (i, _) -> (i, sg_query)) reqs in
-      let sg_batched = Service.sgq_batch service sg_reqs in
-      let sg_unbatched =
-        List.map (fun (i, q) -> Service.sgq service ~initiator:i q) sg_reqs
+      let matches ?policy () =
+        let service = Service.create ti in
+        let batched = Service.stgq_batch_r ?policy service reqs in
+        let unbatched =
+          List.map (fun (i, q) -> Service.stgq_r ?policy service ~initiator:i q) reqs
+        in
+        let sg_batched = Service.sgq_batch_r ?policy service sg_reqs in
+        let sg_unbatched =
+          List.map
+            (fun (i, q) -> Service.sgq_r ?policy service ~initiator:i q)
+            sg_reqs
+        in
+        List.for_all2 (answer_eq stg_eq) batched unbatched
+        && List.for_all2 (answer_eq sg_eq) sg_batched sg_unbatched
       in
-      List.for_all2 stg_eq batched unbatched
-      && List.for_all2
-           (fun a b ->
-             match (a, b) with
-             | None, None -> true
-             | Some (x : Query.sg_solution), Some (y : Query.sg_solution) ->
-                 x.Query.attendees = y.Query.attendees
-                 && close x.Query.total_distance y.Query.total_distance
-             | _ -> false)
-           sg_batched sg_unbatched)
+      matches ()
+      && matches
+           ~policy:{ Resilience.default_policy with node_limit = Some 1 }
+           ())
+
+(* Per-request budgets: in one batch under a node limit, a query big
+   enough to trip it degrades while its small groupmate still answers
+   exactly — each as it would alone.  The limit spans several
+   checkpoints, so a budget leaking from the first big query would cut
+   the second one short. *)
+let test_batch_budgets_are_per_request () =
+  let policy = { Resilience.default_policy with node_limit = Some 1000 } in
+  let small = { Gen.dense_q with Query.p = 2 } in
+  let reqs = [ (0, Gen.dense_q); (0, small); (0, Gen.dense_q) ] in
+  let service = Service.create Gen.dense_ti in
+  let batched = Service.stgq_batch_r ~policy service reqs in
+  let unbatched =
+    List.map (fun (i, q) -> Service.stgq_r ~policy service ~initiator:i q) reqs
+  in
+  Alcotest.check Alcotest.bool "batched = unbatched, whole answers" true
+    (List.for_all2 (answer_eq stg_eq) batched unbatched);
+  let below_exact = function
+    | Ok (a : _ Resilience.answer) -> a.rung <> Resilience.Exact
+    | Error _ -> true
+  in
+  Alcotest.check
+    (Alcotest.list Alcotest.bool)
+    "only the big queries leave the exact rung" [ true; false; true ]
+    (List.map below_exact batched)
 
 (* Pipelined (pool present) batches keep the sequential solve kernel, so
    answers stay bit-identical to direct sequential solves even while
@@ -76,7 +123,7 @@ let test_pipelined_matches_direct () =
   in
   Engine.Pool.with_pool ~size:2 @@ fun pool ->
   let service = Service.create ~pool ti in
-  let batched = Service.stgq_batch service reqs in
+  let batched = List.map Gen.served (Service.stgq_batch_r service reqs) in
   Alcotest.check Alcotest.bool "pipelined batch = direct sequential" true
     (List.for_all2 stg_eq batched direct)
 
@@ -199,7 +246,7 @@ let test_schedule_edit_race_consistent () =
         done)
   in
   for _ = 1 to 20 do
-    let answers = Service.stgq_batch service reqs in
+    let answers = List.map Gen.served (Service.stgq_batch_r service reqs) in
     let consistent =
       List.for_all2 stg_eq answers pre_refs
       || List.for_all2 stg_eq answers post_refs
@@ -209,36 +256,9 @@ let test_schedule_edit_race_consistent () =
   done;
   Domain.join editor;
   (* The editor's last write restored the original calendar. *)
-  let final = Service.stgq_batch service reqs in
+  let final = List.map Gen.served (Service.stgq_batch_r service reqs) in
   Alcotest.check Alcotest.bool "final answers are the pre-edit ones" true
     (List.for_all2 stg_eq final pre_refs)
-
-(* Auto batch routing: per-request plans and answers equal the
-   one-at-a-time Auto path. *)
-let test_auto_batch_matches () =
-  let ti = Workload.Scenario.coauthor ~seed:21 ~days:1 ~n:150 () in
-  let shapes =
-    [ { Query.p = 3; s = 2; k = 1; m = 3 }; { Query.p = 3; s = 2; k = 2; m = 4 } ]
-  in
-  let inits =
-    List.init 3 (fun i ->
-        Workload.Scenario.pick_initiator ~rank:(8 + (12 * i))
-          ti.Query.social.Query.graph)
-    |> List.sort_uniq compare
-  in
-  let reqs = List.concat_map (fun q -> List.map (fun i -> (i, q)) inits) shapes in
-  let batched = Auto.stgq_batch ti reqs in
-  List.iter2
-    (fun (i, q) (sol_b, plan_b) ->
-      let ti_q =
-        { ti with Query.social = { ti.Query.social with Query.initiator = i } }
-      in
-      let sol_u, plan_u = Auto.stgq ti_q q in
-      Alcotest.check Alcotest.bool "solution matches" true (stg_eq sol_b sol_u);
-      Alcotest.check Alcotest.bool "plan matches" true
-        (plan_b.Auto.choice = plan_u.Auto.choice
-        && plan_b.Auto.feasible_size = plan_u.Auto.feasible_size))
-    reqs batched
 
 let suite =
   [
@@ -251,6 +271,6 @@ let suite =
       test_single_flight_coalesces;
     Alcotest.test_case "schedule edits race batches consistently" `Quick
       test_schedule_edit_race_consistent;
-    Alcotest.test_case "auto batch routing matches unbatched" `Quick
-      test_auto_batch_matches;
+    Alcotest.test_case "batched budgets are per request" `Quick
+      test_batch_budgets_are_per_request;
   ]

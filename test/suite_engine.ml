@@ -136,6 +136,27 @@ let test_cache_lru_recency () =
   Alcotest.(check int) "evictions" 2 s.Engine.Cache.evictions;
   Alcotest.(check int) "entries" 2 s.Engine.Cache.entries
 
+(* [lookup] reports each caller's own outcome: the builder sees a miss,
+   a later caller a hit on the very same context, and a lookup after an
+   eviction builds afresh; [context] is the same lookup. *)
+let test_cache_lookup_reports_own_hit () =
+  let g = Socgraph.Graph.of_edges 4 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.) ] in
+  let cache = Engine.Cache.create ~capacity:1 g in
+  let first = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  let again = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  let other = Engine.Cache.lookup cache ~initiator:1 ~s:1 (* evicts (0,1) *) in
+  let rebuilt = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  Alcotest.(check (list bool))
+    "miss, hit, miss, miss after eviction" [ false; true; false; false ]
+    (List.map (fun (l : Engine.Cache.lookup) -> l.hit) [ first; again; other; rebuilt ]);
+  Alcotest.(check bool) "a hit returns the cached context" true
+    (first.Engine.Cache.ctx == again.Engine.Cache.ctx);
+  Alcotest.(check bool) "context is the lookup's context" true
+    (Engine.Cache.context cache ~initiator:0 ~s:1 == rebuilt.Engine.Cache.ctx);
+  let s = Engine.Cache.stats cache in
+  Alcotest.(check int) "hits" 2 s.Engine.Cache.hits;
+  Alcotest.(check int) "misses" 3 s.Engine.Cache.misses
+
 let test_context_pivots_memoized_and_guarded () =
   let case = Gen.stg_case_gen (Random.State.make [| 23 |]) in
   let ti = Gen.temporal_instance_of_stg_case case in
@@ -167,4 +188,6 @@ let suite =
     prop_bounded_dist_early_exit_reaches_fixpoint;
     prop_sgq_context_matches_direct;
     prop_engine_matches_sequential;
+    Alcotest.test_case "cache lookup reports its own hit" `Quick
+      test_cache_lookup_reports_own_hit;
   ]

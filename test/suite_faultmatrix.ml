@@ -71,27 +71,7 @@ let small_ti =
 let small_q = { Query.p = 3; s = 2; k = 2; m = 2 }
 
 (* dense enough that the kernel crosses several 256-node checkpoints *)
-let big_ti, big_q =
-  let n = 22 in
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      edges := (u, v, float_of_int (1 + ((u + (3 * v)) mod 19))) :: !edges
-    done
-  done;
-  let horizon = 40 in
-  let schedules =
-    Array.init n (fun v ->
-        let a = Timetable.Availability.create ~horizon in
-        Timetable.Availability.set_free a (v mod 3) (horizon - 1 - (v mod 2));
-        a)
-  in
-  ( {
-      Query.social =
-        { Query.graph = Socgraph.Graph.of_edges n !edges; initiator = 0 };
-      schedules;
-    },
-    { Query.p = 10; s = 2; k = 5; m = 3 } )
+let big_ti, big_q = (Gen.dense_ti, Gen.dense_q)
 
 (* --- sites ---------------------------------------------------------- *)
 

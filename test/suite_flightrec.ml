@@ -268,6 +268,36 @@ let test_query_record_shape () =
         ]
   | other -> Alcotest.failf "expected one record, got %d" (List.length other)
 
+(* A query event's [cache_hit] is the outcome of the lookup that served
+   that request, whatever other requests' lookups did: a first request
+   misses, its repeat hits, and every batch member reports its group's
+   one lookup. *)
+let test_query_events_report_own_cache_hit () =
+  with_plane @@ fun () ->
+  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:300 () in
+  let graph = ti.Stgq_core.Query.social.Stgq_core.Query.graph in
+  let a = Workload.Scenario.pick_initiator ~rank:10 graph in
+  let b = Workload.Scenario.pick_initiator ~rank:20 graph in
+  let service = Stgq_core.Service.create ti in
+  let q = { Stgq_core.Query.p = 3; s = 2; k = 1; m = 4 } in
+  let answered = function Ok _ -> () | Error _ -> Alcotest.fail "query failed" in
+  answered (Stgq_core.Service.stgq_r service ~initiator:a q);
+  answered (Stgq_core.Service.stgq_r service ~initiator:a q);
+  List.iter answered (Stgq_core.Service.stgq_batch_r service [ (a, q); (a, q) ]);
+  List.iter answered (Stgq_core.Service.stgq_batch_r service [ (b, q); (b, q) ]);
+  let hits =
+    List.filter_map
+      (fun line ->
+        if contains line "\"event\": \"query\"" then
+          Some (contains line "\"cache_hit\": true")
+        else None)
+      (Obs.Events.tail 64)
+  in
+  check (Alcotest.list Alcotest.bool)
+    "miss, hit, warm batch hits, cold batch misses"
+    [ false; true; true; true; false; false ]
+    hits
+
 let test_sink_rotation_discipline () =
   with_plane @@ fun () ->
   let dir = Filename.temp_dir "stgq_events_test" "" in
@@ -506,6 +536,8 @@ let suite =
       test_events_ring_and_tail;
     Alcotest.test_case "query record carries the full shape" `Quick
       test_query_record_shape;
+    Alcotest.test_case "query events report their own cache hit" `Quick
+      test_query_events_report_own_cache_hit;
     Alcotest.test_case "sink rotation follows the durability discipline" `Quick
       test_sink_rotation_discipline;
     Alcotest.test_case "event totals surface in snapshots" `Quick

@@ -129,17 +129,40 @@ let test_registry_intern_and_kind_clash () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on a metric-kind clash"
 
-let test_span_ring_bounded () =
-  with_obs (fun () ->
-      let extra = 50 in
-      for i = 1 to Obs.Span.capacity + extra do
-        Obs.Span.with_ "tick" (fun () -> ignore (i * i : int))
-      done;
-      Alcotest.check Alcotest.int "total recorded"
-        (Obs.Span.capacity + extra)
-        (Obs.Span.total_recorded ());
-      Alcotest.check Alcotest.int "ring stays bounded" Obs.Span.capacity
-        (List.length (Obs.Span.recent ())))
+(* One span mechanism: a context build counts once and records one
+   [context.build] trace span; a warm repeat of the query records
+   neither. *)
+let test_context_build_traced_once () =
+  with_obs @@ fun () ->
+  Obs.Trace.set_enabled true;
+  Obs.Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.set_enabled false;
+      Obs.Trace.reset ())
+  @@ fun () ->
+  let builds = Obs.counter "engine.context.builds" in
+  let case = Gen.stg_case_gen (Random.State.make [| 5 |]) in
+  let service = Service.create (Gen.temporal_instance_of_stg_case case) in
+  let query = Gen.stgq_of_stg_case case in
+  let build_spans () =
+    List.length
+      (List.filter
+         (fun (sp : Obs.Trace.span) -> sp.Obs.Trace.sp_name = "context.build")
+         (Obs.Trace.spans ()))
+  in
+  let ask () =
+    ignore
+      (Gen.served (Service.stgq_r service ~initiator:0 query)
+        : Query.stg_solution option)
+  in
+  ask ();
+  Alcotest.check Alcotest.int "one build counted" 1 (Obs.Counter.value builds);
+  Alcotest.check Alcotest.int "one build span" 1 (build_spans ());
+  ask ();
+  Alcotest.check Alcotest.int "a warm repeat builds nothing" 1
+    (Obs.Counter.value builds);
+  Alcotest.check Alcotest.int "and records no build span" 1 (build_spans ())
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented stack invariants.                                      *)
@@ -156,10 +179,11 @@ let prop_cache_invariant =
           for initiator = 0 to min 3 (case.Gen.sg.Gen.n - 1) do
             for _repeat = 1 to 2 do
               ignore
-                (Service.stgq service ~initiator query
+                (Gen.served (Service.stgq_r service ~initiator query)
                   : Query.stg_solution option);
               ignore
-                (Service.sgq service ~initiator (Query.sgq_of_stgq query)
+                (Gen.served
+                   (Service.sgq_r service ~initiator (Query.sgq_of_stgq query))
                   : Query.sg_solution option);
               incr rounds
             done
@@ -202,7 +226,8 @@ let test_snapshot_reports_required_names () =
       let ti = Gen.temporal_instance_of_stg_case case in
       let service = Service.create ti in
       ignore
-        (Service.stgq service ~initiator:0 (Gen.stgq_of_stg_case case)
+        (Gen.served
+           (Service.stgq_r service ~initiator:0 (Gen.stgq_of_stg_case case))
           : Query.stg_solution option);
       let snap = Obs.snapshot () in
       let json = Obs.json snap in
@@ -235,7 +260,8 @@ let suite =
     Alcotest.test_case "gauge high-water mark" `Quick test_gauge_high_water;
     Alcotest.test_case "registry interning and kind clash" `Quick
       test_registry_intern_and_kind_clash;
-    Alcotest.test_case "span ring stays bounded" `Quick test_span_ring_bounded;
+    Alcotest.test_case "context build traced once" `Quick
+      test_context_build_traced_once;
     prop_cache_invariant;
     prop_instrumentation_changes_no_answer;
     Alcotest.test_case "snapshot carries required metrics" `Quick

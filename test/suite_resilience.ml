@@ -12,27 +12,7 @@ let check = Alcotest.check
 
 (* A dense deterministic STGQ instance big enough that the exact solver
    crosses several budget checkpoints (256 nodes each). *)
-let big_ti, big_q =
-  let n = 22 in
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      edges := (u, v, float_of_int (1 + ((u + (3 * v)) mod 19))) :: !edges
-    done
-  done;
-  let horizon = 40 in
-  let schedules =
-    Array.init n (fun v ->
-        let a = Timetable.Availability.create ~horizon in
-        Timetable.Availability.set_free a (v mod 3) (horizon - 1 - (v mod 2));
-        a)
-  in
-  ( {
-      Query.social =
-        { Query.graph = Socgraph.Graph.of_edges n !edges; initiator = 0 };
-      schedules;
-    },
-    { Query.p = 10; s = 2; k = 5; m = 3 } )
+let big_ti, big_q = (Gen.dense_ti, Gen.dense_q)
 
 (* --- Budget ------------------------------------------------------- *)
 
@@ -338,30 +318,6 @@ let test_ladder_external_cancel () =
   | Error (Resilience.Degraded { reason = Budget.Cancelled; _ }) -> ()
   | _ -> Alcotest.fail "a pre-set cancel flag must degrade as Cancelled"
 
-let test_run_heuristic_entry () =
-  match Resilience.run_heuristic ~heuristic:(fun _ -> Some "h") () with
-  | Ok { value = Some "h"; rung = Resilience.Heuristic; gap = None; reason = None; _ } ->
-      ()
-  | _ -> Alcotest.fail "run_heuristic must answer on the heuristic rung"
-
-let test_protect () =
-  let calls = ref 0 in
-  (match
-     Resilience.protect ~policy:fast_retry (fun () ->
-         incr calls;
-         if !calls = 1 then
-           raise
-             (Faultinject.Injected_fault
-                { site = Faultinject.Context_build; transient = true })
-         else "ctx")
-   with
-  | Ok "ctx" -> ()
-  | _ -> Alcotest.fail "protect must retry a transient planning fault");
-  check Alcotest.int "two attempts" 2 !calls;
-  match Resilience.protect ~policy:fast_retry (fun () -> failwith "disk") with
-  | Error (Resilience.Unavailable { error = Failure _; _ }) -> ()
-  | _ -> Alcotest.fail "protect must classify hard faults as Unavailable"
-
 let test_certify_outcome () =
   let certify = function
     | Some v -> Some (v * 10)
@@ -403,6 +359,47 @@ let test_service_resilient_deadline () =
   | Ok a ->
       check Alcotest.bool "a dead deadline cannot claim exactness" true
         (a.Resilience.rung <> Resilience.Exact || a.Resilience.value = None)
+
+(* The same promise on the SGQ kind and on the batch path: a dead
+   deadline degrades every request, never raises, never claims
+   exactness. *)
+let dead_policy = { fast_retry with deadline_ms = Some 0.0001; node_limit = Some 1 }
+
+let not_exact name = function
+  | Error (Resilience.Degraded _) -> ()
+  | Error (Resilience.Unavailable _) ->
+      Alcotest.failf "%s: an expired budget is degradation, not unavailability"
+        name
+  | Ok (a : _ Resilience.answer) ->
+      check Alcotest.bool
+        (name ^ ": a dead deadline cannot claim exactness")
+        true
+        (a.rung <> Resilience.Exact || a.value = None)
+
+let test_service_sgq_dead_deadline () =
+  let t = Service.create big_ti in
+  match
+    Service.sgq_r ~policy:dead_policy t ~initiator:0
+      { Query.p = big_q.p; s = big_q.s; k = big_q.k }
+  with
+  | exception e ->
+      Alcotest.failf "resilient service raised: %s" (Printexc.to_string e)
+  | result -> not_exact "sgq" result
+
+let test_service_batch_dead_deadline () =
+  let t = Service.create big_ti in
+  let sg = { Query.p = big_q.p; s = big_q.s; k = big_q.k } in
+  match
+    ( Service.stgq_batch_r ~policy:dead_policy t [ (0, big_q); (1, big_q) ],
+      Service.sgq_batch_r ~policy:dead_policy t [ (0, sg); (1, sg) ] )
+  with
+  | exception e ->
+      Alcotest.failf "resilient batch raised: %s" (Printexc.to_string e)
+  | stg, sgs ->
+      check Alcotest.int "one STGQ answer per request" 2 (List.length stg);
+      check Alcotest.int "one SGQ answer per request" 2 (List.length sgs);
+      List.iter (not_exact "stgq batch") stg;
+      List.iter (not_exact "sgq batch") sgs
 
 (* --- pool supervision ---------------------------------------------- *)
 
@@ -452,9 +449,10 @@ let suite =
       test_ladder_unavailable;
     Alcotest.test_case "ladder: external cancel degrades as Cancelled" `Quick
       test_ladder_external_cancel;
-    Alcotest.test_case "ladder: heuristic entry point" `Quick
-      test_run_heuristic_entry;
-    Alcotest.test_case "protect retries planning faults" `Quick test_protect;
+    Alcotest.test_case "sgq service answers under a dead deadline" `Quick
+      test_service_sgq_dead_deadline;
+    Alcotest.test_case "batched service answers under a dead deadline" `Quick
+      test_service_batch_dead_deadline;
     Alcotest.test_case "certify_outcome re-checks carried answers" `Quick
       test_certify_outcome;
     Alcotest.test_case "service answers under a dead deadline" `Quick

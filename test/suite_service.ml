@@ -19,7 +19,7 @@ let prop_service_matches_direct =
             { ti with Query.social = { ti.Query.social with Query.initiator } }
           in
           let direct = Stgselect.solve ti_q query in
-          let via = Service.stgq service ~initiator query in
+          let via = Gen.served (Service.stgq_r service ~initiator query) in
           (match (direct, via) with
           | None, None -> ()
           | Some a, Some b
@@ -27,7 +27,9 @@ let prop_service_matches_direct =
               ()
           | _ -> ok := false);
           let sg_direct = Sgselect.solve ti_q.Query.social (Query.sgq_of_stgq query) in
-          let sg_via = Service.sgq service ~initiator (Query.sgq_of_stgq query) in
+          let sg_via =
+            Gen.served (Service.sgq_r service ~initiator (Query.sgq_of_stgq query))
+          in
           match (sg_direct, sg_via) with
           | None, None -> ()
           | Some a, Some b when close a.Query.total_distance b.Query.total_distance ->
@@ -57,12 +59,12 @@ let fixture () =
 let test_cache_hits_and_eviction () =
   let service = Service.create ~cache_capacity:2 (fixture ()) in
   let q = { Query.p = 2; s = 1; k = 1 } in
-  ignore (Service.sgq service ~initiator:0 q);
-  ignore (Service.sgq service ~initiator:0 q);
-  ignore (Service.sgq service ~initiator:1 q);
-  ignore (Service.sgq service ~initiator:2 q);
+  ignore (Gen.served (Service.sgq_r service ~initiator:0 q));
+  ignore (Gen.served (Service.sgq_r service ~initiator:0 q));
+  ignore (Gen.served (Service.sgq_r service ~initiator:1 q));
+  ignore (Gen.served (Service.sgq_r service ~initiator:2 q));
   (* capacity 2: initiator 0's entry evicted *)
-  ignore (Service.sgq service ~initiator:0 q);
+  ignore (Gen.served (Service.sgq_r service ~initiator:0 q));
   let stats = Service.cache_stats service in
   Alcotest.check Alcotest.int "hits" 1 stats.Service.hits;
   Alcotest.check Alcotest.int "misses" 4 stats.Service.misses;
@@ -73,7 +75,7 @@ let test_graph_update_invalidates () =
   let ti = fixture () in
   let service = Service.create ti in
   let q = { Query.p = 2; s = 1; k = 1 } in
-  (match Service.sgq service ~initiator:0 q with
+  (match Gen.served (Service.sgq_r service ~initiator:0 q) with
   | Some { Query.total_distance; _ } ->
       Alcotest.check Alcotest.bool "initially 1" true (close total_distance 1.)
   | None -> Alcotest.fail "expected a solution");
@@ -83,7 +85,7 @@ let test_graph_update_invalidates () =
       [ (0, 1, 9.); (0, 2, 2.); (1, 2, 1.); (3, 4, 1.); (0, 3, 5.) ]
   in
   Service.update_graph service g';
-  (match Service.sgq service ~initiator:0 q with
+  (match Gen.served (Service.sgq_r service ~initiator:0 q) with
   | Some { Query.total_distance; _ } ->
       Alcotest.check Alcotest.bool "now 2" true (close total_distance 2.)
   | None -> Alcotest.fail "expected a solution after update");
@@ -93,7 +95,7 @@ let test_schedule_update_visible () =
   let ti = fixture () in
   let service = Service.create ti in
   let q = { Query.p = 2; s = 1; k = 0; m = 4 } in
-  (match Service.stgq service ~initiator:0 q with
+  (match Gen.served (Service.stgq_r service ~initiator:0 q) with
   | Some _ -> ()
   | None -> Alcotest.fail "expected a window initially");
   (* Make everyone but the initiator fully busy. *)
@@ -102,7 +104,57 @@ let test_schedule_update_visible () =
     Service.update_schedule service ~vertex:v busy
   done;
   Alcotest.check Alcotest.bool "no window after busy-out" true
-    (Service.stgq service ~initiator:0 q = None)
+    (Gen.served (Service.stgq_r service ~initiator:0 q) = None)
+
+(* With a pool attached, single STGQ requests run the pooled parallel
+   kernel; its answers equal a pool-less service's, on the exact rung. *)
+let prop_pooled_service_matches_plain =
+  Gen.qtest ~count:30 "pooled service answers = pool-less answers"
+    (Gen.stg_case ()) (fun case ->
+      let ti = Gen.temporal_instance_of_stg_case case in
+      let query = Gen.stgq_of_stg_case case in
+      let plain = Service.create ti in
+      Engine.Pool.with_pool ~size:2 @@ fun pool ->
+      let pooled = Service.create ~pool ti in
+      List.for_all
+        (fun initiator ->
+          match
+            ( Service.stgq_r pooled ~initiator query,
+              Service.stgq_r plain ~initiator query )
+          with
+          | Ok a, Ok b -> (
+              a.Resilience.rung = Resilience.Exact
+              && b.Resilience.rung = Resilience.Exact
+              &&
+              match (a.Resilience.value, b.Resilience.value) with
+              | None, None -> true
+              | Some x, Some y ->
+                  close x.Query.st_total_distance y.Query.st_total_distance
+              | _ -> false)
+          | _ -> false)
+        (List.init (min 4 case.Gen.sg.Gen.n) Fun.id))
+
+(* A malformed query is rejected before any work: a single request and
+   a batch holding one bad member both raise [Invalid_argument], and no
+   context is looked up, so the good batch members are not answered
+   either. *)
+let test_malformed_query_rejected_before_lookup () =
+  let service = Service.create (fixture ()) in
+  let good = { Query.p = 2; s = 1; k = 1; m = 2 } in
+  let bad = { good with Query.m = 0 } in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  rejects "single" (fun () -> ignore (Service.stgq_r service ~initiator:0 bad));
+  rejects "single sgq" (fun () ->
+      ignore (Service.sgq_r service ~initiator:0 { Query.p = 0; s = 1; k = 1 }));
+  rejects "batch" (fun () ->
+      ignore (Service.stgq_batch_r service [ (0, good); (1, bad) ]));
+  let stats = Service.cache_stats service in
+  Alcotest.check Alcotest.int "no lookup" 0
+    (stats.Service.hits + stats.Service.misses)
 
 let suite =
   [
@@ -110,4 +162,7 @@ let suite =
     Alcotest.test_case "graph update invalidates" `Quick test_graph_update_invalidates;
     Alcotest.test_case "schedule update visible" `Quick test_schedule_update_visible;
     prop_service_matches_direct;
+    prop_pooled_service_matches_plain;
+    Alcotest.test_case "malformed query rejected before lookup" `Quick
+      test_malformed_query_rejected_before_lookup;
   ]

@@ -455,13 +455,13 @@ let test_recovered_answers () =
   let q_sg = { Query.p = 3; s = 2; k = 2 } in
   List.iter
     (fun initiator ->
-      let a = Service.stgq live ~initiator q in
-      let b = Service.stgq recovered ~initiator q in
+      let a = Gen.served (Service.stgq_r live ~initiator q) in
+      let b = Gen.served (Service.stgq_r recovered ~initiator q) in
       check Alcotest.bool
         (Printf.sprintf "stgq answers identical (initiator %d)" initiator)
         true (a = b);
-      let a = Service.sgq live ~initiator q_sg in
-      let b = Service.sgq recovered ~initiator q_sg in
+      let a = Gen.served (Service.sgq_r live ~initiator q_sg) in
+      let b = Gen.served (Service.sgq_r recovered ~initiator q_sg) in
       check Alcotest.bool
         (Printf.sprintf "sgq answers identical (initiator %d)" initiator)
         true (a = b))

@@ -1,6 +1,6 @@
 (* Query-level tracing: cross-domain stitching of pooled solves, the
    trace-off differential, the pruning-waterfall accounting identity,
-   snapshot deltas, dropped-span accounting and the exposition server. *)
+   snapshot deltas and the exposition server. *)
 
 open Stgq_core
 
@@ -65,27 +65,72 @@ let test_pooled_single_tree () =
          sp.Obs.Trace.sp_domain <> root.Obs.Trace.sp_domain)
        spans)
 
+(* The served tree: the request root holds the exact rung, and the rung
+   holds both the solve and the certification of its answer. *)
 let test_service_root_covers_certify () =
   let ti = small_ti () in
   with_trace @@ fun () ->
   let service = Service.create ti in
   ignore
-    (Service.stgq service ~initiator:ti.Query.social.Query.initiator stg_query
+    (Gen.served
+       (Service.stgq_r service ~initiator:ti.Query.social.Query.initiator
+          stg_query)
       : Query.stg_solution option);
+  let names tree =
+    List.map
+      (fun t -> t.Obs.Trace.t_span.Obs.Trace.sp_name)
+      tree.Obs.Trace.t_children
+  in
   match Obs.Trace.last () with
   | None -> Alcotest.fail "no trace recorded"
-  | Some tree ->
+  | Some tree -> (
       check Alcotest.string "service root" "service.stgq"
         tree.Obs.Trace.t_span.Obs.Trace.sp_name;
-      let names =
-        List.map
-          (fun t -> t.Obs.Trace.t_span.Obs.Trace.sp_name)
-          tree.Obs.Trace.t_children
-      in
-      check Alcotest.bool "solver child" true
-        (List.mem "stgselect.solve" names);
-      check Alcotest.bool "certify child" true
-        (List.mem "service.certify" names)
+      check (Alcotest.list Alcotest.string) "the root holds the exact rung"
+        [ "resilience.exact" ] (names tree);
+      match tree.Obs.Trace.t_children with
+      | [ rung ] ->
+          let children = names rung in
+          check Alcotest.bool "solver under the rung" true
+            (List.mem "stgselect.solve" children);
+          check Alcotest.bool "certify under the rung" true
+            (List.mem "service.certify" children)
+      | _ -> Alcotest.fail "expected one rung span")
+
+(* Every rung certifies what it answers.  On this instance the exact
+   rung meets a zero node limit (a trip at its first 256-node
+   checkpoint) before it holds an incumbent, so the beam rung answers,
+   and its answer is certified under the beam rung's own span. *)
+let test_beam_rung_covers_certify () =
+  let ti = Workload.Scenario.coauthor ~seed:3 ~days:2 ~n:300 () in
+  let initiator =
+    Workload.Scenario.pick_initiator ~rank:10 ti.Query.social.Query.graph
+  in
+  let q = { Query.p = 5; s = 2; k = 1; m = 2 } in
+  let policy = { Resilience.default_policy with node_limit = Some 0 } in
+  with_trace @@ fun () ->
+  let service = Service.create ti in
+  (match Service.stgq_r ~policy service ~initiator q with
+  | Ok { Resilience.rung = Resilience.Heuristic; value = Some _; _ } -> ()
+  | _ -> Alcotest.fail "expected an answer from the beam rung");
+  let names tree =
+    List.map
+      (fun t -> t.Obs.Trace.t_span.Obs.Trace.sp_name)
+      tree.Obs.Trace.t_children
+  in
+  match Obs.Trace.last () with
+  | None -> Alcotest.fail "no trace recorded"
+  | Some tree -> (
+      check (Alcotest.list Alcotest.string) "the root holds both rungs"
+        [ "resilience.exact"; "resilience.heuristic" ]
+        (names tree);
+      match tree.Obs.Trace.t_children with
+      | [ exact; beam ] ->
+          check Alcotest.bool "nothing to certify on the exact rung" false
+            (List.mem "service.certify" (names exact));
+          check Alcotest.bool "certify under the beam rung" true
+            (List.mem "service.certify" (names beam))
+      | _ -> Alcotest.fail "expected two rung spans")
 
 (* ------------------------------------------------------------------ *)
 (* The off path records nothing and changes nothing.                   *)
@@ -125,7 +170,7 @@ let test_waterfall_accounts_for_every_candidate () =
         stats.Search_core.removed_temporal w.Obs.Trace.w_removed_temporal
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot deltas and dropped-span accounting.                        *)
+(* Snapshot deltas and trace totals.                                   *)
 
 let with_obs f =
   Obs.set_enabled true;
@@ -152,19 +197,10 @@ let test_delta_subtracts_counters () =
   check Alcotest.int "clamped at zero" 0
     (counter_in (Obs.delta newer after_reset) "test.delta.counter")
 
-let test_dropped_spans_surface_in_snapshot () =
-  with_obs @@ fun () ->
-  let extra = 25 in
-  for _ = 1 to Obs.Span.capacity + extra do
-    Obs.Span.with_ "tick" (fun () -> ())
-  done;
-  check Alcotest.int "overwrites counted" extra (Obs.Span.dropped ());
-  check Alcotest.int "surfaced as obs.spans.dropped" extra
-    (counter_in (Obs.snapshot ()) "obs.spans.dropped")
-
 (* The trace totals must reach snapshots through the counter source:
    a snapshot taken while tracing is on reports exactly what the Trace
-   module counted (this is the number BENCH_obs.json publishes). *)
+   module counted (this is the number _build/default/BENCH_obs.json
+   publishes). *)
 let test_trace_totals_surface_in_snapshot () =
   with_obs @@ fun () ->
   Obs.Trace.set_enabled true;
@@ -290,8 +326,8 @@ let suite =
     Alcotest.test_case "waterfall accounts for every candidate" `Quick
       test_waterfall_accounts_for_every_candidate;
     Alcotest.test_case "snapshot delta" `Quick test_delta_subtracts_counters;
-    Alcotest.test_case "dropped spans surface in snapshots" `Quick
-      test_dropped_spans_surface_in_snapshot;
+    Alcotest.test_case "beam rung certifies its answer" `Quick
+      test_beam_rung_covers_certify;
     Alcotest.test_case "trace totals surface in snapshots" `Quick
       test_trace_totals_surface_in_snapshot;
     Alcotest.test_case "exposition routing" `Quick test_exposition_routes;
