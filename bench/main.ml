@@ -1,31 +1,23 @@
 (* Experiment harness: regenerates every figure of the paper's §5
    (Fig. 1(a)-(h)) plus the ablation studies listed in DESIGN.md, and runs
-   a Bechamel micro-suite with one Test.make per figure.
-
-   Absolute numbers differ from the paper's IBM x3650 testbed; the *shape*
-   of each series (who wins, growth trends) is the reproduction target —
-   see EXPERIMENTS.md for recorded output and commentary.
+   a Bechamel micro-suite with one Test.make per figure.  Absolute times
+   differ from the paper's IBM x3650 testbed; the *shape* of each series
+   (who wins, growth trends) is the reproduction target — see
+   EXPERIMENTS.md.  Timings read the monotonic clock.
 
    Usage: dune exec bench/main.exe -- [--fast] [--only=fig1a,fig1e,...]
                                       [--skip-bechamel] [--domains=N]
-                                      [--smoke] [--json-out=FILE]
-                                      [--obs-out=FILE] [--resilience-out=FILE]
-                                      [--trace-out=FILE] [--server-out=FILE]
-                                      [--scale-out=FILE]
+                                      [--smoke]
 
-   --smoke runs only the engine replay comparisons at tiny sizes and
-   writes its results as JSON (default BENCH_engine.json, BENCH_obs.json,
-   BENCH_resilience.json and BENCH_trace.json) — the CI baseline behind
-   the root @bench-smoke alias.  The engine artefact gates the batched
-   serving path at >= 2x throughput over one-query-at-a-time with zero
-   answer mismatches, and records the worker pool's queue-depth
-   high-water mark and respawn count; the resilience artefact gates the
-   cooperative budget-check overhead at +3% p99 against the unbudgeted
-   path; the trace artefact gates span recording at +5% when enabled
-   and requires the pruning waterfall to balance exactly; the scale
-   artefact (BENCH_scale.json) gates the durable store at n=100k users
-   — snapshot bytes/user, WAL replay rate, checkpoint pause p99 and a
-   recovery differential against the in-memory fold. *)
+   --only=paper prints the Fig. 1 record instead: node counts and optima
+   for every shape of the full sweeps, as one JSON document that the
+   bench runtest rule diffs against the tracked bench/BENCH_paper.json.
+
+   --smoke runs the durable-store smoke at n = 100k users behind the root
+   @bench-smoke alias and writes BENCH_scale.json.
+
+   --domains sizes the pool of the parallel ablation; without it
+   Engine.Pool reads STGQ_DOMAINS, else uses the recommended count. *)
 
 open Stgq_core
 
@@ -36,7 +28,7 @@ type settings = {
   fast : bool;
   group_cap : int;      (* brute-force enumeration cap *)
   ip_node_cap : int;    (* branch-and-bound node cap *)
-  domains : int option; (* --domains / STGQ_DOMAINS override *)
+  domains : int option; (* --domains override *)
 }
 
 let full_settings =
@@ -49,6 +41,13 @@ let fast_settings =
 (* Timing helpers.  A capped run reports the elapsed time at the cap,
    flagged with '>' — the series keeps its shape without letting the
    exponential baselines run for hours.                                *)
+
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
+let time f =
+  let t0 = now_ns () in
+  let r = f () in
+  (r, now_ns () -. t0)
 
 type timed = Done of float * string | Capped of float
 
@@ -63,42 +62,36 @@ let detail_cell = function Done (_, d) -> d | Capped _ -> "capped"
 exception Capped_run
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   match f () with
-  | detail -> Done ((Unix.gettimeofday () -. t0) *. 1e9, detail)
-  | exception (Capped_run | Failure _) ->
-      Capped ((Unix.gettimeofday () -. t0) *. 1e9)
+  | detail -> Done (now_ns () -. t0, detail)
+  | exception (Capped_run | Failure _) -> Capped (now_ns () -. t0)
 
 let dist_of = function None -> "none" | Some d -> Printf.sprintf "%.1f" d
 
+let sg_dist sol =
+  dist_of (Option.map (fun (s : Query.sg_solution) -> s.total_distance) sol)
+
+let stg_dist sol =
+  dist_of (Option.map (fun (s : Query.stg_solution) -> s.st_total_distance) sol)
+
 (* Solver wrappers returning a distance string as the detail column. *)
-let run_sgselect instance query () =
-  dist_of
-    (Option.map
-       (fun r -> r.Query.total_distance)
-       (Sgselect.solve instance query))
+let run_sgselect instance query () = sg_dist (Sgselect.solve instance query)
 
 let run_sg_baseline ~cap instance query () =
   let report = Baseline.sgq_brute ~max_groups:cap instance query in
   if not (Anytime.complete report.Baseline.outcome) then raise Capped_run;
-  dist_of
-    (Option.map (fun r -> r.Query.total_distance) report.Baseline.solution)
+  sg_dist report.Baseline.solution
 
 let run_sg_ip ~cap instance query () =
-  dist_of
-    (Option.map
-       (fun r -> r.Query.total_distance)
-       (Ip_model.solve_sgq ~node_limit:cap instance query).Ip_model.result)
+  sg_dist (Ip_model.solve_sgq ~node_limit:cap instance query).Ip_model.result
 
-let run_stgselect ti query () =
-  dist_of
-    (Option.map (fun r -> r.Query.st_total_distance) (Stgselect.solve ti query))
+let run_stgselect ti query () = stg_dist (Stgselect.solve ti query)
 
 let run_stg_baseline ti query () =
   let report = Baseline.stgq_per_slot ti query in
   if not (Anytime.complete report.Baseline.st_outcome) then raise Capped_run;
-  dist_of
-    (Option.map (fun r -> r.Query.st_total_distance) report.Baseline.st_solution)
+  stg_dist report.Baseline.st_solution
 
 let print_table ~title ~header rows =
   print_newline ();
@@ -111,144 +104,124 @@ let dataset_194 = lazy (Workload.Scenario.people194 ~seed:1105 ~days:7 ())
 let social_194 () = (Lazy.force dataset_194).Query.social
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 1(a): running time vs p (SGSelect, Baseline, IP); k=2, s=1.    *)
+(* The Fig. 1 sweeps: every point as (x value, instance, query).  The
+   timed tables and the node-count record ([paper]) walk the same
+   points.                                                             *)
+
+let sweep st ~fast ~full = if st.fast then fast else full
+
+let fig1a_points st =
+  List.map
+    (fun p -> (p, social_194 (), { Query.p; s = 1; k = 2 }))
+    (sweep st ~fast:[ 3; 4; 5; 6; 7 ] ~full:[ 3; 4; 5; 6; 7; 8; 9; 10; 11 ])
+
+let fig1b_points st =
+  List.map
+    (fun s -> (s, social_194 (), { Query.p = 4; s; k = 2 }))
+    (sweep st ~fast:[ 1; 3 ] ~full:[ 1; 3; 5 ])
+
+let fig1c_points st =
+  List.map
+    (fun k -> (k, social_194 (), { Query.p = 5; s = 2; k }))
+    (sweep st ~fast:[ 1; 2; 3 ] ~full:[ 1; 2; 3; 4; 5; 6 ])
+
+(* A busy-but-not-hub initiator keeps the feasible graph size comparable
+   across n, as a per-user egocentric query would be. *)
+let fig1d_points st =
+  List.map
+    (fun n ->
+      let ds = Workload.Coauthor.generate ~seed:7 ~days:1 ~n () in
+      let graph = ds.Workload.Coauthor.graph in
+      let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
+      (n, { Query.graph; initiator }, { Query.p = 5; s = 1; k = 3 }))
+    (sweep st ~fast:[ 194; 800 ] ~full:[ 194; 800; 3200; 12800 ])
+
+let fig1e_points st =
+  List.map
+    (fun m -> (m, Lazy.force dataset_194, { Query.p = 4; s = 1; k = 2; m }))
+    (sweep st ~fast:[ 2; 4; 8; 12 ] ~full:[ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20; 22; 24 ])
+
+let fig1f_points st =
+  List.map
+    (fun days ->
+      ( days,
+        Workload.Scenario.people194 ~seed:1105 ~days (),
+        { Query.p = 4; s = 1; k = 2; m = 4 } ))
+    (sweep st ~fast:[ 1; 3; 5 ] ~full:[ 1; 2; 3; 4; 5; 6; 7 ])
+
+let fig1gh_ps st = sweep st ~fast:[ 3; 5; 7 ] ~full:[ 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
+
+(* ------------------------------------------------------------------ *)
+(* Fig. 1(a)-(d): SGQ running time, SGSelect against the brute-force
+   baseline and (in (a) and (d)) the IP model.  (d) also reports
+   |V_F|, which at s=1 is the initiator's degree + 1.                  *)
+
+let sg_figure st ~title ~x ?(ip = false) ?(vf = false) points =
+  let opt flag cells = if flag then cells else [] in
+  let rows =
+    List.map
+      (fun (v, (instance : Query.instance), query) ->
+        let sel = timed (run_sgselect instance query) in
+        let base = timed (run_sg_baseline ~cap:st.group_cap instance query) in
+        let ip_cell () = ns_cell (timed (run_sg_ip ~cap:st.ip_node_cap instance query)) in
+        let vf_cell () =
+          string_of_int (Socgraph.Graph.degree instance.graph instance.initiator + 1)
+        in
+        (string_of_int v :: opt vf [ vf_cell () ])
+        @ [ ns_cell sel; ns_cell base ]
+        @ opt ip [ ip_cell () ]
+        @ [ detail_cell sel ])
+      points
+  in
+  print_table ~title
+    ~header:
+      ((x :: opt vf [ "|V_F|" ])
+      @ [ "SGSelect"; "Baseline" ] @ opt ip [ "IP" ] @ [ "distance" ])
+    rows
 
 let fig1a st () =
-  let instance = social_194 () in
-  let ps = if st.fast then [ 3; 4; 5; 6; 7 ] else [ 3; 4; 5; 6; 7; 8; 9; 10; 11 ] in
-  let rows =
-    List.map
-      (fun p ->
-        let query = { Query.p; s = 1; k = 2 } in
-        let sel = timed (run_sgselect instance query) in
-        let base = timed (run_sg_baseline ~cap:st.group_cap instance query) in
-        let ip = timed (run_sg_ip ~cap:st.ip_node_cap instance query) in
-        [ string_of_int p; ns_cell sel; ns_cell base; ns_cell ip; detail_cell sel ])
-      ps
-  in
-  print_table ~title:"Fig 1(a)  running time vs p   (k=2, s=1, 194-person network)"
-    ~header:[ "p"; "SGSelect"; "Baseline"; "IP"; "distance" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 1(b): running time vs s; p=4, k=2.                             *)
+  sg_figure st ~ip:true ~x:"p" (fig1a_points st)
+    ~title:"Fig 1(a)  running time vs p   (k=2, s=1, 194-person network)"
 
 let fig1b st () =
-  let instance = social_194 () in
-  let ss = if st.fast then [ 1; 3 ] else [ 1; 3; 5 ] in
-  let rows =
-    List.map
-      (fun s ->
-        let query = { Query.p = 4; s; k = 2 } in
-        let sel = timed (run_sgselect instance query) in
-        let base = timed (run_sg_baseline ~cap:st.group_cap instance query) in
-        [ string_of_int s; ns_cell sel; ns_cell base; detail_cell sel ])
-      ss
-  in
-  print_table ~title:"Fig 1(b)  running time vs s   (p=4, k=2, 194-person network)"
-    ~header:[ "s"; "SGSelect"; "Baseline"; "distance" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 1(c): running time vs k; p=5, s=2.                             *)
+  sg_figure st ~x:"s" (fig1b_points st)
+    ~title:"Fig 1(b)  running time vs s   (p=4, k=2, 194-person network)"
 
 let fig1c st () =
-  let instance = social_194 () in
-  let ks = if st.fast then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ] in
-  let rows =
-    List.map
-      (fun k ->
-        let query = { Query.p = 5; s = 2; k } in
-        let sel = timed (run_sgselect instance query) in
-        let base = timed (run_sg_baseline ~cap:st.group_cap instance query) in
-        [ string_of_int k; ns_cell sel; ns_cell base; detail_cell sel ])
-      ks
-  in
-  print_table ~title:"Fig 1(c)  running time vs k   (p=5, s=2, 194-person network)"
-    ~header:[ "k"; "SGSelect"; "Baseline"; "distance" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 1(d): running time vs network size; p=5, k=3, s=1.             *)
+  sg_figure st ~x:"k" (fig1c_points st)
+    ~title:"Fig 1(c)  running time vs k   (p=5, s=2, 194-person network)"
 
 let fig1d st () =
-  let sizes = if st.fast then [ 194; 800 ] else [ 194; 800; 3200; 12800 ] in
-  let rows =
-    List.map
-      (fun n ->
-        let ds = Workload.Coauthor.generate ~seed:7 ~days:1 ~n () in
-        let graph = ds.Workload.Coauthor.graph in
-        (* A busy-but-not-hub initiator keeps the feasible graph size
-           comparable across n, as a per-user egocentric query would be. *)
-        let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-        let instance = { Query.graph; initiator } in
-        let query = { Query.p = 5; s = 1; k = 3 } in
-        let sel = timed (run_sgselect instance query) in
-        let base = timed (run_sg_baseline ~cap:st.group_cap instance query) in
-        let ip = timed (run_sg_ip ~cap:st.ip_node_cap instance query) in
-        [
-          string_of_int n;
-          string_of_int (Socgraph.Graph.degree graph initiator + 1);
-          ns_cell sel;
-          ns_cell base;
-          ns_cell ip;
-          detail_cell sel;
-        ])
-      sizes
-  in
-  print_table
+  sg_figure st ~ip:true ~vf:true ~x:"network" (fig1d_points st)
     ~title:"Fig 1(d)  running time vs network size   (p=5, k=3, s=1, coauthor networks)"
-    ~header:[ "network"; "|V_F|"; "SGSelect"; "Baseline"; "IP"; "distance" ]
-    rows
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 1(e): running time vs m (STGSelect, per-slot Baseline).        *)
+(* Fig. 1(e)/(f): STGQ running time, STGSelect against the per-slot
+   baseline, vs m and vs schedule length in days.                      *)
+
+let stg_figure ~title ~x points =
+  print_table ~title
+    ~header:[ x; "STGSelect"; "Baseline"; "distance" ]
+    (List.map
+       (fun (v, ti, query) ->
+         let sel = timed (run_stgselect ti query) in
+         let base = timed (run_stg_baseline ti query) in
+         [ string_of_int v; ns_cell sel; ns_cell base; detail_cell sel ])
+       points)
 
 let fig1e st () =
-  let ti = Lazy.force dataset_194 in
-  let ms =
-    if st.fast then [ 2; 4; 8; 12 ] else [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20; 22; 24 ]
-  in
-  let rows =
-    List.map
-      (fun m ->
-        let query = { Query.p = 4; s = 1; k = 2; m } in
-        let sel = timed (run_stgselect ti query) in
-        let base = timed (run_stg_baseline ti query) in
-        [ string_of_int m; ns_cell sel; ns_cell base; detail_cell sel ])
-      ms
-  in
-  print_table
+  stg_figure ~x:"m" (fig1e_points st)
     ~title:"Fig 1(e)  running time vs m   (p=4, k=2, s=1, 7-day schedules, 0.5h slots)"
-    ~header:[ "m"; "STGSelect"; "Baseline"; "distance" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 1(f): running time vs schedule length in days; m=4.            *)
 
 let fig1f st () =
-  let days_list = if st.fast then [ 1; 3; 5 ] else [ 1; 2; 3; 4; 5; 6; 7 ] in
-  let rows =
-    List.map
-      (fun days ->
-        let ti = Workload.Scenario.people194 ~seed:1105 ~days () in
-        let query = { Query.p = 4; s = 1; k = 2; m = 4 } in
-        let sel = timed (run_stgselect ti query) in
-        let base = timed (run_stg_baseline ti query) in
-        [ string_of_int days; ns_cell sel; ns_cell base; detail_cell sel ])
-      days_list
-  in
-  print_table
+  stg_figure ~x:"days" (fig1f_points st)
     ~title:"Fig 1(f)  running time vs schedule length   (p=4, k=2, s=1, m=4)"
-    ~header:[ "days"; "STGSelect"; "Baseline"; "distance" ]
-    rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1(g)/(h): solution quality, STGArrange vs PCArrange.           *)
 
 let fig1gh st () =
   let ti = Lazy.force dataset_194 in
-  let ps = if st.fast then [ 3; 5; 7 ] else [ 3; 4; 5; 6; 7; 8; 9; 10; 11 ] in
   let rows =
     List.map
       (fun p ->
@@ -262,12 +235,91 @@ let fig1gh st () =
               Printf.sprintf "%.1f" solution.Query.st_total_distance;
               Printf.sprintf "%.1f" pc.Pcarrange.total_distance;
             ])
-      ps
+      (fig1gh_ps st)
   in
   print_table
     ~title:"Fig 1(g)+(h)  solution quality vs p   (s=2, m=4): k and total distance"
     ~header:[ "p"; "k STGArrange"; "k PCArrange"; "dist STGArrange"; "dist PCArrange" ]
     rows
+
+(* ------------------------------------------------------------------ *)
+(* The Fig. 1 record (--only=paper): per shape of the full sweeps, the
+   search nodes SGSelect/STGSelect visit, the optimum and the start
+   slot; for (g)/(h), STGArrange's and PCArrange's k and distance at
+   p = 3-7 (beyond, STGArrange's k ladder takes seconds per point).
+   Optima print to 9 significant digits, because the same group's sum
+   can differ in the last ulp between shapes (summation order).  No
+   clock is read, so the output is exact and diffable.                 *)
+
+let paper _ () =
+  let st = full_settings in
+  let num d = Printf.sprintf "%.9g" d in
+  let row fields =
+    "    {"
+    ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
+    ^ "}"
+  in
+  let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
+  let opt f = function Some v -> f v | None -> "null" in
+  (* [x] names the point's value when it is not a query field. *)
+  let x_field x v = match x with Some name -> [ (name, v) ] | None -> [] in
+  let sg_rows ?x points =
+    List.map
+      (fun (v, instance, (q : Query.sgq)) ->
+        let r = Sgselect.solve_report instance q in
+        row
+          (ints (x_field x v @ [ ("p", q.p); ("s", q.s); ("k", q.k) ])
+          @ [
+              ("nodes", string_of_int r.Sgselect.stats.Search_core.nodes);
+              ("distance", opt (fun s -> num s.Query.total_distance) r.Sgselect.solution);
+            ]))
+      points
+  in
+  let stg_rows ?x points =
+    List.map
+      (fun (v, ti, (q : Query.stgq)) ->
+        let r = Stgselect.solve_report ti q in
+        let sol f = opt f r.Stgselect.solution in
+        row
+          (ints (x_field x v @ [ ("p", q.p); ("s", q.s); ("k", q.k); ("m", q.m) ])
+          @ [
+              ("nodes", string_of_int r.Stgselect.stats.Search_core.nodes);
+              ("distance", sol (fun s -> num s.Query.st_total_distance));
+              ("start_slot", sol (fun s -> string_of_int s.Query.start_slot));
+            ]))
+      points
+  in
+  let arrange_row p =
+    let shape = ints [ ("p", p); ("s", 2); ("m", 4) ] in
+    match Stgarrange.versus_pcarrange (Lazy.force dataset_194) ~p ~s:2 ~m:4 with
+    | None -> row (shape @ [ ("pcarrange", "null") ])
+    | Some ({ Stgarrange.k_used; solution }, pc) ->
+        row
+          (shape
+          @ [
+              ("stgarrange_k", string_of_int k_used);
+              ("stgarrange_distance", num solution.Query.st_total_distance);
+              ("pcarrange_k", string_of_int pc.Pcarrange.observed_k);
+              ("pcarrange_distance", num pc.Pcarrange.total_distance);
+            ])
+  in
+  let figure (name, rows) =
+    Printf.sprintf "  %S: [\n%s\n  ]" name (String.concat ",\n" rows)
+  in
+  print_endline "{";
+  print_endline
+    (String.concat ",\n"
+       (List.map figure
+          [
+            ("fig1a", sg_rows (fig1a_points st));
+            ("fig1b", sg_rows (fig1b_points st));
+            ("fig1c", sg_rows (fig1c_points st));
+            ("fig1d", sg_rows ~x:"n" (fig1d_points st));
+            ("fig1e", stg_rows (fig1e_points st));
+            ("fig1f", stg_rows ~x:"days" (fig1f_points st));
+            ("fig1gh", List.map arrange_row (List.filter (( >= ) 7) (fig1gh_ps st)));
+          ]));
+  print_endline "}"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations A1-A3: SGSelect strategy toggles.                         *)
@@ -295,34 +347,19 @@ let ablation_sg st () =
     ]
   in
   let warm_row =
-    let result = ref "" in
-    let t =
-      timed (fun () ->
-          result :=
-            dist_of
-              (Option.map
-                 (fun (s : Query.sg_solution) -> s.Query.total_distance)
-                 (Sgselect.solve_warm instance query));
-          !result)
-    in
+    let t = timed (fun () -> sg_dist (Sgselect.solve_warm instance query)) in
     [ "beam-seeded warm start"; ns_cell t; "-"; detail_cell t ]
   in
   let rows =
     List.map
       (fun (name, config) ->
-        let report = ref None in
-        let t =
-          timed (fun () ->
-              let r = Sgselect.solve_report ~config instance query in
-              report := Some r;
-              dist_of (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution))
-        in
-        let nodes =
-          match !report with
-          | Some r -> string_of_int r.Sgselect.stats.Search_core.nodes
-          | None -> "-"
-        in
-        [ name; ns_cell t; nodes; detail_cell t ])
+        let r, t = time (fun () -> Sgselect.solve_report ~config instance query) in
+        [
+          name;
+          Report.ns t;
+          string_of_int r.Sgselect.stats.Search_core.nodes;
+          sg_dist r.Sgselect.solution;
+        ])
       configs
     @ [ warm_row ]
   in
@@ -347,24 +384,12 @@ let ablation_stg st () =
     [
       (let t = timed (run_stgselect ti query) in
        [ "STGSelect (pivot slots)"; ns_cell t; detail_cell t ]);
-      (let t =
-         timed (fun () ->
-             dist_of
-               (Option.map
-                  (fun r -> r.Query.st_total_distance)
-                  (Stgselect.solve ~config:no_avail ti query)))
-       in
+      (let t = timed (fun () -> stg_dist (Stgselect.solve ~config:no_avail ti query)) in
        [ "no availability pruning"; ns_cell t; detail_cell t ]);
       (let t = timed (run_stg_baseline ti query) in
        [ "per-slot scan (no pivots)"; ns_cell t; detail_cell t ]);
       (Engine.Pool.with_pool ?size:st.domains @@ fun pool ->
-       let t =
-         timed (fun () ->
-             dist_of
-               (Option.map
-                  (fun r -> r.Query.st_total_distance)
-                  (Parallel.solve ~pool ti query)))
-       in
+       let t = timed (fun () -> stg_dist (Parallel.solve ~pool ti query)) in
        [
          Printf.sprintf "parallel pivots (%d domains)" (Engine.Pool.size pool);
          ns_cell t;
@@ -390,13 +415,8 @@ let ext_heuristics st () =
       (fun p ->
         let query = { Query.p; s = 2; k = 2 } in
         let run name f =
-          let result = ref None in
-          let t = timed (fun () ->
-              let r = f () in
-              result := r;
-              dist_of (Option.map (fun s -> s.Query.total_distance) r))
-          in
-          (name, t, !result)
+          let r, t = time f in
+          (name, t, r)
         in
         let exact = run "SGSelect (exact)" (fun () -> Sgselect.solve instance query) in
         let greedy = run "greedy" (fun () -> Heuristics.greedy_sgq instance query) in
@@ -415,7 +435,7 @@ let ext_heuristics st () =
         in
         List.map
           (fun ((name, t, _) as entry) ->
-            [ string_of_int p; name; ns_cell t; ratio entry ])
+            [ string_of_int p; name; Report.ns t; ratio entry ])
           [ exact; greedy; beam8; beam64 ])
       ps
   in
@@ -436,15 +456,15 @@ let ext_topk st () =
     ([ "1 (STGSelect)"; ns_cell single; "1"; detail_cell single ]
      :: List.map
           (fun n ->
-            let found = ref [] in
-            let t = timed (fun () ->
-                found := Topk.stgq ~n ti query;
-                match !found with
-                | e :: _ -> Printf.sprintf "%.1f" e.Topk.total_distance
-                | [] -> "none")
-            in
-            [ string_of_int n; ns_cell t; string_of_int (List.length !found);
-              detail_cell t ])
+            let found, t = time (fun () -> Topk.stgq ~n ti query) in
+            [
+              string_of_int n;
+              Report.ns t;
+              string_of_int (List.length found);
+              (match found with
+              | e :: _ -> Printf.sprintf "%.1f" e.Topk.total_distance
+              | [] -> "none");
+            ])
           ns_list)
   in
   print_table ~title:"Extension E2  top-k overhead   (p=4, s=1, k=2, m=4)"
@@ -457,7 +477,7 @@ let ext_topk st () =
 let ext_planner st () =
   let ti = Workload.Scenario.people194 ~seed:1105 ~days:7 () in
   let query = { Query.p = 4; s = 1; k = 2; m = 4 } in
-  let planner, create_ns = Report.time (fun () -> Planner.create ti query) in
+  let planner, create_ns = time (fun () -> Planner.create ti query) in
   let rng = Random.State.make [| 5 |] in
   let horizon = Timetable.Availability.horizon ti.Query.schedules.(0) in
   let edits = if st.fast then 10 else 30 in
@@ -473,11 +493,13 @@ let ext_planner st () =
     let schedule = (Planner.schedules planner).(vertex) in
     let lo = Random.State.int rng (horizon - 4) in
     Timetable.Availability.set_busy schedule lo (lo + 3);
-    let stats, dt = Report.time (fun () -> Planner.update_schedule planner ~vertex schedule) in
+    let stats, dt =
+      time (fun () -> Planner.update_schedule planner ~vertex schedule)
+    in
     incr_ns := !incr_ns +. dt;
     redone := !redone + stats.Planner.pivots_recomputed;
     let fresh_ti = { ti with Query.schedules = Planner.schedules planner } in
-    let fresh, dt_full = Report.time (fun () -> Stgselect.solve fresh_ti query) in
+    let fresh, dt_full = time (fun () -> Stgselect.solve fresh_ti query) in
     full := !full +. dt_full;
     (match (Planner.solution planner, fresh) with
     | None, None -> ()
@@ -544,25 +566,18 @@ let ext_scale st () =
     List.map
       (fun n ->
         let build, gen_ns =
-          Report.time (fun () -> Workload.Scenario.coauthor ~seed:9 ~days:7 ~n ())
+          time (fun () -> Workload.Scenario.coauthor ~seed:9 ~days:7 ~n ())
         in
         let query = { Query.p = 5; s = 1; k = 2; m = 4 } in
         let exact = timed (run_stgselect build query) in
-        let auto = ref "" in
-        let auto_t =
-          timed (fun () ->
-              let solution, plan = Auto.stgq build query in
-              auto :=
-                (match plan.Auto.choice with Auto.Exact -> "exact" | Auto.Beam -> "beam");
-              dist_of (Option.map (fun s -> s.Query.st_total_distance) solution))
-        in
+        let (_, plan), auto_ns = time (fun () -> Auto.stgq build query) in
         [
           string_of_int n;
           Report.ns gen_ns;
           ns_cell exact;
           detail_cell exact;
-          ns_cell auto_t;
-          !auto;
+          Report.ns auto_ns;
+          (match plan.Auto.choice with Auto.Exact -> "exact" | Auto.Beam -> "beam");
         ])
       sizes
   in
@@ -581,40 +596,18 @@ let ext_astar st () =
     List.map
       (fun p ->
         let query = { Query.p; s = 1; k = 2 } in
-        let dfs_report = ref None in
-        let dfs =
-          timed (fun () ->
-              let r = Sgselect.solve_report instance query in
-              dfs_report := Some r;
-              dist_of (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution))
-        in
-        let bf_report = ref None in
-        let bf =
-          timed (fun () ->
-              let r = Astar.solve_report ~node_limit:2_000_000 instance query in
-              bf_report := Some r;
-              dist_of
-                (Option.map (fun s -> s.Query.total_distance) r.Astar.solution))
-        in
-        let dfs_nodes =
-          match !dfs_report with
-          | Some r -> string_of_int r.Sgselect.stats.Search_core.nodes
-          | None -> "-"
-        in
-        let bf_nodes, frontier =
-          match !bf_report with
-          | Some r ->
-              (string_of_int r.Astar.nodes_expanded, string_of_int r.Astar.max_frontier)
-          | None -> ("-", "-")
+        let dfs, dfs_ns = time (fun () -> Sgselect.solve_report instance query) in
+        let bf, bf_ns =
+          time (fun () -> Astar.solve_report ~node_limit:2_000_000 instance query)
         in
         [
           string_of_int p;
-          ns_cell dfs;
-          dfs_nodes;
-          ns_cell bf;
-          bf_nodes;
-          frontier;
-          detail_cell dfs;
+          Report.ns dfs_ns;
+          string_of_int dfs.Sgselect.stats.Search_core.nodes;
+          Report.ns bf_ns;
+          string_of_int bf.Astar.nodes_expanded;
+          string_of_int bf.Astar.max_frontier;
+          sg_dist dfs.Sgselect.solution;
         ])
       ps
   in
@@ -681,485 +674,7 @@ let bechamel_suite () =
     ~header:[ "benchmark"; "time/run"; "r2" ]
     rows
 
-(* ------------------------------------------------------------------ *)
-(* Extension E7: engine replay — the repeated-query serving workload.
-   Four paths answer the same query stream: the seed per-query paths
-   (fresh context per call; sequential, or a Domain.spawn/join per
-   bucket) against the engine paths (one cached context per (q, s),
-   sequential kernel or the persistent pool).                          *)
-
-type replay_outcome = {
-  workload : string;
-  rp_rounds : int;
-  queries_per_round : int;
-  rp_domains : int;
-  rebuild_seq_ns : float;
-  rebuild_spawn_ns : float;
-  cached_seq_ns : float;
-  cached_pool_ns : float;
-  mismatches : int;
-}
-
-let engine_replay ~n ~days ~rounds ~domains () =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days ~n () in
-  let graph = ti.Query.social.Query.graph in
-  let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-  let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-  let queries =
-    [
-      { Query.p = 3; s = 2; k = 1; m = 4 };
-      { Query.p = 4; s = 2; k = 2; m = 4 };
-      { Query.p = 3; s = 2; k = 1; m = 6 };
-      { Query.p = 4; s = 2; k = 2; m = 6 };
-    ]
-  in
-  let ( n_domains,
-        (rebuild_spawn_ns, a_spawn),
-        (rebuild_seq_ns, a_seq),
-        (cached_seq_ns, a_cseq),
-        (cached_pool_ns, a_cpool) ) =
-    Engine.Pool.with_pool ?size:domains @@ fun pool ->
-    let n_domains = Engine.Pool.size pool in
-    let run_path path =
-      let out = ref [] in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to rounds do
-        List.iter (fun q -> out := path q :: !out) queries
-      done;
-      ((Unix.gettimeofday () -. t0) *. 1e9, List.rev !out)
-    in
-    (* Seed paths: a fresh context inside every call. *)
-    let rebuild_seq q = Stgselect.solve ti q in
-    let rebuild_spawn q =
-      (Parallel.solve_report_unpooled ~domains:n_domains ti q).Parallel.solution
-    in
-    (* Engine paths: contexts come from the cache, keyed by (q, s). *)
-    let cache = Engine.Cache.create ~schedules:ti.Query.schedules graph in
-    let ctx_for q = Engine.Cache.context cache ~initiator ~s:q.Query.s in
-    let cached_seq q = Stgselect.solve ~ctx:(ctx_for q) ti q in
-    let cached_pool q = Parallel.solve ~pool ~ctx:(ctx_for q) ti q in
-    (* Warm-up outside the clocks: code, allocator, pool domains. *)
-    List.iter (fun q -> ignore (cached_pool q)) queries;
-    let spawn = run_path rebuild_spawn in
-    let seq = run_path rebuild_seq in
-    let cseq = run_path cached_seq in
-    let cpool = run_path cached_pool in
-    (n_domains, spawn, seq, cseq, cpool)
-  in
-  let agree a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y ->
-        Float.abs (x.Query.st_total_distance -. y.Query.st_total_distance) <= 1e-6
-        && x.Query.start_slot = y.Query.start_slot
-    | _ -> false
-  in
-  let mismatches =
-    List.fold_left2
-      (fun acc (a, b) (c, d) ->
-        if agree a b && agree a c && agree a d then acc else acc + 1)
-      0
-      (List.combine a_seq a_spawn)
-      (List.combine a_cseq a_cpool)
-  in
-  {
-    workload = Printf.sprintf "coauthor n=%d days=%d q=%d" n days initiator;
-    rp_rounds = rounds;
-    queries_per_round = List.length queries;
-    rp_domains = n_domains;
-    rebuild_seq_ns;
-    rebuild_spawn_ns;
-    cached_seq_ns;
-    cached_pool_ns;
-    mismatches;
-  }
-
-let replay_speedup r = r.rebuild_spawn_ns /. r.cached_pool_ns
-
-(* --- batched replay ------------------------------------------------- *)
-
-(* Mixed in-flight traffic: several initiators, several query shapes
-   each, replayed as whole batches.  The baseline answers the same
-   request list one query at a time the way the seed serving path does —
-   every query extracts its own feasible subgraph.  The batched path
-   routes the list through [Service.stgq_batch_r]: one context per
-   (initiator, s) group, pivot memos pre-warmed on the build domain, and
-   the next group's build pipelined behind the current group's solves.
-   A fresh service per round keeps the comparison honest: the batch
-   layer only gets to amortise within the in-flight list itself, not
-   across rounds. *)
-
-type batch_outcome = {
-  bo_workload : string;
-  bo_rounds : int;
-  bo_queries : int;  (* per round *)
-  bo_groups : int;  (* per round *)
-  bo_domains : int;
-  one_at_a_time_ns : float;
-  batched_ns : float;
-  batch_mismatches : int;
-}
-
-let batch_speedup b = b.one_at_a_time_ns /. b.batched_ns
-
-let batch_replay ~n ~days ~rounds ~initiators ~domains () =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days ~n () in
-  let graph = ti.Query.social.Query.graph in
-  (* Mid-tail initiators (degree rank scaled to the graph): egocentric
-     queries with modest feasible neighborhoods over a large graph, the
-     common case for per-user traffic.  Hub initiators would grow the
-     per-query solve until it buries the shared build this layer
-     amortises. *)
-  let inits =
-    List.init initiators (fun i ->
-        Workload.Scenario.pick_initiator ~rank:((n / 10) + (n / 15 * i)) graph)
-    |> List.sort_uniq compare
-  in
-  (* Light shapes keep the solve short relative to the context build —
-     the regime concurrent-traffic batching exists for. *)
-  let shapes =
-    [
-      { Query.p = 3; s = 1; k = 1; m = 3 };
-      { Query.p = 3; s = 1; k = 1; m = 4 };
-      { Query.p = 3; s = 1; k = 2; m = 5 };
-      { Query.p = 3; s = 1; k = 1; m = 6 };
-    ]
-  in
-  (* Shape-major order scatters each initiator's requests through the
-     list, so the batch layer has to actually group them. *)
-  let reqs =
-    List.concat_map (fun q -> List.map (fun init -> (init, q)) inits) shapes
-  in
-  let ti_for init =
-    { ti with Query.social = { ti.Query.social with Query.initiator = init } }
-  in
-  let identical a b =
-    match (a, b) with
-    | None, None -> true
-    | Some (x : Query.stg_solution), Some (y : Query.stg_solution) ->
-        x.Query.st_attendees = y.Query.st_attendees
-        && x.Query.start_slot = y.Query.start_slot
-        && Float.equal x.Query.st_total_distance y.Query.st_total_distance
-    | _ -> false
-  in
-  (* The default policy answers exactly or not at all. *)
-  let value = function
-    | Ok (a : _ Resilience.answer) -> a.value
-    | Error e ->
-        failwith (Format.asprintf "batched query failed: %a" Resilience.pp_error e)
-  in
-  Engine.Pool.with_pool ?size:domains @@ fun pool ->
-  (* Warm-up outside the clocks: code paths, allocator, pool domains. *)
-  let warm = Service.create ~pool ti in
-  ignore (Service.stgq_batch_r warm reqs);
-  let t0 = Unix.gettimeofday () in
-  let base = ref [] in
-  for _ = 1 to rounds do
-    base :=
-      List.map (fun (init, q) -> Stgselect.solve (ti_for init) q) reqs :: !base
-  done;
-  let one_at_a_time_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let t0 = Unix.gettimeofday () in
-  let batched = ref [] in
-  for _ = 1 to rounds do
-    let service = Service.create ~pool ti in
-    batched := List.map value (Service.stgq_batch_r service reqs) :: !batched
-  done;
-  let batched_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let batch_mismatches =
-    List.fold_left2
-      (fun acc round_base round_batched ->
-        List.fold_left2
-          (fun acc a b -> if identical a b then acc else acc + 1)
-          acc round_base round_batched)
-      0 (List.rev !base) (List.rev !batched)
-  in
-  {
-    bo_workload = Printf.sprintf "coauthor n=%d days=%d" n days;
-    bo_rounds = rounds;
-    bo_queries = List.length reqs;
-    bo_groups = List.length inits;
-    bo_domains = Engine.Pool.size pool;
-    one_at_a_time_ns;
-    batched_ns;
-    batch_mismatches;
-  }
-
-let ext_batch st () =
-  let n = if st.fast then 1500 else 4000 in
-  let days = if st.fast then 1 else 2 in
-  let rounds = if st.fast then 3 else 6 in
-  let b = batch_replay ~n ~days ~rounds ~initiators:6 ~domains:st.domains () in
-  let per path_ns = path_ns /. float_of_int (b.bo_rounds * b.bo_queries) in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "Extension E8  batched replay   (%s, %d rounds x %d queries in %d \
-          groups, %d domains, %d mismatches)"
-         b.bo_workload b.bo_rounds b.bo_queries b.bo_groups b.bo_domains
-         b.batch_mismatches)
-    ~header:[ "serving path"; "total"; "per query" ]
-    [
-      [ "one query at a time (seed)"; Report.ns b.one_at_a_time_ns;
-        Report.ns (per b.one_at_a_time_ns) ];
-      [ Printf.sprintf "batched + pipelined (%.1fx)" (batch_speedup b);
-        Report.ns b.batched_ns; Report.ns (per b.batched_ns) ];
-    ]
-
-let ext_engine st () =
-  let n = if st.fast then 600 else 2000 in
-  let days = if st.fast then 2 else 7 in
-  let rounds = if st.fast then 3 else 8 in
-  let r = engine_replay ~n ~days ~rounds ~domains:st.domains () in
-  let per path_ns = path_ns /. float_of_int (r.rp_rounds * r.queries_per_round) in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "Extension E7  engine replay   (%s, %d rounds x %d queries, %d domains, \
-          %d mismatches)"
-         r.workload r.rp_rounds r.queries_per_round r.rp_domains r.mismatches)
-    ~header:[ "serving path"; "total"; "per query" ]
-    [
-      [ "rebuild + sequential (seed)"; Report.ns r.rebuild_seq_ns;
-        Report.ns (per r.rebuild_seq_ns) ];
-      [ "rebuild + spawn/join (seed)"; Report.ns r.rebuild_spawn_ns;
-        Report.ns (per r.rebuild_spawn_ns) ];
-      [ "cached ctx + sequential"; Report.ns r.cached_seq_ns;
-        Report.ns (per r.cached_seq_ns) ];
-      [ Printf.sprintf "cached ctx + pool (%.1fx)" (replay_speedup r);
-        Report.ns r.cached_pool_ns; Report.ns (per r.cached_pool_ns) ];
-    ]
-
-let engine_json r b ~pool_queue_depth_hwm ~pool_respawns =
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"workload\": %S," r.workload;
-      Printf.sprintf "  \"rounds\": %d," r.rp_rounds;
-      Printf.sprintf "  \"queries_per_round\": %d," r.queries_per_round;
-      Printf.sprintf "  \"domains\": %d," r.rp_domains;
-      Printf.sprintf "  \"rebuild_sequential_ns\": %.0f," r.rebuild_seq_ns;
-      Printf.sprintf "  \"rebuild_spawn_ns\": %.0f," r.rebuild_spawn_ns;
-      Printf.sprintf "  \"cached_sequential_ns\": %.0f," r.cached_seq_ns;
-      Printf.sprintf "  \"cached_pool_ns\": %.0f," r.cached_pool_ns;
-      Printf.sprintf "  \"speedup_sequential\": %.2f,"
-        (r.rebuild_seq_ns /. r.cached_seq_ns);
-      Printf.sprintf "  \"speedup\": %.2f," (replay_speedup r);
-      Printf.sprintf "  \"mismatches\": %d," r.mismatches;
-      Printf.sprintf "  \"batch_workload\": %S," b.bo_workload;
-      Printf.sprintf "  \"batch_rounds\": %d," b.bo_rounds;
-      Printf.sprintf "  \"batch_queries_per_round\": %d," b.bo_queries;
-      Printf.sprintf "  \"batch_groups\": %d," b.bo_groups;
-      Printf.sprintf "  \"batch_one_at_a_time_ns\": %.0f," b.one_at_a_time_ns;
-      Printf.sprintf "  \"batch_pipelined_ns\": %.0f," b.batched_ns;
-      Printf.sprintf "  \"batch_speedup\": %.2f," (batch_speedup b);
-      Printf.sprintf "  \"batch_mismatches\": %d," b.batch_mismatches;
-      Printf.sprintf "  \"pool_queue_depth_hwm\": %d," pool_queue_depth_hwm;
-      Printf.sprintf "  \"pool_respawns\": %d" pool_respawns;
-      "}";
-      "";
-    ]
-
-(* Key names BENCH_engine.json must carry; @bench-smoke fails when any
-   goes missing, so the replay and batch trajectories stay comparable
-   across commits. *)
-let engine_required_keys =
-  [
-    "\"speedup\"";
-    "\"mismatches\"";
-    "\"batch_one_at_a_time_ns\"";
-    "\"batch_pipelined_ns\"";
-    "\"batch_speedup\"";
-    "\"batch_mismatches\"";
-    "\"pool_queue_depth_hwm\"";
-    "\"pool_respawns\"";
-  ]
-
-(* Metric names the obs snapshot must carry for the perf trajectory to
-   stay interpretable; @bench-smoke fails when any goes missing. *)
-let obs_required_keys =
-  [
-    "\"counters\"";
-    "\"histograms\"";
-    "engine.cache.lookups";
-    "engine.cache.hits";
-    "engine.cache.misses";
-    "engine.pool.jobs_submitted";
-    "engine.pool.jobs_completed";
-    "engine.pool.queue_depth_hwm";
-    "engine.cache.coalesced";
-    "engine.batch.batches";
-    "engine.batch.size";
-    "engine.batch.context_reuse_pct";
-    "engine.batch.pipeline_overlap_pct";
-    "engine.context.builds";
-    "search.nodes";
-    "search.pruned.distance";
-    "obs.trace.spans";
-    "obs.flightrec.retained";
-    "obs.flightrec.sampled";
-    "obs.flightrec.evicted";
-    "obs.events.emitted";
-    "obs.events.fsync_ns";
-    "obs.runtime.samples";
-    "\"obs_overhead_flightrec\"";
-    "\"flightrec_retention_hitrate\"";
-    "\"events_fsync_p99_ns\"";
-  ]
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  at 0
-
-(* --- flight-recorder phase of the obs smoke ------------------------
-
-   The flight recorder only engages behind [Service], where query
-   outcomes are classified, so this phase replays the same query mix
-   through a [Service] and measures three things:
-
-   - [obs_overhead_flightrec]: cached-replay wall time with the
-     {e entire} plane on (metrics + tracing + retention + event ring +
-     runtime sampler) over the plane-off baseline, settled best-of-5
-     against the 1.05x gate like the other gated ratios.  The JSONL
-     sink's durability cost is priced separately (below), so the
-     overhead run keeps the ring only.
-   - [flightrec_retention_hitrate]: queries forced to degrade (node
-     budget of 1) must each leave a pinned stitched trace that the
-     exposition serves with a 200 on [/trace/:id] {e and} a matching
-     JSONL "query" event in the tail.  Gated at exactly 1.0 —
-     retention of bad outcomes is a contract, not a heuristic.
-   - [events_fsync_p99_ns]: per-record fsync tail of the sink in
-     [Every_record] mode, observed while the degraded queries run. *)
-let flightrec_phase () =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
-  let graph = ti.Query.social.Query.graph in
-  let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-  let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-  let queries =
-    [
-      { Query.p = 3; s = 2; k = 1; m = 4 };
-      { Query.p = 4; s = 2; k = 2; m = 4 };
-      { Query.p = 3; s = 2; k = 1; m = 6 };
-      { Query.p = 4; s = 2; k = 2; m = 6 };
-    ]
-  in
-  let service = Service.create ti in
-  let plane_on () =
-    Obs.set_enabled true;
-    Obs.Trace.set_enabled true;
-    Obs.Flightrec.set_enabled true;
-    Obs.Events.set_enabled true;
-    Obs.Runtime.start ~interval_ms:50 ()
-  in
-  let plane_off () =
-    Obs.Runtime.stop ();
-    Obs.Events.set_enabled false;
-    Obs.Flightrec.set_enabled false;
-    Obs.Trace.set_enabled false;
-    Obs.set_enabled false
-  in
-  plane_off ();
-  let run_once () =
-    List.iter
-      (fun q ->
-        ignore (Service.stgq_r service ~initiator q))
-      queries
-  in
-  run_once () (* warm-up: contexts built and cached *);
-  let time_rounds () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 3 do
-      run_once ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let measure () =
-    let off = time_rounds () in
-    plane_on ();
-    let on = time_rounds () in
-    plane_off ();
-    if off <= 0. then 1. else on /. off
-  in
-  let gate = 1.05 in
-  let rec settle attempts best =
-    let best = Float.min best (measure ()) in
-    if best <= gate || attempts <= 1 then best else settle (attempts - 1) best
-  in
-  let overhead = settle 5 infinity in
-  (* Retention: plane on with the JSONL sink, every record fsynced. *)
-  plane_on ();
-  let events_dir = Filename.temp_dir "stgq_bench_events" "" in
-  Obs.Events.configure ~dir:events_dir ();
-  Obs.Flightrec.reset ();
-  let degrade_policy =
-    {
-      Resilience.default_policy with
-      node_limit = Some 1;
-      max_retries = 0;
-    }
-  in
-  let n_degraded = ref 0 in
-  for _ = 1 to 2 do
-    List.iter
-      (fun q ->
-        let r = Service.stgq_r ~policy:degrade_policy service ~initiator q in
-        let c = Resilience.classify r in
-        if c.Resilience.c_degraded || c.Resilience.c_unavailable then
-          incr n_degraded)
-      queries
-  done;
-  let baseline = Obs.snapshot () in
-  let tail = String.concat "" (Obs.Events.tail 256) in
-  let hits =
-    List.fold_left
-      (fun acc (e : Obs.Flightrec.summary) ->
-        if not e.Obs.Flightrec.s_pinned then acc
-        else
-          let status, _, _ =
-            Obs.Exposition.respond ~baseline
-              ("/trace/" ^ string_of_int e.Obs.Flightrec.s_trace_id)
-          in
-          let logged =
-            contains_substring tail
-              (Printf.sprintf "\"trace_id\": %d" e.Obs.Flightrec.s_trace_id)
-          in
-          if status = 200 && logged then acc + 1 else acc)
-      0 (Obs.Flightrec.entries ())
-  in
-  let hitrate =
-    if !n_degraded = 0 then 0.
-    else float_of_int hits /. float_of_int !n_degraded
-  in
-  let fsync_p99 =
-    Obs.Histogram.quantile (Obs.histogram "obs.events.fsync_ns") 0.99
-  in
-  Obs.Events.stop ();
-  plane_off ();
-  (overhead, hitrate, !n_degraded, fsync_p99)
-
-let obs_smoke_json ~baseline ~instrumented ~flightrec_overhead
-    ~flightrec_hitrate ~flightrec_degraded ~events_fsync_p99 snapshot_json =
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"workload\": %S," instrumented.workload;
-      Printf.sprintf "  \"obs_overhead_cached_seq\": %.3f,"
-        (instrumented.cached_seq_ns /. baseline.cached_seq_ns);
-      Printf.sprintf "  \"obs_overhead_cached_pool\": %.3f,"
-        (instrumented.cached_pool_ns /. baseline.cached_pool_ns);
-      Printf.sprintf "  \"obs_overhead_flightrec\": %.3f," flightrec_overhead;
-      Printf.sprintf "  \"obs_overhead_flightrec_gate\": 1.05,";
-      Printf.sprintf "  \"flightrec_retention_hitrate\": %.3f,"
-        flightrec_hitrate;
-      Printf.sprintf "  \"flightrec_degraded_queries\": %d," flightrec_degraded;
-      Printf.sprintf "  \"events_fsync_p99_ns\": %.0f," events_fsync_p99;
-      Printf.sprintf "  \"snapshot\": %s" snapshot_json;
-      "}";
-      "";
-    ]
-
-(* --- resilience smoke ---------------------------------------------- *)
+(* --- store scale smoke --------------------------------------------- *)
 
 let percentile samples q =
   let a = Array.of_list samples in
@@ -1168,509 +683,10 @@ let percentile samples q =
   if n = 0 then 0.
   else a.(min (n - 1) (int_of_float ((q *. float_of_int (n - 1)) +. 0.5)))
 
-let resilience_required_keys =
-  [
-    "\"deadline_hit_rate_expired\"";
-    "\"deadline_hit_rate_generous\"";
-    "\"budget_overhead_p99\"";
-    "\"budget_overhead_gate\"";
-    "\"heuristic_quality_ratio\"";
-    "\"heuristic_answers\"";
-  ]
-
-(* The resilience baseline: deadline-hit behaviour, the cooperative
-   budget-check overhead (p99, gated at +3% against the unbudgeted
-   path), and how far the heuristic fallback rung sits from the exact
-   optimum on the replay workload. *)
-let resilience_smoke ~out =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
-  let graph = ti.Query.social.Query.graph in
-  let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-  let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-  let queries =
-    [
-      { Query.p = 3; s = 2; k = 1; m = 4 };
-      { Query.p = 4; s = 2; k = 2; m = 4 };
-      { Query.p = 3; s = 2; k = 1; m = 6 };
-      { Query.p = 4; s = 2; k = 2; m = 6 };
-    ]
-  in
-  let n_queries = List.length queries in
-  (* Deadline-hit rate: every query against an already-expired deadline
-     and against a generous one.  Queries that finish before the first
-     256-node checkpoint legitimately complete even when expired. *)
-  let hit_rate budget_of =
-    let hits =
-      List.fold_left
-        (fun acc q ->
-          let r = Stgselect.solve_report ~budget:(budget_of ()) ti q in
-          if Anytime.complete r.outcome then acc else acc + 1)
-        0 queries
-    in
-    float_of_int hits /. float_of_int n_queries
-  in
-  let rate_expired = hit_rate (fun () -> Budget.within_ms 0) in
-  let rate_generous = hit_rate (fun () -> Budget.within_ms 600_000) in
-  (* Budget-check overhead: p99 per-query latency of the generously
-     budgeted path over the unbudgeted path.  A noisy machine can fake a
-     regression, so on a miss both sides re-measure (up to five
-     attempts) and the smallest observed ratio decides. *)
-  let measure budget_of =
-    let samples = ref [] in
-    for _ = 1 to 15 do
-      List.iter
-        (fun q ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Stgselect.solve_report ?budget:(budget_of ()) ti q : Stgselect.report);
-          samples := (Unix.gettimeofday () -. t0) :: !samples)
-        queries
-    done;
-    percentile !samples 0.99
-  in
-  let attempt () =
-    let bare = measure (fun () -> None) in
-    let budgeted =
-      measure (fun () -> Some (Budget.create ~node_limit:max_int ()))
-    in
-    if bare <= 0. then 1. else budgeted /. bare
-  in
-  let overhead_gate = 1.03 in
-  let rec settle attempts best =
-    let best = Float.min best (attempt ()) in
-    if best <= overhead_gate || attempts <= 1 then best
-    else settle (attempts - 1) best
-  in
-  let overhead = settle 5 infinity in
-  (* Heuristic-fallback quality: beam answer distance over the exact
-     optimum, averaged over the queries both rungs answer. *)
-  let ratios =
-    List.filter_map
-      (fun q ->
-        match (Stgselect.solve ti q, Heuristics.beam_stgq ti q) with
-        | Some exact, Some h ->
-            Some (h.Query.st_total_distance /. exact.Query.st_total_distance)
-        | _ -> None)
-      queries
-  in
-  let quality =
-    match ratios with
-    | [] -> 1.
-    | rs -> List.fold_left ( +. ) 0. rs /. float_of_int (List.length rs)
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        Printf.sprintf "  \"workload\": %S,"
-          (Printf.sprintf "coauthor n=600 days=2 q=%d" initiator);
-        Printf.sprintf "  \"queries\": %d," n_queries;
-        Printf.sprintf "  \"deadline_hit_rate_expired\": %.3f," rate_expired;
-        Printf.sprintf "  \"deadline_hit_rate_generous\": %.3f," rate_generous;
-        Printf.sprintf "  \"budget_overhead_p99\": %.4f," overhead;
-        Printf.sprintf "  \"budget_overhead_gate\": %.2f," overhead_gate;
-        Printf.sprintf "  \"heuristic_quality_ratio\": %.4f," quality;
-        Printf.sprintf "  \"heuristic_answers\": %d" (List.length ratios);
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "bench-smoke: resilience — deadline hits %.2f (expired) / %.2f (generous), \
-     budget overhead p99 %.3fx, heuristic quality %.3fx -> %s\n"
-    rate_expired rate_generous overhead quality out;
-  let missing =
-    List.filter (fun k -> not (contains_substring json k)) resilience_required_keys
-  in
-  if missing <> [] then begin
-    Printf.printf "bench-smoke: FAILED — %s lacks required keys: %s\n" out
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if rate_generous > rate_expired then begin
-    print_endline
-      "bench-smoke: FAILED — generous deadlines truncate more than expired ones";
-    exit 1
-  end;
-  if overhead > overhead_gate then begin
-    Printf.printf
-      "bench-smoke: FAILED — budget checkpoints cost %.1f%% (gate %.0f%%)\n"
-      ((overhead -. 1.) *. 100.)
-      ((overhead_gate -. 1.) *. 100.);
-    exit 1
-  end
-
-(* --- trace smoke --------------------------------------------------- *)
-
-let trace_required_keys =
-  [
-    "\"trace_disabled_ratio\"";
-    "\"trace_enabled_ratio\"";
-    "\"trace_overhead_gate\"";
-    "\"spans_recorded\"";
-    "\"spans_dropped\"";
-    "\"waterfall_balanced\"";
-    "\"waterfall_examined\"";
-  ]
-
-(* The tracing baseline: span recording must cost <= +5% on the cached
-   replay paths when enabled, and the disabled path (one atomic load
-   per potential span) must be indistinguishable from run-to-run noise.
-   Noise can fake a regression, so on a miss both sides re-measure (up
-   to five attempts) and the smallest observed ratio decides.  The
-   waterfall of a traced solve must balance exactly — every examined
-   candidate accounted for by a kill, a deferral or an include. *)
-let trace_smoke ~out ~domains =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
-  let graph = ti.Query.social.Query.graph in
-  let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-  let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-  let queries =
-    [
-      { Query.p = 3; s = 2; k = 1; m = 4 };
-      { Query.p = 4; s = 2; k = 2; m = 4 };
-      { Query.p = 3; s = 2; k = 1; m = 6 };
-      { Query.p = 4; s = 2; k = 2; m = 6 };
-    ]
-  in
-  let spans_recorded = ref 0 and spans_dropped = ref 0 in
-  let disabled, enabled =
-    Engine.Pool.with_pool ?size:domains @@ fun pool ->
-    let cache = Engine.Cache.create ~schedules:ti.Query.schedules graph in
-    let ctx_for q = Engine.Cache.context cache ~initiator ~s:q.Query.s in
-    let run_once () =
-      List.iter
-        (fun q ->
-          ignore (Stgselect.solve ~ctx:(ctx_for q) ti q : Query.stg_solution option);
-          ignore
-            (Parallel.solve ~pool ~ctx:(ctx_for q) ti q
-              : Query.stg_solution option))
-        queries
-    in
-    run_once () (* warm-up: code, allocator, pool domains, contexts *);
-    let time_rounds () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to 3 do
-        run_once ()
-      done;
-      Unix.gettimeofday () -. t0
-    in
-    let ratio a b = if a <= 0. then 1. else b /. a in
-    let measure_noise () =
-      let a = time_rounds () in
-      let b = time_rounds () in
-      ratio a b
-    in
-    let measure_enabled () =
-      let off = time_rounds () in
-      Obs.Trace.set_enabled true;
-      Obs.Trace.reset ();
-      let on = time_rounds () in
-      spans_recorded := Obs.Trace.total_recorded ();
-      spans_dropped := Obs.Trace.dropped ();
-      Obs.Trace.set_enabled false;
-      ratio off on
-    in
-    let gate = 1.05 in
-    let rec settle f attempts best =
-      let best = Float.min best (f ()) in
-      if best <= gate || attempts <= 1 then best else settle f (attempts - 1) best
-    in
-    (settle measure_noise 5 infinity, settle measure_enabled 5 infinity)
-  in
-  let overhead_gate = 1.05 in
-  (* One traced solve for the accounting identity. *)
-  Obs.Trace.set_enabled true;
-  Obs.Trace.reset ();
-  List.iter
-    (fun q -> ignore (Stgselect.solve_report ti q : Stgselect.report))
-    queries;
-  let balanced, examined =
-    match Obs.Trace.last () with
-    | Some tree ->
-        let w = Obs.Trace.waterfall tree in
-        (Obs.Trace.waterfall_balanced w, w.Obs.Trace.w_examined)
-    | None -> (false, 0)
-  in
-  Obs.Trace.set_enabled false;
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        Printf.sprintf "  \"workload\": %S,"
-          (Printf.sprintf "coauthor n=600 days=2 q=%d" initiator);
-        Printf.sprintf "  \"trace_disabled_ratio\": %.4f," disabled;
-        Printf.sprintf "  \"trace_enabled_ratio\": %.4f," enabled;
-        Printf.sprintf "  \"trace_overhead_gate\": %.2f," overhead_gate;
-        Printf.sprintf "  \"spans_recorded\": %d," !spans_recorded;
-        Printf.sprintf "  \"spans_dropped\": %d," !spans_dropped;
-        Printf.sprintf "  \"waterfall_balanced\": %b," balanced;
-        Printf.sprintf "  \"waterfall_examined\": %d" examined;
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "bench-smoke: trace — disabled noise %.3fx, enabled %.3fx (gate %.2fx), \
-     %d spans (%d dropped), waterfall %s over %d examined -> %s\n"
-    disabled enabled overhead_gate !spans_recorded !spans_dropped
-    (if balanced then "balanced" else "UNBALANCED")
-    examined out;
-  let missing =
-    List.filter (fun k -> not (contains_substring json k)) trace_required_keys
-  in
-  if missing <> [] then begin
-    Printf.printf "bench-smoke: FAILED — %s lacks required keys: %s\n" out
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if enabled > overhead_gate then begin
-    Printf.printf "bench-smoke: FAILED — tracing costs %.1f%% enabled (gate %.0f%%)\n"
-      ((enabled -. 1.) *. 100.)
-      ((overhead_gate -. 1.) *. 100.);
-    exit 1
-  end;
-  if disabled > overhead_gate then begin
-    Printf.printf
-      "bench-smoke: FAILED — disabled tracing path exceeds noise (%.1f%%)\n"
-      ((disabled -. 1.) *. 100.);
-    exit 1
-  end;
-  if (not balanced) || examined = 0 then begin
-    Printf.printf
-      "bench-smoke: FAILED — pruning waterfall does not account for every \
-       candidate (balanced=%b, examined=%d)\n"
-      balanced examined;
-    exit 1
-  end
-
-(* --- server smoke --------------------------------------------------- *)
-
-let server_required_keys =
-  [
-    "\"sustained_qps\"";
-    "\"requests_total\"";
-    "\"latency_p50_ns\"";
-    "\"latency_p99_ns\"";
-    "\"wire_overhead\"";
-    "\"server_mismatches\"";
-    "\"shed_rate_saturation\"";
-  ]
-
-(* Expected wire image of a direct resilient call — the bit-identical
-   replay gate below compares wire answers against this. *)
-let wire_image_of_stg = function
-  | Ok (a : Query.stg_solution Resilience.answer) ->
-      Proto.Stg_answer
-        {
-          value = a.value;
-          rung = a.rung;
-          gap = a.gap;
-          retries = a.retries;
-          reason = a.reason;
-          certified = true;
-          (* the comparison server runs with tracing off, so wire
-             answers carry no trace id *)
-          trace_id = 0;
-        }
-  | Error (Resilience.Degraded { reason; retries }) ->
-      Proto.Failed (Proto.Degraded { reason; retries })
-  | Error (Resilience.Unavailable { error; retries }) ->
-      Proto.Failed
-        (Proto.Unavailable { message = Printexc.to_string error; retries })
-
-(* The wire-server baseline (docs/PROTOCOL.md): answers over a loopback
-   socket must be bit-identical to direct [Service] calls; a sustained
-   multi-client load records qps and client-observed p50/p99 latency;
-   the wire_overhead ratio prices the framing + socket round-trip
-   against the in-process call on the same cached contexts (an
-   enabled-path overhead: both sides resolve and solve identically);
-   and an admission limit of 1 under eight hammering clients must shed
-   with typed Overloaded responses.  Shedding depends on real
-   concurrency, so a zero shed rate re-runs the saturation round (up to
-   five attempts) before failing. *)
-let server_smoke ~out ~domains =
-  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
-  let graph = ti.Query.social.Query.graph in
-  let initiator = Workload.Scenario.pick_initiator ~rank:10 graph in
-  let ti = { ti with Query.social = { ti.Query.social with Query.initiator } } in
-  let queries =
-    [
-      { Query.p = 3; s = 2; k = 1; m = 4 };
-      { Query.p = 4; s = 2; k = 2; m = 4 };
-      { Query.p = 3; s = 2; k = 1; m = 6 };
-      { Query.p = 4; s = 2; k = 2; m = 6 };
-    ]
-  in
-  Engine.Pool.with_pool ?size:domains @@ fun pool ->
-  let service = Service.create ~pool ti in
-  let loopback = Server.Tcp ("127.0.0.1", 0) in
-  let solve_direct q =
-    ignore
-      (Service.stgq_r service ~initiator q
-        : (Query.stg_solution Resilience.answer, Resilience.error) result)
-  in
-  (* -- replay gate + wire overhead: one connection, sequential -------- *)
-  let mismatches = ref 0 in
-  let direct_ns, wire_ns =
-    let server = Server.create service in
-    let handle = Server.start server loopback in
-    Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-    let c = Server.Client.connect (Server.bound_addr handle) in
-    Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
-    let ask q =
-      match
-        Server.Client.request c (Proto.Stgq { initiator; q; policy = None })
-      with
-      | Ok resp -> resp
-      | Error e -> failwith (Proto.string_of_decode_error e)
-    in
-    (* warm-up outside the clocks: contexts, allocator, both code paths *)
-    List.iter (fun q -> ignore (ask q : Proto.response)) queries;
-    List.iter solve_direct queries;
-    List.iter
-      (fun q ->
-        let expected = wire_image_of_stg (Service.stgq_r service ~initiator q) in
-        if not (Proto.equal_response expected (ask q)) then incr mismatches)
-      queries;
-    let rounds = 5 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to rounds do
-      List.iter solve_direct queries
-    done;
-    let direct_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to rounds do
-      List.iter (fun q -> ignore (ask q : Proto.response)) queries
-    done;
-    let wire_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    (direct_ns, wire_ns)
-  in
-  let wire_overhead = if direct_ns <= 0. then 1. else wire_ns /. direct_ns in
-  (* -- sustained load: four client threads, one connection each ------- *)
-  let client_threads = 4 and rounds_per_client = 8 in
-  let sustained_qps, p50, p99, requests_total =
-    let server = Server.create service in
-    let handle = Server.start server loopback in
-    Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-    let addr = Server.bound_addr handle in
-    let lat = Array.make client_threads [] in
-    let t0 = Unix.gettimeofday () in
-    let worker i () =
-      let c = Server.Client.connect addr in
-      Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
-      for _ = 1 to rounds_per_client do
-        List.iter
-          (fun q ->
-            let r0 = Unix.gettimeofday () in
-            match
-              Server.Client.request c
-                (Proto.Stgq { initiator; q; policy = None })
-            with
-            | Ok _ -> lat.(i) <- ((Unix.gettimeofday () -. r0) *. 1e9) :: lat.(i)
-            | Error e -> failwith (Proto.string_of_decode_error e))
-          queries
-      done
-    in
-    let threads =
-      List.init client_threads (fun i -> Thread.create (worker i) ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let samples = List.concat (Array.to_list lat) in
-    let total = List.length samples in
-    ( (if wall <= 0. then 0. else float_of_int total /. wall),
-      percentile samples 0.5,
-      percentile samples 0.99,
-      total )
-  in
-  (* -- saturation: admission limit 1, eight hammering clients --------- *)
-  let shed_rate_saturation =
-    let config = { Server.default_config with Server.admission_limit = 1 } in
-    let sat_q = { Query.p = 3; s = 2; k = 1; m = 4 } in
-    let attempt () =
-      let server = Server.create ~config service in
-      let handle = Server.start server loopback in
-      Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-      let addr = Server.bound_addr handle in
-      let n_clients = 8 and per_client = 12 in
-      let sheds = Atomic.make 0 in
-      let worker () =
-        let c = Server.Client.connect addr in
-        Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
-        for _ = 1 to per_client do
-          match
-            Server.Client.request c
-              (Proto.Stgq { initiator; q = sat_q; policy = None })
-          with
-          | Ok (Proto.Failed (Proto.Overloaded _)) -> Atomic.incr sheds
-          | Ok _ -> ()
-          | Error e -> failwith (Proto.string_of_decode_error e)
-        done
-      in
-      let threads = List.init n_clients (fun _ -> Thread.create worker ()) in
-      List.iter Thread.join threads;
-      float_of_int (Atomic.get sheds)
-      /. float_of_int (n_clients * per_client)
-    in
-    let rec settle attempts =
-      let rate = attempt () in
-      if rate > 0. || attempts <= 1 then rate else settle (attempts - 1)
-    in
-    settle 5
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        Printf.sprintf "  \"workload\": %S,"
-          (Printf.sprintf "coauthor n=600 days=2 q=%d" initiator);
-        Printf.sprintf "  \"client_threads\": %d," client_threads;
-        Printf.sprintf "  \"requests_total\": %d," requests_total;
-        Printf.sprintf "  \"sustained_qps\": %.1f," sustained_qps;
-        Printf.sprintf "  \"latency_p50_ns\": %.0f," p50;
-        Printf.sprintf "  \"latency_p99_ns\": %.0f," p99;
-        Printf.sprintf "  \"wire_overhead\": %.3f," wire_overhead;
-        Printf.sprintf "  \"server_mismatches\": %d," !mismatches;
-        Printf.sprintf "  \"shed_rate_saturation\": %.3f" shed_rate_saturation;
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "bench-smoke: server — %.0f q/s over %d requests (%d clients), p50 %s \
-     p99 %s, wire overhead %.2fx, %d mismatches, shed rate %.2f at \
-     saturation -> %s\n"
-    sustained_qps requests_total client_threads (Report.ns p50) (Report.ns p99)
-    wire_overhead !mismatches shed_rate_saturation out;
-  let missing =
-    List.filter (fun k -> not (contains_substring json k)) server_required_keys
-  in
-  if missing <> [] then begin
-    Printf.printf "bench-smoke: FAILED — %s lacks required keys: %s\n" out
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if !mismatches > 0 then begin
-    print_endline
-      "bench-smoke: FAILED — wire answers diverge from direct Service calls";
-    exit 1
-  end;
-  if shed_rate_saturation <= 0. then begin
-    print_endline
-      "bench-smoke: FAILED — admission limit 1 never shed under 8 clients";
-    exit 1
-  end
-
-(* --- store scale smoke --------------------------------------------- *)
+let contains_substring hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 let scale_required_keys =
   [
@@ -1722,12 +738,10 @@ let scale_smoke ~out =
   Unix.mkdir dir 0o755;
   (* snapshot density and save/load wall time *)
   let path0 = Store.snapshot_path ~dir ~gen:0 in
-  let t0 = Unix.gettimeofday () in
-  let snapshot_bytes = Store.save_snapshot path0 state0 in
-  let save_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  let t0 = Unix.gettimeofday () in
-  let loaded = ok_or_die (Store.load_snapshot path0) in
-  let load_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let snapshot_bytes, save_ns = time (fun () -> Store.save_snapshot path0 state0) in
+  let save_ms = save_ns /. 1e6 in
+  let loaded, load_ns = time (fun () -> ok_or_die (Store.load_snapshot path0)) in
+  let load_ms = load_ns /. 1e6 in
   if not (Store.state_equal state0 loaded) then begin
     print_endline "bench-smoke: FAILED — scale snapshot round-trip diverged";
     exit 1
@@ -1748,9 +762,10 @@ let scale_smoke ~out =
   for i = 0 to records - 1 do
     Store.append ~sync:false store (delta_of i)
   done;
-  let t0 = Unix.gettimeofday () in
-  let replayed = ok_or_die (Store.replay_wal (Store.wal_path ~dir ~gen:0)) in
-  let replay_s = Unix.gettimeofday () -. t0 in
+  let replayed, replay_ns =
+    time (fun () -> ok_or_die (Store.replay_wal (Store.wal_path ~dir ~gen:0)))
+  in
+  let replay_s = replay_ns /. 1e9 in
   let replay_per_s =
     if replay_s <= 0. then float_of_int records
     else float_of_int replayed.Store.records /. replay_s
@@ -1775,9 +790,8 @@ let scale_smoke ~out =
   let pauses = ref [] in
   for i = 0 to 9 do
     Store.append ~sync:false store2 (delta_of i);
-    let t0 = Unix.gettimeofday () in
-    Store.checkpoint store2 recovery.Store.r_state;
-    pauses := ((Unix.gettimeofday () -. t0) *. 1e9) :: !pauses
+    let (), pause_ns = time (fun () -> Store.checkpoint store2 recovery.Store.r_state) in
+    pauses := pause_ns :: !pauses
   done;
   Store.close store2;
   let checkpoint_p99_ms = percentile !pauses 0.99 /. 1e6 in
@@ -1844,140 +858,6 @@ let scale_smoke ~out =
     exit 1
   end
 
-(* The CI baseline: tiny sizes, two JSON artefacts — the engine replay
-   and batched-replay comparisons (instrumentation off) and the same
-   workloads rerun with instrumentation on, whose metrics snapshot
-   lands in [obs_out].  The engine artefact is written after the
-   instrumented rerun so it can also record the pool's queue-depth
-   high-water mark and respawn count from the live registry. *)
-let smoke ~json_out ~obs_out ~resilience_out ~trace_out ~server_out ~scale_out
-    ~domains =
-  let r = engine_replay ~n:600 ~days:2 ~rounds:3 ~domains () in
-  (* The >= 2x batched-throughput gate settles like the other gated
-     ratios: noise can fake a miss, so on one the batch replays again
-     (up to five attempts) and the best observed ratio decides.  A
-     mismatch is not noise and fails immediately. *)
-  let batch_gate = 2.0 in
-  let run_batch () = batch_replay ~n:1500 ~days:1 ~rounds:3 ~initiators:6 ~domains () in
-  let rec settle_batch attempts best =
-    if best.batch_mismatches > 0 || batch_speedup best >= batch_gate
-       || attempts <= 1
-    then best
-    else
-      let again = run_batch () in
-      let best =
-        if again.batch_mismatches > 0 then again
-        else if batch_speedup again > batch_speedup best then again
-        else best
-      in
-      settle_batch (attempts - 1) best
-  in
-  let b = settle_batch 5 (run_batch ()) in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let r_obs = engine_replay ~n:600 ~days:2 ~rounds:3 ~domains () in
-  let b_obs = run_batch () in
-  (* The flight-recorder phase runs before the snapshot so the
-     retention, event and runtime-sampler totals (and the trace spans
-     it records) appear in the embedded snapshot. *)
-  let flightrec_overhead, flightrec_hitrate, flightrec_degraded, events_fsync_p99
-      =
-    flightrec_phase ()
-  in
-  Obs.set_enabled false;
-  let snap = Obs.snapshot () in
-  let pool_queue_depth_hwm =
-    Obs.Gauge.high_water (Obs.gauge "engine.pool.queue_depth_hwm")
-  in
-  let pool_respawns = Obs.Counter.value (Obs.counter "engine.pool.respawns") in
-  let engine_json = engine_json r b ~pool_queue_depth_hwm ~pool_respawns in
-  let oc = open_out json_out in
-  output_string oc engine_json;
-  close_out oc;
-  let obs_json =
-    obs_smoke_json ~baseline:r ~instrumented:r_obs ~flightrec_overhead
-      ~flightrec_hitrate ~flightrec_degraded ~events_fsync_p99 (Obs.json snap)
-  in
-  let oc = open_out obs_out in
-  output_string oc obs_json;
-  close_out oc;
-  Printf.printf
-    "bench-smoke: %s — %d x %d queries, %d domains, speedup %.2fx (seq %.2fx), \
-     %d mismatches -> %s\n"
-    r.workload r.rp_rounds r.queries_per_round r.rp_domains (replay_speedup r)
-    (r.rebuild_seq_ns /. r.cached_seq_ns)
-    r.mismatches json_out;
-  Printf.printf
-    "bench-smoke: batch — %d x %d queries in %d groups, %d domains, throughput \
-     %.2fx (gate %.1fx), %d mismatches, pool hwm %d, respawns %d\n"
-    b.bo_rounds b.bo_queries b.bo_groups b.bo_domains (batch_speedup b)
-    batch_gate b.batch_mismatches pool_queue_depth_hwm pool_respawns;
-  Printf.printf "bench-smoke: obs overhead %.3fx (seq) %.3fx (pool) -> %s\n"
-    (r_obs.cached_seq_ns /. r.cached_seq_ns)
-    (r_obs.cached_pool_ns /. r.cached_pool_ns)
-    obs_out;
-  Printf.printf
-    "bench-smoke: flightrec — plane overhead %.3fx (gate 1.05x), retention \
-     %.2f over %d degraded, events fsync p99 %.0f ns\n"
-    flightrec_overhead flightrec_hitrate flightrec_degraded events_fsync_p99;
-  let missing =
-    List.filter (fun k -> not (contains_substring engine_json k)) engine_required_keys
-  in
-  if missing <> [] then begin
-    Printf.printf "bench-smoke: FAILED — %s lacks required keys: %s\n" json_out
-      (String.concat ", " missing);
-    exit 1
-  end;
-  let missing =
-    List.filter (fun k -> not (contains_substring obs_json k)) obs_required_keys
-  in
-  if missing <> [] then begin
-    Printf.printf "bench-smoke: FAILED — %s lacks required keys: %s\n" obs_out
-      (String.concat ", " missing);
-    exit 1
-  end;
-  (match List.assoc_opt "obs.trace.spans" snap.Obs.counters with
-  | Some n when n > 0 -> ()
-  | _ ->
-      print_endline
-        "bench-smoke: FAILED — obs.trace.spans is zero in the embedded \
-         snapshot; the instrumented replay did not record trace spans";
-      exit 1);
-  if flightrec_overhead > 1.05 then begin
-    Printf.printf
-      "bench-smoke: FAILED — flight-recorder plane costs %.1f%% enabled \
-       (gate 5%%)\n"
-      ((flightrec_overhead -. 1.) *. 100.);
-    exit 1
-  end;
-  if flightrec_degraded = 0 || flightrec_hitrate <> 1.0 then begin
-    Printf.printf
-      "bench-smoke: FAILED — flight recorder retained %.2f of %d degraded \
-       queries as fetchable traces with logged events (contract: 1.00)\n"
-      flightrec_hitrate flightrec_degraded;
-    exit 1
-  end;
-  if r.mismatches > 0 || r_obs.mismatches > 0 then begin
-    print_endline "bench-smoke: FAILED — engine answers diverge from seed paths";
-    exit 1
-  end;
-  if b.batch_mismatches > 0 || b_obs.batch_mismatches > 0 then begin
-    print_endline
-      "bench-smoke: FAILED — batched answers diverge from the one-at-a-time path";
-    exit 1
-  end;
-  if batch_speedup b < batch_gate then begin
-    Printf.printf
-      "bench-smoke: FAILED — batched replay only %.2fx over one-at-a-time \
-       (gate %.1fx)\n"
-      (batch_speedup b) batch_gate;
-    exit 1
-  end;
-  resilience_smoke ~out:resilience_out;
-  trace_smoke ~out:trace_out ~domains;
-  server_smoke ~out:server_out ~domains;
-  scale_smoke ~out:scale_out
-
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 
@@ -1998,8 +878,7 @@ let experiments =
     ("ext_community", ext_community);
     ("ext_scale", ext_scale);
     ("ext_astar", ext_astar);
-    ("ext_engine", ext_engine);
-    ("ext_batch", ext_batch);
+    ("paper", paper);
   ]
 
 let keyed_arg key args =
@@ -2014,60 +893,39 @@ let keyed_arg key args =
 
 let () =
   let args = Array.to_list Sys.argv in
+  if List.mem "--smoke" args then begin
+    scale_smoke ~out:"BENCH_scale.json";
+    exit 0
+  end;
   let fast = List.mem "--fast" args in
   let skip_bechamel = List.mem "--skip-bechamel" args in
   let only = Option.map (String.split_on_char ',') (keyed_arg "--only" args) in
   let domains =
-    match keyed_arg "--domains" args with
-    | Some raw -> (
+    Option.bind (keyed_arg "--domains" args) (fun raw ->
         match int_of_string_opt raw with
         | Some d when d >= 1 -> Some d
         | Some _ | None ->
             Printf.eprintf "ignoring --domains=%s: expected a positive integer\n" raw;
             None)
-    | None -> (
-        match Sys.getenv_opt "STGQ_DOMAINS" with
-        | Some raw -> int_of_string_opt (String.trim raw)
-        | None -> None)
   in
-  if List.mem "--smoke" args then begin
-    let json_out =
-      Option.value (keyed_arg "--json-out" args) ~default:"BENCH_engine.json"
-    in
-    let obs_out =
-      Option.value (keyed_arg "--obs-out" args) ~default:"BENCH_obs.json"
-    in
-    let resilience_out =
-      Option.value
-        (keyed_arg "--resilience-out" args)
-        ~default:"BENCH_resilience.json"
-    in
-    let trace_out =
-      Option.value (keyed_arg "--trace-out" args) ~default:"BENCH_trace.json"
-    in
-    let server_out =
-      Option.value (keyed_arg "--server-out" args) ~default:"BENCH_server.json"
-    in
-    let scale_out =
-      Option.value (keyed_arg "--scale-out" args) ~default:"BENCH_scale.json"
-    in
-    smoke ~json_out ~obs_out ~resilience_out ~trace_out ~server_out ~scale_out
-      ~domains;
-    exit 0
-  end;
   let st =
     if fast then { fast_settings with domains } else { full_settings with domains }
   in
-  let wanted name = match only with None -> true | Some l -> List.mem name l in
-  Printf.printf
-    "STGQ experiment harness (%s mode; enumeration cap %d groups, IP cap %d nodes)\n"
-    (if fast then "fast" else "full")
-    st.group_cap st.ip_node_cap;
-  flush stdout;
+  let wanted name = match only with None -> name <> "paper" | Some l -> List.mem name l in
+  (* Alone, the Fig. 1 record prints nothing else, so its output is
+     exactly the JSON document. *)
+  let record_only = only = Some [ "paper" ] in
+  if not record_only then
+    Printf.printf
+      "STGQ experiment harness (%s mode; enumeration cap %d groups, IP cap %d nodes)\n%!"
+      (if fast then "fast" else "full")
+      st.group_cap st.ip_node_cap;
   List.iter (fun (name, f) -> if wanted name then f st ()) experiments;
   if
     (not skip_bechamel)
     && match only with None -> true | Some l -> List.mem "bechamel" l
   then bechamel_suite ();
-  print_newline ();
-  print_endline "done."
+  if not record_only then begin
+    print_newline ();
+    print_endline "done."
+  end

@@ -6,7 +6,8 @@
     cancellation flag another domain may set at any time — and the
     search layers poll it cooperatively at a coarse checkpoint (every
     {!check_interval} node expansions), cheap enough to leave on in
-    production (gated ≤3% in _build/default/BENCH_resilience.json).
+    production: a budget adds a constant number of words per solve,
+    never per node (test/suite_resilience.ml).
 
     One budget may be shared by several domains (the parallel solver
     gives every pivot bucket the same budget): node charges accumulate

@@ -111,38 +111,3 @@ let solve_report ?(config = Search_core.default_config) ?domains ?pool ?ctx
 
 let solve ?config ?domains ?pool ?ctx ?budget ti query =
   (solve_report ?config ?domains ?pool ?ctx ?budget ti query).solution
-
-(* The seed's serving path, kept as the benchmark baseline: extract the
-   feasible graph afresh unless a context is supplied, and spawn/join a
-   fresh domain per bucket on every call. *)
-let solve_report_unpooled ?(config = Search_core.default_config) ?domains ?ctx
-    (ti : Query.temporal_instance) (query : Query.stgq) =
-  Obs.Trace.with_span "parallel.solve"
-    ~attrs:
-      [
-        ("p", string_of_int query.p);
-        ("k", string_of_int query.k);
-        ("m", string_of_int query.m);
-        ("pooled", "false");
-      ]
-  @@ fun () ->
-  let ctx, pivots = prepare ?ctx ti query in
-  let budget = Budget.unlimited in
-  let wanted =
-    match domains with Some d -> max 1 d | None -> Domain.recommended_domain_count ()
-  in
-  let n_domains = max 1 (min wanted (List.length pivots)) in
-  Obs.Trace.add_attrs [ ("domains", string_of_int n_domains) ];
-  let buckets = round_robin n_domains pivots in
-  (* Fresh domains have a fresh span stack, so propagation is by hand
-     here (the pooled path gets it from Engine.Pool.submit). *)
-  let tctx = Obs.Trace.current () in
-  let handles =
-    Array.map
-      (fun bucket ->
-        Domain.spawn (fun () ->
-            Obs.Trace.with_ctx tctx (bucket_job ~config ~budget ctx query bucket)))
-      buckets
-  in
-  finish ctx ~n_domains ~query ~budget
-    (Array.to_list (Array.map Domain.join handles))

@@ -45,11 +45,3 @@ val solve_report :
   ?config:Search_core.config -> ?domains:int -> ?pool:Engine.Pool.t ->
   ?ctx:Engine.Context.t -> ?budget:Budget.t ->
   Query.temporal_instance -> Query.stgq -> report
-
-(** [solve_report_unpooled ?config ?domains ?ctx ti query] is the seed
-    serving path — a fresh [Domain.spawn]/[Domain.join] per bucket on
-    every call — kept as the baseline the bench harness compares the
-    pooled path against.  Same answers, same tie-breaking. *)
-val solve_report_unpooled :
-  ?config:Search_core.config -> ?domains:int -> ?ctx:Engine.Context.t ->
-  Query.temporal_instance -> Query.stgq -> report

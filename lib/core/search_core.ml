@@ -294,7 +294,7 @@ let record_best st =
 (* The budget checkpoint: one [land] per node, real work only every
    [Budget.check_interval] expansions (clock read, shared-counter
    publish, fault-site poll), so the unbudgeted path stays bit-identical
-   and the budgeted path stays within the bench-gated 3% overhead. *)
+   and the budgeted path allocates nothing per node. *)
 let checkpoint st =
   if st.stats.nodes land (Budget.check_interval - 1) = 0 then begin
     Faultinject.fire Faultinject.Kernel_expansion;

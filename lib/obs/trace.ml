@@ -30,9 +30,8 @@ type span = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Switch — separate from the metric registry's so metric overhead
-   experiments (_build/default/BENCH_obs.json) keep their baseline
-   semantics. *)
+(* Switch — separate from the metric registry's, so metrics and
+   tracing can be enabled and costed independently. *)
 
 let enabled_flag = Atomic.make false
 

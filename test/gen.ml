@@ -271,3 +271,43 @@ let served = function
   | Ok (a : _ Stgq_core.Resilience.answer) -> a.value
   | Error e ->
       Alcotest.failf "served query failed: %a" Stgq_core.Resilience.pp_error e
+
+(* A repository path such as "docs/OBSERVABILITY.md" or "test/cases",
+   from whichever working directory the suite runs in: the test
+   stanza's (_build/default/test) or the project root (_build/default
+   under the root @props rule, or the source tree itself). *)
+let repo_path rel = List.find_opt Sys.file_exists [ Filename.concat ".." rel; rel ]
+
+(* ------------------------------------------------------------------ *)
+(* Counting, not timing: minor words allocated on the calling domain
+   repeat exactly from run to run, where wall time does not.  Other
+   domains' allocations do not count; the minimum over three runs also
+   discards words another thread on this domain might slip in. *)
+
+let minor_words f =
+  let once () =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (Float.min (once ()) (Float.min (once ()) (once ())))
+
+(* The replay workload of these counts: a 600-member coauthor world
+   served by a pool-less [Service], so every solve runs on the calling
+   domain.  [tiny_q]'s exact search visits a handful of nodes and
+   [heavy_q]'s several hundred, so a cost that grows with search nodes
+   shows as a difference between the two. *)
+let replay_ti, replay_initiator =
+  let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
+  let initiator =
+    Workload.Scenario.pick_initiator ~rank:10 ti.Stgq_core.Query.social.graph
+  in
+  ( { ti with Stgq_core.Query.social = { ti.Stgq_core.Query.social with initiator } },
+    initiator )
+
+let tiny_q = { Stgq_core.Query.p = 3; s = 2; k = 1; m = 6 }
+
+let heavy_q = { Stgq_core.Query.p = 4; s = 2; k = 2; m = 4 }
+
+let replay_queries =
+  [ tiny_q; heavy_q; { tiny_q with m = 4 }; { heavy_q with m = 6 } ]

@@ -502,11 +502,95 @@ let test_concurrent_scrape_vs_sampler () =
   check Alcotest.bool "all scrapes served during sampling" true ok
 
 (* ------------------------------------------------------------------ *)
+(* Real service queries.                                               *)
+
+(* Retention of bad outcomes is a contract, not a heuristic: every
+   query a node limit of 1 cuts short (the dense instance crosses a
+   budget checkpoint at any initiator) is pinned as degraded, its
+   stitched trace is served by /trace/:id, and its JSONL query record
+   is in the event tail. *)
+let test_degraded_service_queries_retained () =
+  let open Stgq_core in
+  with_plane @@ fun () ->
+  let service = Service.create Gen.dense_ti in
+  let policy =
+    { Resilience.default_policy with node_limit = Some 1; max_retries = 0 }
+  in
+  let ids =
+    List.map
+      (fun initiator ->
+        let r = Service.stgq_r ~policy service ~initiator Gen.dense_q in
+        check Alcotest.bool "the node limit degrades the answer" true
+          (Resilience.classify r).c_degraded;
+        match Obs.Trace.last () with
+        | Some tree -> tree.Obs.Trace.t_span.Obs.Trace.sp_trace
+        | None -> Alcotest.fail "no trace recorded")
+      [ 0; 1; 2; 3 ]
+  in
+  check Alcotest.int "every degraded query retained" (List.length ids)
+    (Obs.Flightrec.retained ());
+  let baseline = Obs.snapshot () in
+  let tail = String.concat "" (Obs.Events.tail 256) in
+  List.iter
+    (fun id ->
+      (match
+         List.find_opt
+           (fun (s : Obs.Flightrec.summary) -> s.s_trace_id = id)
+           (Obs.Flightrec.entries ())
+       with
+      | Some s ->
+          check Alcotest.bool "pinned" true s.s_pinned;
+          check Alcotest.string "reason" "degraded" s.s_reason
+      | None -> Alcotest.failf "trace %d not retained" id);
+      let status, _, _ =
+        Obs.Exposition.respond ~baseline (Printf.sprintf "/trace/%d" id)
+      in
+      check Alcotest.int "/trace/:id serves it" 200 status;
+      check Alcotest.bool "its query event is in the tail" true
+        (contains tail (Printf.sprintf "\"trace_id\": %d" id)))
+    ids
+
+(* The whole plane (metrics, tracing, retention with its default
+   sampling stride, the in-memory event ring) costs at most 5% more
+   minor words than the plane off, over a cached replay on one domain.
+   Sixteen queries span one sampling stride, so exactly one sampled
+   trace is stitched and stored.  The runtime sampler stays off: its
+   thread would allocate on this domain's minor heap. *)
+let test_plane_allocates_within_5pct () =
+  let open Stgq_core in
+  let service = Service.create Gen.replay_ti in
+  let replay () =
+    for _ = 1 to 4 do
+      List.iter
+        (fun q ->
+          ignore (Service.stgq_r service ~initiator:Gen.replay_initiator q))
+        Gen.replay_queries
+    done
+  in
+  replay () (* contexts built and cached *);
+  let off = Gen.minor_words replay in
+  let on =
+    with_plane @@ fun () ->
+    replay ();
+    Gen.minor_words (fun () ->
+        Obs.Trace.reset ();
+        Obs.Flightrec.reset ();
+        replay ())
+  in
+  let ratio = float_of_int on /. float_of_int off in
+  check Alcotest.bool
+    (Printf.sprintf "plane on allocates %d words vs %d off (%.4fx, at most 1.05x)"
+       on off ratio)
+    true (ratio <= 1.05)
+
+(* ------------------------------------------------------------------ *)
 (* The docs route table is generated, not hand-maintained.             *)
 
 let test_docs_route_table_in_sync () =
   let doc =
-    In_channel.with_open_text "../docs/OBSERVABILITY.md" In_channel.input_all
+    match Gen.repo_path "docs/OBSERVABILITY.md" with
+    | Some path -> In_channel.with_open_text path In_channel.input_all
+    | None -> Alcotest.fail "docs/OBSERVABILITY.md not found"
   in
   let table = Obs.Exposition.route_table_markdown () in
   check Alcotest.bool
@@ -556,4 +640,8 @@ let suite =
       test_concurrent_scrape_vs_sampler;
     Alcotest.test_case "docs route table matches the generated one" `Quick
       test_docs_route_table_in_sync;
+    Alcotest.test_case "degraded service queries are retained" `Quick
+      test_degraded_service_queries_retained;
+    Alcotest.test_case "the plane allocates within 5%" `Quick
+      test_plane_allocates_within_5pct;
   ]

@@ -242,11 +242,26 @@ let test_snapshot_reports_required_names () =
           "engine.cache.lookups";
           "engine.cache.hits";
           "engine.cache.misses";
+          "engine.cache.coalesced";
           "engine.context.builds";
+          "engine.pool.jobs_submitted";
+          "engine.pool.jobs_completed";
+          "engine.pool.queue_depth_hwm";
+          "engine.batch.batches";
+          "engine.batch.size";
+          "engine.batch.context_reuse_pct";
+          "engine.batch.pipeline_overlap_pct";
           "search.nodes";
           "search.pruned.distance";
           "service.stgq.latency_ns";
           "service.certify.latency_ns";
+          "obs.trace.spans";
+          "obs.flightrec.retained";
+          "obs.flightrec.sampled";
+          "obs.flightrec.evicted";
+          "obs.events.emitted";
+          "obs.events.fsync_ns";
+          "obs.runtime.samples";
         ])
 
 let suite =

@@ -18,32 +18,6 @@ let prop_parallel_matches_sequential =
           && Validate.is_valid_stg ti q b
       | _ -> false)
 
-(* One pool shared by every iteration of the stress property: queues
-   from consecutive cases overlap, exercising saturation and reuse. *)
-let stress_pool = lazy (Engine.Pool.create ~size:3 ())
-
-let prop_pooled_matches_unpooled =
-  Gen.qtest ~count:60 "pooled serving path = spawn-per-bucket path"
-    (Gen.stg_case ())
-    (fun case ->
-      let ti = Gen.temporal_instance_of_stg_case case in
-      let q = Gen.stgq_of_stg_case case in
-      let pool = Lazy.force stress_pool in
-      let pooled = Parallel.solve_report ~pool ti q in
-      let unpooled =
-        Parallel.solve_report_unpooled ~domains:(Engine.Pool.size pool) ti q
-      in
-      match (pooled.Parallel.solution, unpooled.Parallel.solution) with
-      | None, None -> true
-      | Some a, Some b ->
-          (* Same bucket partitioning, deterministic tie-breaking: the
-             two paths must agree exactly, not just on distance. *)
-          a.Query.st_attendees = b.Query.st_attendees
-          && a.Query.start_slot = b.Query.start_slot
-          && close a.Query.st_total_distance b.Query.st_total_distance
-          && Validate.is_valid_stg ti q a
-      | _ -> false)
-
 exception Boom of int
 
 let test_exception_propagation () =
@@ -122,5 +96,4 @@ let suite =
     Alcotest.test_case "submission order on a saturated queue" `Quick
       test_submission_order_saturated;
     prop_parallel_matches_sequential;
-    prop_pooled_matches_unpooled;
   ]

@@ -8,13 +8,6 @@ open Stgq_core
 
 let close a b = Float.abs (a -. b) <= 1e-6
 
-(* The test stanza runs with cwd _build/default/test ("cases"); the root
-   @props rule runs from _build/default ("test/cases"). *)
-let cases_dir () =
-  List.find_opt
-    (fun d -> Sys.file_exists d && Sys.is_directory d)
-    [ "cases"; "test/cases" ]
-
 let read_file path =
   let ic = open_in path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -65,7 +58,7 @@ let replay path () =
   | Gen.Stg stg -> replay_stg stg
 
 let corpus_tests =
-  match cases_dir () with
+  match Gen.repo_path "test/cases" with
   | None ->
       [
         Alcotest.test_case "corpus directory present" `Quick (fun () ->

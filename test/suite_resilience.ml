@@ -152,6 +152,34 @@ let prop_sg_unlimited_budget_identical =
       bare.solution = budgeted.solution
       && bare.stats.Search_core.nodes = budgeted.stats.Search_core.nodes)
 
+(* Budget checkpoints allocate nothing per node: on one domain a
+   no-limit budget returns the unbudgeted answer and node count, and
+   the words it adds to a cached solve are the same whether the search
+   visits a handful of nodes or crosses several checkpoints. *)
+let test_budget_words_independent_of_nodes () =
+  let ti = Gen.replay_ti in
+  let cache =
+    Engine.Cache.create ~schedules:ti.Query.schedules ti.Query.social.Query.graph
+  in
+  let extra q =
+    let ctx = Engine.Cache.context cache ~initiator:Gen.replay_initiator ~s:q.Query.s in
+    let solve ?budget () = Stgselect.solve_report ?budget ~ctx ti q in
+    let budget = Budget.create ~node_limit:max_int () in
+    let bare = solve () and budgeted = solve ~budget () in
+    check Alcotest.bool "same answer" true (bare.solution = budgeted.solution);
+    check Alcotest.int "same node count" bare.stats.Search_core.nodes
+      budgeted.stats.Search_core.nodes;
+    let words ?budget () = Gen.minor_words (fun () -> ignore (solve ?budget ())) in
+    (bare.stats.Search_core.nodes, words ~budget () - words ())
+  in
+  let tiny_nodes, tiny = extra Gen.tiny_q in
+  let heavy_nodes, heavy = extra Gen.heavy_q in
+  check Alcotest.bool "the heavy solve crosses budget checkpoints" true
+    (heavy_nodes - tiny_nodes >= 2 * Budget.check_interval);
+  check Alcotest.int
+    (Printf.sprintf "budget words at %d nodes = at %d nodes" heavy_nodes tiny_nodes)
+    tiny heavy
+
 (* Truncated solves never lie: Optimal matches the unbudgeted answer,
    Feasible_best carries a feasible incumbent with a sound gap sign,
    Exhausted carries nothing. *)
@@ -461,4 +489,6 @@ let suite =
     prop_unlimited_budget_identical;
     prop_sg_unlimited_budget_identical;
     prop_budgeted_outcome_sound;
+    Alcotest.test_case "budget: checkpoints allocate nothing per node" `Quick
+      test_budget_words_independent_of_nodes;
   ]

@@ -111,11 +111,6 @@ let test_hello_ping () =
 
 (* --- corpus replay: wire == direct -------------------------------- *)
 
-let cases_dir () =
-  List.find_opt
-    (fun d -> Sys.file_exists d && Sys.is_directory d)
-    [ "cases"; "test/cases" ]
-
 let read_file path =
   let ic = open_in path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -167,7 +162,7 @@ let replay_case path () =
   done
 
 let corpus_tests =
-  match cases_dir () with
+  match Gen.repo_path "test/cases" with
   | None ->
       [
         Alcotest.test_case "corpus directory present" `Quick (fun () ->

@@ -145,6 +145,38 @@ let test_disabled_records_no_spans () =
   let on = with_trace (fun () -> Stgselect.solve ti stg_query) in
   check Alcotest.bool "tracing changes no answer" true (off = on)
 
+(* Tracing costs per span, not per search node: on one domain it adds
+   the same minor words to a cached query whose search visits a handful
+   of nodes as to one that visits hundreds (give or take a few words of
+   attribute strings), and at most 5% of either query's allocation. *)
+let test_tracing_words_independent_of_nodes () =
+  let service = Service.create Gen.replay_ti in
+  let ask q () =
+    ignore
+      (Service.stgq_r service ~initiator:Gen.replay_initiator q
+        : (Query.stg_solution Resilience.answer, Resilience.error) result)
+  in
+  let nodes q =
+    (Stgselect.solve_report Gen.replay_ti q).Stgselect.stats.Search_core.nodes
+  in
+  check Alcotest.bool "the heavy query searches hundreds of nodes more" true
+    (nodes Gen.heavy_q - nodes Gen.tiny_q >= 2 * Budget.check_interval);
+  let cost q =
+    ask q () (* context built and cached *);
+    let off = Gen.minor_words (ask q) in
+    let on = with_trace (fun () -> ask q (); Gen.minor_words (ask q)) in
+    check Alcotest.bool
+      (Printf.sprintf "tracing adds %d words to %d (at most 5%%)" (on - off) off)
+      true
+      (float_of_int on <= 1.05 *. float_of_int off);
+    on - off
+  in
+  let tiny = cost Gen.tiny_q and heavy = cost Gen.heavy_q in
+  check Alcotest.bool
+    (Printf.sprintf "same traced words at both sizes (%d vs %d)" tiny heavy)
+    true
+    (abs (heavy - tiny) <= 8)
+
 (* ------------------------------------------------------------------ *)
 (* Waterfall accounting identity.                                      *)
 
@@ -199,8 +231,7 @@ let test_delta_subtracts_counters () =
 
 (* The trace totals must reach snapshots through the counter source:
    a snapshot taken while tracing is on reports exactly what the Trace
-   module counted (this is the number _build/default/BENCH_obs.json
-   publishes). *)
+   module counted (the obs.trace.spans counter /metrics publishes). *)
 let test_trace_totals_surface_in_snapshot () =
   with_obs @@ fun () ->
   Obs.Trace.set_enabled true;
@@ -334,4 +365,6 @@ let suite =
     Alcotest.test_case "exposition over a unix socket" `Quick
       test_unix_socket_serve;
     Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape;
+    Alcotest.test_case "tracing words do not grow with search nodes" `Quick
+      test_tracing_words_independent_of_nodes;
   ]
