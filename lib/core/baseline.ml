@@ -170,7 +170,6 @@ let stgq_per_slot ?(config = Search_core.default_config)
     let[@lint.bounded] rec go o = o >= query.m || (Timetable.Availability.available a (start + o) && go (o + 1)) in
     go 0
   in
-  let q0 = ti.social.Query.initiator in
   let stats = Search_core.fresh_stats () in
   let windows = ref 0 in
   let best = ref None in
@@ -190,7 +189,7 @@ let stgq_per_slot ?(config = Search_core.default_config)
       Array.init (Feasible.size fg) (fun v ->
           naive_window_free ti.schedules.(fg.Feasible.of_sub.(v)) s)
     in
-    if available.(fg.Feasible.to_sub.(q0)) then begin
+    if available.(fg.Feasible.q) then begin
       let consider distance group =
         match !best with
         | Some (btd, _, _) when distance >= btd -. 1e-12 -> ()

@@ -8,8 +8,7 @@
 
 type t = Engine.Feasible.t = {
   sub : Socgraph.Graph.t;   (** induced feasible graph over sub-ids *)
-  of_sub : int array;       (** sub-id -> original vertex *)
-  to_sub : int array;       (** original vertex -> sub-id or [-1] *)
+  of_sub : int array;       (** sub-id -> original vertex, increasing *)
   q : int;                  (** the initiator's sub-id *)
   dist : float array;       (** sub-id -> s-edge minimum distance to q *)
   nbr : Bitset.t array;     (** sub-id -> neighbour bitset in [sub] *)
@@ -19,6 +18,10 @@ type t = Engine.Feasible.t = {
 val extract : Query.instance -> s:int -> t
 
 val size : t -> int
+
+(** [sub_id fg v] is the sub-id of original vertex [v], or [-1] outside
+    the feasible graph (see {!Engine.Feasible.sub_id}). *)
+val sub_id : t -> int -> int
 
 (** [adjacent fg u v] is adjacency between sub-ids, O(1) via bitsets. *)
 val adjacent : t -> int -> int -> bool

@@ -193,8 +193,8 @@ let beam_sgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
 let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
     (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
-  Query.check_temporal_instance ti;
   if width < 1 then invalid_arg "Heuristics.beam_stgq: width must be >= 1";
+  (* As in [Stgselect.solve_report]: only a fresh instance is checked. *)
   let ctx =
     match ctx with
     | Some c ->

@@ -16,7 +16,7 @@ let round_robin chunks items =
 
 let prepare ?ctx (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
-  Query.check_temporal_instance ti;
+  (* As in [Stgselect.solve_report]: only a fresh instance is checked. *)
   let ctx =
     match ctx with
     | Some c ->

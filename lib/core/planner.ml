@@ -82,7 +82,7 @@ let update_schedule t ~vertex schedule =
   let dirty =
     (* Only members of the feasible graph influence results, but the
        schedule copy is refreshed regardless. *)
-    if t.ctx.Engine.Context.fg.Feasible.to_sub.(vertex) < 0 then [||]
+    if Feasible.sub_id t.ctx.Engine.Context.fg vertex < 0 then [||]
     else Array.map dirty_pivot t.pivots
   in
   (* Install the new calendar in place so the sub-id aliases see it. *)

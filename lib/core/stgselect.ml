@@ -44,7 +44,9 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
       ]
   @@ fun () ->
   Query.check_stgq query;
-  Query.check_temporal_instance ti;
+  (* A supplied context was built, and its schedules checked, when it
+     was made; [context_of_temporal] checks a fresh instance.  Either
+     way no solve walks all n schedules. *)
   let ctx =
     match ctx with
     | Some c ->

@@ -24,6 +24,95 @@ let pp_violation ppf = function
   | Availability_violation { vertex; slot } ->
       Format.fprintf ppf "attendee %d unavailable at slot %d" vertex slot
 
+(* The certifier's ball: member ids in discovery order, so each hop's
+   frontier is a contiguous range, and an open-addressing table (linear
+   probing, at most half full) from id to discovery position.  Both are
+   sized by the ball, never by n, and are plain int arrays: a
+   [Stdlib.Hashtbl] allocates a bucket per entry. *)
+type ball = {
+  mutable ids : int array;
+  mutable count : int;
+  mutable table : int array;  (* discovery position + 1; 0 = empty *)
+}
+
+(* The slot holding [v], or the empty slot where [v] would go. *)
+let slot b v =
+  let mask = Array.length b.table - 1 in
+  let h = v * 0x9E3779B97F4A7C1 in
+  let i = ref ((h lxor (h lsr 32)) land mask) in
+  while b.table.(!i) <> 0 && b.ids.(b.table.(!i) - 1) <> v do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* [v]'s discovery position, or -1 outside the ball. *)
+let position b v = b.table.(slot b v) - 1
+
+(* Double both arrays and rehash: the table stays at most half full. *)
+let grow b =
+  let ids = Array.make (2 * Array.length b.ids) 0 in
+  Array.blit b.ids 0 ids 0 b.count;
+  b.ids <- ids;
+  b.table <- Array.make (2 * Array.length ids) 0;
+  for i = 0 to b.count - 1 do
+    b.table.(slot b ids.(i)) <- i + 1
+  done
+
+let add b v =
+  if b.count = Array.length b.ids then grow b;
+  let i = slot b v in
+  if b.table.(i) = 0 then begin
+    b.ids.(b.count) <- v;
+    b.count <- b.count + 1;
+    b.table.(i) <- b.count
+  end
+
+(* The certifier's own [s]-edge minimum distances from [q], recomputed
+   over [q]'s s-hop ball only.  A breadth-first search bounded to [s]
+   hops collects the ball; then the synchronous Definition-1 DP runs at
+   most [s] rounds on arrays indexed by discovery position.  Every path
+   of at most [s] edges from [q] stays inside the ball, so the
+   restriction loses nothing, and the cost follows the ball, not n.
+   It shares no code with the search's extraction
+   ([Socgraph.Bounded_dist.ball]), so a distance bug there cannot
+   certify itself.  Returns the ball and its distances by position. *)
+let radius_distances g ~q ~s =
+  if q < 0 || q >= Socgraph.Graph.n_vertices g then
+    invalid_arg "Validate: initiator out of range";
+  if s < 0 then invalid_arg "Validate: negative radius";
+  let b = { ids = Array.make 16 0; count = 0; table = Array.make 32 0 } in
+  add b q;
+  let lo = ref 0 and hop = ref 0 in
+  while !lo < b.count && !hop < s do
+    incr hop;
+    let hi = b.count in
+    for i = !lo to hi - 1 do
+      Socgraph.Graph.iter_neighbors g b.ids.(i) (fun v _ -> add b v)
+    done;
+    lo := hi
+  done;
+  let k = b.count in
+  let prev = Array.make k infinity in
+  prev.(0) <- 0.;
+  let next = Array.copy prev in
+  let round = ref 0 and changed = ref true in
+  while !changed && !round < s do
+    incr round;
+    changed := false;
+    for i = 0 to k - 1 do
+      let du = prev.(i) in
+      if Float.is_finite du then
+        Socgraph.Graph.iter_neighbors g b.ids.(i) (fun v w ->
+            let j = position b v in
+            if j >= 0 && du +. w < next.(j) then begin
+              next.(j) <- du +. w;
+              changed := true
+            end)
+    done;
+    Array.blit next 0 prev 0 k
+  done;
+  (b, prev)
+
 let group_violations (instance : Query.instance) (query : Query.sgq) attendees
     reported_distance =
   let g = instance.graph and q = instance.initiator in
@@ -42,11 +131,12 @@ let group_violations (instance : Query.instance) (query : Query.sgq) attendees
   dups (List.sort compare attendees);
   let in_range = List.filter (fun v -> v >= 0 && v < n) attendees in
   List.iter (fun v -> if not (List.mem v in_range) then add (Unknown_vertex v)) attendees;
-  let dist = Socgraph.Bounded_dist.distances g ~src:q ~max_edges:query.s in
+  let ball, dist = radius_distances g ~q ~s:query.s in
   let actual = ref 0. in
   List.iter
     (fun v ->
-      if Float.is_finite dist.(v) then actual := !actual +. dist.(v)
+      let j = position ball v in
+      if j >= 0 && Float.is_finite dist.(j) then actual := !actual +. dist.(j)
       else add (Radius_violation v))
     in_range;
   if Float.abs (!actual -. reported_distance) > 1e-6 then

@@ -2,7 +2,12 @@
 
     Validators recompute every constraint from the raw instance — they
     share no code with the solvers, so a solver bug cannot hide behind a
-    checker bug.  Tests run every solver output through these. *)
+    checker bug.  Tests run every solver output through these.
+
+    Distances are recomputed over the initiator's s-hop ball only: a
+    breadth-first search bounded to [s] hops, then the synchronous
+    Definition-1 DP on arrays indexed by ball position.  A check costs
+    what the ball costs, whatever the size of the graph. *)
 
 type violation =
   | Wrong_size of { expected : int; got : int }

@@ -70,7 +70,15 @@ let create ?(capacity = 64) ?schedules graph =
   (match schedules with
   | Some a when Array.length a <> Socgraph.Graph.n_vertices graph ->
       invalid_arg "Engine.Cache.create: need one schedule per vertex"
-  | Some _ | None -> ());
+  | Some a ->
+      (* The one O(n) horizon pass: [set_schedule] checks each edit and
+         [Context.build] only the ball it reads. *)
+      Array.iter
+        (fun s ->
+          if Timetable.Availability.horizon s <> Timetable.Availability.horizon a.(0)
+          then invalid_arg "Engine.Cache.create: schedules disagree on horizon")
+        a
+  | None -> ());
   {
     capacity;
     schedules;
@@ -244,13 +252,10 @@ let drop_touched_locked t touched =
   let doomed =
     Hashtbl.fold
       (fun key (n : node) acc ->
-        let to_sub = n.ctx.Context.fg.Feasible.to_sub in
-        let affected =
-          List.exists
-            (fun v -> v >= 0 && v < Array.length to_sub && to_sub.(v) >= 0)
-            touched
-        in
-        if affected then (key, n) :: acc else acc)
+        let fg = n.ctx.Context.fg in
+        if List.exists (fun v -> Feasible.sub_id fg v >= 0) touched then
+          (key, n) :: acc
+        else acc)
       t.table []
   in
   List.iter

@@ -43,9 +43,11 @@ type stats = {
 (** [create ?capacity ?schedules graph] — [capacity] (default 64) bounds
     the number of live contexts.  The [schedules] array is adopted, not
     copied: pass copies if the caller retains mutable access.  Omit it
-    for a social-only (SGQ) cache.
-    @raise Invalid_argument if [capacity < 1] or [schedules] has a
-    length other than the vertex count. *)
+    for a social-only (SGQ) cache.  This is where all [n] schedules are
+    checked to share one horizon, once: {!set_schedule} keeps that
+    invariant edit by edit, so {!Context.build} reads only its ball.
+    @raise Invalid_argument if [capacity < 1], or [schedules] has a
+    length other than the vertex count or disagrees on horizon. *)
 val create :
   ?capacity:int ->
   ?schedules:Timetable.Availability.t array ->

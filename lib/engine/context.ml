@@ -23,13 +23,17 @@ let build ?schedules graph ~initiator ~s =
     | Some schedules ->
         if Array.length schedules <> Socgraph.Graph.n_vertices graph then
           invalid_arg "Engine.Context.build: need one schedule per vertex";
-        let horizon = Timetable.Availability.horizon schedules.(0) in
+        (* Only the ball's calendars are read here; the whole array's
+           horizon is checked once, where it is installed
+           ({!Cache.create}). *)
+        let avail = Array.map (fun orig -> schedules.(orig)) fg.Feasible.of_sub in
+        let horizon = Timetable.Availability.horizon avail.(fg.Feasible.q) in
         Array.iter
           (fun a ->
             if Timetable.Availability.horizon a <> horizon then
               invalid_arg "Engine.Context.build: schedules disagree on horizon")
-          schedules;
-        (horizon, Array.map (fun orig -> schedules.(orig)) fg.Feasible.of_sub)
+          avail;
+        (horizon, avail)
   in
   { graph; initiator; s; fg; horizon; avail; pivot_memo = Atomic.make [] }
 

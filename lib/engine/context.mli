@@ -32,9 +32,12 @@ type t = {
 (** [build ?schedules g ~initiator ~s] extracts the feasible graph and
     assembles the context.  Omit [schedules] for a social-only (SGQ)
     context; temporal accessors then raise.
+    Only the feasible members' schedules are read, so the build costs
+    what the ball costs; that all [n] share one horizon is the
+    installer's check ({!Cache.create}).
     @raise Invalid_argument if [initiator] is out of range, [s < 1],
     [schedules] has a length other than the vertex count, or the
-    schedules disagree on horizon. *)
+    feasible members' schedules disagree on horizon. *)
 val build :
   ?schedules:Timetable.Availability.t array ->
   Socgraph.Graph.t ->

@@ -1,26 +1,38 @@
 type t = {
   sub : Socgraph.Graph.t;
   of_sub : int array;
-  to_sub : int array;
   q : int;
   dist : float array;
   nbr : Bitset.t array;
 }
 
+(* Binary search over the sorted [of_sub]: O(log |V_F|) and no n-sized
+   inverse map, which at n = 100k would cost each cached context 800 KB. *)
+let index_of (of_sub : int array) (v : int) =
+  let lo = ref 0 and hi = ref (Array.length of_sub - 1) in
+  let res = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = of_sub.(mid) in
+    if x = v then begin
+      res := mid;
+      lo := !hi + 1
+    end
+    else if x < v then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !res
+
+let sub_id t v = index_of t.of_sub v
+
 let extract g ~initiator ~s =
   if initiator < 0 || initiator >= Socgraph.Graph.n_vertices g then
     invalid_arg "Engine.Feasible.extract: initiator out of range";
   if s < 1 then invalid_arg "Engine.Feasible.extract: s must be >= 1";
-  let d = Socgraph.Bounded_dist.distances g ~src:initiator ~max_edges:s in
-  let kept = ref [] in
-  for v = Socgraph.Graph.n_vertices g - 1 downto 0 do
-    if Float.is_finite d.(v) then kept := v :: !kept
-  done;
-  let sub, to_sub, of_sub = Socgraph.Graph.induced g !kept in
-  let size = Array.length of_sub in
-  let dist = Array.init size (fun i -> d.(of_sub.(i))) in
-  let nbr = Array.init size (fun i -> Socgraph.Graph.neighbor_bitset sub i) in
-  { sub; of_sub; to_sub; q = to_sub.(initiator); dist; nbr }
+  let of_sub, dist = Socgraph.Bounded_dist.ball g ~src:initiator ~max_edges:s in
+  let sub = Socgraph.Graph.induced g of_sub in
+  let nbr = Array.init (Array.length of_sub) (Socgraph.Graph.neighbor_bitset sub) in
+  { sub; of_sub; q = index_of of_sub initiator; dist; nbr }
 
 let size t = Array.length t.of_sub
 let adjacent t u v = u <> v && Bitset.mem t.nbr.(u) v

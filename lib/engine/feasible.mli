@@ -1,28 +1,36 @@
 (** Radius-graph extraction (§3.2.1 of the paper).
 
-    Runs the Definition-1 dynamic program from the initiator and keeps the
-    vertices with finite [s]-edge minimum distance, yielding the feasible
-    graph [G_F] every query algorithm works on.  Vertices are re-indexed
-    to the compact range [0 .. size-1]; all search code operates on
-    sub-ids and translates back at the boundary.
+    Runs the Definition-1 dynamic program from the initiator over its
+    [s]-hop ball ({!Socgraph.Bounded_dist.ball}) and keeps the vertices
+    with finite [s]-edge minimum distance, yielding the feasible graph
+    [G_F] every query algorithm works on.  Vertices are re-indexed to
+    the compact range [0 .. size-1] in increasing original-id order; all
+    search code operates on sub-ids and translates back at the boundary.
+    Nothing here is sized by the whole graph: a context costs what its
+    ball costs.
 
     This is the engine-level (graph, initiator) API; [Stgq_core.Feasible]
     re-exports it behind the [Query.instance] interface. *)
 
 type t = {
   sub : Socgraph.Graph.t;   (** induced feasible graph over sub-ids *)
-  of_sub : int array;       (** sub-id -> original vertex *)
-  to_sub : int array;       (** original vertex -> sub-id or [-1] *)
+  of_sub : int array;       (** sub-id -> original vertex, increasing *)
   q : int;                  (** the initiator's sub-id *)
   dist : float array;       (** sub-id -> s-edge minimum distance to q *)
   nbr : Bitset.t array;     (** sub-id -> neighbour bitset in [sub] *)
 }
 
-(** [extract g ~initiator ~s] builds the feasible graph.
+(** [extract g ~initiator ~s] builds the feasible graph, in time and
+    memory that follow the ball's size and degrees, not the vertex count.
     @raise Invalid_argument if [initiator] is out of range or [s < 1]. *)
 val extract : Socgraph.Graph.t -> initiator:int -> s:int -> t
 
 val size : t -> int
+
+(** [sub_id fg v] is the sub-id of original vertex [v], or [-1] when [v]
+    lies outside the feasible graph (any [v], in range or not) — a
+    binary search over [of_sub]. *)
+val sub_id : t -> int -> int
 
 (** [adjacent fg u v] is adjacency between sub-ids, O(1) via bitsets. *)
 val adjacent : t -> int -> int -> bool

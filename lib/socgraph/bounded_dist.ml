@@ -73,10 +73,76 @@ let shortest_path g ~src ~max_edges ~dst =
     Some (back dst max_edges [], total)
   end
 
-let reachable g ~src ~max_edges =
-  let d = distances g ~src ~max_edges in
-  let acc = ref [] in
-  for v = Graph.n_vertices g - 1 downto 0 do
-    if Float.is_finite d.(v) then acc := v :: !acc
+(* Scratch for [ball]: an n-sized distance buffer, all [infinity]
+   between calls, and a byte per vertex marking membership of the next
+   frontier, all zero between calls.  [ball] resets exactly the entries
+   it touched before handing a buffer back, so a request pays for its
+   ball, not for n.  Buffers live on a lock-free free-list rather than
+   in [Domain.DLS]: the wire server runs one systhread per connection
+   inside a single domain, and those threads share that domain's DLS.
+   The pool is process-wide on purpose: it holds no state a caller can
+   observe, only reset buffers, so it cannot break re-entrancy. *)
+type scratch = { best : float array; queued : Bytes.t }
+
+(* lint: allow toplevel-state *)
+let spare : scratch list Atomic.t = Atomic.make []
+
+(* A buffer too small for this graph is dropped for the collector. *)
+let rec take n =
+  match Atomic.get spare with
+  | [] -> { best = Array.make n infinity; queued = Bytes.make n '\000' }
+  | s :: rest as cur ->
+      if not (Atomic.compare_and_set spare cur rest) then take n
+      else if Array.length s.best >= n then s
+      else take n
+
+let rec give s =
+  let cur = Atomic.get spare in
+  if not (Atomic.compare_and_set spare cur (s :: cur)) then give s
+
+let ball g ~src ~max_edges =
+  let n = Graph.n_vertices g in
+  if src < 0 || src >= n then invalid_arg "Bounded_dist.ball: src out of range";
+  if max_edges < 0 then invalid_arg "Bounded_dist.ball: negative max_edges";
+  let { best; queued } = take n in
+  best.(src) <- 0.;
+  let touched = ref [ src ] in
+  let frontier = ref [ src ] in
+  let round = ref 0 in
+  (* Round h pushes from the vertices round h-1 improved, at the value
+     round h-1 left them; a vertex that did not improve already pushed
+     that value.  Reading [from] rather than [best] keeps a path to at
+     most h edges even when a frontier vertex improves again during the
+     round — the synchronous DP of [distances], value for value. *)
+  while !frontier <> [] && !round < max_edges do
+    incr round;
+    let from =
+      List.map
+        (fun u ->
+          Bytes.set queued u '\000';
+          (u, best.(u)))
+        !frontier
+    in
+    let next = ref [] in
+    List.iter
+      (fun (u, du) ->
+        Graph.iter_neighbors g u (fun v w ->
+            let through = du +. w in
+            if through < best.(v) then begin
+              if best.(v) = infinity then touched := v :: !touched;
+              best.(v) <- through;
+              if Bytes.get queued v = '\000' then begin
+                Bytes.set queued v '\001';
+                next := v :: !next
+              end
+            end))
+      from;
+    frontier := !next
   done;
-  !acc
+  List.iter (fun v -> Bytes.set queued v '\000') !frontier;
+  let ids = Array.of_list !touched in
+  Array.sort Int.compare ids;
+  let dist = Array.map (fun v -> best.(v)) ids in
+  Array.iter (fun v -> best.(v) <- infinity) ids;
+  give { best; queued };
+  (ids, dist)

@@ -17,9 +17,18 @@
     @raise Invalid_argument if [src] is out of range or [max_edges < 0]. *)
 val distances : Graph.t -> src:int -> max_edges:int -> float array
 
-(** [reachable g ~src ~max_edges] lists vertices at finite [max_edges]-edge
-    distance from [src] (including [src]), in increasing id order. *)
-val reachable : Graph.t -> src:int -> max_edges:int -> int list
+(** [ball g ~src ~max_edges] is [(ids, dist)]: [ids] lists, in
+    increasing order, the vertices at finite [max_edges]-edge distance
+    from [src] ([src] included), and [dist.(i)] is that distance for
+    [ids.(i)] — bit for bit the value {!distances} computes.
+    Frontier relaxation: round [h] pushes only from the vertices that
+    improved in round [h-1], at their round-[h-1] values, so the work
+    and allocation follow the ball, not [n].  The n-sized scratch comes
+    from a process-wide free-list of reset buffers and is reset through
+    the touched vertices; concurrent calls from any thread or domain
+    take distinct buffers.
+    @raise Invalid_argument if [src] is out of range or [max_edges < 0]. *)
+val ball : Graph.t -> src:int -> max_edges:int -> int array * float array
 
 (** [shortest_path g ~src ~max_edges ~dst] is [Some (path, distance)]
     where [path] is a minimum-distance path from [src] to [dst] using at

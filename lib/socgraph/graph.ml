@@ -119,21 +119,23 @@ let of_sorted_arrays ~n ~us ~vs ~ws =
   done;
   { n; m; row; adj; wgt }
 
-(* Binary search for [u] within the sorted row of [v]; returns slot or -1. *)
-let find_slot g v u =
-  let lo = ref g.row.(v) and hi = ref (g.row.(v + 1) - 1) in
-  let res = ref (-1) in
-  while !lo <= !hi do
+(* First index of the sorted slice [lo, hi) of [a] holding a value
+   >= [x]: where [x] sits or would be inserted. *)
+let lower_bound (a : int array) lo hi (x : int) =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let x = g.adj.(mid) in
-    if x = u then begin
-      res := mid;
-      lo := !hi + 1
-    end
-    else if x < u then lo := mid + 1
-    else hi := mid - 1
+    if a.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  !res
+  !lo
+
+(* Index of [x] in the sorted slice [lo, hi) of [a], or -1. *)
+let find_sorted a lo hi x =
+  let i = lower_bound a lo hi x in
+  if i < hi && a.(i) = x then i else -1
+
+(* The slot of [u] within the sorted row of [v], or -1. *)
+let find_slot g v u = find_sorted g.adj g.row.(v) g.row.(v + 1) u
 
 let adjacent g u v = u <> v && find_slot g u v >= 0
 
@@ -168,27 +170,89 @@ let neighbor_bitset g v =
   iter_neighbors g v (fun u _ -> Bitset.set b u);
   b
 
+(* Sub ids follow [vs]'s order, so each sub row inherits the sortedness
+   of the row it filters.  A sub row holds at most min(degree, |vs| - 1)
+   entries, which bounds the arrays for a single filling pass. *)
 let induced g vs =
-  let to_sub = Array.make g.n (-1) in
-  let count = ref 0 in
-  List.iter
-    (fun v ->
+  let k = Array.length vs in
+  Array.iteri
+    (fun i v ->
       if v < 0 || v >= g.n then invalid_arg "Graph.induced: vertex out of range";
-      if to_sub.(v) < 0 then begin
-        to_sub.(v) <- !count;
-        incr count
-      end)
+      if i > 0 && vs.(i - 1) >= v then
+        invalid_arg "Graph.induced: ids not strictly increasing")
     vs;
-  let of_sub = Array.make !count 0 in
-  Array.iteri (fun v s -> if s >= 0 then of_sub.(s) <- v) to_sub;
-  let sub_edges = ref [] in
-  Array.iter
-    (fun v ->
-      iter_neighbors g v (fun u w ->
-          if v < u && to_sub.(u) >= 0 then
-            sub_edges := (to_sub.(v), to_sub.(u), w) :: !sub_edges))
-    of_sub;
-  (of_edges !count !sub_edges, to_sub, of_sub)
+  let cap = Array.fold_left (fun acc v -> acc + min (degree g v) (k - 1)) 0 vs in
+  let adj = Array.make (max 1 cap) 0 in
+  let wgt = Array.make (max 1 cap) 0. in
+  let row = Array.make (k + 1) 0 in
+  Array.iteri
+    (fun i v ->
+      let at = ref row.(i) in
+      for e = g.row.(v) to g.row.(v + 1) - 1 do
+        let s = find_sorted vs 0 k g.adj.(e) in
+        if s >= 0 then begin
+          adj.(!at) <- s;
+          wgt.(!at) <- g.wgt.(e);
+          incr at
+        end
+      done;
+      row.(i + 1) <- !at)
+    vs;
+  let len = max 1 row.(k) in
+  { n = k; m = row.(k) / 2; row; adj = Array.sub adj 0 len; wgt = Array.sub wgt 0 len }
+
+(* The edge {lo,hi} (lo < hi) occupies one slot in row [lo] and one in
+   row [hi]; row [lo] precedes row [hi] in [adj], so its slot [a] comes
+   first.  Removing or inserting both slots shifts the rows strictly
+   after [lo] by one and those strictly after [hi] by two. *)
+let with_edge g u v w =
+  if u = v then invalid_arg (Printf.sprintf "Graph.with_edge: self-loop at %d" u);
+  (match w with
+  | Some w -> validate_edge g.n (u, v, w)
+  | None ->
+      if u < 0 || u >= g.n || v < 0 || v >= g.n then
+        invalid_arg (Printf.sprintf "Graph.with_edge: edge (%d,%d) out of [0,%d)" u v g.n));
+  let lo = min u v and hi = max u v in
+  let len = 2 * g.m in
+  let a = lower_bound g.adj g.row.(lo) g.row.(lo + 1) hi in
+  let b = lower_bound g.adj g.row.(hi) g.row.(hi + 1) lo in
+  let present = a < g.row.(lo + 1) && g.adj.(a) = hi in
+  let shift_rows d =
+    Array.mapi
+      (fun x r -> if x <= lo then r else if x <= hi then r + d else r + (2 * d))
+      g.row
+  in
+  match (present, w) with
+  | false, None -> g
+  | true, Some w ->
+      let wgt = Array.copy g.wgt in
+      wgt.(a) <- w;
+      wgt.(b) <- w;
+      { g with wgt }
+  | true, None ->
+      let adj = Array.make (max 1 (len - 2)) 0 in
+      let wgt = Array.make (max 1 (len - 2)) 0. in
+      let cut src dst =
+        Array.blit src 0 dst 0 a;
+        Array.blit src (a + 1) dst a (b - a - 1);
+        Array.blit src (b + 1) dst (b - 1) (len - b - 1)
+      in
+      cut g.adj adj;
+      cut g.wgt wgt;
+      { n = g.n; m = g.m - 1; row = shift_rows (-1); adj; wgt }
+  | false, Some w ->
+      let adj = Array.make (len + 2) 0 in
+      let wgt = Array.make (len + 2) 0. in
+      let splice src dst x y =
+        Array.blit src 0 dst 0 a;
+        dst.(a) <- x;
+        Array.blit src a dst (a + 1) (b - a);
+        dst.(b + 1) <- y;
+        Array.blit src b dst (b + 2) (len - b)
+      in
+      splice g.adj adj hi lo;
+      splice g.wgt wgt w w;
+      { n = g.n; m = g.m + 1; row = shift_rows 1; adj; wgt }
 
 let pp ppf g = Format.fprintf ppf "graph(%d vertices, %d edges)" g.n g.m
 

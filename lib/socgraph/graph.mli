@@ -62,10 +62,23 @@ val edges : t -> edge list
     the neighbours of [v] set. *)
 val neighbor_bitset : t -> int -> Bitset.t
 
-(** [induced g vs] is the subgraph induced by the vertex list [vs]
-    (duplicates ignored), together with [to_sub] and [of_sub] index maps:
-    [to_sub.(original) = sub id or -1], [of_sub.(sub id) = original]. *)
-val induced : t -> int list -> t * int array * int array
+(** [induced g vs] is the subgraph induced by [vs], a strictly
+    increasing array of vertex ids: sub id [i] is vertex [vs.(i)], so
+    [vs] itself maps sub ids back to [g]'s ids.  Builds the sub-CSR
+    directly, locating neighbours in [vs] by binary search, in
+    O(sum of the members' degrees x log |vs|) with no n-sized array.
+    @raise Invalid_argument if [vs] is not strictly increasing or holds
+    an out-of-range id. *)
+val induced : t -> int array -> t
+
+(** [with_edge g u v w] is a copy of [g] in which the undirected edge
+    [{u,v}] has weight [w] — added, or its weight replaced — when [w] is
+    [Some w], and is absent when [w] is [None] (removing an absent edge
+    returns [g] itself).  Splices the two rows into copies of the CSR
+    arrays, keeping every row sorted: O(n + m) blits, no rebuild.
+    @raise Invalid_argument on [u = v], an out-of-range endpoint, or a
+    non-positive or non-finite weight. *)
+val with_edge : t -> int -> int -> float option -> t
 
 (** [pp] prints a terse [n/m] summary. *)
 val pp : Format.formatter -> t -> unit

@@ -156,29 +156,12 @@ let apply_delta st d =
           if u = v then Error (Printf.sprintf "edge_add: self-loop at %d" u)
           else if (not (Float.is_finite w)) || w <= 0. then
             Error (Printf.sprintf "edge_add: weight %g not positive" w)
-          else
-            let lo = min u v and hi = max u v in
-            let rest =
-              List.filter
-                (fun (a, b, _) -> not (a = lo && b = hi))
-                (Socgraph.Graph.edges st.graph)
-            in
-            Ok
-              {
-                st with
-                graph = Socgraph.Graph.of_edges n ((lo, hi, w) :: rest);
-              })
+          else Ok { st with graph = Socgraph.Graph.with_edge st.graph u v (Some w) })
   | Edge_remove { u; v } -> (
       match (check_vertex "edge_remove" u, check_vertex "edge_remove" v) with
       | Error e, _ | _, Error e -> Error e
-      | Ok (), Ok () ->
-          let lo = min u v and hi = max u v in
-          let rest =
-            List.filter
-              (fun (a, b, _) -> not (a = lo && b = hi))
-              (Socgraph.Graph.edges st.graph)
-          in
-          Ok { st with graph = Socgraph.Graph.of_edges n rest })
+      | Ok (), Ok () when u = v -> Ok st (* no self-loop to remove *)
+      | Ok (), Ok () -> Ok { st with graph = Socgraph.Graph.with_edge st.graph u v None })
   | Avail_flip { vertex; slot } -> (
       match check_vertex "avail_flip" vertex with
       | Error e -> Error e

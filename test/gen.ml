@@ -292,6 +292,23 @@ let minor_words f =
   in
   int_of_float (Float.min (once ()) (Float.min (once ()) (once ())))
 
+(* All words [f] allocates on the calling domain, wherever they land:
+   minor + major - promoted.  An array over [Max_young_wosize] words,
+   such as one sized by the vertex count, goes straight to the major
+   heap and never shows in [Gc.minor_words].  The minor part reads
+   [Gc.minor_words], which is exact; the one in [Gc.counters] advances
+   only at minor collections. *)
+let allocated_words f =
+  let once () =
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    f ();
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  int_of_float (Float.min (once ()) (Float.min (once ()) (once ())))
+
 (* The replay workload of these counts: a 600-member coauthor world
    served by a pool-less [Service], so every solve runs on the calling
    domain.  [tiny_q]'s exact search visits a handful of nodes and

@@ -37,11 +37,10 @@ let brute_best g ~anchor =
     if mask land (1 lsl anchor) <> 0 then begin
       let vs = List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init n Fun.id) in
       (* connectivity within the induced subgraph *)
-      let sub, to_sub, _ = G.induced g vs in
+      let sub = G.induced g (Array.of_list vs) in
       let ids, comps = Socgraph.Traversal.components sub in
       let connected = comps <= 1 || List.length vs <= 1 in
       ignore ids;
-      ignore to_sub;
       if connected && List.length vs >= 2 then
         best := max !best (CS.min_internal_degree g vs)
     end
@@ -71,7 +70,7 @@ let prop_community_is_connected =
       let g = G.of_edges n edges in
       ignore n;
       let community = CS.search g ~anchor:0 in
-      let sub, _, _ = G.induced g community in
+      let sub = G.induced g (Array.of_list (List.sort_uniq compare community)) in
       Socgraph.Traversal.is_connected sub)
 
 let test_no_size_control () =

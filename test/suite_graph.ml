@@ -43,13 +43,23 @@ let test_rejects_bad_edges () =
   expect_invalid (fun () -> G.of_edges 3 [ (0, 1, Float.nan) ])
 
 let test_induced () =
-  let sub, to_sub, of_sub = G.induced diamond [ 0; 1; 3 ] in
+  (* sub ids 0, 1, 2 are vertices 0, 1, 3 *)
+  let sub = G.induced diamond [| 0; 1; 3 |] in
   check Alcotest.int "induced vertices" 3 (G.n_vertices sub);
   check Alcotest.int "induced edges" 2 (G.n_edges sub);
-  check Alcotest.bool "0-1 kept" true (G.adjacent sub to_sub.(0) to_sub.(1));
-  check Alcotest.bool "1-3 kept" true (G.adjacent sub to_sub.(1) to_sub.(3));
-  check Alcotest.bool "0-3 absent" false (G.adjacent sub to_sub.(0) to_sub.(3));
-  Array.iteri (fun s orig -> check Alcotest.int "roundtrip" s to_sub.(orig)) of_sub
+  check Alcotest.bool "0-1 kept" true (G.adjacent sub 0 1);
+  check Alcotest.bool "1-3 kept" true (G.adjacent sub 1 2);
+  check Alcotest.bool "0-3 absent" false (G.adjacent sub 0 2);
+  check (Alcotest.option (Alcotest.float 0.)) "1-3 weight" (Some 2.)
+    (G.edge_weight sub 1 2);
+  let expect_invalid vs =
+    match G.induced diamond vs with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "expected Invalid_argument"
+  in
+  expect_invalid [| 1; 0 |];
+  expect_invalid [| 1; 1 |];
+  expect_invalid [| 0; 4 |]
 
 let test_bounded_dist_fixture () =
   let d1 = BD.distances diamond ~src:0 ~max_edges:1 in
@@ -83,29 +93,124 @@ let small_graph_arb =
       let edges st = Gen.graph_edges ~n ~density:0.4 st in
       pair (return n) edges)
 
-let prop_bounded_dist =
-  Gen.qtest ~count:150 "Definition-1 DP = path enumeration" small_graph_arb
-    (fun (n, edges) ->
-      let g = G.of_edges n edges in
-      let s = 3 in
-      let dp = BD.distances g ~src:0 ~max_edges:s in
-      let oracle = brute_bounded g ~src:0 ~max_edges:s in
-      Array.for_all2
-        (fun a b -> (a = infinity && b = infinity) || Float.abs (a -. b) < 1e-9)
-        dp oracle)
+(* Weights from a four-value set, so tied distances and equal-weight
+   multipaths are common, and 0.1 + 0.2 <> 0.3 makes any change in the
+   order of additions show in the last bit. *)
+let tied_graph_arb =
+  let weights = [| 0.1; 0.2; 0.3; 1. |] in
+  QCheck.make
+    ~print:(fun (n, edges) -> Printf.sprintf "n=%d [%s]" n (Gen.pp_edges edges))
+    QCheck.Gen.(
+      4 -- 9 >>= fun n ->
+      let edges st =
+        List.map
+          (fun (u, v, _) -> (u, v, weights.(int_bound 3 st)))
+          (Gen.graph_edges ~n ~density:0.4 st)
+      in
+      pair (return n) edges)
 
-let prop_hop_consistency =
-  Gen.qtest ~count:150 "finite bounded distance iff within hops" small_graph_arb
+let sources_and_radii n =
+  List.concat_map (fun src -> List.map (fun s -> (src, s)) [ 1; 2; 3; 4 ]) (List.init n Fun.id)
+
+(* [ball] claims the DP's values bit for bit (the same additions, and
+   [min] is exact), so it is compared with [=], not a tolerance. *)
+let prop_bounded_dist =
+  Gen.qtest ~count:150 "Definition-1 DP = path enumeration" tied_graph_arb
     (fun (n, edges) ->
       let g = G.of_edges n edges in
-      let hops = T.bfs_hops g 0 in
       List.for_all
-        (fun s ->
-          let d = BD.distances g ~src:0 ~max_edges:s in
+        (fun (src, s) ->
+          let dp = BD.distances g ~src ~max_edges:s in
+          let oracle = brute_bounded g ~src ~max_edges:s in
+          let ids, dist = BD.ball g ~src ~max_edges:s in
+          Array.for_all2
+            (fun a b -> (a = infinity && b = infinity) || Float.abs (a -. b) < 1e-9)
+            dp oracle
+          && ids = Array.of_list (List.filter (fun v -> dp.(v) < infinity) (List.init n Fun.id))
+          && dist = Array.map (fun v -> dp.(v)) ids)
+        (sources_and_radii n))
+
+(* The ball's membership, three ways: hop counts, the feasible graph's
+   [sub_id]/[of_sub] pair, and the certifier's own recomputation, which
+   must flag exactly the attendees [distances] leaves infinite and sum
+   the others to [distances]' total. *)
+let prop_hop_consistency =
+  Gen.qtest ~count:150 "finite bounded distance iff within hops" tied_graph_arb
+    (fun (n, edges) ->
+      let g = G.of_edges n edges in
+      let everyone = List.init n Fun.id in
+      List.for_all
+        (fun (src, s) ->
+          let hops = T.bfs_hops g src in
+          let d = BD.distances g ~src ~max_edges:s in
+          let fg = Engine.Feasible.extract g ~initiator:src ~s in
+          let total =
+            List.fold_left
+              (fun acc v -> if Float.is_finite d.(v) then acc +. d.(v) else acc)
+              0. everyone
+          in
+          let violations =
+            Stgq_core.Validate.check_sg
+              { Stgq_core.Query.graph = g; initiator = src }
+              { Stgq_core.Query.p = n; s; k = n }
+              { Stgq_core.Query.attendees = everyone; total_distance = total }
+          in
+          let flagged =
+            List.filter_map
+              (function Stgq_core.Validate.Radius_violation v -> Some v | _ -> None)
+              violations
+          in
+          List.for_all (fun v -> Float.is_finite d.(v) = (hops.(v) <= s)) everyone
+          && Array.for_all (fun v -> Float.is_finite d.(v)) fg.Engine.Feasible.of_sub
+          && Array.for_all
+               (fun i -> Engine.Feasible.sub_id fg fg.Engine.Feasible.of_sub.(i) = i)
+               (Array.init (Engine.Feasible.size fg) Fun.id)
+          && List.for_all
+               (fun v -> Float.is_finite d.(v) || Engine.Feasible.sub_id fg v = -1)
+               everyone
+          && Engine.Feasible.sub_id fg (-1) = -1
+          && Engine.Feasible.sub_id fg n = -1
+          && flagged = List.filter (fun v -> d.(v) = infinity) everyone
+          && not
+               (List.exists
+                  (function
+                    | Stgq_core.Validate.Distance_mismatch _ -> true | _ -> false)
+                  violations))
+        (sources_and_radii n))
+
+(* Splicing one edge into the CSR must give exactly the graph a full
+   [of_edges] rebuild gives: same edges and weights, every row sorted.
+   Every ordered pair (u > v included) meets every operation, so the
+   cases are all covered on every graph: replacing a weight, removing
+   an absent edge, and inserting where row [lo] ends and row [hi]
+   begins. *)
+let prop_with_edge_matches_rebuild =
+  Gen.qtest ~count:150 "edge splice = of_edges rebuild" tied_graph_arb
+    (fun (n, edges) ->
+      let g = G.of_edges n edges in
+      let rows g = List.init n (G.neighbors g) in
+      let pairs =
+        List.concat_map
+          (fun u -> List.filter_map (fun v -> if u = v then None else Some (u, v))
+             (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      List.for_all
+        (fun (u, v) ->
           List.for_all
-            (fun v -> Float.is_finite d.(v) = (hops.(v) <= s))
-            (List.init n Fun.id))
-        [ 1; 2; 3 ])
+            (fun w ->
+              let lo = min u v and hi = max u v in
+              let kept = List.filter (fun (a, b, _) -> (a, b) <> (lo, hi)) (G.edges g) in
+              let expected =
+                G.of_edges n
+                  (match w with Some w -> (lo, hi, w) :: kept | None -> kept)
+              in
+              let got = G.with_edge g u v w in
+              G.n_edges got = G.n_edges expected
+              && G.edges got = G.edges expected
+              && rows got = rows expected)
+            [ None; Some 0.2; Some 1. ])
+        pairs)
 
 let prop_degree_sum =
   Gen.qtest ~count:150 "degree sum = 2|E|" small_graph_arb
@@ -321,4 +426,5 @@ let suite =
     prop_shortest_path_witness;
     prop_kplex_enumeration_sound;
     prop_kplex_monotone;
+    prop_with_edge_matches_rebuild;
   ]

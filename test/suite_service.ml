@@ -156,6 +156,101 @@ let test_malformed_query_rejected_before_lookup () =
   Alcotest.check Alcotest.int "no lookup" 0
     (stats.Service.hits + stats.Service.misses)
 
+(* Systhreads of one domain switch at the runtime's 50 ms tick, far
+   coarser than one context build, so on their own they would seldom
+   interleave inside one.  An interval timer whose handler yields makes
+   them switch every 200 us, as a busy server's connection threads do. *)
+let with_thread_switches f =
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Thread.yield ())) in
+  let every = 0.0002 in
+  ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = every; it_value = every });
+  Fun.protect f ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
+      Sys.set_signal Sys.sigalrm previous)
+
+(* The radius-graph extraction draws its n-sized scratch from one
+   process-wide free-list.  Cold requests on distinct initiators, from
+   systhreads sharing this domain and from pool domains at the same
+   time, must each get the answer a lone request gets. *)
+let test_concurrent_cold_requests_match_sequential () =
+  let ti = Gen.replay_ti in
+  let q = Gen.tiny_q in
+  let initiators = List.init 96 (fun i -> i * 6) in
+  let answer service initiator = Gen.served (Service.stgq_r service ~initiator q) in
+  let expected =
+    let service = Service.create ti in
+    List.map (answer service) initiators
+  in
+  let shared = Service.create ti in
+  let groups = 6 in
+  let results = Array.make (List.length initiators) None in
+  let run g () =
+    List.iteri
+      (fun i initiator ->
+        if i mod groups = g then results.(i) <- Some (answer shared initiator))
+      initiators
+  in
+  Engine.Pool.with_pool ~size:2 (fun pool ->
+      with_thread_switches (fun () ->
+          let jobs = List.map (fun g -> Engine.Pool.submit pool (run g)) [ 0; 1; 2 ] in
+          let threads = List.map (fun g -> Thread.create (run g) ()) [ 3; 4; 5 ] in
+          List.iter Thread.join threads;
+          ignore (Engine.Pool.await_all jobs : unit list)));
+  List.iteri
+    (fun i want ->
+      let same =
+        match (want, results.(i)) with
+        | None, Some None -> true
+        | Some (a : Query.stg_solution), Some (Some b) ->
+            a.Query.st_attendees = b.Query.st_attendees
+            && a.Query.start_slot = b.Query.start_slot
+            && close a.Query.st_total_distance b.Query.st_total_distance
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "initiator %d answers as it does alone" (List.nth initiators i))
+        true same)
+    expected;
+  Alcotest.(check int) "every request was cold" (List.length initiators)
+    (Service.cache_stats shared).Service.misses
+
+(* A cold request's work follows the initiator's ball, not the vertex
+   count: padding the 600-member replay world with 50,000 isolated
+   vertices, which no ball reaches, leaves the words a cold pool-less
+   request allocates unchanged. *)
+let test_cold_request_words_independent_of_n () =
+  let ti = Gen.replay_ti in
+  let padded =
+    let g = ti.Query.social.Query.graph in
+    let n = Socgraph.Graph.n_vertices g + 50_000 in
+    let horizon = Timetable.Availability.horizon ti.Query.schedules.(0) in
+    {
+      Query.social =
+        { ti.Query.social with Query.graph = Socgraph.Graph.of_edges n (Socgraph.Graph.edges g) };
+      schedules =
+        Array.append ti.Query.schedules
+          (Array.init 50_000 (fun _ -> Timetable.Availability.create ~horizon));
+    }
+  in
+  let cold_words ti =
+    (* three fresh services, one per counted run, so each run misses *)
+    let services = ref (List.init 3 (fun _ -> Service.create ti)) in
+    Gen.allocated_words (fun () ->
+        match !services with
+        | service :: rest ->
+            services := rest;
+            ignore
+              (Gen.served
+                 (Service.stgq_r service ~initiator:Gen.replay_initiator Gen.heavy_q)
+                : Query.stg_solution option)
+        | [] -> Alcotest.fail "ran out of fresh services")
+  in
+  let small = cold_words ti and large = cold_words padded in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words at n = 600, %d at n = 50,600" small large)
+    true
+    (abs (large - small) <= 64)
+
 let suite =
   [
     Alcotest.test_case "cache hits and eviction" `Quick test_cache_hits_and_eviction;
@@ -165,4 +260,8 @@ let suite =
     prop_pooled_service_matches_plain;
     Alcotest.test_case "malformed query rejected before lookup" `Quick
       test_malformed_query_rejected_before_lookup;
+    Alcotest.test_case "concurrent cold requests = sequential" `Quick
+      test_concurrent_cold_requests_match_sequential;
+    Alcotest.test_case "cold request words independent of n" `Quick
+      test_cold_request_words_independent_of_n;
   ]
