@@ -26,35 +26,32 @@ let create ?(config = Search_core.default_config) ?(cache_capacity = 64) ?pool
 (* --- query kinds -----------------------------------------------------
 
    Everything the request path needs to know about SGQ or STGQ — how to
-   check it, log it, build its instance, solve it exactly or by beam,
-   certify it and pre-warm its context — so the ladder, the spans and
-   the publication below are written once for both.  Every answer
-   leaves the service with a validated certificate: the solution is
-   re-checked against the raw instance by Validate (which shares no code
-   with the search) before a caller can see it. *)
+   check it, log it, build its instance, solve it exactly or by beam
+   and certify it — so the ladder, the spans and the publication below
+   are written once for both.  Every answer leaves the service with a
+   validated certificate: the solution is re-checked against the raw
+   instance by Validate (which shares no code with the search) before a
+   caller can see it. *)
 
 type ('q, 'inst, 'sol) kind = {
   name : string;
   span : string;
-  batch_span : string;
   latency : Obs.Histogram.t;
   check : 'q -> unit;
   params : 'q -> (string * int) list;
   radius : 'q -> int;
   instance : t -> initiator:int -> 'inst;
   exact :
-    t -> pool:Engine.Pool.t option -> ctx:Engine.Context.t -> budget:Budget.t ->
-    'inst -> 'q -> 'sol Anytime.outcome;
+    t -> ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q ->
+    'sol Anytime.outcome;
   beam : ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q -> 'sol option;
   certify : 'inst -> 'q -> 'sol option -> 'sol option;
-  warm : Engine.Context.t -> 'q -> unit;
 }
 
 let sg =
   {
     name = "sgq";
     span = "service.sgq";
-    batch_span = "service.sgq_batch";
     latency = Instr.sgq_latency;
     check = Query.check_sgq;
     params = (fun (q : Query.sgq) -> [ ("p", q.p); ("s", q.s); ("k", q.k) ]);
@@ -62,19 +59,17 @@ let sg =
     instance =
       (fun t ~initiator -> { Query.graph = Engine.Cache.graph t.engine; initiator });
     exact =
-      (fun t ~pool:_ ~ctx ~budget instance q ->
+      (fun t ~ctx ~budget instance q ->
         (Sgselect.solve_report ~config:t.config ~ctx ~budget instance q)
           .Sgselect.outcome);
     beam = (fun ~ctx ~budget instance q -> Heuristics.beam_sgq ~ctx ~budget instance q);
     certify = Validate.certify_sg;
-    warm = (fun _ _ -> ());
   }
 
 let stg =
   {
     name = "stgq";
     span = "service.stgq";
-    batch_span = "service.stgq_batch";
     latency = Instr.stgq_latency;
     check = Query.check_stgq;
     params =
@@ -88,8 +83,8 @@ let stg =
         });
     (* With a pool the buckets share the policy budget. *)
     exact =
-      (fun t ~pool ~ctx ~budget ti q ->
-        match pool with
+      (fun t ~ctx ~budget ti q ->
+        match t.pool with
         | Some pool ->
             (Parallel.solve_report ~config:t.config ~pool ~ctx ~budget ti q)
               .Parallel.outcome
@@ -98,9 +93,6 @@ let stg =
               .Stgselect.outcome);
     beam = (fun ~ctx ~budget ti q -> Heuristics.beam_stgq ~ctx ~budget ti q);
     certify = Validate.certify_stg;
-    (* Pre-fill the Lemma-4 pivot memo for every window length the group
-       will ask for, on the build domain, off the solve path. *)
-    warm = (fun ctx (q : Query.stgq) -> ignore (Engine.Context.pivots ctx ~m:q.m : int list));
   }
 
 (* --- flight-recorder publication ------------------------------------
@@ -142,20 +134,27 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
    under a [service.certify] span.  With the root span closed, so the
    tree is complete, it classifies and publishes the outcome once.
 
-   [lookup] fetches the request's context: a cache lookup for a single
-   request, made inside each rung so a faulted build is retried, or the
-   batch group's shared lookup.  The query event's [cache_hit] is the
-   outcome of the first lookup that returned. *)
+   The answer — query check, instance read, lookups, solves, retries
+   and certificates — runs inside one {!Engine.Cache.with_solves} region,
+   so a graph or calendar edit lands before or after it, never between
+   a solve and its certificate.  The region opens inside the latency
+   histogram and the root span, so time spent waiting behind an edit
+   shows in both; publication reads no graph or calendar state and runs
+   after the region.  Each rung looks the context up in the cache, so a
+   faulted build is retried; the query event's [cache_hit] is the
+   outcome of the first lookup that returned.  With a pool attached,
+   STGQ solves with the pooled parallel kernel. *)
 
-let request kind ?policy ?cancel t ~pool ~lookup ~initiator q =
+let request kind ?policy ?cancel t ~initiator q =
   let hit = ref None in
   let context () =
-    let found : Engine.Cache.lookup = lookup () in
+    let found = Engine.Cache.lookup t.engine ~initiator ~s:(kind.radius q) in
     if Option.is_none !hit then hit := Some found.hit;
     found.ctx
   in
   let answer () =
     Obs.time_hist kind.latency @@ fun () ->
+    Engine.Cache.with_solves t.engine @@ fun () ->
     kind.check q;
     let instance = kind.instance t ~initiator in
     let certify solution =
@@ -166,7 +165,7 @@ let request kind ?policy ?cancel t ~pool ~lookup ~initiator q =
     Resilience.run ?policy ?cancel
       ~exact:(fun budget ->
         Resilience.certify_outcome ~certify
-          (kind.exact t ~pool ~ctx:(context ()) ~budget instance q))
+          (kind.exact t ~ctx:(context ()) ~budget instance q))
       ~heuristic:(fun budget ->
         certify (kind.beam ~ctx:(context ()) ~budget instance q))
       ()
@@ -187,44 +186,9 @@ let request kind ?policy ?cancel t ~pool ~lookup ~initiator q =
     result
   end
 
-(* A single request fetches its context from the cache and, with a pool
-   attached, solves STGQ with the pooled parallel kernel. *)
-let single kind ?policy ?cancel t ~initiator q =
-  request kind ?policy ?cancel t ~pool:t.pool ~initiator q ~lookup:(fun () ->
-      Engine.Cache.lookup t.engine ~initiator ~s:(kind.radius q))
+let sgq_r ?policy ?cancel t ~initiator q = request sg ?policy ?cancel t ~initiator q
 
-(* Batched answering: group the in-flight requests by (initiator, s),
-   fetch one context per group through the cache, and pipeline context
-   builds behind solves when the service has a pool (see
-   {!Engine.Batch}).  Solves run the sequential kernel on the calling
-   domain — the pool accelerates the builds, not the solves — which is
-   what keeps every batched answer bit-identical to the
-   one-query-at-a-time path.  Each request walks its own ladder with
-   budgets built fresh from the policy per attempt, so one slow query
-   degrades alone.  The whole batch runs inside one
-   {!Engine.Cache.with_solves} region, so a concurrent calendar edit
-   lands between batches, never between a solve and its certification. *)
-let batch kind ?policy ?cancel t reqs =
-  List.iter (fun (_, q) -> kind.check q) reqs;
-  Obs.Trace.with_span kind.batch_span
-    ~attrs:[ ("queries", string_of_int (List.length reqs)) ]
-  @@ fun () ->
-  Engine.Cache.with_solves t.engine @@ fun () ->
-  Engine.Batch.run ?pool:t.pool ~cache:t.engine
-    ~key:(fun (initiator, q) -> (initiator, kind.radius q))
-    ~warm:(fun ctx (_, q) -> kind.warm ctx q)
-    ~solve:(fun found (initiator, q) ->
-      request kind ?policy ?cancel t ~pool:None ~initiator q ~lookup:(fun () ->
-          found))
-    reqs
-
-let sgq_r ?policy ?cancel t ~initiator q = single sg ?policy ?cancel t ~initiator q
-
-let stgq_r ?policy ?cancel t ~initiator q = single stg ?policy ?cancel t ~initiator q
-
-let sgq_batch_r ?policy ?cancel t reqs = batch sg ?policy ?cancel t reqs
-
-let stgq_batch_r ?policy ?cancel t reqs = batch stg ?policy ?cancel t reqs
+let stgq_r ?policy ?cancel t ~initiator q = request stg ?policy ?cancel t ~initiator q
 
 let cache_stats t =
   let s = Engine.Cache.stats t.engine in

@@ -8,12 +8,19 @@
     full {!Engine.Context}s per [(initiator, s)] in {!Engine.Cache}'s
     O(1) LRU.  Calendar changes are applied in place and seen by every
     cached context immediately — only social-graph changes invalidate
-    (see {!update_graph}).  With a {!Engine.Pool} attached, single STGQ
+    (see {!update_graph}).  With a {!Engine.Pool} attached, STGQ
     answers are computed by the pooled parallel solver.
 
-    Four query functions share one request path: a single or batched
-    SGQ or STGQ, each answered through the {!Resilience} ladder and
-    certified on every rung. *)
+    Two query functions share one request path: an SGQ or an STGQ,
+    each answered through the {!Resilience} ladder and certified on
+    every rung.  Each request answers inside one
+    {!Engine.Cache.with_solves} region, so a graph or calendar edit
+    ({!update_graph}, {!update_schedule}) lands before or after a
+    request, never between its solve and its certificate; edits that
+    wait hold new requests back, so requests cannot starve them.  An
+    edit therefore waits for the slowest request in flight, and so do
+    the requests that arrive behind it; that wait counts in the
+    requests' latency histograms. *)
 
 type t
 
@@ -58,32 +65,6 @@ val stgq_r :
   t -> initiator:int -> Query.stgq ->
   (Query.stg_solution Resilience.answer, Resilience.error) result
 
-(** [sgq_batch_r ?policy ?cancel t reqs] answers every
-    [(initiator, query)] request, results in input order, each exactly
-    as {!sgq_r} answers it.  Requests are grouped by [(initiator, s)]
-    and each group shares one cached context ({!Engine.Batch}); with a
-    pool attached, the context build for the next group is pipelined
-    behind the current group's solves, which run the sequential kernel —
-    so answers are bit-identical to calling {!sgq_r} per request on a
-    pool-less service.  Each request walks its own ladder with
-    per-attempt budgets built fresh from [policy], so one slow query
-    degrades alone without consuming its groupmates' budgets.  The batch
-    runs inside one {!Engine.Cache.with_solves} region: calendar edits
-    land between batches. *)
-val sgq_batch_r :
-  ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
-  t -> (int * Query.sgq) list ->
-  (Query.sg_solution Resilience.answer, Resilience.error) result list
-
-(** [stgq_batch_r ?policy ?cancel t reqs] — the temporal analogue of
-    {!sgq_batch_r}.  The group's Lemma-4 pivot lists are pre-warmed on
-    the build domain, so solves start with every shared pruning artifact
-    in place. *)
-val stgq_batch_r :
-  ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
-  t -> (int * Query.stgq) list ->
-  (Query.stg_solution Resilience.answer, Resilience.error) result list
-
 (** [cache_stats t] — cumulative context-cache behaviour. *)
 val cache_stats : t -> cache_stats
 
@@ -112,9 +93,12 @@ val epoch : t -> int
 (** [update_graph ?touched t graph] replaces the social graph (same
     vertex count required).  Without [touched], every cached context is
     dropped; with the delta's incident vertices, only the contexts whose
-    feasible set meets them ({!Engine.Cache.set_graph}). *)
+    feasible set meets them ({!Engine.Cache.set_graph}).  Waits for
+    in-flight requests to finish; must not be called from inside one. *)
 val update_graph : ?touched:int list -> t -> Socgraph.Graph.t -> unit
 
 (** [update_schedule t ~vertex schedule] replaces one calendar (same
-    horizon required); cached contexts observe the change immediately. *)
+    horizon required); cached contexts observe the change immediately.
+    Waits for in-flight requests to finish; must not be called from
+    inside one. *)
 val update_schedule : t -> vertex:int -> Timetable.Availability.t -> unit

@@ -41,10 +41,12 @@ type node = {
 (* All mutable fields are guarded by [lock]; [Context.build] itself runs
    outside the lock (it is the expensive part), with in-flight keys
    tracked in [building] so concurrent misses coalesce onto one build.
-   [solvers]/[solver_done] implement the readers side of the
+   [solvers]/[writers]/[solver_done] are a writer-preferring
    readers-writer discipline: {!with_solves} regions run concurrently
-   with each other, while {!set_schedule}/{!set_graph} wait for the
-   region count to drain so an edit never lands mid-solve. *)
+   with each other, {!set_schedule}/{!set_graph} wait for the region
+   count to drain so an edit never lands mid-solve, and while any edit
+   waits ([writers > 0]) no new region opens, so a steady stream of
+   overlapping regions cannot starve it. *)
 type t = {
   capacity : int;
   schedules : Timetable.Availability.t array option;
@@ -62,6 +64,7 @@ type t = {
   build_done : Condition.t;
   building : (int * int, unit) Hashtbl.t;
   mutable solvers : int;
+  mutable writers : int;  (* edits waiting in [wait_no_solves] *)
   solver_done : Condition.t;
 }
 
@@ -96,6 +99,7 @@ let create ?(capacity = 64) ?schedules graph =
     build_done = Condition.create ();
     building = Hashtbl.create 8;
     solvers = 0;
+    writers = 0;
     solver_done = Condition.create ();
   }
 
@@ -208,7 +212,11 @@ let lookup t ~initiator ~s =
 let context t ~initiator ~s = (lookup t ~initiator ~s).ctx
 
 let with_solves t f =
-  Mutex.protect t.lock (fun () -> t.solvers <- t.solvers + 1);
+  Mutex.protect t.lock (fun () ->
+      while t.writers > 0 do
+        Condition.wait t.solver_done t.lock
+      done;
+      t.solvers <- t.solvers + 1);
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect t.lock (fun () ->
@@ -218,11 +226,15 @@ let with_solves t f =
 
 (* Called with [t.lock] held; returns with it held and [t.solvers = 0].
    Writers drain the readers, so an edit lands only between
-   {!with_solves} regions, never inside one. *)
+   {!with_solves} regions, never inside one; the waiting edit holds new
+   regions back until the last waiting edit is through. *)
 let wait_no_solves t =
+  t.writers <- t.writers + 1;
   while t.solvers > 0 do
     Condition.wait t.solver_done t.lock
-  done
+  done;
+  t.writers <- t.writers - 1;
+  if t.writers = 0 then Condition.broadcast t.solver_done
 
 let stats t =
   Mutex.protect t.lock (fun () ->

@@ -7,8 +7,9 @@
     lookup, touch and eviction are all O(1) (the seed service re-filtered
     an order list on every access).
 
-    Concurrency: every operation is safe to call from any domain (the
-    batch scheduler fetches contexts from pool workers).  Builds are
+    Concurrency: every operation is safe to call from any domain or
+    systhread (the wire server answers each connection on its own
+    thread).  Builds are
     {e single-flight}: two concurrent misses on the same key run one
     {!Context.build}; the second caller sleeps until the first publishes
     and then takes the shared context (counted by
@@ -80,9 +81,13 @@ val context : t -> initiator:int -> s:int -> Context.t
 (** [with_solves t f] runs [f] inside a {e solve region}: {!set_graph}
     and {!set_schedule} block until every open region finishes, so
     answers computed (and certified) inside the region observe one
-    consistent schedule snapshot.  Regions are shared — any number may
-    be open at once — and must not nest a mutation call (a region
-    waiting on its own edit would deadlock). *)
+    consistent graph and schedule snapshot.  Regions are shared — any
+    number may be open at once — and writer-preferring: while an edit
+    waits for open regions to drain, new regions wait for the edit, so
+    overlapping regions cannot starve edits.  The region is released
+    when [f] returns or raises.  A region must not nest another region
+    or a mutation call: either would wait on an edit that waits on the
+    region itself. *)
 val with_solves : t -> (unit -> 'a) -> 'a
 
 (** Cumulative cache behaviour. *)

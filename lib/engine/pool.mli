@@ -7,11 +7,8 @@
 
     The submission API is future-based: {!submit} enqueues a typed thunk
     and returns immediately with an ['a future]; {!await} blocks for one
-    result, {!await_all} for a whole batch.  Decoupling submission from
-    completion is what lets the batch scheduler ({!Batch}) overlap the
-    context build for group [k+1] with the solves for group [k]
-    (pipeline parallelism) — the old [run] barrier forced every caller
-    to block at submission time.
+    result, {!await_all} for a whole set of jobs, so a caller can keep
+    working while its jobs run.
 
     Workers are supervised: a worker that dies (in practice, via the
     {!Faultinject.Pool_job_start} injection site — submitted thunks are

@@ -22,7 +22,7 @@ type op = {
 }
 
 type spawn = {
-  sp_via : string;  (* resolved callee, e.g. [Pool.run] *)
+  sp_via : string;  (* resolved callee, e.g. [Pool.submit] *)
   sp_arg : Typedtree.expression;
   sp_loc : Location.t;
 }
@@ -33,7 +33,7 @@ type func = {
   fid : int;
   f_unit : string;  (* modname of the defining unit *)
   f_unitc : string;  (* canonical unit name *)
-  f_name : string;  (* qualified display name, [Pool.run.record] *)
+  f_name : string;  (* qualified display name, [Pool.submit.record] *)
   f_file : string;
   f_line : int;
   f_toplevel : bool;
@@ -600,8 +600,6 @@ type wstate = { mutable lock : int }
 let spawn_targets =
   [
     ([ "Pool"; "submit" ], `Last);
-    ([ "Pool"; "run" ], `Last);
-    ([ "Batch"; "run" ], `Labelled "warm");
     ([ "Domain"; "spawn" ], `First);
     ([ "Thread"; "create" ], `First);
   ]
@@ -828,18 +826,6 @@ let walk_func t ~modname ~unitc (f : func) =
                   match pos with
                   | `First -> first_nolabel args
                   | `Last -> last_nolabel args
-                  | `Labelled name ->
-                      (* Optional labels match too: [?warm] arrives as
-                         [Optional "warm"] with the closure wrapped in
-                         [Some], which the slice traverses through. *)
-                      List.find_map
-                        (function
-                          | Asttypes.Labelled l, (Some _ as e) when l = name ->
-                              e
-                          | Asttypes.Optional l, (Some _ as e) when l = name ->
-                              e
-                          | _ -> None)
-                        args
                 in
                 match arg with
                 | Some a ->

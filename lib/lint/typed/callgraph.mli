@@ -24,7 +24,7 @@ type op = {
 }
 
 type spawn = {
-  sp_via : string;  (** resolved callee, e.g. [Pool.run] *)
+  sp_via : string;  (** resolved callee, e.g. [Pool.submit] *)
   sp_arg : Typedtree.expression;
   sp_loc : Location.t;
 }
@@ -35,7 +35,7 @@ type func = {
   fid : int;
   f_unit : string;  (** modname of the defining unit *)
   f_unitc : string;  (** canonical unit name *)
-  f_name : string;  (** qualified display name, [Pool.run.record] *)
+  f_name : string;  (** qualified display name, [Pool.submit.record] *)
   f_file : string;
   f_line : int;
   f_toplevel : bool;

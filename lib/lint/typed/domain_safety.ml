@@ -2,9 +2,7 @@
    boundary.
 
    For every spawn site (a closure handed to [Pool.submit]/
-   [Domain.spawn]/[Thread.create], or the [~warm] hook handed to
-   [Batch.run], which runs on a pool worker when the batch is
-   pipelined) the argument expression is sliced:
+   [Domain.spawn]/[Thread.create]) the argument expression is sliced:
    local [let]s it references are inlined, locally-defined functions it
    names become region roots alongside the closure literals themselves,
    and the remaining free identifiers are the values captured across

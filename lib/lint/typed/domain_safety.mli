@@ -1,9 +1,7 @@
 (** domain-safety: non-atomic mutable state crossing a domain boundary.
 
     For every closure handed to [Pool.submit]/[Domain.spawn]/
-    [Thread.create] — or as [Batch.run]'s [~warm] hook, which crosses
-    onto a pool worker when the batch is pipelined — slice out what the
-    closure region captures, then:
+    [Thread.create], slice out what the closure region captures, then:
 
     - flag captured values whose type is a mutable record with no
       [Mutex.t] field and no [@lint.domain_safe] annotation (no way to

@@ -76,10 +76,7 @@ let prometheus (s : Registry.snapshot) =
   List.iter
     (fun (name, (h : Registry.histogram_summary)) ->
       let m = metric_name name in
-      (* The HELP line carries the declared unit so a unitless size
-         histogram (engine.batch.size) cannot scrape as nanoseconds. *)
-      line "# HELP %s samples in %s" m
-        (Registry.hist_unit_to_string h.Registry.h_unit);
+      line "# HELP %s samples in ns" m;
       line "# TYPE %s summary" m;
       line "%s{quantile=\"0.5\"} %.0f" m h.Registry.h_p50;
       line "%s{quantile=\"0.9\"} %.0f" m h.Registry.h_p90;

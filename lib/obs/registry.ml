@@ -80,15 +80,6 @@ module Gauge = struct
     Atomic.set t.high 0
 end
 
-(* What a histogram's samples measure.  [Ns] histograms carry wall-clock
-   nanoseconds and report with [_ns]-suffixed keys; [Count] histograms
-   carry unitless quantities (batch sizes, record counts) and report
-   bare keys — exporting a size as nanoseconds is exactly the scrape bug
-   this distinction exists to prevent. *)
-type hist_unit = Ns | Count
-
-let hist_unit_to_string = function Ns -> "ns" | Count -> "count"
-
 module Histogram = struct
   (* Bucket [i] counts samples whose whole-ns value lies in
      [2^i, 2^(i+1)) (bucket 0 additionally holds 0 ns).  62 buckets
@@ -97,17 +88,15 @@ module Histogram = struct
 
   type t = {
     name : string;
-    unit_ : hist_unit;
     buckets : int Atomic.t array;
     count : int Atomic.t;
     sum_ns : int Atomic.t;
     max_ns : int Atomic.t;
   }
 
-  let make ?(unit_ = Ns) name =
+  let make name =
     {
       name;
-      unit_;
       buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
       count = Atomic.make 0;
       sum_ns = Atomic.make 0;
@@ -115,8 +104,6 @@ module Histogram = struct
     }
 
   let name t = t.name
-
-  let unit_kind t = t.unit_
 
   let bucket_of_ns v =
     if v <= 1 then 0
@@ -233,21 +220,11 @@ let gauge name =
       let g = Gauge.make name in
       (g, M_gauge g))
 
-let histogram ?(unit_ = Ns) name =
+let histogram name =
   intern name "histogram"
-    (function
-      | M_histogram h ->
-          if Histogram.unit_kind h <> unit_ then
-            invalid_arg
-              (Printf.sprintf
-                 "Obs.histogram: %S is registered with unit %s, requested %s"
-                 name
-                 (hist_unit_to_string (Histogram.unit_kind h))
-                 (hist_unit_to_string unit_))
-          else Some h
-      | M_counter _ | M_gauge _ -> None)
+    (function M_histogram h -> Some h | M_counter _ | M_gauge _ -> None)
     (fun name ->
-      let h = Histogram.make ~unit_ name in
+      let h = Histogram.make name in
       (h, M_histogram h))
 
 let registered () =
@@ -285,7 +262,6 @@ let time_hist h f =
 (* Snapshots.                                                          *)
 
 type histogram_summary = {
-  h_unit : hist_unit;
   h_count : int;
   h_sum_ns : float;
   h_p50 : float;
@@ -320,7 +296,6 @@ let snapshot () =
           histograms :=
             ( Histogram.name h,
               {
-                h_unit = Histogram.unit_kind h;
                 h_count = Histogram.count h;
                 h_sum_ns = Histogram.sum h;
                 h_p50 = Histogram.quantile h 0.5;
@@ -375,19 +350,14 @@ let table s =
   add "histograms" [ "histogram"; "count"; "p50"; "p90"; "p99"; "max"; "total" ]
     (List.map
        (fun (name, h) ->
-         let cell v =
-           match h.h_unit with
-           | Ns -> Report.ns v
-           | Count -> Printf.sprintf "%.0f" v
-         in
          [
            name;
            string_of_int h.h_count;
-           cell h.h_p50;
-           cell h.h_p90;
-           cell h.h_p99;
-           cell h.h_max;
-           cell h.h_sum_ns;
+           Report.ns h.h_p50;
+           Report.ns h.h_p90;
+           Report.ns h.h_p99;
+           Report.ns h.h_max;
+           Report.ns h.h_sum_ns;
          ])
        s.histograms);
   add "gauges" [ "gauge"; "value"; "high water" ]
@@ -436,18 +406,15 @@ let json s =
     json_object
       (List.map
          (fun (name, h) ->
-           (* Key suffixes follow the histogram's unit: a batch size
-              serialized as [p50_ns] would scrape as nanoseconds. *)
-           let key base = match h.h_unit with Ns -> base ^ "_ns" | Count -> base in
            ( name,
              json_object
                [
                  ("count", string_of_int h.h_count);
-                 (key "sum", Printf.sprintf "%.0f" h.h_sum_ns);
-                 (key "p50", Printf.sprintf "%.0f" h.h_p50);
-                 (key "p90", Printf.sprintf "%.0f" h.h_p90);
-                 (key "p99", Printf.sprintf "%.0f" h.h_p99);
-                 (key "max", Printf.sprintf "%.0f" h.h_max);
+                 ("sum_ns", Printf.sprintf "%.0f" h.h_sum_ns);
+                 ("p50_ns", Printf.sprintf "%.0f" h.h_p50);
+                 ("p90_ns", Printf.sprintf "%.0f" h.h_p90);
+                 ("p99_ns", Printf.sprintf "%.0f" h.h_p99);
+                 ("max_ns", Printf.sprintf "%.0f" h.h_max);
                ] ))
          s.histograms)
   in

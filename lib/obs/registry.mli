@@ -87,33 +87,21 @@ module Gauge : sig
   val reset : t -> unit
 end
 
-(** What a histogram's samples measure: [Ns] wall-clock nanoseconds
-    (the default), [Count] unitless quantities such as batch sizes.
-    The unit drives reporter key suffixes ([sum_ns] vs [sum]) and the
-    Prometheus HELP line, so a size can never scrape as a duration. *)
-type hist_unit = Ns | Count
-
-(** ["ns"] or ["count"]. *)
-val hist_unit_to_string : hist_unit -> string
-
 module Histogram : sig
-  (** A log-bucketed (powers of two) histogram of non-negative samples,
-      typically latencies in nanoseconds.  Quantile estimates return
-      the upper bound of the bucket holding the requested rank, clamped
-      to the exact observed maximum — so for all [q <= q'],
-      [quantile t q <= quantile t q'], [quantile t 1. = max_value t],
-      and every recorded sample is [<= quantile t 1.]. *)
+  (** A log-bucketed (powers of two) histogram of non-negative samples:
+      durations in nanoseconds, as every reporter labels them.  Quantile
+      estimates return the upper bound of the bucket holding the
+      requested rank, clamped to the exact observed maximum — so for all
+      [q <= q'], [quantile t q <= quantile t q'],
+      [quantile t 1. = max_value t], and every recorded sample is
+      [<= quantile t 1.]. *)
 
   type t
 
-  (** Unregistered variant; see {!Obs.histogram}.  [unit_] defaults to
-      {!Ns}. *)
-  val make : ?unit_:hist_unit -> string -> t
+  (** Unregistered variant; see {!Obs.histogram}. *)
+  val make : string -> t
 
   val name : t -> string
-
-  (** The unit declared at creation. *)
-  val unit_kind : t -> hist_unit
 
   (** [observe t v] records [max v 0.] (no-op while disabled). *)
   val observe : t -> float -> unit
@@ -157,11 +145,9 @@ val counter : string -> Counter.t
     @raise Invalid_argument if [name] is registered as another kind. *)
 val gauge : string -> Gauge.t
 
-(** [histogram ?unit_ name] — registered {!Histogram.t} for [name]
-    ([unit_] defaults to {!Ns}).
-    @raise Invalid_argument if [name] is registered as another kind or
-    under a different unit. *)
-val histogram : ?unit_:hist_unit -> string -> Histogram.t
+(** [histogram name] — registered {!Histogram.t} for [name].
+    @raise Invalid_argument if [name] is registered as another kind. *)
+val histogram : string -> Histogram.t
 
 (** Zero every registered metric and empty the span ring.  Metrics stay
     registered; the enabled flag is untouched. *)
@@ -177,9 +163,8 @@ val time_hist : Histogram.t -> (unit -> 'a) -> 'a
 (** {1 Snapshots and reporters} *)
 
 type histogram_summary = {
-  h_unit : hist_unit;  (** drives reporter key suffixes *)
   h_count : int;
-  h_sum_ns : float;  (** in the histogram's own unit despite the name *)
+  h_sum_ns : float;
   h_p50 : float;
   h_p90 : float;
   h_p99 : float;

@@ -5,8 +5,8 @@
    open a span without threading a tracer handle through every API.
 
    Record-path discipline: when tracing is disabled every entry point
-   ([with_span], [start], [add_attrs], [current]) reads exactly one
-   atomic flag and returns; no clock reads, no allocation. *)
+   ([with_span], [add_attrs], [current]) reads exactly one atomic flag
+   and returns; no clock reads, no allocation. *)
 
 (* Domain-safety contract for the typed analysis: the rings are
    per-domain shards indexed by [Domain.self ()] and every shared
@@ -158,42 +158,34 @@ let with_ctx octx f =
         Fun.protect ~finally:(fun () -> stack := saved) f
       end
 
-let push_frame ?(attrs = []) () =
-  let stack = Domain.DLS.get tls in
-  let saved = !stack in
-  let id = fresh_id () in
-  let trace_id, parent =
-    match saved with
-    | f0 :: _ -> (f0.f_ctx.trace_id, f0.f_ctx.span_id)
-    | [] -> (id, 0)
-  in
-  let frame = { f_ctx = { trace_id; span_id = id }; f_attrs = List.rev attrs } in
-  stack := frame :: saved;
-  (frame, parent, saved)
-
-let record_frame frame ~parent ~name ~start_ns ~dur_ns =
-  record
-    {
-      sp_trace = frame.f_ctx.trace_id;
-      sp_id = frame.f_ctx.span_id;
-      sp_parent = parent;
-      sp_name = name;
-      sp_domain = (Domain.self () :> int);
-      sp_start_ns = start_ns;
-      sp_dur_ns = dur_ns;
-      sp_attrs = List.rev frame.f_attrs;
-    }
-
-let with_span ?attrs name f =
+let with_span ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
-    let frame, parent, saved = push_frame ?attrs () in
     let stack = Domain.DLS.get tls in
+    let saved = !stack in
+    let id = fresh_id () in
+    let trace_id, parent =
+      match saved with
+      | f0 :: _ -> (f0.f_ctx.trace_id, f0.f_ctx.span_id)
+      | [] -> (id, 0)
+    in
+    let frame = { f_ctx = { trace_id; span_id = id }; f_attrs = List.rev attrs } in
+    stack := frame :: saved;
     let t0 = Registry.now_ns () in
     let close () =
       let dur = Registry.now_ns () -. t0 in
       stack := saved;
-      record_frame frame ~parent ~name ~start_ns:t0 ~dur_ns:dur
+      record
+        {
+          sp_trace = trace_id;
+          sp_id = id;
+          sp_parent = parent;
+          sp_name = name;
+          sp_domain = (Domain.self () :> int);
+          sp_start_ns = t0;
+          sp_dur_ns = dur;
+          sp_attrs = List.rev frame.f_attrs;
+        }
     in
     match f () with
     | v ->
@@ -203,45 +195,6 @@ let with_span ?attrs name f =
         close ();
         raise e
   end
-
-(* Explicit handles, for spans that cannot wrap a single closure.
-   Prefer [with_span]; the span-balance lint rule flags a [start] whose
-   function has no [finish]. *)
-type handle =
-  | No_span
-  | Open of {
-      frame : frame;
-      name : string;
-      parent : int;
-      start_ns : float;
-      mutable closed : bool;
-    }
-
-let start ?attrs name =
-  if not (Atomic.get enabled_flag) then No_span
-  else begin
-    let frame, parent, _saved = push_frame ?attrs () in
-    Open { frame; name; parent; start_ns = Registry.now_ns (); closed = false }
-  end
-
-let finish ?(attrs = []) h =
-  match h with
-  | No_span -> ()
-  | Open o ->
-      if not o.closed then begin
-        o.closed <- true;
-        let dur = Registry.now_ns () -. o.start_ns in
-        List.iter (fun kv -> o.frame.f_attrs <- kv :: o.frame.f_attrs) attrs;
-        let stack = Domain.DLS.get tls in
-        (* Drop the frame wherever it sits (ids are unique), so a
-           finish out of nesting order cannot corrupt the stack. *)
-        stack :=
-          List.filter
-            (fun f -> f.f_ctx.span_id <> o.frame.f_ctx.span_id)
-            !stack;
-        record_frame o.frame ~parent:o.parent ~name:o.name ~start_ns:o.start_ns
-          ~dur_ns:dur
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Read-time stitching.                                                *)

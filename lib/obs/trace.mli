@@ -60,22 +60,6 @@ val with_ctx : ctx option -> (unit -> 'a) -> 'a
     none, or while disabled). *)
 val add_attrs : (string * string) list -> unit
 
-(** {2 Explicit handles}
-
-    For spans that cannot wrap one closure.  Prefer {!with_span}; the
-    [span-balance] lint rule flags a [start] whose enclosing function
-    has no [finish]. *)
-
-type handle
-
-(** Opens a span (child of the innermost open one) and returns its
-    handle; a no-op handle while disabled. *)
-val start : ?attrs:(string * string) list -> string -> handle
-
-(** Closes and records the span.  Idempotent; tolerates finishes out of
-    nesting order. *)
-val finish : ?attrs:(string * string) list -> handle -> unit
-
 (** {1 Reading} *)
 
 (** Buffered span capacity across all per-domain rings; the oldest

@@ -18,7 +18,12 @@
     a typed {!Proto.Overloaded} response carrying the observed depth —
     the connection stays open, the request is never queued.  Sheds are
     counted in [server.sheds]; peak concurrency is the high-water mark
-    of the [server.inflight] gauge. *)
+    of the [server.inflight] gauge.
+
+    Calendar edits land between queries: {!Service} runs each query in
+    a solve region, so an edit waits for the queries in flight and
+    queries that arrive meanwhile wait for the edit.  Only a deadline
+    or node limit, from the request or [policy], bounds that wait. *)
 
 open Stgq_core
 

@@ -328,3 +328,69 @@ let heavy_q = { Stgq_core.Query.p = 4; s = 2; k = 2; m = 4 }
 
 let replay_queries =
   [ tiny_q; heavy_q; { tiny_q with m = 4 }; { heavy_q with m = 6 } ]
+
+(* ------------------------------------------------------------------ *)
+(* An edit between a solve and its certificate.  [Sgselect]/
+   [Stgselect.solve_report] log one debug line after the search and
+   before [Service] certifies the answer.  [edit_mid_solve ~src ~edit
+   request] runs [request ()] with that log source at [Debug] and a
+   reporter that, on the source's first line, releases a writer thread
+   running [edit ()] and holds the request up to 200 ms for the edit to
+   return.  Both the level and the reporter are restored afterwards,
+   and the writer is joined (its exception, if any, re-raised). *)
+
+type mid_solve = {
+  fired : bool;  (* the reporter caught the solver's line *)
+  edit_returned_mid_request : bool;
+      (* the edit returned while the request was held at the line *)
+}
+
+let edit_mid_solve ~src ~edit request =
+  let source =
+    match List.find_opt (fun s -> Logs.Src.name s = src) (Logs.Src.list ()) with
+    | Some s -> s
+    | None -> Alcotest.failf "no log source %s" src
+  in
+  let go = Semaphore.Binary.make false in
+  let fired = Atomic.make false in
+  let edited = Atomic.make false in
+  let returned_mid = Atomic.make false in
+  let failure = ref None in
+  let writer =
+    Thread.create
+      (fun () ->
+        Semaphore.Binary.acquire go;
+        match edit () with
+        | () -> Atomic.set edited true
+        | exception e -> failure := Some e)
+      ()
+  in
+  let report s _level ~over k _msgf =
+    if s == source && not (Atomic.exchange fired true) then begin
+      Semaphore.Binary.release go;
+      let rec hold n =
+        if n > 0 && not (Atomic.get edited) then begin
+          Thread.delay 0.002;
+          hold (n - 1)
+        end
+      in
+      hold 100;
+      Atomic.set returned_mid (Atomic.get edited)
+    end;
+    over ();
+    k ()
+  in
+  let level = Logs.Src.level source and reporter = Logs.reporter () in
+  Logs.Src.set_level source (Some Logs.Debug);
+  Logs.set_reporter { Logs.report };
+  let result =
+    Fun.protect request ~finally:(fun () ->
+        Logs.set_reporter reporter;
+        Logs.Src.set_level source level;
+        (* no line caught: let the writer go so the join below returns *)
+        if not (Atomic.get fired) then Semaphore.Binary.release go)
+  in
+  Thread.join writer;
+  Option.iter raise !failure;
+  ( result,
+    { fired = Atomic.get fired; edit_returned_mid_request = Atomic.get returned_mid } )

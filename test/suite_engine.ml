@@ -177,6 +177,131 @@ let test_context_pivots_memoized_and_guarded () =
     (Invalid_argument "Engine.Context.pivots: social-only context has no time axis")
     (fun () -> ignore (Engine.Context.pivots social ~m:2 : int list))
 
+(* Concurrent misses on one key must coalesce onto a single build: in
+   every interleaving exactly one domain builds (misses = 1) and the
+   rest land on the finished entry (hits + misses = lookups).  Whether
+   a waiter slept on the in-flight build (coalesced) is timing-
+   dependent, so that part of the assertion retries on fresh caches. *)
+let test_single_flight_coalesces () =
+  let ti = Workload.Scenario.coauthor ~seed:9 ~days:1 ~n:1200 () in
+  let graph = ti.Query.social.Query.graph in
+  let initiator = Workload.Scenario.pick_initiator ~rank:5 graph in
+  let n_domains = 4 in
+  let attempt () =
+    let cache = Engine.Cache.create graph in
+    let barrier = Atomic.make 0 in
+    let worker () =
+      Atomic.incr barrier;
+      while Atomic.get barrier < n_domains do
+        Domain.cpu_relax ()
+      done;
+      ignore (Engine.Cache.context cache ~initiator ~s:2)
+    in
+    let ds = List.init (n_domains - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join ds;
+    let stats = Engine.Cache.stats cache in
+    Alcotest.check Alcotest.int "single-flight: one build" 1
+      stats.Engine.Cache.misses;
+    Alcotest.check Alcotest.int "everyone else hits" (n_domains - 1)
+      stats.Engine.Cache.hits;
+    stats.Engine.Cache.coalesced
+  in
+  let rec settle tries =
+    let coalesced = attempt () in
+    if coalesced >= 1 || tries <= 1 then coalesced else settle (tries - 1)
+  in
+  let coalesced = settle 5 in
+  Alcotest.check Alcotest.bool "some lookup coalesced onto the build" true
+    (coalesced >= 1 && coalesced <= n_domains - 1)
+
+(* --- solve regions ---------------------------------------------------
+
+   Each test runs a calendar edit on its own thread against a region the
+   main thread holds.  The 50 ms sleeps only give the edit (or a second
+   region) time to block; what is asserted holds whatever the timing. *)
+
+let region_cache () =
+  let g = Socgraph.Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
+  let schedules = Array.init 3 (fun _ -> Timetable.Availability.create ~horizon:8) in
+  Engine.Cache.create ~schedules g
+
+(* Starts [Engine.Cache.set_schedule] on a thread; the flag turns true
+   once the edit has returned. *)
+let start_edit cache =
+  let returned = Atomic.make false in
+  let edit =
+    Thread.create
+      (fun () ->
+        Engine.Cache.set_schedule cache ~vertex:1
+          (Timetable.Availability.create ~horizon:8);
+        Atomic.set returned true)
+      ()
+  in
+  (edit, returned)
+
+let pause () = Thread.delay 0.05
+
+let test_edit_waits_for_region () =
+  let cache = region_cache () in
+  let edit, returned =
+    Engine.Cache.with_solves cache (fun () ->
+        let edit, returned = start_edit cache in
+        pause ();
+        Alcotest.(check bool) "the edit waits while the region is open" false
+          (Atomic.get returned);
+        Alcotest.(check int) "no edit landed inside the region" 0
+          (Engine.Cache.epoch cache);
+        (edit, returned))
+  in
+  Thread.join edit;
+  Alcotest.(check bool) "the edit returns once the region closes" true
+    (Atomic.get returned);
+  Alcotest.(check int) "the edit landed" 1 (Engine.Cache.epoch cache)
+
+(* Writer preference: while an edit waits for an open region, a new
+   region waits for the edit, so it sees the edited state. *)
+let test_waiting_edit_holds_back_new_region () =
+  let cache = region_cache () in
+  let entered = Atomic.make false in
+  let seen_epoch = Atomic.make (-1) in
+  let edit, reader =
+    Engine.Cache.with_solves cache (fun () ->
+        let edit, _ = start_edit cache in
+        pause ();
+        let reader =
+          Thread.create
+            (fun () ->
+              Engine.Cache.with_solves cache (fun () ->
+                  Atomic.set seen_epoch (Engine.Cache.epoch cache);
+                  Atomic.set entered true))
+            ()
+        in
+        pause ();
+        Alcotest.(check bool) "a new region waits behind the waiting edit" false
+          (Atomic.get entered);
+        (edit, reader))
+  in
+  Thread.join edit;
+  Thread.join reader;
+  Alcotest.(check int) "the held-back region saw the edit" 1 (Atomic.get seen_epoch)
+
+let test_raising_region_releases_edit () =
+  let cache = region_cache () in
+  let edit = ref None in
+  (match
+     Engine.Cache.with_solves cache (fun () ->
+         edit := Some (fst (start_edit cache));
+         pause ();
+         raise Exit)
+   with
+  | () -> Alcotest.fail "the region body should have raised"
+  | exception Exit -> ());
+  Option.iter Thread.join !edit;
+  Alcotest.(check int) "the edit landed after the raise" 1 (Engine.Cache.epoch cache);
+  Alcotest.(check int) "a new region opens" 1
+    (Engine.Cache.with_solves cache (fun () -> Engine.Cache.epoch cache))
+
 let suite =
   [
     Alcotest.test_case "pool order + reuse" `Quick test_pool_order_and_reuse;
@@ -190,4 +315,12 @@ let suite =
     prop_engine_matches_sequential;
     Alcotest.test_case "cache lookup reports its own hit" `Quick
       test_cache_lookup_reports_own_hit;
+    Alcotest.test_case "concurrent misses single-flight" `Quick
+      test_single_flight_coalesces;
+    Alcotest.test_case "an edit waits for an open region" `Quick
+      test_edit_waits_for_region;
+    Alcotest.test_case "a waiting edit holds back a new region" `Quick
+      test_waiting_edit_holds_back_new_region;
+    Alcotest.test_case "a raising region releases a waiting edit" `Quick
+      test_raising_region_releases_edit;
   ]

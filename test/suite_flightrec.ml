@@ -269,9 +269,8 @@ let test_query_record_shape () =
   | other -> Alcotest.failf "expected one record, got %d" (List.length other)
 
 (* A query event's [cache_hit] is the outcome of the lookup that served
-   that request, whatever other requests' lookups did: a first request
-   misses, its repeat hits, and every batch member reports its group's
-   one lookup. *)
+   that request, whatever other requests' lookups did: each initiator's
+   first request misses and its repeat hits. *)
 let test_query_events_report_own_cache_hit () =
   with_plane @@ fun () ->
   let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:300 () in
@@ -281,10 +280,9 @@ let test_query_events_report_own_cache_hit () =
   let service = Stgq_core.Service.create ti in
   let q = { Stgq_core.Query.p = 3; s = 2; k = 1; m = 4 } in
   let answered = function Ok _ -> () | Error _ -> Alcotest.fail "query failed" in
-  answered (Stgq_core.Service.stgq_r service ~initiator:a q);
-  answered (Stgq_core.Service.stgq_r service ~initiator:a q);
-  List.iter answered (Stgq_core.Service.stgq_batch_r service [ (a, q); (a, q) ]);
-  List.iter answered (Stgq_core.Service.stgq_batch_r service [ (b, q); (b, q) ]);
+  List.iter
+    (fun initiator -> answered (Stgq_core.Service.stgq_r service ~initiator q))
+    [ a; a; b; b ];
   let hits =
     List.filter_map
       (fun line ->
@@ -294,8 +292,8 @@ let test_query_events_report_own_cache_hit () =
       (Obs.Events.tail 64)
   in
   check (Alcotest.list Alcotest.bool)
-    "miss, hit, warm batch hits, cold batch misses"
-    [ false; true; true; true; false; false ]
+    "miss, hit, miss, hit"
+    [ false; true; false; true ]
     hits
 
 let test_sink_rotation_discipline () =

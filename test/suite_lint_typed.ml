@@ -227,44 +227,6 @@ let safe () =
   Atomic.get counter
 |})
 
-(* [Batch.run]'s [~warm] closure runs on the build domain when the
-   batch is pipelined — it is a spawn site by labelled argument, the
-   position the extended target table matches. *)
-let batch_stub =
-  "module Batch = struct\n\
-  \  let run ?(warm = fun _ -> ()) ~solve xs =\n\
-  \    List.map (fun x -> warm x; solve x) xs\n\
-   end\n"
-
-let test_batch_warm_racy () =
-  expect ~rule:"domain-safety" ~n:1 ~chain_has:"closure passed to"
-    (batch_stub
-   ^ {|
-let racy xs =
-  let warmed = ref 0 in
-  Batch.run ~warm:(fun _ -> incr warmed) ~solve:(fun x -> x + 1) xs
-|})
-
-let test_batch_warm_atomic_clean () =
-  expect ~rule:"domain-safety" ~n:0
-    (batch_stub
-   ^ {|
-let safe xs =
-  let warmed = Atomic.make 0 in
-  Batch.run ~warm:(fun _ -> Atomic.incr warmed) ~solve:(fun x -> x + 1) xs
-|})
-
-let test_batch_solve_not_spawn () =
-  (* Only [~warm] crosses domains; [~solve] runs on the caller, so a
-     ref captured by it alone must stay unflagged. *)
-  expect ~rule:"domain-safety" ~n:0
-    (batch_stub
-   ^ {|
-let caller_side xs =
-  let solved = ref 0 in
-  Batch.run ~solve:(fun x -> incr solved; x + 1) xs
-|})
-
 (* ---------------- checkpoint-coverage ---------------- *)
 
 let test_checkpoint_free_loop () =
@@ -424,12 +386,6 @@ let suite =
       test_future_submit_racy;
     Alcotest.test_case "future-typed submit with atomic clean" `Quick
       test_future_submit_atomic_clean;
-    Alcotest.test_case "Batch.run ~warm racy closure flagged" `Quick
-      test_batch_warm_racy;
-    Alcotest.test_case "Batch.run ~warm atomic clean" `Quick
-      test_batch_warm_atomic_clean;
-    Alcotest.test_case "Batch.run ~solve is caller-side" `Quick
-      test_batch_solve_not_spawn;
     Alcotest.test_case "checkpoint-free loop flagged" `Quick
       test_checkpoint_free_loop;
     Alcotest.test_case "checkpointed loop clean" `Quick test_checkpointed_loop;

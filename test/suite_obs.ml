@@ -247,10 +247,6 @@ let test_snapshot_reports_required_names () =
           "engine.pool.jobs_submitted";
           "engine.pool.jobs_completed";
           "engine.pool.queue_depth_hwm";
-          "engine.batch.batches";
-          "engine.batch.size";
-          "engine.batch.context_reuse_pct";
-          "engine.batch.pipeline_overlap_pct";
           "search.nodes";
           "search.pruned.distance";
           "service.stgq.latency_ns";

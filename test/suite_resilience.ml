@@ -388,9 +388,8 @@ let test_service_resilient_deadline () =
       check Alcotest.bool "a dead deadline cannot claim exactness" true
         (a.Resilience.rung <> Resilience.Exact || a.Resilience.value = None)
 
-(* The same promise on the SGQ kind and on the batch path: a dead
-   deadline degrades every request, never raises, never claims
-   exactness. *)
+(* The same promise on the SGQ kind: a dead deadline degrades the
+   request, never raises, never claims exactness. *)
 let dead_policy = { fast_retry with deadline_ms = Some 0.0001; node_limit = Some 1 }
 
 let not_exact name = function
@@ -413,21 +412,6 @@ let test_service_sgq_dead_deadline () =
   | exception e ->
       Alcotest.failf "resilient service raised: %s" (Printexc.to_string e)
   | result -> not_exact "sgq" result
-
-let test_service_batch_dead_deadline () =
-  let t = Service.create big_ti in
-  let sg = { Query.p = big_q.p; s = big_q.s; k = big_q.k } in
-  match
-    ( Service.stgq_batch_r ~policy:dead_policy t [ (0, big_q); (1, big_q) ],
-      Service.sgq_batch_r ~policy:dead_policy t [ (0, sg); (1, sg) ] )
-  with
-  | exception e ->
-      Alcotest.failf "resilient batch raised: %s" (Printexc.to_string e)
-  | stg, sgs ->
-      check Alcotest.int "one STGQ answer per request" 2 (List.length stg);
-      check Alcotest.int "one SGQ answer per request" 2 (List.length sgs);
-      List.iter (not_exact "stgq batch") stg;
-      List.iter (not_exact "sgq batch") sgs
 
 (* --- pool supervision ---------------------------------------------- *)
 
@@ -479,8 +463,6 @@ let suite =
       test_ladder_external_cancel;
     Alcotest.test_case "sgq service answers under a dead deadline" `Quick
       test_service_sgq_dead_deadline;
-    Alcotest.test_case "batched service answers under a dead deadline" `Quick
-      test_service_batch_dead_deadline;
     Alcotest.test_case "certify_outcome re-checks carried answers" `Quick
       test_certify_outcome;
     Alcotest.test_case "service answers under a dead deadline" `Quick

@@ -627,6 +627,111 @@ let test_oversized_frame_over_wire () =
       Alcotest.failf "expected Bad_request, got %a" Proto.pp_response resp
   | Error e -> Alcotest.fail (Proto.string_of_decode_error e)
 
+(* --- calendar edits against in-flight wire queries ------------------- *)
+
+module R = Suite_service
+
+let rm_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Unix.rmdir d
+
+let expect_updated c ~vertex avail =
+  match request_exn c (Proto.Update_schedule { vertex; avail }) with
+  | Proto.Updated _ -> ()
+  | resp -> Alcotest.failf "expected Updated, got %a" Proto.pp_response resp
+
+(* A wire calendar edit on a second connection arrives while the first
+   connection's STGQ sits between its search and its certificate, on a
+   store-backed server.  The edit is journalled, then waits for the
+   query: the query answers the pre-edit optimum, certified, and the
+   WAL holds the edit. *)
+let test_wire_edit_waits_for_inflight_query () =
+  let r = R.calendar_race () in
+  let q = List.nth r.R.shapes 0 and pre = List.nth r.R.pre_refs 0 in
+  let initiator = r.R.initiator and victim = r.R.victim and busy = r.R.busy in
+  let service = Service.create r.R.ti in
+  let dir = Filename.temp_dir "stgq_wire_race" "" in
+  Fun.protect ~finally:(fun () -> rm_dir dir) @@ fun () ->
+  let store =
+    match
+      Store.open_dir dir ~init:(fun () ->
+          Store.state_of_instance (Service.graph service) (Service.schedules service))
+    with
+    | Ok (store, _) -> store
+    | Error e -> Alcotest.failf "open_dir: %s" (Store.string_of_error e)
+  in
+  let answer, seen =
+    Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+    with_server ~config:{ Server.default_config with store = Some store } service
+    @@ fun addr ->
+    with_client addr @@ fun querier ->
+    with_client addr @@ fun editor ->
+    Gen.edit_mid_solve ~src:"stgq.stgselect"
+      ~edit:(fun () -> expect_updated editor ~vertex:victim busy)
+      (fun () -> request_exn querier (Proto.Stgq { initiator; q; policy = None }))
+  in
+  (match answer with
+  | Proto.Stg_answer { value; certified = true; _ } ->
+      check Alcotest.bool "the answer is the pre-edit optimum" true
+        (R.same_stg value pre)
+  | resp -> Alcotest.failf "expected a certified answer, got %a" Proto.pp_response resp);
+  R.check_held seen;
+  match Store.replay_wal (Store.wal_path ~dir ~gen:0) with
+  | Ok { Store.deltas = [ Store.Schedule_set { vertex; avail } ]; _ } ->
+      check Alcotest.int "the WAL holds the edit's vertex" victim vertex;
+      check Alcotest.bool "the WAL holds the edit's calendar" true
+        (Bitset.equal
+           (Timetable.Availability.bits avail)
+           (Timetable.Availability.bits busy))
+  | Ok r -> Alcotest.failf "expected one journalled edit, got %d" r.Store.records
+  | Error e -> Alcotest.failf "replay_wal: %s" (Store.string_of_error e)
+
+(* Two wire query clients and one wire calendar writer: every answer is
+   certified and equals its shape's pre-edit or post-edit reference. *)
+let test_wire_queries_race_calendar_writer () =
+  let r = R.calendar_race () in
+  let service = Service.create r.R.ti in
+  with_server service @@ fun addr ->
+  let failures = Atomic.make 0 in
+  let stgq q = Proto.Stgq { initiator = r.R.initiator; q; policy = None } in
+  let ask c i q =
+    match request_exn c (stgq q) with
+    | Proto.Stg_answer { value; certified = true; _ } when R.either_ref r i value -> ()
+    | _ -> Atomic.incr failures
+  in
+  let querier () =
+    with_client addr @@ fun c ->
+    for _ = 1 to 20 do
+      List.iteri (ask c) r.R.shapes
+    done
+  in
+  let writer () =
+    with_client addr @@ fun c ->
+    let set avail =
+      match request_exn c (Proto.Update_schedule { vertex = r.R.victim; avail }) with
+      | Proto.Updated _ -> ()
+      | _ -> Atomic.incr failures
+    in
+    for _ = 1 to 20 do
+      set r.R.busy;
+      set r.R.original
+    done
+  in
+  let threads = List.map (fun f -> Thread.create f ()) [ querier; querier; writer ] in
+  List.iter Thread.join threads;
+  check Alcotest.int "every edit acked, every answer certified and consistent" 0
+    (Atomic.get failures);
+  (* The writer's last edit restored the original calendar. *)
+  with_client addr @@ fun c ->
+  List.iter2
+    (fun q pre ->
+      match request_exn c (stgq q) with
+      | Proto.Stg_answer { value; certified = true; _ } ->
+          check Alcotest.bool "the final answer is the pre-edit one" true
+            (R.same_stg value pre)
+      | resp -> Alcotest.failf "expected a certified answer, got %a" Proto.pp_response resp)
+    r.R.shapes r.R.pre_refs
+
 let suite =
   [
     Alcotest.test_case "hello and ping" `Quick test_hello_ping;
@@ -650,5 +755,9 @@ let suite =
       test_answer_trace_id_fetchable;
     Alcotest.test_case "oversized frame over the wire" `Quick
       test_oversized_frame_over_wire;
+    Alcotest.test_case "wire calendar edit waits for an in-flight query" `Quick
+      test_wire_edit_waits_for_inflight_query;
+    Alcotest.test_case "wire queries race a wire calendar writer" `Quick
+      test_wire_queries_race_calendar_writer;
   ]
   @ corpus_tests

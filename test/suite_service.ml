@@ -134,24 +134,19 @@ let prop_pooled_service_matches_plain =
           | _ -> false)
         (List.init (min 4 case.Gen.sg.Gen.n) Fun.id))
 
-(* A malformed query is rejected before any work: a single request and
-   a batch holding one bad member both raise [Invalid_argument], and no
-   context is looked up, so the good batch members are not answered
-   either. *)
+(* A malformed query is rejected before any work: both kinds raise
+   [Invalid_argument] and no context is looked up. *)
 let test_malformed_query_rejected_before_lookup () =
   let service = Service.create (fixture ()) in
-  let good = { Query.p = 2; s = 1; k = 1; m = 2 } in
-  let bad = { good with Query.m = 0 } in
+  let bad = { Query.p = 2; s = 1; k = 1; m = 0 } in
   let rejects name f =
     match f () with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  rejects "single" (fun () -> ignore (Service.stgq_r service ~initiator:0 bad));
-  rejects "single sgq" (fun () ->
+  rejects "stgq" (fun () -> ignore (Service.stgq_r service ~initiator:0 bad));
+  rejects "sgq" (fun () ->
       ignore (Service.sgq_r service ~initiator:0 { Query.p = 0; s = 1; k = 1 }));
-  rejects "batch" (fun () ->
-      ignore (Service.stgq_batch_r service [ (0, good); (1, bad) ]));
   let stats = Service.cache_stats service in
   Alcotest.check Alcotest.int "no lookup" 0
     (stats.Service.hits + stats.Service.misses)
@@ -251,6 +246,236 @@ let test_cold_request_words_independent_of_n () =
     true
     (abs (large - small) <= 64)
 
+(* --- edits against in-flight requests ------------------------------- *)
+
+let same_stg a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Query.stg_solution), Some (y : Query.stg_solution) ->
+      x.Query.st_attendees = y.Query.st_attendees
+      && x.Query.start_slot = y.Query.start_slot
+      && close x.Query.st_total_distance y.Query.st_total_distance
+  | _ -> false
+
+let same_sg a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Query.sg_solution), Some (y : Query.sg_solution) ->
+      x.Query.attendees = y.Query.attendees
+      && close x.Query.total_distance y.Query.total_distance
+  | _ -> false
+
+(* The 120-member coauthor world, posed by its rank-4 member. *)
+let race_world () =
+  let ti = Workload.Scenario.coauthor ~seed:13 ~days:1 ~n:120 () in
+  let initiator =
+    Workload.Scenario.pick_initiator ~rank:4 ti.Query.social.Query.graph
+  in
+  ({ ti with Query.social = { ti.Query.social with Query.initiator } }, initiator)
+
+let race_q = { Query.p = 3; s = 2; k = 1; m = 2 }
+
+let non_initiator initiator attendees =
+  match List.find_opt (fun v -> v <> initiator) attendees with
+  | Some v -> v
+  | None -> Alcotest.fail "expected a non-initiator attendee"
+
+(* Two STGQ shapes on the race world, an edit that busies out [victim],
+   an attendee of the first shape's pre-edit answer, in every slot, and
+   each shape's answer before and after that edit. *)
+type calendar_race = {
+  ti : Query.temporal_instance;
+  initiator : int;
+  shapes : Query.stgq list;
+  victim : int;
+  busy : Timetable.Availability.t;
+  original : Timetable.Availability.t;
+  pre_refs : Query.stg_solution option list;
+  post_refs : Query.stg_solution option list;
+}
+
+let calendar_race () =
+  let ti, initiator = race_world () in
+  let shapes = [ race_q; { race_q with Query.k = 2; m = 3 } ] in
+  let solve_all ti = List.map (Stgselect.solve ti) shapes in
+  let pre_refs = solve_all ti in
+  let victim =
+    match pre_refs with
+    | Some sol :: _ -> non_initiator initiator sol.Query.st_attendees
+    | _ -> Alcotest.fail "expected a pre-edit solution"
+  in
+  let busy =
+    Timetable.Availability.create
+      ~horizon:(Timetable.Availability.horizon ti.Query.schedules.(0))
+  in
+  let post_refs =
+    let schedules = Array.map Timetable.Availability.copy ti.Query.schedules in
+    schedules.(victim) <- Timetable.Availability.copy busy;
+    solve_all { ti with Query.schedules }
+  in
+  Alcotest.check Alcotest.bool "the edit changes some answer" false
+    (List.for_all2 same_stg pre_refs post_refs);
+  {
+    ti;
+    initiator;
+    shapes;
+    victim;
+    busy;
+    original = Timetable.Availability.copy ti.Query.schedules.(victim);
+    pre_refs;
+    post_refs;
+  }
+
+(* Whether [answer] is shape [i]'s pre-edit or post-edit reference. *)
+let either_ref r i answer =
+  same_stg answer (List.nth r.pre_refs i) || same_stg answer (List.nth r.post_refs i)
+
+(* The SGQ of the race world's first shape, an edit that drops every
+   edge of [victim], an attendee of its pre-edit answer, with the
+   vertices those edges touch (what [update_graph ~touched] is given),
+   and the answer before and after that edit. *)
+type graph_race = {
+  g_ti : Query.temporal_instance;
+  g_initiator : int;
+  q : Query.sgq;
+  original_graph : Socgraph.Graph.t;
+  edited : Socgraph.Graph.t;
+  touched : int list;
+  pre : Query.sg_solution option;
+  post : Query.sg_solution option;
+}
+
+let graph_race () =
+  let ti, initiator = race_world () in
+  let social = ti.Query.social in
+  let q = Query.sgq_of_stgq race_q in
+  let pre = Sgselect.solve social q in
+  let victim =
+    match pre with
+    | Some sol -> non_initiator initiator sol.Query.attendees
+    | None -> Alcotest.fail "expected a pre-edit solution"
+  in
+  let graph = social.Query.graph in
+  let kept, dropped =
+    List.partition
+      (fun (u, v, _) -> u <> victim && v <> victim)
+      (Socgraph.Graph.edges graph)
+  in
+  let edited = Socgraph.Graph.of_edges (Socgraph.Graph.n_vertices graph) kept in
+  let post = Sgselect.solve { social with Query.graph = edited } q in
+  Alcotest.check Alcotest.bool "the edit changes the answer" false (same_sg pre post);
+  {
+    g_ti = ti;
+    g_initiator = initiator;
+    q;
+    original_graph = graph;
+    edited;
+    touched =
+      List.sort_uniq compare (List.concat_map (fun (u, v, _) -> [ u; v ]) dropped);
+    pre;
+    post;
+  }
+
+let check_held (seen : Gen.mid_solve) =
+  Alcotest.(check bool) "the solver's debug line was caught" true seen.Gen.fired;
+  Alcotest.(check bool) "the edit did not return while the request was in flight"
+    false seen.Gen.edit_returned_mid_request
+
+(* A calendar edit that arrives between a pool-less STGQ's search and
+   its certificate busies out an attendee of the answer.  It must wait
+   for the request: the request answers the pre-edit optimum, certified,
+   and the edit lands after it. *)
+let test_schedule_edit_waits_for_request () =
+  let r = calendar_race () in
+  let q = List.nth r.shapes 0 and pre = List.nth r.pre_refs 0 in
+  let initiator = r.initiator in
+  let service = Service.create r.ti in
+  let answer, seen =
+    Gen.edit_mid_solve ~src:"stgq.stgselect"
+      ~edit:(fun () -> Service.update_schedule service ~vertex:r.victim r.busy)
+      (fun () -> Service.stgq_r service ~initiator q)
+  in
+  (match answer with
+  | Ok a ->
+      Alcotest.(check bool) "the answer is the pre-edit optimum" true
+        (same_stg a.Resilience.value pre)
+  | Error e -> Alcotest.failf "request failed: %a" Resilience.pp_error e);
+  check_held seen;
+  Alcotest.(check bool) "the edit landed after the request" true
+    (same_stg (Gen.served (Service.stgq_r service ~initiator q)) (List.nth r.post_refs 0))
+
+(* The same for a social-graph edit against an SGQ: the edit isolates
+   an attendee of the answer and must wait for the request. *)
+let test_graph_edit_waits_for_request () =
+  let r = graph_race () in
+  let initiator = r.g_initiator in
+  let service = Service.create r.g_ti in
+  let answer, seen =
+    Gen.edit_mid_solve ~src:"stgq.sgselect"
+      ~edit:(fun () -> Service.update_graph ~touched:r.touched service r.edited)
+      (fun () -> Service.sgq_r service ~initiator r.q)
+  in
+  (match answer with
+  | Ok a ->
+      Alcotest.(check bool) "the answer is the pre-edit optimum" true
+        (same_sg a.Resilience.value r.pre)
+  | Error e -> Alcotest.failf "request failed: %a" Resilience.pp_error e);
+  check_held seen;
+  Alcotest.(check bool) "the edit landed after the request" true
+    (same_sg (Gen.served (Service.sgq_r service ~initiator r.q)) r.post)
+
+(* Calendar edits racing single pooled requests: every request sees one
+   consistent calendar state, so each answer equals its shape's
+   pre-edit or post-edit reference — never a stale or torn mixture, and
+   always certified.  Requests are compared one by one: an edit may
+   land between two requests of one round. *)
+let test_schedule_edit_race_consistent () =
+  let r = calendar_race () in
+  Engine.Pool.with_pool ~size:2 @@ fun pool ->
+  let service = Service.create ~pool r.ti in
+  let editor =
+    Domain.spawn (fun () ->
+        for _ = 1 to 20 do
+          Service.update_schedule service ~vertex:r.victim r.busy;
+          Service.update_schedule service ~vertex:r.victim r.original
+        done)
+  in
+  let answer q = Gen.served (Service.stgq_r service ~initiator:r.initiator q) in
+  for _ = 1 to 20 do
+    List.iteri
+      (fun i q ->
+        Alcotest.check Alcotest.bool
+          "each answer matches one consistent calendar state" true
+          (either_ref r i (answer q)))
+      r.shapes
+  done;
+  Domain.join editor;
+  (* The editor's last write restored the original calendar. *)
+  Alcotest.check Alcotest.bool "final answers are the pre-edit ones" true
+    (List.for_all2 same_stg (List.map answer r.shapes) r.pre_refs)
+
+(* Social-graph edits racing single SGQ requests: each answer equals
+   the pre-edit or the post-edit reference. *)
+let test_graph_edit_race_consistent () =
+  let r = graph_race () in
+  let service = Service.create r.g_ti in
+  let editor =
+    Domain.spawn (fun () ->
+        for _ = 1 to 20 do
+          Service.update_graph ~touched:r.touched service r.edited;
+          Service.update_graph ~touched:r.touched service r.original_graph
+        done)
+  in
+  let answer () = Gen.served (Service.sgq_r service ~initiator:r.g_initiator r.q) in
+  for _ = 1 to 40 do
+    let a = answer () in
+    Alcotest.check Alcotest.bool "each answer matches one consistent graph" true
+      (same_sg a r.pre || same_sg a r.post)
+  done;
+  Domain.join editor;
+  Alcotest.check Alcotest.bool "the final answer is the pre-edit one" true
+    (same_sg (answer ()) r.pre)
+
 let suite =
   [
     Alcotest.test_case "cache hits and eviction" `Quick test_cache_hits_and_eviction;
@@ -264,4 +489,12 @@ let suite =
       test_concurrent_cold_requests_match_sequential;
     Alcotest.test_case "cold request words independent of n" `Quick
       test_cold_request_words_independent_of_n;
+    Alcotest.test_case "schedule edits race pooled requests consistently" `Quick
+      test_schedule_edit_race_consistent;
+    Alcotest.test_case "calendar edit waits for an in-flight request" `Quick
+      test_schedule_edit_waits_for_request;
+    Alcotest.test_case "graph edit waits for an in-flight request" `Quick
+      test_graph_edit_waits_for_request;
+    Alcotest.test_case "graph edits race single requests consistently" `Quick
+      test_graph_edit_race_consistent;
   ]
