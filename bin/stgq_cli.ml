@@ -699,11 +699,6 @@ let serve_cmd =
              ~doc:"Shed work beyond $(docv) concurrently-executing \
                    requests with a typed Overloaded response.")
   in
-  let max_connections =
-    Arg.(value & opt (some int) None
-         & info [ "max-connections" ] ~docv:"N"
-             ~doc:"Exit after $(docv) connections (default: serve forever).")
-  in
   let store_dir =
     Arg.(value & opt (some string) None
          & info [ "store" ] ~docv:"DIR"
@@ -741,7 +736,7 @@ let serve_cmd =
                    size-capped rotation (implies --flight-recorder).")
   in
   let run src domains deadline node_budget no_degrade admission_limit bind_host
-      port unix_socket max_connections store_dir checkpoint_bytes metrics_port
+      port unix_socket store_dir checkpoint_bytes metrics_port
       flight_recorder events_dir stats =
     with_stats stats @@ fun () ->
     let flight_recorder = flight_recorder || events_dir <> None in
@@ -818,7 +813,7 @@ let serve_cmd =
         Fmt.epr "exposing /metrics and /healthz on http://%s:%d@." bind_host
           mport);
     Fmt.epr "serving the STGQ wire protocol (v%d) on %s@." Proto.version where;
-    Server.serve ?max_connections server addr
+    Server.serve server addr
   in
   Cmd.v
     (Cmd.info "serve"
@@ -830,7 +825,7 @@ let serve_cmd =
     Term.(
       const run $ source_term $ domains_term $ deadline_term $ node_budget_term
       $ no_degrade_term $ admission_limit $ bind_host $ port $ unix_socket
-      $ max_connections $ store_dir $ checkpoint_bytes $ metrics_port
+      $ store_dir $ checkpoint_bytes $ metrics_port
       $ flight_recorder $ events_dir $ stats_term)
 
 (* ------------------------------------------------------------------ *)

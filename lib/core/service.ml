@@ -1,7 +1,6 @@
 type cache_stats = {
   hits : int;
   misses : int;
-  coalesced : int;
   evictions : int;
   entries : int;
 }
@@ -22,6 +21,15 @@ let create ?(config = Search_core.default_config) ?(cache_capacity = 64) ?pool
     Engine.Cache.create ~capacity:cache_capacity ~schedules ti.social.Query.graph
   in
   { config; engine; schedules; pool }
+
+let n_vertices t = Socgraph.Graph.n_vertices (Engine.Cache.graph t.engine)
+
+let check_initiator t initiator =
+  let n = n_vertices t in
+  if initiator < 0 || initiator >= n then
+    invalid_arg
+      (Printf.sprintf "initiator %d out of range (dataset has %d members)"
+         initiator n)
 
 (* --- query kinds -----------------------------------------------------
 
@@ -134,8 +142,9 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
    under a [service.certify] span.  With the root span closed, so the
    tree is complete, it classifies and publishes the outcome once.
 
-   The answer — query check, instance read, lookups, solves, retries
-   and certificates — runs inside one {!Engine.Cache.with_solves} region,
+   The answer — query and initiator checks, instance read, lookups,
+   solves, retries and certificates — runs inside one
+   {!Engine.Cache.with_solves} region,
    so a graph or calendar edit lands before or after it, never between
    a solve and its certificate.  The region opens inside the latency
    histogram and the root span, so time spent waiting behind an edit
@@ -156,6 +165,7 @@ let request kind ?policy ?cancel t ~initiator q =
     Obs.time_hist kind.latency @@ fun () ->
     Engine.Cache.with_solves t.engine @@ fun () ->
     kind.check q;
+    check_initiator t initiator;
     let instance = kind.instance t ~initiator in
     let certify solution =
       Obs.Trace.with_span "service.certify" @@ fun () ->
@@ -195,12 +205,9 @@ let cache_stats t =
   {
     hits = s.Engine.Cache.hits;
     misses = s.Engine.Cache.misses;
-    coalesced = s.Engine.Cache.coalesced;
     evictions = s.Engine.Cache.evictions;
     entries = s.Engine.Cache.entries;
   }
-
-let n_vertices t = Socgraph.Graph.n_vertices (Engine.Cache.graph t.engine)
 
 let horizon t =
   if Array.length t.schedules = 0 then 0
@@ -210,20 +217,7 @@ let graph t = Engine.Cache.graph t.engine
 
 let schedules t = Array.map Timetable.Availability.copy t.schedules
 
-let epoch t = Engine.Cache.epoch t.engine
-
-let update_graph ?touched t graph =
-  if
-    Socgraph.Graph.n_vertices graph
-    <> Socgraph.Graph.n_vertices (Engine.Cache.graph t.engine)
-  then invalid_arg "Service.update_graph: vertex count changed";
-  Engine.Cache.set_graph ?touched t.engine graph
+let update_graph t graph = Engine.Cache.set_graph t.engine graph
 
 let update_schedule t ~vertex schedule =
-  if vertex < 0 || vertex >= Array.length t.schedules then
-    invalid_arg "Service.update_schedule: vertex out of range";
-  if
-    Timetable.Availability.horizon schedule
-    <> Timetable.Availability.horizon t.schedules.(vertex)
-  then invalid_arg "Service.update_schedule: horizon mismatch";
   Engine.Cache.set_schedule t.engine ~vertex schedule

@@ -6,9 +6,12 @@
     (radius extraction, availability slab, pivot index) is the shared
     prefix of every query an initiator poses, so the service memoises
     full {!Engine.Context}s per [(initiator, s)] in {!Engine.Cache}'s
-    O(1) LRU.  Calendar changes are applied in place and seen by every
-    cached context immediately — only social-graph changes invalidate
-    (see {!update_graph}).  With a {!Engine.Pool} attached, STGQ
+    O(1) LRU.  A miss builds its context outside the cache lock, so a
+    cold key, whose build grows with its s-hop ball, holds up no other
+    request, except through an edit that waits for it (below).
+    Calendar changes are applied in place and seen by every
+    cached context immediately — a social-graph change drops every
+    context (see {!update_graph}).  With a {!Engine.Pool} attached, STGQ
     answers are computed by the pooled parallel solver.
 
     Two query functions share one request path: an SGQ or an STGQ,
@@ -27,7 +30,6 @@ type t
 type cache_stats = {
   hits : int;
   misses : int;
-  coalesced : int;  (** lookups that joined another caller's in-flight build *)
   evictions : int;
   entries : int;
 }
@@ -51,7 +53,8 @@ val create :
     certificate: it was re-checked against the raw instance by
     {!Validate} before being returned; a failed re-check (a solver bug
     surfacing) is {!Resilience.Unavailable}.
-    @raise Invalid_argument on a malformed query. *)
+    @raise Invalid_argument on a malformed query or an initiator outside
+    [0 .. n_vertices t - 1], before any context is looked up. *)
 val sgq_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> initiator:int -> Query.sgq ->
@@ -70,8 +73,8 @@ val cache_stats : t -> cache_stats
 
 (** [n_vertices t] — members in the served social graph.  Valid
     initiator and calendar-edit vertex ids are [0 .. n_vertices t - 1];
-    the wire server uses this to reject out-of-range requests before
-    they reach a solver. *)
+    the wire server uses this to reject an out-of-range calendar edit
+    before it reaches the journal. *)
 val n_vertices : t -> int
 
 (** [horizon t] — slot horizon shared by every served calendar (the
@@ -86,19 +89,17 @@ val graph : t -> Socgraph.Graph.t
     a concurrent in-place calendar rewrite cannot tear the image. *)
 val schedules : t -> Timetable.Availability.t array
 
-(** [epoch t] — the engine cache's mutation epoch (see
-    {!Engine.Cache.epoch}). *)
-val epoch : t -> int
-
-(** [update_graph ?touched t graph] replaces the social graph (same
-    vertex count required).  Without [touched], every cached context is
-    dropped; with the delta's incident vertices, only the contexts whose
-    feasible set meets them ({!Engine.Cache.set_graph}).  Waits for
-    in-flight requests to finish; must not be called from inside one. *)
-val update_graph : ?touched:int list -> t -> Socgraph.Graph.t -> unit
+(** [update_graph t graph] replaces the social graph (same vertex
+    count required) and drops every cached context
+    ({!Engine.Cache.set_graph}).  Waits for in-flight requests to
+    finish; must not be called from inside one.
+    @raise Invalid_argument if the vertex count differs. *)
+val update_graph : t -> Socgraph.Graph.t -> unit
 
 (** [update_schedule t ~vertex schedule] replaces one calendar (same
-    horizon required); cached contexts observe the change immediately.
-    Waits for in-flight requests to finish; must not be called from
-    inside one. *)
+    horizon required); cached contexts observe the change immediately
+    ({!Engine.Cache.set_schedule}).  Waits for in-flight requests to
+    finish; must not be called from inside one.
+    @raise Invalid_argument on an out-of-range vertex or a horizon
+    mismatch. *)
 val update_schedule : t -> vertex:int -> Timetable.Availability.t -> unit

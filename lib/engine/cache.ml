@@ -5,7 +5,6 @@ module Log = (val Logs.src_log log)
 type stats = {
   hits : int;
   misses : int;
-  coalesced : int;
   evictions : int;
   entries : int;
 }
@@ -18,15 +17,11 @@ let m_hits = Obs.counter "engine.cache.hits"
 
 let m_misses = Obs.counter "engine.cache.misses"
 
-let m_coalesced = Obs.counter "engine.cache.coalesced"
-
 let m_evictions = Obs.counter "engine.cache.evictions"
 
 let m_entries = Obs.gauge "engine.cache.entries"
 
 let m_epoch = Obs.gauge "engine.cache.epoch"
-
-let m_selective_drops = Obs.counter "engine.cache.selective_drops"
 
 (* Intrusive doubly-linked recency list: most recent at [head], eviction
    victim at [tail].  Every operation is O(1), unlike the seed service's
@@ -38,9 +33,9 @@ type node = {
   mutable next : node option;
 }
 
-(* All mutable fields are guarded by [lock]; [Context.build] itself runs
-   outside the lock (it is the expensive part), with in-flight keys
-   tracked in [building] so concurrent misses coalesce onto one build.
+(* All mutable fields are guarded by [lock].  A miss releases it for its
+   [Context.build], whose cost grows with the s-hop ball and so with the
+   client's s, so a cold key holds up no other lookup or region.
    [solvers]/[writers]/[solver_done] are a writer-preferring
    readers-writer discipline: {!with_solves} regions run concurrently
    with each other, {!set_schedule}/{!set_graph} wait for the region
@@ -51,18 +46,14 @@ type t = {
   capacity : int;
   schedules : Timetable.Availability.t array option;
   mutable graph : Socgraph.Graph.t;
-  mutable graph_gen : int;  (* bumped by [set_graph]; guards stale inserts *)
-  mutable epoch : int;  (* bumped by every mutation; exposed for recovery *)
+  mutable epoch : int;  (* bumped by every mutation *)
   table : (int * int, node) Hashtbl.t;
   mutable head : node option;
   mutable tail : node option;
   mutable hits : int;
   mutable misses : int;
-  mutable coalesced : int;
   mutable evictions : int;
   lock : Mutex.t;
-  build_done : Condition.t;
-  building : (int * int, unit) Hashtbl.t;
   mutable solvers : int;
   mutable writers : int;  (* edits waiting in [wait_no_solves] *)
   solver_done : Condition.t;
@@ -86,18 +77,14 @@ let create ?(capacity = 64) ?schedules graph =
     capacity;
     schedules;
     graph;
-    graph_gen = 0;
     epoch = 0;
     table = Hashtbl.create 64;
     head = None;
     tail = None;
     hits = 0;
     misses = 0;
-    coalesced = 0;
     evictions = 0;
     lock = Mutex.create ();
-    build_done = Condition.create ();
-    building = Hashtbl.create 8;
     solvers = 0;
     writers = 0;
     solver_done = Condition.create ();
@@ -148,66 +135,40 @@ type lookup = { ctx : Context.t; hit : bool }
 let lookup t ~initiator ~s =
   let key = (initiator, s) in
   Obs.Counter.incr m_lookups;
-  Mutex.lock t.lock;
-  (* [coalesced] flags a lookup that slept on somebody else's in-flight
-     build; counted once per waiter, and the waiter's eventual find
-     still counts as a hit, so hits + misses = lookups holds. *)
-  let rec obtain ~waited =
+  let cached =
+    Mutex.protect t.lock @@ fun () ->
     match Hashtbl.find_opt t.table key with
     | Some n ->
         t.hits <- t.hits + 1;
-        Obs.Counter.incr m_hits;
         unlink t n;
         push_front t n;
-        Mutex.unlock t.lock;
-        Obs.Trace.add_attrs
-          [ ("context.cache", if waited then "coalesced" else "hit") ];
-        Log.debug (fun m -> m "context cache hit for (q=%d, s=%d)" initiator s);
-        { ctx = n.ctx; hit = true }
+        Either.Left n.ctx
     | None ->
-        if Hashtbl.mem t.building key then begin
-          if not waited then begin
-            t.coalesced <- t.coalesced + 1;
-            Obs.Counter.incr m_coalesced;
-            Log.debug (fun m ->
-                m "coalescing onto in-flight build for (q=%d, s=%d)" initiator s)
-          end;
-          Condition.wait t.build_done t.lock;
-          obtain ~waited:true
-        end
-        else begin
-          Hashtbl.replace t.building key ();
-          t.misses <- t.misses + 1;
-          Obs.Counter.incr m_misses;
-          (* Snapshot the graph and its generation: if [set_graph] lands
-             while we build outside the lock, the stale context must not
-             be cached. *)
-          let graph = t.graph in
-          let gen = t.graph_gen in
-          Mutex.unlock t.lock;
-          Obs.Trace.add_attrs [ ("context.cache", "miss") ];
-          Log.debug (fun m -> m "context cache miss for (q=%d, s=%d)" initiator s);
-          let finish_build () =
-            Hashtbl.remove t.building key;
-            Condition.broadcast t.build_done
-          in
-          match Context.build ?schedules:t.schedules graph ~initiator ~s with
-          | exception e ->
-              (* A failed build releases the key so a waiter retries as
-                 the next builder instead of sleeping forever. *)
-              Mutex.lock t.lock;
-              finish_build ();
-              Mutex.unlock t.lock;
-              raise e
-          | ctx ->
-              Mutex.lock t.lock;
-              finish_build ();
-              if t.graph_gen = gen then insert t key ctx;
-              Mutex.unlock t.lock;
-              { ctx; hit = false }
-        end
+        (* Counted before the build, so a build that raises still counts
+           its miss; it inserts nothing. *)
+        t.misses <- t.misses + 1;
+        Either.Right t.graph
   in
-  obtain ~waited:false
+  match cached with
+  | Left ctx ->
+      Obs.Counter.incr m_hits;
+      Obs.Trace.add_attrs [ ("context.cache", "hit") ];
+      Log.debug (fun m -> m "context cache hit for (q=%d, s=%d)" initiator s);
+      { ctx; hit = true }
+  | Right graph ->
+      Obs.Counter.incr m_misses;
+      Obs.Trace.add_attrs [ ("context.cache", "miss") ];
+      Log.debug (fun m -> m "context cache miss for (q=%d, s=%d)" initiator s);
+      let ctx = Context.build ?schedules:t.schedules graph ~initiator ~s in
+      (* Another miss on the key may have inserted first, and a graph
+         swap since the read above makes this context stale: either way
+         it answers this caller only.  The graph is compared by
+         identity: the one this build read, or one swapped in since. *)
+      Mutex.protect t.lock (fun () ->
+          (* lint: allow phys-eq *)
+          if t.graph == graph && not (Hashtbl.mem t.table key) then
+            insert t key ctx);
+      { ctx; hit = false }
 
 let context t ~initiator ~s = (lookup t ~initiator ~s).ctx
 
@@ -241,59 +202,22 @@ let stats t =
       {
         hits = t.hits;
         misses = t.misses;
-        coalesced = t.coalesced;
         evictions = t.evictions;
         entries = Hashtbl.length t.table;
       })
 
-(* Called with [t.lock] held. *)
-let clear_locked t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
-let clear t = Mutex.protect t.lock (fun () -> clear_locked t)
-
-(* Called with [t.lock] held.  A graph delta on edge {u,v} can change a
-   cached context only if [u] or [v] lies in its feasible set: any new
-   or removed path of social length <= s from the initiator must pass
-   through an endpoint that is itself within s hops, i.e. feasible.  So
-   dropping exactly the contexts whose feasible set meets [touched] is
-   a sound — and precise — invalidation. *)
-let drop_touched_locked t touched =
-  let doomed =
-    Hashtbl.fold
-      (fun key (n : node) acc ->
-        let fg = n.ctx.Context.fg in
-        if List.exists (fun v -> Feasible.sub_id fg v >= 0) touched then
-          (key, n) :: acc
-        else acc)
-      t.table []
-  in
-  List.iter
-    (fun (key, n) ->
-      unlink t n;
-      Hashtbl.remove t.table key;
-      Obs.Counter.incr m_selective_drops)
-    doomed;
-  Obs.Gauge.set m_entries (Hashtbl.length t.table);
-  List.length doomed
-
-let set_graph ?touched t graph =
+let set_graph t graph =
   if Socgraph.Graph.n_vertices graph <> Socgraph.Graph.n_vertices t.graph then
     invalid_arg "Engine.Cache.set_graph: vertex count changed";
   Mutex.protect t.lock (fun () ->
       wait_no_solves t;
       t.graph <- graph;
-      t.graph_gen <- t.graph_gen + 1;
       bump_epoch_locked t;
-      match touched with
-      | None -> clear_locked t
-      | Some vs ->
-          let dropped = drop_touched_locked t vs in
-          Log.debug (fun m ->
-              m "graph delta touching %d vertice(s): dropped %d context(s)"
-                (List.length vs) dropped))
+      (* Every context embeds distances derived from the old edges. *)
+      Hashtbl.reset t.table;
+      t.head <- None;
+      t.tail <- None;
+      Obs.Gauge.set m_entries 0)
 
 let set_schedule t ~vertex schedule =
   match t.schedules with

@@ -1,5 +1,5 @@
-(** Keyed {!Context} cache with an O(1) LRU — thread-safe, with
-    single-flight builds.
+(** Keyed {!Context} cache with an O(1) LRU, safe to share between
+    threads and domains.
 
     Radius-graph extraction is the shared prefix of every query an
     initiator poses, so the cache memoises full contexts per
@@ -9,34 +9,31 @@
 
     Concurrency: every operation is safe to call from any domain or
     systhread (the wire server answers each connection on its own
-    thread).  Builds are
-    {e single-flight}: two concurrent misses on the same key run one
-    {!Context.build}; the second caller sleeps until the first publishes
-    and then takes the shared context (counted by
-    [engine.cache.coalesced] and the [coalesced] stat — the waiter's
-    find still counts as a hit, so [hits + misses = lookups]).  The
-    build itself runs outside the cache lock, so a slow extraction never
-    blocks hits on other keys.
+    thread).  One mutex guards the table, regions and edits, and a miss
+    releases it while its {!Context.build} runs: a build's cost grows
+    with the initiator's s-hop ball, and the wire does not bound s, so
+    a cold key holds up no other lookup or {!with_solves} region (an
+    edit still waits for the region the build runs in).  Concurrent
+    misses on one key may each build it; the first to finish caches
+    its context, and every lookup counts as one hit or one miss, so
+    [hits + misses = lookups].
 
-    Mutation model: social-graph swaps ({!set_graph}) drop cached
-    contexts — every one by default, or, given the delta's [?touched]
-    vertices, exactly the contexts whose feasible set meets them (a
-    graph edit on edge [{u,v}] can only change a context in which [u]
-    or [v] is itself within [s] hops of the initiator).  Calendar edits
-    ({!set_schedule}) rewrite the installed schedule's bitset in place,
-    which every cached context aliases, so they need no invalidation at
-    all.  Both edits wait for in-flight {!with_solves} regions to drain,
-    so an edit lands only {e between} solves — a solver that brackets
-    its work in {!with_solves} never observes a half-applied calendar.
-    Every mutation bumps the cache {!epoch}, so recovery replay can
-    assert exactly how many edits landed. *)
+    Mutation model: a social-graph swap ({!set_graph}) drops every
+    cached context, and a build that read the old graph answers its
+    own caller but is not cached.  Calendar edits ({!set_schedule})
+    rewrite the installed schedule's bitset in place, which every
+    cached context aliases, so they need no invalidation at all.  Both
+    edits wait for in-flight
+    {!with_solves} regions to drain, so an edit lands only {e between}
+    solves — a solver that brackets its work in {!with_solves} never
+    observes a half-applied calendar.  Every mutation bumps the cache
+    {!epoch}. *)
 
 type t
 
 type stats = {
   hits : int;
   misses : int;
-  coalesced : int;  (** lookups that slept on another caller's build *)
   evictions : int;
   entries : int;
 }
@@ -59,20 +56,22 @@ val create :
 val graph : t -> Socgraph.Graph.t
 
 (** Mutation epoch: starts at [0], incremented by every {!set_graph} and
-    {!set_schedule}.  WAL replay bumps it once per replayed delta, which
-    the recovery differential gate asserts. *)
+    {!set_schedule}, and mirrored in the [engine.cache.epoch] gauge. *)
 val epoch : t -> int
 
 (** The outcome of one lookup: the context, and whether it came from
-    the table ([hit = false] means this caller built it).  A lookup that
-    slept on another caller's in-flight build counts as a hit, matching
+    the table ([hit = false] means this caller built it), matching
     {!stats}. *)
 type lookup = { ctx : Context.t; hit : bool }
 
-(** [lookup t ~initiator ~s] returns the cached context for the key,
-    building (and possibly evicting the least-recently-used entry)
-    on a miss.  Concurrent misses on the same key coalesce onto one
-    build. *)
+(** [lookup t ~initiator ~s] returns the cached context for the key.  On
+    a miss it builds the context outside the cache lock and then caches
+    it (possibly evicting the least-recently-used entry), unless
+    another miss cached the key first or {!set_graph} swapped the graph
+    meanwhile.  A build that raises counts its miss and caches nothing.
+    Inside a {!with_solves} region no swap can land, so the context
+    always matches {!graph}; a caller outside any region may be handed
+    a context of the graph that a concurrent {!set_graph} replaced. *)
 val lookup : t -> initiator:int -> s:int -> lookup
 
 (** [context t ~initiator ~s] is [(lookup t ~initiator ~s).ctx]. *)
@@ -93,16 +92,11 @@ val with_solves : t -> (unit -> 'a) -> 'a
 (** Cumulative cache behaviour. *)
 val stats : t -> stats
 
-(** Drop every cached context (counters are kept). *)
-val clear : t -> unit
-
-(** [set_graph ?touched t g] swaps the social graph (same vertex count
-    required) and invalidates: without [touched], every cached context
-    is dropped; with [touched] — the vertices the delta's edges are
-    incident to — only contexts whose feasible set contains a touched
-    vertex are dropped, which is precise (see the module preamble).
-    Waits for open {!with_solves} regions to drain. *)
-val set_graph : ?touched:int list -> t -> Socgraph.Graph.t -> unit
+(** [set_graph t g] swaps the social graph (same vertex count required)
+    and drops every cached context (counters are kept).  Waits for open
+    {!with_solves} regions to drain.
+    @raise Invalid_argument if the vertex count differs. *)
+val set_graph : t -> Socgraph.Graph.t -> unit
 
 (** [set_schedule t ~vertex schedule] rewrites one calendar in place
     (same horizon required); cached contexts see the change immediately.

@@ -376,71 +376,6 @@ let check_toplevel_state ~allowed_modules ctx structure =
   end
 
 (* ------------------------------------------------------------------ *)
-(* R7 — unbalanced trace spans.                                        *)
-
-(* [has_dotted_suffix ~suffix name] holds when [name] is [suffix] or
-   ends with ".suffix" — so "Obs.Trace.start" matches "Trace.start"
-   while "restart" does not. *)
-let has_dotted_suffix ~suffix name =
-  name = suffix
-  ||
-  let ls = String.length suffix and ln = String.length name in
-  ln > ls + 1
-  && String.sub name (ln - ls) ls = suffix
-  && name.[ln - ls - 1] = '.'
-
-(* A [Trace.start] whose [Trace.finish] lives in a *different* function
-   leaks the open frame on any exception between the two.  The check is
-   per top-level binding (the granularity [check_toplevel_state] uses):
-   a nested [let h = Trace.start ... in ... Trace.finish h] inside one
-   binding balances, while a start-only binding is flagged even if some
-   other binding finishes the handle. *)
-let check_span_balance ctx structure =
-  ignore (ctx : ctx);
-  let findings = ref [] in
-  let check_binding vb =
-    let starts = ref [] in
-    let finished = ref false in
-    iter_idents
-      (fun name loc ->
-        if has_dotted_suffix ~suffix:"Trace.start" name then
-          starts := loc :: !starts
-        else if
-          has_dotted_suffix ~suffix:"Trace.finish" name
-          || has_dotted_suffix ~suffix:"Trace.with_span" name
-        then finished := true)
-      vb.pvb_expr;
-    if not !finished then
-      List.iter
-        (fun loc ->
-          findings :=
-            Diag.make ~rule:"span-balance" ~severity:Diag.Error loc
-              "Trace.start without a Trace.finish in the same top-level \
-               binding leaks the open span frame on any early exit; prefer \
-               Trace.with_span, which closes on every path"
-            :: !findings)
-        !starts
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      structure_item =
-        (fun self item ->
-          (match item.pstr_desc with
-          | Pstr_value (_, vbs) -> List.iter check_binding vbs
-          | _ -> ());
-          (* Recurse only into nested modules: a Pstr_value's expression
-             was already scanned whole by [check_binding]. *)
-          match item.pstr_desc with
-          | Pstr_module _ | Pstr_recmodule _ | Pstr_include _ ->
-              Ast_iterator.default_iterator.structure_item self item
-          | _ -> ());
-    }
-  in
-  it.structure it structure;
-  !findings
-
-(* ------------------------------------------------------------------ *)
 (* R8 — wall-clock reads in solver code.                               *)
 
 (* Deadlines in the search kernel must come from the monotonic clock
@@ -651,14 +586,6 @@ let all ?(allowed_state_modules = []) () =
       severity = Diag.Warning;
       summary = "eagerly-created mutable state at module top level (lib/ only)";
       check = check_toplevel_state ~allowed_modules:allowed_state_modules;
-    };
-    {
-      id = "span-balance";
-      severity = Diag.Error;
-      summary =
-        "Trace.start without a matching Trace.finish/with_span in the same \
-         top-level binding (the open frame leaks on early exits)";
-      check = check_span_balance;
     };
     {
       id = "wall-clock";

@@ -149,13 +149,6 @@ let of_error : Resilience.error -> Proto.server_error = function
   | Resilience.Unavailable { error; retries } ->
       Proto.Unavailable { message = Printexc.to_string error; retries }
 
-let check_initiator t initiator =
-  let n = Service.n_vertices t.service in
-  if initiator < 0 || initiator >= n then
-    invalid_arg
-      (Printf.sprintf "initiator %d out of range (dataset has %d members)"
-         initiator n)
-
 (* The work half of the protocol: queries and calendar edits.  Runs
    with an admission slot held.  [Invalid_argument] is user error
    (range/parameter validation in Query/Service) and maps to
@@ -165,7 +158,6 @@ let solve t ~trace_id (req : Proto.request) : Proto.response =
   match
     match req with
     | Proto.Sgq { initiator; q; policy } ->
-        check_initiator t initiator;
         let policy = solve_policy t policy in
         (match Service.sgq_r ?policy t.service ~initiator q with
         | Ok a ->
@@ -181,7 +173,6 @@ let solve t ~trace_id (req : Proto.request) : Proto.response =
               }
         | Error e -> Proto.Failed (of_error e))
     | Proto.Stgq { initiator; q; policy } ->
-        check_initiator t initiator;
         let policy = solve_policy t policy in
         (match Service.stgq_r ?policy t.service ~initiator q with
         | Ok a ->
@@ -396,26 +387,18 @@ let join_handlers t =
   Mutex.protect t.lock (fun () -> t.threads <- [])
 
 (* Accept until the listener dies ([stop] closes it under us — accept
-   then fails with EBADF/EINVAL, which is the shutdown signal) or the
-   connection budget is spent. *)
-let accept_loop ?max_connections t sock =
-  let rec go accepted =
-    let budget_left =
-      match max_connections with None -> true | Some m -> accepted < m
-    in
-    if budget_left then
-      match Unix.accept ~cloexec:true sock with
-      | fd, _peer ->
-          spawn_handler t fd;
-          go (accepted + 1)
-      | exception Unix.Unix_error _ -> ()
-  in
-  go 0
+   then fails with EBADF/EINVAL, which is the shutdown signal). *)
+let rec accept_loop t sock =
+  match Unix.accept ~cloexec:true sock with
+  | fd, _peer ->
+      spawn_handler t fd;
+      accept_loop t sock
+  | exception Unix.Unix_error _ -> ()
 
-let serve ?max_connections t addr =
+let serve t addr =
   let sock, cleanup = bind_listen addr in
   Fun.protect ~finally:cleanup (fun () ->
-      accept_loop ?max_connections t sock;
+      accept_loop t sock;
       join_handlers t)
 
 type handle = {

@@ -55,11 +55,11 @@ type t
 
 val create : ?config:config -> Service.t -> t
 
-(** [serve ?max_connections t addr] binds, listens and accepts on the
-    calling thread until [max_connections] connections have been
-    handled (forever when omitted).  Handler threads are joined and
-    the listener closed before returning. *)
-val serve : ?max_connections:int -> t -> addr -> unit
+(** [serve t addr] binds, listens and accepts on the calling thread
+    until accepting fails (the listening socket is closed or errors).
+    Handler threads are joined and the listener closed before
+    returning. *)
+val serve : t -> addr -> unit
 
 (** {1 Background serving} — used by tests, the bench harness and
     anything else that needs the server and clients in one process. *)

@@ -137,10 +137,6 @@ let pp_delta ppf = function
       Format.fprintf ppf "schedule_set(%d,h=%d)" vertex
         (Timetable.Availability.horizon avail)
 
-let delta_vertices = function
-  | Edge_add { u; v; _ } | Edge_remove { u; v } -> [ u; v ]
-  | Avail_flip { vertex; _ } | Schedule_set { vertex; _ } -> [ vertex ]
-
 let apply_delta st d =
   let n = Socgraph.Graph.n_vertices st.graph in
   let check_vertex ctx v =

@@ -64,10 +64,6 @@ type delta =
 
 val pp_delta : Format.formatter -> delta -> unit
 
-(** [delta_vertices d] — the vertices a delta touches, for precise
-    context invalidation ({!Engine.Cache.set_graph}'s [?touched]). *)
-val delta_vertices : delta -> int list
-
 (** [apply_delta state d] returns the successor state, or [Error detail]
     when the delta is semantically invalid against [state] (vertex or
     slot out of range, horizon mismatch, non-positive weight).  The

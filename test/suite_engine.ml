@@ -177,43 +177,73 @@ let test_context_pivots_memoized_and_guarded () =
     (Invalid_argument "Engine.Context.pivots: social-only context has no time axis")
     (fun () -> ignore (Engine.Context.pivots social ~m:2 : int list))
 
-(* Concurrent misses on one key must coalesce onto a single build: in
-   every interleaving exactly one domain builds (misses = 1) and the
-   rest land on the finished entry (hits + misses = lookups).  Whether
-   a waiter slept on the in-flight build (coalesced) is timing-
-   dependent, so that part of the assertion retries on fresh caches. *)
-let test_single_flight_coalesces () =
+(* Concurrent misses on one key: a miss builds outside the lock, with
+   no single-flight, so anywhere from one to every domain may build.  In
+   every interleaving each lookup counts once (hits + misses = lookups),
+   exactly one build is cached, every hit returns it, and every other
+   build agrees with it. *)
+let test_concurrent_misses_on_one_key () =
   let ti = Workload.Scenario.coauthor ~seed:9 ~days:1 ~n:1200 () in
   let graph = ti.Query.social.Query.graph in
   let initiator = Workload.Scenario.pick_initiator ~rank:5 graph in
   let n_domains = 4 in
-  let attempt () =
-    let cache = Engine.Cache.create graph in
-    let barrier = Atomic.make 0 in
-    let worker () =
-      Atomic.incr barrier;
-      while Atomic.get barrier < n_domains do
-        Domain.cpu_relax ()
-      done;
-      ignore (Engine.Cache.context cache ~initiator ~s:2)
-    in
-    let ds = List.init (n_domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join ds;
-    let stats = Engine.Cache.stats cache in
-    Alcotest.check Alcotest.int "single-flight: one build" 1
-      stats.Engine.Cache.misses;
-    Alcotest.check Alcotest.int "everyone else hits" (n_domains - 1)
-      stats.Engine.Cache.hits;
-    stats.Engine.Cache.coalesced
+  let cache = Engine.Cache.create graph in
+  let barrier = Atomic.make 0 in
+  let worker () =
+    Atomic.incr barrier;
+    while Atomic.get barrier < n_domains do
+      Domain.cpu_relax ()
+    done;
+    Engine.Cache.lookup cache ~initiator ~s:2
   in
-  let rec settle tries =
-    let coalesced = attempt () in
-    if coalesced >= 1 || tries <= 1 then coalesced else settle (tries - 1)
+  let ds = List.init (n_domains - 1) (fun _ -> Domain.spawn worker) in
+  let mine = worker () in
+  let found = mine :: List.map Domain.join ds in
+  let built = List.filter (fun (l : Engine.Cache.lookup) -> not l.hit) found in
+  let stats = Engine.Cache.stats cache in
+  Alcotest.check Alcotest.int "each lookup counts once" n_domains
+    (stats.Engine.Cache.hits + stats.Engine.Cache.misses);
+  Alcotest.check Alcotest.int "misses are the builds" (List.length built)
+    stats.Engine.Cache.misses;
+  Alcotest.check Alcotest.int "one entry" 1 stats.Engine.Cache.entries;
+  let cached = (Engine.Cache.lookup cache ~initiator ~s:2).Engine.Cache.ctx in
+  Alcotest.check Alcotest.int "exactly one build is cached" 1
+    (List.length (List.filter (fun (l : Engine.Cache.lookup) -> l.ctx == cached) built));
+  List.iter
+    (fun (l : Engine.Cache.lookup) ->
+      if l.hit then
+        Alcotest.check Alcotest.bool "a hit returns the cached build" true
+          (l.ctx == cached)
+      else
+        Alcotest.check Alcotest.(array int) "every build agrees"
+          cached.Engine.Context.fg.Engine.Feasible.of_sub
+          l.ctx.Engine.Context.fg.Engine.Feasible.of_sub)
+    found
+
+(* A miss builds outside the lock, so a graph swap released by the
+   cache's miss line (logged once the lock is dropped, before the build)
+   lands at once; the stale build answers its own caller but is not
+   cached. *)
+let test_swap_mid_build_not_cached () =
+  let g1 = Socgraph.Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
+  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
+  let cache = Engine.Cache.create g1 in
+  let found, mid =
+    Gen.edit_mid_solve ~src:"stgq.engine.cache"
+      ~edit:(fun () -> Engine.Cache.set_graph cache g2)
+      (fun () -> Engine.Cache.lookup cache ~initiator:0 ~s:1)
   in
-  let coalesced = settle 5 in
-  Alcotest.check Alcotest.bool "some lookup coalesced onto the build" true
-    (coalesced >= 1 && coalesced <= n_domains - 1)
+  Alcotest.(check bool) "the miss line fired" true mid.Gen.fired;
+  Alcotest.(check bool) "the swap landed mid-build" true
+    mid.Gen.edit_returned_mid_request;
+  Alcotest.(check bool) "the build read the old graph" true
+    (found.Engine.Cache.ctx.Engine.Context.graph == g1);
+  Alcotest.(check int) "the stale build is not cached" 0
+    (Engine.Cache.stats cache).Engine.Cache.entries;
+  let next = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  Alcotest.(check bool) "the next lookup misses" false next.Engine.Cache.hit;
+  Alcotest.(check bool) "and builds from the new graph" true
+    (next.Engine.Cache.ctx.Engine.Context.graph == g2)
 
 (* --- solve regions ---------------------------------------------------
 
@@ -315,8 +345,10 @@ let suite =
     prop_engine_matches_sequential;
     Alcotest.test_case "cache lookup reports its own hit" `Quick
       test_cache_lookup_reports_own_hit;
-    Alcotest.test_case "concurrent misses single-flight" `Quick
-      test_single_flight_coalesces;
+    Alcotest.test_case "concurrent misses on one key" `Quick
+      test_concurrent_misses_on_one_key;
+    Alcotest.test_case "a swap mid-build is not cached" `Quick
+      test_swap_mid_build_not_cached;
     Alcotest.test_case "an edit waits for an open region" `Quick
       test_edit_waits_for_region;
     Alcotest.test_case "a waiting edit holds back a new region" `Quick

@@ -548,6 +548,33 @@ let test_degraded_service_queries_retained () =
         (contains tail (Printf.sprintf "\"trace_id\": %d" id)))
     ids
 
+(* An initiator outside the dataset is a malformed query: with the
+   whole plane on, the request raises before the ladder runs, so it
+   emits no query event, retains no trace and is not counted as an
+   unavailable query. *)
+let test_out_of_range_initiator_not_unavailable () =
+  let open Stgq_core in
+  with_plane @@ fun () ->
+  let service = Service.create Gen.dense_ti in
+  let n = Service.n_vertices service in
+  List.iter
+    (fun initiator ->
+      match Service.stgq_r service ~initiator Gen.dense_q with
+      | exception Invalid_argument _ -> ()
+      | r ->
+          Alcotest.failf "initiator %d: expected Invalid_argument, got %s" initiator
+            (if (Resilience.classify r).c_unavailable then "an unavailable answer"
+             else "an answer"))
+    [ -1; n ];
+  check Alcotest.int "no query event" 0
+    (List.length
+       (List.filter
+          (fun line -> contains line "\"event\": \"query\"")
+          (Obs.Events.tail 64)));
+  check Alcotest.int "no trace retained" 0 (Obs.Flightrec.retained ());
+  check Alcotest.int "service.unavailable untouched" 0
+    (Obs.Counter.value (Obs.counter "service.unavailable"))
+
 (* The whole plane (metrics, tracing, retention with its default
    sampling stride, the in-memory event ring) costs at most 5% more
    minor words than the plane off, over a cached replay on one domain.
@@ -638,6 +665,8 @@ let suite =
       test_concurrent_scrape_vs_sampler;
     Alcotest.test_case "docs route table matches the generated one" `Quick
       test_docs_route_table_in_sync;
+    Alcotest.test_case "an out-of-range initiator is not an unavailable query"
+      `Quick test_out_of_range_initiator_not_unavailable;
     Alcotest.test_case "degraded service queries are retained" `Quick
       test_degraded_service_queries_retained;
     Alcotest.test_case "the plane allocates within 5%" `Quick

@@ -135,31 +135,6 @@ let test_missing_mli () =
   check Alcotest.int "mli present" 0
     (hits "missing-mli" (Lint.Engine.lint_paths [ tmp ]))
 
-(* span-balance ----------------------------------------------------- *)
-
-let test_span_balance () =
-  expect_rule ~rule:"span-balance" ~line:1
-    "let f () = Obs.Trace.start \"phase\"";
-  expect_rule ~rule:"span-balance" "let f () = Trace.start \"phase\"";
-  (* a finish in the same top-level binding balances the start *)
-  expect_clean ~rule:"span-balance"
-    "let f g =\n\
-    \  let h = Obs.Trace.start \"phase\" in\n\
-    \  let r = g () in\n\
-    \  Obs.Trace.finish h;\n\
-    \  r";
-  (* ... but a finish in a different binding does not *)
-  expect_rule ~rule:"span-balance"
-    "let open_span () = Obs.Trace.start \"phase\"\n\
-     let close_span h = Obs.Trace.finish h";
-  (* with_span is the recommended shape and needs no finish *)
-  expect_clean ~rule:"span-balance"
-    "let f g = Obs.Trace.with_span \"phase\" g";
-  (* dotted-suffix match, not substring: [restart] is not [start] *)
-  expect_clean ~rule:"span-balance" "let f x = restart x";
-  expect_clean ~rule:"span-balance"
-    "let f () = Obs.Trace.start \"phase\" (* lint: allow span-balance *)"
-
 (* R8 -------------------------------------------------------------- *)
 
 let test_wall_clock () =
@@ -312,7 +287,6 @@ let suite =
     Alcotest.test_case "R5 ignored result" `Quick test_ignored_result;
     Alcotest.test_case "R6 top-level state" `Quick test_toplevel_state;
     Alcotest.test_case "R7 missing mli" `Quick test_missing_mli;
-    Alcotest.test_case "span balance" `Quick test_span_balance;
     Alcotest.test_case "R8 wall clock in solver code" `Quick test_wall_clock;
     Alcotest.test_case "R9 durability bypass in solver code" `Quick
       test_durability_bypass;

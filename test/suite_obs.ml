@@ -242,7 +242,6 @@ let test_snapshot_reports_required_names () =
           "engine.cache.lookups";
           "engine.cache.hits";
           "engine.cache.misses";
-          "engine.cache.coalesced";
           "engine.context.builds";
           "engine.pool.jobs_submitted";
           "engine.pool.jobs_completed";

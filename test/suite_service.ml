@@ -135,7 +135,8 @@ let prop_pooled_service_matches_plain =
         (List.init (min 4 case.Gen.sg.Gen.n) Fun.id))
 
 (* A malformed query is rejected before any work: both kinds raise
-   [Invalid_argument] and no context is looked up. *)
+   [Invalid_argument] and no context is looked up.  So is an initiator
+   outside the dataset, on either side of it. *)
 let test_malformed_query_rejected_before_lookup () =
   let service = Service.create (fixture ()) in
   let bad = { Query.p = 2; s = 1; k = 1; m = 0 } in
@@ -147,6 +148,17 @@ let test_malformed_query_rejected_before_lookup () =
   rejects "stgq" (fun () -> ignore (Service.stgq_r service ~initiator:0 bad));
   rejects "sgq" (fun () ->
       ignore (Service.sgq_r service ~initiator:0 { Query.p = 0; s = 1; k = 1 }));
+  let n = Service.n_vertices service in
+  List.iter
+    (fun initiator ->
+      rejects
+        (Printf.sprintf "stgq initiator %d" initiator)
+        (fun () ->
+          ignore (Service.stgq_r service ~initiator { Query.p = 2; s = 1; k = 1; m = 2 }));
+      rejects
+        (Printf.sprintf "sgq initiator %d" initiator)
+        (fun () -> ignore (Service.sgq_r service ~initiator { Query.p = 2; s = 1; k = 1 })))
+    [ -1; n ];
   let stats = Service.cache_stats service in
   Alcotest.check Alcotest.int "no lookup" 0
     (stats.Service.hits + stats.Service.misses)
@@ -331,16 +343,14 @@ let either_ref r i answer =
   same_stg answer (List.nth r.pre_refs i) || same_stg answer (List.nth r.post_refs i)
 
 (* The SGQ of the race world's first shape, an edit that drops every
-   edge of [victim], an attendee of its pre-edit answer, with the
-   vertices those edges touch (what [update_graph ~touched] is given),
-   and the answer before and after that edit. *)
+   edge of [victim], an attendee of its pre-edit answer, and the answer
+   before and after that edit. *)
 type graph_race = {
   g_ti : Query.temporal_instance;
   g_initiator : int;
   q : Query.sgq;
   original_graph : Socgraph.Graph.t;
   edited : Socgraph.Graph.t;
-  touched : int list;
   pre : Query.sg_solution option;
   post : Query.sg_solution option;
 }
@@ -356,10 +366,8 @@ let graph_race () =
     | None -> Alcotest.fail "expected a pre-edit solution"
   in
   let graph = social.Query.graph in
-  let kept, dropped =
-    List.partition
-      (fun (u, v, _) -> u <> victim && v <> victim)
-      (Socgraph.Graph.edges graph)
+  let kept =
+    List.filter (fun (u, v, _) -> u <> victim && v <> victim) (Socgraph.Graph.edges graph)
   in
   let edited = Socgraph.Graph.of_edges (Socgraph.Graph.n_vertices graph) kept in
   let post = Sgselect.solve { social with Query.graph = edited } q in
@@ -370,8 +378,6 @@ let graph_race () =
     q;
     original_graph = graph;
     edited;
-    touched =
-      List.sort_uniq compare (List.concat_map (fun (u, v, _) -> [ u; v ]) dropped);
     pre;
     post;
   }
@@ -412,7 +418,7 @@ let test_graph_edit_waits_for_request () =
   let service = Service.create r.g_ti in
   let answer, seen =
     Gen.edit_mid_solve ~src:"stgq.sgselect"
-      ~edit:(fun () -> Service.update_graph ~touched:r.touched service r.edited)
+      ~edit:(fun () -> Service.update_graph service r.edited)
       (fun () -> Service.sgq_r service ~initiator r.q)
   in
   (match answer with
@@ -462,8 +468,8 @@ let test_graph_edit_race_consistent () =
   let editor =
     Domain.spawn (fun () ->
         for _ = 1 to 20 do
-          Service.update_graph ~touched:r.touched service r.edited;
-          Service.update_graph ~touched:r.touched service r.original_graph
+          Service.update_graph service r.edited;
+          Service.update_graph service r.original_graph
         done)
   in
   let answer () = Gen.served (Service.sgq_r service ~initiator:r.g_initiator r.q) in

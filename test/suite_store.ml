@@ -687,26 +687,35 @@ let test_recovery_refuses () =
         (contains ~needle:"out of range" c.Store.detail)
   | Ok _ -> Alcotest.fail "replayed a semantically invalid record"
 
-(* --- engine epoch + precise invalidation --------------------------- *)
+(* --- engine epoch + graph-swap invalidation ------------------------ *)
 
-let test_cache_epoch_and_touched () =
+let test_cache_epoch_and_swap () =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let entries_gauge () = Obs.Gauge.value (Obs.gauge "engine.cache.entries") in
   let path = Socgraph.Graph.of_edges 5 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.); (3, 4, 1.) ] in
   let cache = Engine.Cache.create path in
   check Alcotest.int "epoch starts at 0" 0 (Engine.Cache.epoch cache);
   ignore (Engine.Cache.context cache ~initiator:0 ~s:1 : Engine.Context.t);
-  check Alcotest.int "one cached context" 1
+  ignore (Engine.Cache.context cache ~initiator:4 ~s:1 : Engine.Context.t);
+  check Alcotest.int "two cached contexts" 2
     (Engine.Cache.stats cache).Engine.Cache.entries;
-  (* a delta on edge {3,4}: neither endpoint is within s=1 of initiator
-     0, so the cached context must survive *)
+  (* a swap drops every context, including (0, s=1), whose ball the
+     re-weighted edge {3,4} does not reach *)
   let g2 = Socgraph.Graph.of_edges 5 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.); (3, 4, 2.) ] in
-  Engine.Cache.set_graph ~touched:[ 3; 4 ] cache g2;
-  check Alcotest.int "untouched context survives" 1
+  check Alcotest.int "the entries gauge follows" 2 (entries_gauge ());
+  Engine.Cache.set_graph cache g2;
+  check Alcotest.int "every context dropped" 0
     (Engine.Cache.stats cache).Engine.Cache.entries;
+  check Alcotest.int "the entries gauge reads 0" 0 (entries_gauge ());
   check Alcotest.int "epoch bumped" 1 (Engine.Cache.epoch cache);
-  (* a delta touching vertex 1 — feasible for (0, s=1) — must drop it *)
+  let rebuilt = Engine.Cache.lookup cache ~initiator:4 ~s:1 in
+  check Alcotest.bool "the next lookup rebuilds" false rebuilt.Engine.Cache.hit;
+  check Alcotest.bool "from the new graph" true
+    (rebuilt.Engine.Cache.ctx.Engine.Context.graph == g2);
   let g3 = Socgraph.Graph.of_edges 5 [ (0, 1, 3.); (1, 2, 1.); (2, 3, 1.); (3, 4, 2.) ] in
-  Engine.Cache.set_graph ~touched:[ 0; 1 ] cache g3;
-  check Alcotest.int "touched context dropped" 0
+  Engine.Cache.set_graph cache g3;
+  check Alcotest.int "dropped again" 0
     (Engine.Cache.stats cache).Engine.Cache.entries;
   check Alcotest.int "epoch bumped again" 2 (Engine.Cache.epoch cache);
   (* calendar edits bump the epoch too *)
@@ -1015,8 +1024,8 @@ let suite =
       (unless_armed test_wal_missing_vs_unreadable);
     Alcotest.test_case "recovery refuses bad stores" `Quick
       (unless_armed test_recovery_refuses);
-    Alcotest.test_case "cache epoch + precise invalidation" `Quick
-      (unless_armed test_cache_epoch_and_touched);
+    Alcotest.test_case "cache epoch + swap invalidation" `Quick
+      (unless_armed test_cache_epoch_and_swap);
     Alcotest.test_case "connect retry" `Quick (unless_armed test_connect_retry);
     Alcotest.test_case "healthz recovery field" `Quick
       (unless_armed test_healthz_recovery_field);
