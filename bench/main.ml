@@ -587,38 +587,6 @@ let ext_scale st () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Extension E6: depth-first branch and bound vs best-first search.    *)
-
-let ext_astar st () =
-  let instance = social_194 () in
-  let ps = if st.fast then [ 4; 6 ] else [ 4; 5; 6; 7; 8 ] in
-  let rows =
-    List.map
-      (fun p ->
-        let query = { Query.p; s = 1; k = 2 } in
-        let dfs, dfs_ns = time (fun () -> Sgselect.solve_report instance query) in
-        let bf, bf_ns =
-          time (fun () -> Astar.solve_report ~node_limit:2_000_000 instance query)
-        in
-        [
-          string_of_int p;
-          Report.ns dfs_ns;
-          string_of_int dfs.Sgselect.stats.Search_core.nodes;
-          Report.ns bf_ns;
-          string_of_int bf.Astar.nodes_expanded;
-          string_of_int bf.Astar.max_frontier;
-          sg_dist dfs.Sgselect.solution;
-        ])
-      ps
-  in
-  print_table
-    ~title:
-      "Extension E6  SGSelect (DFS B&B) vs best-first A*   (k=2, s=1, 194-person network)"
-    ~header:
-      [ "p"; "SGSelect"; "nodes"; "best-first"; "expanded"; "peak frontier"; "distance" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-suite: one Test.make per figure.                     *)
 
 let bechamel_suite () =
@@ -877,7 +845,6 @@ let experiments =
     ("ext_planner", ext_planner);
     ("ext_community", ext_community);
     ("ext_scale", ext_scale);
-    ("ext_astar", ext_astar);
     ("paper", paper);
   ]
 

@@ -893,12 +893,25 @@ let print_trace_id trace_id =
     Fmt.pr "trace id: %d (fetch with `stgq trace fetch %d --connect ...`)@."
       trace_id trace_id
 
+(* A [Failed] answer exits with its kind's code once the connection is
+   closed, so a script can tell a refusal from an answer. *)
 let query_request addr req ~on_answer ~label =
-  with_connection addr @@ fun c ->
-  match Server.Client.request c req with
-  | Error e -> Fmt.failwith "wire error: %s" (Proto.string_of_decode_error e)
-  | Ok (Proto.Failed err) -> print_failed label err
-  | Ok resp -> on_answer resp
+  let failed =
+    with_connection addr @@ fun c ->
+    match Server.Client.request c req with
+    | Error e -> Fmt.failwith "wire error: %s" (Proto.string_of_decode_error e)
+    | Ok (Proto.Failed err) ->
+        print_failed label err;
+        Some err
+    | Ok resp ->
+        on_answer resp;
+        None
+  in
+  Option.iter (fun err -> exit (Server.Client.exit_code err)) failed
+
+let query_exits =
+  List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) Server.Client.exit_codes
+  @ Cmd.Exit.defaults
 
 let query_sgq_cmd =
   let run connect unix_socket initiator p s k deadline node_budget no_degrade =
@@ -921,7 +934,8 @@ let query_sgq_cmd =
         | resp -> Fmt.failwith "unexpected response: %a" Proto.pp_response resp)
   in
   Cmd.v
-    (Cmd.info "sgq" ~doc:"Answer a Social Group Query over the wire.")
+    (Cmd.info "sgq" ~exits:query_exits
+       ~doc:"Answer a Social Group Query over the wire.")
     Term.(
       const run $ connect_term $ client_socket_term $ initiator_term $ p_term
       $ s_term $ k_term $ deadline_term $ node_budget_term $ no_degrade_term)
@@ -947,7 +961,8 @@ let query_stgq_cmd =
         | resp -> Fmt.failwith "unexpected response: %a" Proto.pp_response resp)
   in
   Cmd.v
-    (Cmd.info "stgq" ~doc:"Answer a Social-Temporal Group Query over the wire.")
+    (Cmd.info "stgq" ~exits:query_exits
+       ~doc:"Answer a Social-Temporal Group Query over the wire.")
     Term.(
       const run $ connect_term $ client_socket_term $ initiator_term $ p_term
       $ s_term $ k_term $ m_term $ deadline_term $ node_budget_term
@@ -967,7 +982,8 @@ let query_ping_cmd =
         | resp -> Fmt.failwith "unexpected response: %a" Proto.pp_response resp)
   in
   Cmd.v
-    (Cmd.info "ping" ~doc:"Round-trip a Ping through a running server.")
+    (Cmd.info "ping" ~exits:query_exits
+       ~doc:"Round-trip a Ping through a running server.")
     Term.(const run $ connect_term $ client_socket_term $ msg)
 
 let query_cmd =

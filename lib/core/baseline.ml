@@ -113,8 +113,8 @@ let per_window (ti : Query.temporal_instance) (query : Query.stgq) ~budget
   Query.check_stgq query;
   Query.check_temporal_instance ti;
   let fg = Feasible.extract ti.social ~s:query.s in
-  let horizon = Timetable.Availability.horizon ti.schedules.(0) in
-  let avail = Array.map (fun orig -> ti.schedules.(orig)) fg.Feasible.of_sub in
+  let avail = Feasible.slab fg ti.schedules in
+  let horizon = Timetable.Availability.horizon avail.(fg.Feasible.q) in
   let windows = ref 0 in
   let best = ref None in
   let stopped = ref None in

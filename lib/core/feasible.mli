@@ -32,10 +32,28 @@ val total_distance : t -> int list -> float
 (** [originals fg subs] maps sub-ids back to sorted original ids. *)
 val originals : t -> int list -> int list
 
+(** [slab fg schedules] is the ball's calendars by sub-id (see
+    {!Engine.Feasible.slab}).
+    @raise Invalid_argument if a ball member has no schedule or the
+    ball's calendars disagree on horizon. *)
+val slab : t -> Timetable.Availability.t array -> Timetable.Availability.t array
+
 (** [context_of_instance instance ~s] builds a social-only engine
     context (validating the instance first). *)
 val context_of_instance : Query.instance -> s:int -> Engine.Context.t
 
-(** [context_of_temporal ti ~s] builds an STGQ-capable engine context
-    whose availability slab aliases [ti.schedules]. *)
+(** [context_of_temporal ti ~s] builds the same context as
+    {!context_of_instance}, after checking the whole temporal instance:
+    one schedule per vertex, all on one horizon. *)
 val context_of_temporal : Query.temporal_instance -> s:int -> Engine.Context.t
+
+(** [temporal ?ctx ti ~s] is what every temporal solver starts from: a
+    context — [ctx], checked against [ti]'s initiator and [s], or a fresh
+    one from {!context_of_temporal} — and the ball's calendars read from
+    [ti] ({!slab}).  A supplied context was checked when it was made,
+    so only its ball's calendars are read.
+    @raise Invalid_argument on a context built for another query, or
+    calendars that fail {!slab}'s checks. *)
+val temporal :
+  ?ctx:Engine.Context.t -> Query.temporal_instance -> s:int ->
+  Engine.Context.t * Timetable.Availability.t array

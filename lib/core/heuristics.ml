@@ -72,8 +72,7 @@ let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
   Query.check_stgq query;
   Query.check_temporal_instance ti;
   let fg = Feasible.extract ti.social ~s:query.s in
-  let horizon = Timetable.Availability.horizon ti.schedules.(0) in
-  let avail = Array.map (fun orig -> ti.schedules.(orig)) fg.Feasible.of_sub in
+  let avail = Feasible.slab fg ti.schedules in
   let best = ref None in
   let consider group start =
     let td = Feasible.total_distance fg group in
@@ -105,7 +104,7 @@ let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
         | Some (group, (lo, _)) -> consider group lo
         | None -> ()
       end)
-    (Timetable.Window.pivots ~horizon ~m:query.m);
+    (Search_core.pivots avail ~m:query.m);
   Option.map
     (fun (td, group, start) ->
       {
@@ -194,16 +193,8 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
     (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   if width < 1 then invalid_arg "Heuristics.beam_stgq: width must be >= 1";
-  (* As in [Stgselect.solve_report]: only a fresh instance is checked. *)
-  let ctx =
-    match ctx with
-    | Some c ->
-        Engine.Context.ensure_for c ~initiator:ti.social.Query.initiator ~s:query.s;
-        c
-    | None -> Feasible.context_of_temporal ti ~s:query.s
-  in
+  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
   let fg = ctx.Engine.Context.fg in
-  let avail = ctx.Engine.Context.avail in
   let best = ref None in
   List.iter
     (fun pivot ->
@@ -240,7 +231,7 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
             | _ -> best := Some (node.td, node.group, lo))
         | None -> ()
       end)
-    (Engine.Context.pivots ctx ~m:query.m);
+    (Search_core.pivots avail ~m:query.m);
   Option.map
     (fun (td, group, start) ->
       {

@@ -212,8 +212,8 @@ let solve_stgq ?(form = Group_form) ?node_limit (ti : Query.temporal_instance)
   Query.check_stgq query;
   Query.check_temporal_instance ti;
   let fg = Feasible.extract ti.social ~s:query.s in
-  let horizon = Timetable.Availability.horizon ti.schedules.(0) in
-  let avail = Array.map (fun orig -> ti.schedules.(orig)) fg.Feasible.of_sub in
+  let avail = Feasible.slab fg ti.schedules in
+  let horizon = Timetable.Availability.horizon avail.(fg.Feasible.q) in
   (* Only starts where the initiator is available can carry τ_t = 1
      (φ_q = 1 plus constraint (10) forbids the rest anyway). *)
   let starts =

@@ -14,30 +14,18 @@ let round_robin chunks items =
   List.iteri (fun i x -> buckets.(i mod chunks) <- x :: buckets.(i mod chunks)) items;
   Array.map List.rev buckets
 
-let prepare ?ctx (ti : Query.temporal_instance) (query : Query.stgq) =
-  Query.check_stgq query;
-  (* As in [Stgselect.solve_report]: only a fresh instance is checked. *)
-  let ctx =
-    match ctx with
-    | Some c ->
-        Engine.Context.ensure_for c ~initiator:ti.social.Query.initiator ~s:query.s;
-        c
-    | None -> Feasible.context_of_temporal ti ~s:query.s
-  in
-  (ctx, Engine.Context.pivots ctx ~m:query.m)
-
 (* Every bucket shares one budget: node charges aggregate across domains
    and the first trip latches, so a deadline hit in one bucket is
    observed by its siblings at their next checkpoint — a cancelled batch
    cannot strand in-flight buckets. *)
-let bucket_job ~config ~budget ctx (query : Query.stgq) bucket () =
+let bucket_job ~config ~budget ctx ~avail (query : Query.stgq) bucket () =
   Obs.Trace.with_span "parallel.bucket"
     ~attrs:[ ("pivots", string_of_int (List.length bucket)) ]
   @@ fun () ->
   let stats = Search_core.fresh_stats () in
   let out =
-    Search_core.solve_temporal_out ~budget ctx ~p:query.p ~k:query.k ~m:query.m
-      ~pivots:bucket ~config ~stats
+    Search_core.solve_temporal_out ~budget ctx ~avail ~p:query.p ~k:query.k
+      ~m:query.m ~pivots:bucket ~config ~stats
   in
   (* Runs on a worker domain; counters are per-domain sharded, so this
      publish never contends with sibling buckets.  The search-stat attrs
@@ -94,7 +82,9 @@ let solve_report ?(config = Search_core.default_config) ?domains ?pool ?ctx
         ("m", string_of_int query.m);
       ]
   @@ fun () ->
-  let ctx, pivots = prepare ?ctx ti query in
+  Query.check_stgq query;
+  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
+  let pivots = Search_core.pivots avail ~m:query.m in
   let pool = match pool with Some p -> p | None -> Engine.Pool.default () in
   let wanted =
     match domains with Some d -> max 1 d | None -> Engine.Pool.size pool
@@ -104,7 +94,9 @@ let solve_report ?(config = Search_core.default_config) ?domains ?pool ?ctx
   let buckets = round_robin n_domains pivots in
   let jobs =
     Array.to_list
-      (Array.map (fun bucket -> bucket_job ~config ~budget ctx query bucket) buckets)
+      (Array.map
+         (fun bucket -> bucket_job ~config ~budget ctx ~avail query bucket)
+         buckets)
   in
   finish ctx ~n_domains ~query ~budget
     (Engine.Pool.await_all (List.map (Engine.Pool.submit pool) jobs))

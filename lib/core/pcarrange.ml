@@ -17,7 +17,7 @@ let run (ti : Query.temporal_instance) ~p ~s ~m =
   Query.check_stgq { p; s; k = 0; m };
   Query.check_temporal_instance ti;
   let fg = Feasible.extract ti.social ~s in
-  let avail = Array.map (fun orig -> ti.schedules.(orig)) fg.Feasible.of_sub in
+  let avail = Feasible.slab fg ti.schedules in
   let q = fg.Feasible.q in
   let horizon = Timetable.Availability.horizon avail.(q) in
   let by_distance =

@@ -12,30 +12,27 @@ type t = {
   query : Query.stgq;
   ctx : Engine.Context.t;
   schedules : Timetable.Availability.t array;
-      (* by original vertex id; the context's avail slab aliases these *)
+      (* by original vertex id, private: an update replaces an entry
+         with a copy and never writes a calendar *)
   pivots : int array;
   cache : Search_core.found option array;      (* per-pivot optimum *)
 }
 
-let solve_pivot t pivot =
+let solve_pivot t ~avail pivot =
   let stats = Search_core.fresh_stats () in
-  Search_core.solve_temporal t.ctx ~p:t.query.Query.p ~k:t.query.Query.k
+  Search_core.solve_temporal t.ctx ~avail ~p:t.query.Query.p ~k:t.query.Query.k
     ~m:t.query.Query.m ~pivots:[ pivot ] ~config:t.config ~stats
 
 let create ?(config = Search_core.default_config) (ti : Query.temporal_instance)
     (query : Query.stgq) =
   Query.check_stgq query;
-  Query.check_temporal_instance ti;
   let schedules = Array.map Timetable.Availability.copy ti.schedules in
-  let ctx =
-    Engine.Context.build ~schedules ti.social.Query.graph
-      ~initiator:ti.social.Query.initiator ~s:query.s
-  in
-  let pivots = Array.of_list (Engine.Context.pivots ctx ~m:query.m) in
+  let ctx, avail = Feasible.temporal { ti with schedules } ~s:query.s in
+  let pivots = Array.of_list (Search_core.pivots avail ~m:query.m) in
   let t =
     { config; query; ctx; schedules; pivots; cache = Array.map (fun _ -> None) pivots }
   in
-  Array.iteri (fun i pivot -> t.cache.(i) <- solve_pivot t pivot) pivots;
+  Array.iteri (fun i pivot -> t.cache.(i) <- solve_pivot t ~avail pivot) pivots;
   t
 
 let solution t =
@@ -66,10 +63,10 @@ let solution t =
 let update_schedule t ~vertex schedule =
   if vertex < 0 || vertex >= Array.length t.schedules then
     invalid_arg "Planner.update_schedule: vertex out of range";
-  let horizon = t.ctx.Engine.Context.horizon in
+  let old_schedule = t.schedules.(vertex) in
+  let horizon = Timetable.Availability.horizon old_schedule in
   if Timetable.Availability.horizon schedule <> horizon then
     invalid_arg "Planner.update_schedule: horizon mismatch";
-  let old_schedule = t.schedules.(vertex) in
   let changed slot =
     Timetable.Availability.available old_schedule slot
     <> Timetable.Availability.available schedule slot
@@ -79,23 +76,20 @@ let update_schedule t ~vertex schedule =
     let rec scan slot = slot <= hi && (changed slot || scan (slot + 1)) in
     scan lo
   in
+  let fg = t.ctx.Engine.Context.fg in
   let dirty =
     (* Only members of the feasible graph influence results, but the
        schedule copy is refreshed regardless. *)
-    if Feasible.sub_id t.ctx.Engine.Context.fg vertex < 0 then [||]
-    else Array.map dirty_pivot t.pivots
+    if Feasible.sub_id fg vertex < 0 then [||] else Array.map dirty_pivot t.pivots
   in
-  (* Install the new calendar in place so the sub-id aliases see it. *)
-  let bits_new = Timetable.Availability.bits schedule in
-  let bits_old = Timetable.Availability.bits old_schedule in
-  Bitset.fill bits_old false;
-  Bitset.iter (fun slot -> Bitset.set bits_old slot) bits_new;
+  t.schedules.(vertex) <- Timetable.Availability.copy schedule;
+  let avail = Feasible.slab fg t.schedules in
   let recomputed = ref 0 in
   Array.iteri
     (fun i pivot ->
       if i < Array.length dirty && dirty.(i) then begin
         incr recomputed;
-        t.cache.(i) <- solve_pivot t pivot
+        t.cache.(i) <- solve_pivot t ~avail pivot
       end)
     t.pivots;
   { pivots_total = Array.length t.pivots; pivots_recomputed = !recomputed }

@@ -587,12 +587,12 @@ let solve_social_out ?eligible ?bound_init ?budget ctx ~p ~k ~config ~stats =
   in
   Anytime.make ~completion ~gap_of !cell
 
-let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t) ~p
-    ~k ~m ~pivots ~config ~stats ~sink =
-  if not (Engine.Context.has_schedules ctx) then
-    invalid_arg "Search_core.solve_temporal: context was built without schedules";
+let pivots avail ~m =
+  Timetable.Window.pivots ~horizon:(Timetable.Availability.horizon avail.(0)) ~m
+
+let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
+    ~avail ~p ~k ~m ~pivots ~config ~stats ~sink =
   let fg = ctx.Engine.Context.fg in
-  let avail = ctx.Engine.Context.avail in
   let size = Feasible.size fg in
   let explore_pivot pivot =
     let h = Timetable.Availability.horizon avail.(fg.Feasible.q) in
@@ -641,18 +641,19 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t) ~p
       | () -> None
       | exception Stop -> Budget.tripped budget)
 
-let solve_temporal ?bound_init ctx ~p ~k ~m ~pivots ~config ~stats =
+let solve_temporal ?bound_init ctx ~avail ~p ~k ~m ~pivots ~config ~stats =
   let cell = ref None in
   ignore
-    (solve_temporal_sink ctx ~p ~k ~m ~pivots ~config ~stats
+    (solve_temporal_sink ctx ~avail ~p ~k ~m ~pivots ~config ~stats
        ~sink:(best_sink ?bound_init cell)
       : Budget.reason option);
   !cell
 
-let solve_temporal_out ?bound_init ?budget ctx ~p ~k ~m ~pivots ~config ~stats =
+let solve_temporal_out ?bound_init ?budget ctx ~avail ~p ~k ~m ~pivots ~config
+    ~stats =
   let cell = ref None in
   let completion =
-    solve_temporal_sink ?budget ctx ~p ~k ~m ~pivots ~config ~stats
+    solve_temporal_sink ?budget ctx ~avail ~p ~k ~m ~pivots ~config ~stats
       ~sink:(best_sink ?bound_init cell)
   in
   let gap_of (f : found) =

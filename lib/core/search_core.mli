@@ -97,15 +97,21 @@ val solve_social_out :
   Engine.Context.t -> p:int -> k:int -> config:config -> stats:stats ->
   found Anytime.outcome
 
-(** [solve_temporal ctx ~p ~k ~m ~pivots ~config ~stats] runs
-    STGSelect's search over the context's availability slab; only the
-    given pivot slots are explored (Lemma 4).  The best solution across
-    all pivots is returned; the incumbent bound is shared between pivots
-    for extra pruning (sound: it only tightens Lemma 2).
-    @raise Invalid_argument on a social-only context. *)
+(** [pivots avail ~m] — the Lemma-4 pivot slots for window length [m]
+    over the horizon of the slab [avail] ({!Feasible.slab}).
+    @raise Invalid_argument if [m < 1]. *)
+val pivots : Timetable.Availability.t array -> m:int -> int list
+
+(** [solve_temporal ctx ~avail ~p ~k ~m ~pivots ~config ~stats] runs
+    STGSelect's search over [avail], the ball's calendars by sub-id
+    ({!Feasible.slab}); only the given pivot slots are explored
+    (Lemma 4).  The best solution across all pivots is returned; the
+    incumbent bound is shared between pivots for extra pruning (sound:
+    it only tightens Lemma 2). *)
 val solve_temporal :
   ?bound_init:float ->
   Engine.Context.t ->
+  avail:Timetable.Availability.t array ->
   p:int -> k:int -> m:int ->
   pivots:int list ->
   config:config -> stats:stats ->
@@ -115,6 +121,7 @@ val solve_temporal :
 val solve_temporal_out :
   ?bound_init:float -> ?budget:Budget.t ->
   Engine.Context.t ->
+  avail:Timetable.Availability.t array ->
   p:int -> k:int -> m:int ->
   pivots:int list ->
   config:config -> stats:stats ->
@@ -132,6 +139,7 @@ val solve_social_sink :
 val solve_temporal_sink :
   ?budget:Budget.t ->
   Engine.Context.t ->
+  avail:Timetable.Availability.t array ->
   p:int -> k:int -> m:int ->
   pivots:int list ->
   config:config -> stats:stats -> sink:sink ->

@@ -8,24 +8,22 @@ type cache_stats = {
 type t = {
   config : Search_core.config;
   engine : Engine.Cache.t;
-  schedules : Timetable.Availability.t array;  (* the array the cache adopted *)
   pool : Engine.Pool.t option;
 }
 
+(* [Engine.Cache.create] checks the capacity and the calendars. *)
 let create ?(config = Search_core.default_config) ?(cache_capacity = 64) ?pool
     (ti : Query.temporal_instance) =
-  Query.check_temporal_instance ti;
-  if cache_capacity < 1 then invalid_arg "Service.create: capacity must be >= 1";
   let schedules = Array.map Timetable.Availability.copy ti.schedules in
   let engine =
     Engine.Cache.create ~capacity:cache_capacity ~schedules ti.social.Query.graph
   in
-  { config; engine; schedules; pool }
+  { config; engine; pool }
 
 let n_vertices t = Socgraph.Graph.n_vertices (Engine.Cache.graph t.engine)
 
-let check_initiator t initiator =
-  let n = n_vertices t in
+let check_initiator (world : Engine.Cache.world) initiator =
+  let n = Socgraph.Graph.n_vertices world.graph in
   if initiator < 0 || initiator >= n then
     invalid_arg
       (Printf.sprintf "initiator %d out of range (dataset has %d members)"
@@ -48,7 +46,7 @@ type ('q, 'inst, 'sol) kind = {
   check : 'q -> unit;
   params : 'q -> (string * int) list;
   radius : 'q -> int;
-  instance : t -> initiator:int -> 'inst;
+  instance : Engine.Cache.world -> initiator:int -> 'inst;
   exact :
     t -> ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q ->
     'sol Anytime.outcome;
@@ -64,8 +62,7 @@ let sg =
     check = Query.check_sgq;
     params = (fun (q : Query.sgq) -> [ ("p", q.p); ("s", q.s); ("k", q.k) ]);
     radius = (fun (q : Query.sgq) -> q.s);
-    instance =
-      (fun t ~initiator -> { Query.graph = Engine.Cache.graph t.engine; initiator });
+    instance = (fun world ~initiator -> { Query.graph = world.graph; initiator });
     exact =
       (fun t ~ctx ~budget instance q ->
         (Sgselect.solve_report ~config:t.config ~ctx ~budget instance q)
@@ -84,10 +81,10 @@ let stg =
       (fun (q : Query.stgq) -> [ ("p", q.p); ("s", q.s); ("k", q.k); ("m", q.m) ]);
     radius = (fun (q : Query.stgq) -> q.s);
     instance =
-      (fun t ~initiator ->
+      (fun world ~initiator ->
         {
-          Query.social = { Query.graph = Engine.Cache.graph t.engine; initiator };
-          schedules = t.schedules;
+          Query.social = { Query.graph = world.graph; initiator };
+          schedules = world.schedules;
         });
     (* With a pool the buckets share the policy budget. *)
     exact =
@@ -142,31 +139,31 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
    under a [service.certify] span.  With the root span closed, so the
    tree is complete, it classifies and publishes the outcome once.
 
-   The answer — query and initiator checks, instance read, lookups,
-   solves, retries and certificates — runs inside one
-   {!Engine.Cache.with_solves} region,
-   so a graph or calendar edit lands before or after it, never between
-   a solve and its certificate.  The region opens inside the latency
-   histogram and the root span, so time spent waiting behind an edit
-   shows in both; publication reads no graph or calendar state and runs
-   after the region.  Each rung looks the context up in the cache, so a
-   faulted build is retried; the query event's [cache_hit] is the
-   outcome of the first lookup that returned.  With a pool attached,
-   STGQ solves with the pooled parallel kernel. *)
+   The request reads the cache's world once, on entry, and answers
+   wholly against it: the initiator check, the instance, every lookup,
+   solve, retry and certificate.  Worlds are immutable, so an edit that
+   lands meanwhile publishes a new world without waiting and shows in
+   the next request, never between a solve and its certificate.  Each
+   rung looks the context up in the cache, so a faulted build is
+   retried; the query event's [cache_hit] is the outcome of the first
+   lookup that returned.  With a pool attached, STGQ solves with the
+   pooled parallel kernel. *)
 
 let request kind ?policy ?cancel t ~initiator q =
   let hit = ref None in
-  let context () =
-    let found = Engine.Cache.lookup t.engine ~initiator ~s:(kind.radius q) in
-    if Option.is_none !hit then hit := Some found.hit;
-    found.ctx
-  in
   let answer () =
     Obs.time_hist kind.latency @@ fun () ->
-    Engine.Cache.with_solves t.engine @@ fun () ->
+    let world = Engine.Cache.world t.engine in
     kind.check q;
-    check_initiator t initiator;
-    let instance = kind.instance t ~initiator in
+    check_initiator world initiator;
+    let instance = kind.instance world ~initiator in
+    let context () =
+      let found =
+        Engine.Cache.lookup t.engine world ~initiator ~s:(kind.radius q)
+      in
+      if Option.is_none !hit then hit := Some found.hit;
+      found.ctx
+    in
     let certify solution =
       Obs.Trace.with_span "service.certify" @@ fun () ->
       Obs.time_hist Instr.certify_latency @@ fun () ->
@@ -210,12 +207,14 @@ let cache_stats t =
   }
 
 let horizon t =
-  if Array.length t.schedules = 0 then 0
-  else Timetable.Availability.horizon t.schedules.(0)
+  let schedules = (Engine.Cache.world t.engine).schedules in
+  if Array.length schedules = 0 then 0
+  else Timetable.Availability.horizon schedules.(0)
 
 let graph t = Engine.Cache.graph t.engine
 
-let schedules t = Array.map Timetable.Availability.copy t.schedules
+let schedules t =
+  Array.map Timetable.Availability.copy (Engine.Cache.world t.engine).schedules
 
 let update_graph t graph = Engine.Cache.set_graph t.engine graph
 

@@ -3,27 +3,24 @@
     §6).
 
     Any member of the dataset may pose queries.  Context construction
-    (radius extraction, availability slab, pivot index) is the shared
-    prefix of every query an initiator poses, so the service memoises
-    full {!Engine.Context}s per [(initiator, s)] in {!Engine.Cache}'s
-    O(1) LRU.  A miss builds its context outside the cache lock, so a
-    cold key, whose build grows with its s-hop ball, holds up no other
-    request, except through an edit that waits for it (below).
-    Calendar changes are applied in place and seen by every
-    cached context immediately — a social-graph change drops every
-    context (see {!update_graph}).  With a {!Engine.Pool} attached, STGQ
-    answers are computed by the pooled parallel solver.
+    (radius extraction) is the shared prefix of every query an initiator
+    poses, so the service memoises {!Engine.Context}s per
+    [(initiator, s)] in {!Engine.Cache}'s O(1) LRU.  A miss builds its
+    context outside the cache lock, so a cold key, whose build grows
+    with its s-hop ball, holds up no other request and no edit.  With
+    an {!Engine.Pool} attached, STGQ answers are computed by the pooled
+    parallel solver.
 
-    Two query functions share one request path: an SGQ or an STGQ,
-    each answered through the {!Resilience} ladder and certified on
-    every rung.  Each request answers inside one
-    {!Engine.Cache.with_solves} region, so a graph or calendar edit
-    ({!update_graph}, {!update_schedule}) lands before or after a
-    request, never between its solve and its certificate; edits that
-    wait hold new requests back, so requests cannot starve them.  An
-    edit therefore waits for the slowest request in flight, and so do
-    the requests that arrive behind it; that wait counts in the
-    requests' latency histograms. *)
+    The served graph and calendars are one immutable
+    {!Engine.Cache.world}.  Two query functions share one request path:
+    an SGQ or an STGQ, each answered through the {!Resilience} ladder and
+    certified on every rung.  A request reads the world once, on entry,
+    and answers wholly against it, so an edit ({!update_graph},
+    {!update_schedule}) publishes the next world without waiting for
+    requests in flight: a request sees the state before or after an
+    edit, never a mixture, and its certificate checks the state its
+    solve read.  A calendar edit keeps every cached context; a graph
+    edit drops them all. *)
 
 type t
 
@@ -34,10 +31,15 @@ type cache_stats = {
   entries : int;
 }
 
-(** [create ?config ?cache_capacity ?pool ti] — [cache_capacity]
-    (default 64) bounds the number of cached contexts; [pool] (default:
-    none, i.e. sequential STGQ solving) routes STGQ pivot buckets
-    through a persistent domain pool. *)
+(** [create ?config ?cache_capacity ?pool ti] serves a copy of [ti]'s
+    graph and calendars — [cache_capacity] (default 64) bounds the
+    number of cached contexts; [pool] (default: none, i.e. sequential
+    STGQ solving) routes STGQ pivot buckets through a persistent domain
+    pool.  The instance's [initiator] field is never read, so it is not
+    checked: every query names its own initiator.
+    @raise Invalid_argument if [cache_capacity < 1], or [ti.schedules]
+    has a length other than the vertex count or disagrees on horizon
+    (the checks of {!Engine.Cache.create}). *)
 val create :
   ?config:Search_core.config -> ?cache_capacity:int -> ?pool:Engine.Pool.t ->
   Query.temporal_instance -> t
@@ -84,22 +86,23 @@ val horizon : t -> int
 (** [graph t] — the social graph currently served (immutable). *)
 val graph : t -> Socgraph.Graph.t
 
-(** [schedules t] — a deep copy of the served calendars, indexed by
-    vertex.  This is what a durable checkpoint snapshots: the copy means
-    a concurrent in-place calendar rewrite cannot tear the image. *)
+(** [schedules t] — a deep copy of the calendars of the world currently
+    served, indexed by vertex.  This is what a durable checkpoint
+    snapshots; the copy is the caller's to mutate. *)
 val schedules : t -> Timetable.Availability.t array
 
-(** [update_graph t graph] replaces the social graph (same vertex
-    count required) and drops every cached context
-    ({!Engine.Cache.set_graph}).  Waits for in-flight requests to
-    finish; must not be called from inside one.
+(** [update_graph t graph] publishes a world with the new social graph
+    (same vertex count required) and drops every cached context
+    ({!Engine.Cache.set_graph}).  Requests already in flight answer
+    against the old graph; it waits for none of them.
     @raise Invalid_argument if the vertex count differs. *)
 val update_graph : t -> Socgraph.Graph.t -> unit
 
-(** [update_schedule t ~vertex schedule] replaces one calendar (same
-    horizon required); cached contexts observe the change immediately
-    ({!Engine.Cache.set_schedule}).  Waits for in-flight requests to
-    finish; must not be called from inside one.
+(** [update_schedule t ~vertex schedule] publishes a world whose
+    calendar of [vertex] is a copy of [schedule] (same horizon
+    required); cached contexts are kept ({!Engine.Cache.set_schedule}).
+    Requests already in flight answer against the old calendar; it
+    waits for none of them.
     @raise Invalid_argument on an out-of-range vertex or a horizon
     mismatch. *)
 val update_schedule : t -> vertex:int -> Timetable.Availability.t -> unit

@@ -44,20 +44,9 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
       ]
   @@ fun () ->
   Query.check_stgq query;
-  (* A supplied context was built, and its schedules checked, when it
-     was made; [context_of_temporal] checks a fresh instance.  Either
-     way no solve walks all n schedules. *)
-  let ctx =
-    match ctx with
-    | Some c ->
-        Engine.Context.ensure_for c ~initiator:ti.social.Query.initiator ~s:query.s;
-        if not (Engine.Context.has_schedules c) then
-          invalid_arg "Stgselect: context was built without schedules";
-        c
-    | None -> Feasible.context_of_temporal ti ~s:query.s
-  in
+  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
   let fg = ctx.Engine.Context.fg in
-  let pivots = Engine.Context.pivots ctx ~m:query.m in
+  let pivots = Search_core.pivots avail ~m:query.m in
   Obs.Trace.add_attrs
     [
       ("feasible", string_of_int (Feasible.size fg));
@@ -65,7 +54,7 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
     ];
   let stats = Search_core.fresh_stats () in
   let found =
-    Search_core.solve_temporal_out ?bound_init:initial_bound ?budget ctx
+    Search_core.solve_temporal_out ?bound_init:initial_bound ?budget ctx ~avail
       ~p:query.p ~k:query.k ~m:query.m ~pivots ~config ~stats
   in
   Instr.record_search stats;

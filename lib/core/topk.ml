@@ -61,12 +61,12 @@ let stgq ?(config = Search_core.default_config) ?budget ~n
     (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   if n < 0 then invalid_arg "Topk.stgq: negative n";
-  let ctx = Feasible.context_of_temporal ti ~s:query.s in
-  let pivots = Engine.Context.pivots ctx ~m:query.m in
+  let ctx, avail = Feasible.temporal ti ~s:query.s in
+  let pivots = Search_core.pivots avail ~m:query.m in
   let kept, sink = make_sink ~n in
   let stats = Search_core.fresh_stats () in
   ignore
-    (Search_core.solve_temporal_sink ?budget ctx ~p:query.p ~k:query.k
+    (Search_core.solve_temporal_sink ?budget ctx ~avail ~p:query.p ~k:query.k
        ~m:query.m ~pivots ~config ~stats ~sink
       : Budget.reason option);
   entries_of ctx.Engine.Context.fg kept

@@ -1,33 +1,34 @@
-(** Keyed {!Context} cache with an O(1) LRU, safe to share between
-    threads and domains.
+(** Keyed {!Context} cache with an O(1) LRU, and the served world it
+    builds contexts from; safe to share between threads and domains.
 
     Radius-graph extraction is the shared prefix of every query an
     initiator poses, so the cache memoises full contexts per
     [(initiator, s)].  Recency is an intrusive doubly-linked list —
-    lookup, touch and eviction are all O(1) (the seed service re-filtered
-    an order list on every access).
+    lookup, touch and eviction are all O(1).
+
+    The served state is a {!world}: the social graph, the calendars and
+    an epoch, published as one immutable value.  An edit builds the next
+    world and publishes it; nothing ever writes a calendar or a
+    calendar array that a world holds.  A reader that takes {!world}
+    once therefore sees one consistent graph and calendar state for as
+    long as it holds it, and no edit waits for a reader.
 
     Concurrency: every operation is safe to call from any domain or
     systhread (the wire server answers each connection on its own
-    thread).  One mutex guards the table, regions and edits, and a miss
-    releases it while its {!Context.build} runs: a build's cost grows
-    with the initiator's s-hop ball, and the wire does not bound s, so
-    a cold key holds up no other lookup or {!with_solves} region (an
-    edit still waits for the region the build runs in).  Concurrent
-    misses on one key may each build it; the first to finish caches
-    its context, and every lookup counts as one hit or one miss, so
+    thread).  One mutex guards the table and the publication of a new
+    world, so two edits cannot lose one another.  A miss releases it
+    while its {!Context.build} runs: a build's cost grows with the
+    initiator's s-hop ball, and the wire does not bound s, so a cold
+    key holds up no other lookup and no edit.  Concurrent misses on
+    one key may each build it; the first to finish caches its context,
+    and every lookup counts as one hit or one miss, so
     [hits + misses = lookups].
 
-    Mutation model: a social-graph swap ({!set_graph}) drops every
-    cached context, and a build that read the old graph answers its
-    own caller but is not cached.  Calendar edits ({!set_schedule})
-    rewrite the installed schedule's bitset in place, which every
-    cached context aliases, so they need no invalidation at all.  Both
-    edits wait for in-flight
-    {!with_solves} regions to drain, so an edit lands only {e between}
-    solves — a solver that brackets its work in {!with_solves} never
-    observes a half-applied calendar.  Every mutation bumps the cache
-    {!epoch}. *)
+    Contexts hold only what the graph determines.  A calendar edit
+    ({!set_schedule}) keeps every cached context; a graph swap
+    ({!set_graph}) drops them all, and a lookup made against a replaced
+    graph builds a context that answers its own caller but is not
+    cached. *)
 
 type t
 
@@ -38,12 +39,21 @@ type stats = {
   entries : int;
 }
 
+(** One published state.  Never mutated: an edit publishes a new one. *)
+type world = {
+  graph : Socgraph.Graph.t;
+  schedules : Timetable.Availability.t array;
+      (** by vertex; [[||]] for a social-only cache *)
+  epoch : int;  (** [0] at {!create}, one more per edit *)
+}
+
 (** [create ?capacity ?schedules graph] — [capacity] (default 64) bounds
-    the number of live contexts.  The [schedules] array is adopted, not
-    copied: pass copies if the caller retains mutable access.  Omit it
+    the number of live contexts.  The [schedules] array and its
+    calendars are adopted, not copied, and must not be written
+    afterwards: pass copies if the caller keeps mutable access.  Omit it
     for a social-only (SGQ) cache.  This is where all [n] schedules are
     checked to share one horizon, once: {!set_schedule} keeps that
-    invariant edit by edit, so {!Context.build} reads only its ball.
+    invariant edit by edit, so a solver reads only its ball.
     @raise Invalid_argument if [capacity < 1], or [schedules] has a
     length other than the vertex count or disagrees on horizon. *)
 val create :
@@ -52,11 +62,13 @@ val create :
   Socgraph.Graph.t ->
   t
 
-(** The graph contexts are currently built from. *)
+(** The world currently published: one atomic read, no lock. *)
+val world : t -> world
+
+(** [(world t).graph]. *)
 val graph : t -> Socgraph.Graph.t
 
-(** Mutation epoch: starts at [0], incremented by every {!set_graph} and
-    {!set_schedule}, and mirrored in the [engine.cache.epoch] gauge. *)
+(** [(world t).epoch], mirrored in the [engine.cache.epoch] gauge. *)
 val epoch : t -> int
 
 (** The outcome of one lookup: the context, and whether it came from
@@ -64,44 +76,33 @@ val epoch : t -> int
     {!stats}. *)
 type lookup = { ctx : Context.t; hit : bool }
 
-(** [lookup t ~initiator ~s] returns the cached context for the key.  On
-    a miss it builds the context outside the cache lock and then caches
-    it (possibly evicting the least-recently-used entry), unless
-    another miss cached the key first or {!set_graph} swapped the graph
-    meanwhile.  A build that raises counts its miss and caches nothing.
-    Inside a {!with_solves} region no swap can land, so the context
-    always matches {!graph}; a caller outside any region may be handed
-    a context of the graph that a concurrent {!set_graph} replaced. *)
-val lookup : t -> initiator:int -> s:int -> lookup
+(** [lookup t world ~initiator ~s] returns the context of the key for
+    [world]'s graph, which the caller read with {!world}.  A hit is a
+    cached context built from that very graph.  On a miss it builds the
+    context outside the cache lock and then caches it (possibly evicting
+    the least-recently-used entry), unless another miss cached the key
+    first or [world]'s graph is no longer the published one.  A build
+    that raises counts its miss and caches nothing. *)
+val lookup : t -> world -> initiator:int -> s:int -> lookup
 
-(** [context t ~initiator ~s] is [(lookup t ~initiator ~s).ctx]. *)
+(** [context t ~initiator ~s] is [(lookup t (world t) ~initiator ~s).ctx]. *)
 val context : t -> initiator:int -> s:int -> Context.t
-
-(** [with_solves t f] runs [f] inside a {e solve region}: {!set_graph}
-    and {!set_schedule} block until every open region finishes, so
-    answers computed (and certified) inside the region observe one
-    consistent graph and schedule snapshot.  Regions are shared — any
-    number may be open at once — and writer-preferring: while an edit
-    waits for open regions to drain, new regions wait for the edit, so
-    overlapping regions cannot starve edits.  The region is released
-    when [f] returns or raises.  A region must not nest another region
-    or a mutation call: either would wait on an edit that waits on the
-    region itself. *)
-val with_solves : t -> (unit -> 'a) -> 'a
 
 (** Cumulative cache behaviour. *)
 val stats : t -> stats
 
-(** [set_graph t g] swaps the social graph (same vertex count required)
-    and drops every cached context (counters are kept).  Waits for open
-    {!with_solves} regions to drain.
+(** [set_graph t g] publishes a world with graph [g] (same vertex count
+    required) and drops every cached context (counters are kept).
+    Waits for no reader.
     @raise Invalid_argument if the vertex count differs. *)
 val set_graph : t -> Socgraph.Graph.t -> unit
 
-(** [set_schedule t ~vertex schedule] rewrites one calendar in place
-    (same horizon required); cached contexts see the change immediately.
-    Waits for open {!with_solves} regions to drain, so the rewrite never
-    interleaves with a solve.
+(** [set_schedule t ~vertex schedule] publishes a world whose calendar
+    of [vertex] is a copy of [schedule] (same horizon required): the
+    calendar array is copied and one entry replaced, O(n) pointers,
+    under the cache mutex, so lookups wait for that copy.  Cached
+    contexts are kept, and a world read before the edit keeps the old
+    calendar.  Waits for no reader.
     @raise Invalid_argument on a social-only cache, an out-of-range
     vertex, or a horizon mismatch. *)
 val set_schedule : t -> vertex:int -> Timetable.Availability.t -> unit

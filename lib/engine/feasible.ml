@@ -40,3 +40,16 @@ let adjacent t u v = u <> v && Bitset.mem t.nbr.(u) v
 let total_distance t subs = List.fold_left (fun acc v -> acc +. t.dist.(v)) 0. subs
 
 let originals t subs = List.sort compare (List.map (fun v -> t.of_sub.(v)) subs)
+
+let slab t schedules =
+  (* [of_sub] is increasing, so its last entry is the largest id read. *)
+  if t.of_sub.(size t - 1) >= Array.length schedules then
+    invalid_arg "Engine.Feasible.slab: a ball member has no schedule";
+  let horizon = Timetable.Availability.horizon schedules.(t.of_sub.(t.q)) in
+  Array.map
+    (fun orig ->
+      let a = schedules.(orig) in
+      if Timetable.Availability.horizon a <> horizon then
+        invalid_arg "Engine.Feasible.slab: schedules disagree on horizon";
+      a)
+    t.of_sub

@@ -40,3 +40,11 @@ val total_distance : t -> int list -> float
 
 (** [originals fg subs] maps sub-ids back to sorted original ids. *)
 val originals : t -> int list -> int list
+
+(** [slab fg schedules] is the ball's calendars by sub-id, read from
+    [schedules] (indexed by original vertex) without copying them.  It
+    reads only the ball, so it costs what the ball costs; that all [n]
+    calendars share one horizon is the instance's check.
+    @raise Invalid_argument if a ball member has no schedule or the
+    ball's calendars disagree on horizon. *)
+val slab : t -> Timetable.Availability.t array -> Timetable.Availability.t array

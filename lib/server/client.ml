@@ -128,3 +128,21 @@ let hello t ~client =
                (Unix.error_message errno)))
   | Ok resp -> check_hello_ok t resp
   | Error e -> Error (Proto.string_of_decode_error e)
+
+(* One exit status per server error kind, clear of 0, of 1 (a client
+   failure of its own) and of cmdliner's 123-125. *)
+let exit_code = function
+  | Proto.Overloaded _ -> 3
+  | Proto.Degraded _ -> 4
+  | Proto.Unavailable _ -> 5
+  | Proto.Bad_request _ -> 6
+  | Proto.Unsupported_version _ -> 7
+
+let exit_codes =
+  [
+    (3, "the server shed the request as overloaded; retry later");
+    (4, "the request's budget ran out before any rung answered (degraded)");
+    (5, "the server could not answer (unavailable)");
+    (6, "the server refused the request as malformed (bad request)");
+    (7, "the server speaks another protocol version");
+  ]

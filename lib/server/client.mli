@@ -42,3 +42,12 @@ val hello : t -> client:string -> (int, string) result
 val negotiated_version : t -> int
 
 val close : t -> unit
+
+(** [exit_code e] — the process exit status of a client command whose
+    request the server answered with [Failed e]: one code per error
+    kind, never [0], [1] or cmdliner's reserved [123]-[125]. *)
+val exit_code : Proto.server_error -> int
+
+(** Every {!exit_code} value with a one-line meaning, in code order,
+    for [--help] and docs/PROTOCOL.md. *)
+val exit_codes : (int * string) list

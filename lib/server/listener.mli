@@ -20,10 +20,10 @@
     counted in [server.sheds]; peak concurrency is the high-water mark
     of the [server.inflight] gauge.
 
-    Calendar edits land between queries: {!Service} runs each query in
-    a solve region, so an edit waits for the queries in flight and
-    queries that arrive meanwhile wait for the edit.  Only a deadline
-    or node limit, from the request or [policy], bounds that wait. *)
+    Calendar edits never wait for queries: {!Service} answers each
+    query against the world it read on entry, and an edit publishes the
+    next world at once.  A query in flight answers the calendars it
+    started with; the next query sees the edit. *)
 
 open Stgq_core
 

@@ -142,10 +142,13 @@ let test_cache_lru_recency () =
 let test_cache_lookup_reports_own_hit () =
   let g = Socgraph.Graph.of_edges 4 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.) ] in
   let cache = Engine.Cache.create ~capacity:1 g in
-  let first = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
-  let again = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
-  let other = Engine.Cache.lookup cache ~initiator:1 ~s:1 (* evicts (0,1) *) in
-  let rebuilt = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  let lookup initiator =
+    Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator ~s:1
+  in
+  let first = lookup 0 in
+  let again = lookup 0 in
+  let other = lookup 1 (* evicts (0,1) *) in
+  let rebuilt = lookup 0 in
   Alcotest.(check (list bool))
     "miss, hit, miss, miss after eviction" [ false; true; false; false ]
     (List.map (fun (l : Engine.Cache.lookup) -> l.hit) [ first; again; other; rebuilt ]);
@@ -157,25 +160,59 @@ let test_cache_lookup_reports_own_hit () =
   Alcotest.(check int) "hits" 2 s.Engine.Cache.hits;
   Alcotest.(check int) "misses" 3 s.Engine.Cache.misses
 
-let test_context_pivots_memoized_and_guarded () =
+(* A context is what the graph determines, nothing more: the social and
+   the temporal constructor build the same ball, and a supplied context
+   is checked against the query it answers. *)
+let test_context_guards () =
   let case = Gen.stg_case_gen (Random.State.make [| 23 |]) in
   let ti = Gen.temporal_instance_of_stg_case case in
   let query = Gen.stgq_of_stg_case case in
   let ctx = Feasible.context_of_temporal ti ~s:query.Query.s in
-  Alcotest.(check bool) "has schedules" true (Engine.Context.has_schedules ctx);
-  let p1 = Engine.Context.pivots ctx ~m:query.Query.m in
-  let p2 = Engine.Context.pivots ctx ~m:query.Query.m in
-  Alcotest.(check (list int)) "pivot memo stable" p1 p2;
+  let social = Feasible.context_of_instance ti.Query.social ~s:query.Query.s in
+  Alcotest.(check (array int)) "one ball for SGQ and STGQ"
+    social.Engine.Context.fg.Engine.Feasible.of_sub
+    ctx.Engine.Context.fg.Engine.Feasible.of_sub;
   Alcotest.check_raises "wrong initiator rejected"
     (Invalid_argument "Engine.Context: cached context belongs to another initiator")
     (fun () ->
       Engine.Context.ensure_for ctx ~initiator:(ti.Query.social.Query.initiator + 1)
         ~s:query.Query.s);
-  let social = Feasible.context_of_instance ti.Query.social ~s:query.Query.s in
-  Alcotest.(check bool) "social-only" false (Engine.Context.has_schedules social);
-  Alcotest.check_raises "social-only context has no pivots"
-    (Invalid_argument "Engine.Context.pivots: social-only context has no time axis")
-    (fun () -> ignore (Engine.Context.pivots social ~m:2 : int list))
+  Alcotest.check_raises "wrong s rejected"
+    (Invalid_argument "Engine.Context: cached context was built for another s")
+    (fun () ->
+      Engine.Context.ensure_for ctx ~initiator:ti.Query.social.Query.initiator
+        ~s:(query.Query.s + 1))
+
+(* A supplied context skips the instance's all-n check, so the slab
+   still checks the ball's calendars: a ball member whose calendar is
+   missing or on another horizon raises, from every temporal solver. *)
+let test_supplied_context_checks_ball_calendars () =
+  let g = Socgraph.Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
+  let schedules = Array.init 3 (fun _ -> Timetable.Availability.create ~horizon:8) in
+  let ti = { Query.social = { Query.graph = g; initiator = 0 }; schedules } in
+  let q = { Query.p = 2; s = 1; k = 0; m = 2 } in
+  let ctx = Feasible.context_of_temporal ti ~s:1 in
+  let slab = Feasible.slab ctx.Engine.Context.fg schedules in
+  Alcotest.(check bool) "the slab reads the ball's calendars, uncopied" true
+    (Array.length slab = 2 && slab.(0) == schedules.(0) && slab.(1) == schedules.(1));
+  let skewed = Array.copy schedules in
+  skewed.(1) <- Timetable.Availability.create ~horizon:9;
+  let skewed_ti = { ti with Query.schedules = skewed } in
+  let disagree = Invalid_argument "Engine.Feasible.slab: schedules disagree on horizon" in
+  Alcotest.check_raises "STGSelect" disagree (fun () ->
+      ignore (Stgselect.solve ~ctx skewed_ti q : Query.stg_solution option));
+  Alcotest.check_raises "pooled STGSelect" disagree (fun () ->
+      ignore
+        (Parallel.solve ~pool:(Lazy.force shared_pool) ~ctx skewed_ti q
+          : Query.stg_solution option));
+  Alcotest.check_raises "beam" disagree (fun () ->
+      ignore (Heuristics.beam_stgq ~ctx skewed_ti q : Query.stg_solution option));
+  Alcotest.check_raises "a ball member without a calendar"
+    (Invalid_argument "Engine.Feasible.slab: a ball member has no schedule")
+    (fun () ->
+      ignore
+        (Stgselect.solve ~ctx { ti with Query.schedules = Array.sub schedules 0 1 } q
+          : Query.stg_solution option))
 
 (* Concurrent misses on one key: a miss builds outside the lock, with
    no single-flight, so anywhere from one to every domain may build.  In
@@ -194,7 +231,7 @@ let test_concurrent_misses_on_one_key () =
     while Atomic.get barrier < n_domains do
       Domain.cpu_relax ()
     done;
-    Engine.Cache.lookup cache ~initiator ~s:2
+    Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator ~s:2
   in
   let ds = List.init (n_domains - 1) (fun _ -> Domain.spawn worker) in
   let mine = worker () in
@@ -206,7 +243,10 @@ let test_concurrent_misses_on_one_key () =
   Alcotest.check Alcotest.int "misses are the builds" (List.length built)
     stats.Engine.Cache.misses;
   Alcotest.check Alcotest.int "one entry" 1 stats.Engine.Cache.entries;
-  let cached = (Engine.Cache.lookup cache ~initiator ~s:2).Engine.Cache.ctx in
+  let cached =
+    (Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator ~s:2)
+      .Engine.Cache.ctx
+  in
   Alcotest.check Alcotest.int "exactly one build is cached" 1
     (List.length (List.filter (fun (l : Engine.Cache.lookup) -> l.ctx == cached) built));
   List.iter
@@ -231,7 +271,7 @@ let test_swap_mid_build_not_cached () =
   let found, mid =
     Gen.edit_mid_solve ~src:"stgq.engine.cache"
       ~edit:(fun () -> Engine.Cache.set_graph cache g2)
-      (fun () -> Engine.Cache.lookup cache ~initiator:0 ~s:1)
+      (fun () -> Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:0 ~s:1)
   in
   Alcotest.(check bool) "the miss line fired" true mid.Gen.fired;
   Alcotest.(check bool) "the swap landed mid-build" true
@@ -240,97 +280,120 @@ let test_swap_mid_build_not_cached () =
     (found.Engine.Cache.ctx.Engine.Context.graph == g1);
   Alcotest.(check int) "the stale build is not cached" 0
     (Engine.Cache.stats cache).Engine.Cache.entries;
-  let next = Engine.Cache.lookup cache ~initiator:0 ~s:1 in
+  let next = Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:0 ~s:1 in
   Alcotest.(check bool) "the next lookup misses" false next.Engine.Cache.hit;
   Alcotest.(check bool) "and builds from the new graph" true
     (next.Engine.Cache.ctx.Engine.Context.graph == g2)
 
-(* --- solve regions ---------------------------------------------------
+(* --- one immutable world ---------------------------------------------
 
-   Each test runs a calendar edit on its own thread against a region the
-   main thread holds.  The 50 ms sleeps only give the edit (or a second
-   region) time to block; what is asserted holds whatever the timing. *)
+   An edit publishes a new world; it never writes one that a reader may
+   hold. *)
 
-let region_cache () =
+let world_cache () =
   let g = Socgraph.Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
   let schedules = Array.init 3 (fun _ -> Timetable.Availability.create ~horizon:8) in
   Engine.Cache.create ~schedules g
 
-(* Starts [Engine.Cache.set_schedule] on a thread; the flag turns true
-   once the edit has returned. *)
-let start_edit cache =
-  let returned = Atomic.make false in
-  let edit =
-    Thread.create
-      (fun () ->
-        Engine.Cache.set_schedule cache ~vertex:1
-          (Timetable.Availability.create ~horizon:8);
-        Atomic.set returned true)
-      ()
+let all_free () =
+  let a = Timetable.Availability.create ~horizon:8 in
+  Timetable.Availability.set_free a 0 7;
+  a
+
+(* The world a request holds keeps its graph, its calendar array and
+   every calendar's bits through a calendar edit and a graph swap; the
+   published world carries both edits, and the calendar it publishes
+   is a copy the caller cannot write. *)
+let test_edit_leaves_held_world () =
+  let cache = world_cache () in
+  let held = Engine.Cache.world cache in
+  let held_calendar = held.Engine.Cache.schedules.(1) in
+  let edit = all_free () in
+  Engine.Cache.set_schedule cache ~vertex:1 edit;
+  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
+  Engine.Cache.set_graph cache g2;
+  Alcotest.(check int) "the held world's epoch" 0 held.Engine.Cache.epoch;
+  Alcotest.(check bool) "the held world's calendar is the one it had" true
+    (held.Engine.Cache.schedules.(1) == held_calendar);
+  Alcotest.(check int) "and its bits are as they were" 0
+    (Timetable.Availability.free_count held_calendar);
+  Alcotest.(check bool) "the held world's graph" false (held.Engine.Cache.graph == g2);
+  let now = Engine.Cache.world cache in
+  Alcotest.(check int) "two edits, two epochs" 2 now.Engine.Cache.epoch;
+  Alcotest.(check bool) "the published world has the new graph" true
+    (now.Engine.Cache.graph == g2);
+  Alcotest.(check int) "and the new calendar" 8
+    (Timetable.Availability.free_count now.Engine.Cache.schedules.(1));
+  Timetable.Availability.set_busy edit 0 7;
+  Alcotest.(check int) "which the caller's object does not alias" 8
+    (Timetable.Availability.free_count now.Engine.Cache.schedules.(1))
+
+(* Contexts hold no calendar, so a calendar edit keeps every cached
+   context: the next lookup hits the very same one. *)
+let test_calendar_edit_keeps_contexts () =
+  let cache = world_cache () in
+  let lookup () =
+    Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:0 ~s:1
   in
-  (edit, returned)
+  let built = lookup () in
+  Engine.Cache.set_schedule cache ~vertex:1 (all_free ());
+  let again = lookup () in
+  Alcotest.(check (list bool)) "miss, then a hit after the edit" [ false; true ]
+    [ built.Engine.Cache.hit; again.Engine.Cache.hit ];
+  Alcotest.(check bool) "the same context" true
+    (built.Engine.Cache.ctx == again.Engine.Cache.ctx);
+  Alcotest.(check int) "still one entry" 1 (Engine.Cache.stats cache).Engine.Cache.entries;
+  Alcotest.(check int) "the edit bumped the epoch" 1 (Engine.Cache.epoch cache)
 
-let pause () = Thread.delay 0.05
+(* A request that read its world before a graph swap looks up against
+   the old graph: it never hits a context of the new graph, and the
+   context it builds answers it but is not cached.  Every lookup still
+   counts once. *)
+let test_lookup_against_replaced_graph () =
+  let cache = world_cache () in
+  let old_world = Engine.Cache.world cache in
+  let g1 = old_world.Engine.Cache.graph in
+  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
+  let lookup w = Engine.Cache.lookup cache w ~initiator:0 ~s:1 in
+  ignore (lookup old_world : Engine.Cache.lookup);
+  Engine.Cache.set_graph cache g2;
+  let stale = lookup old_world in
+  Alcotest.(check bool) "a miss" false stale.Engine.Cache.hit;
+  Alcotest.(check bool) "built from the graph the request read" true
+    (stale.Engine.Cache.ctx.Engine.Context.graph == g1);
+  Alcotest.(check int) "and not cached" 0 (Engine.Cache.stats cache).Engine.Cache.entries;
+  let fresh = lookup (Engine.Cache.world cache) in
+  Alcotest.(check bool) "the published world misses and builds from g2" true
+    ((not fresh.Engine.Cache.hit) && fresh.Engine.Cache.ctx.Engine.Context.graph == g2);
+  let stale_again = lookup old_world in
+  Alcotest.(check bool) "g2's cached context is no hit for the old world" true
+    ((not stale_again.Engine.Cache.hit)
+    && stale_again.Engine.Cache.ctx.Engine.Context.graph == g1);
+  Alcotest.(check bool) "the published world hits it" true
+    (lookup (Engine.Cache.world cache)).Engine.Cache.hit;
+  let s = Engine.Cache.stats cache in
+  Alcotest.(check (pair int int)) "hits + misses = lookups" (1, 4)
+    (s.Engine.Cache.hits, s.Engine.Cache.misses)
 
-let test_edit_waits_for_region () =
-  let cache = region_cache () in
-  let edit, returned =
-    Engine.Cache.with_solves cache (fun () ->
-        let edit, returned = start_edit cache in
-        pause ();
-        Alcotest.(check bool) "the edit waits while the region is open" false
-          (Atomic.get returned);
-        Alcotest.(check int) "no edit landed inside the region" 0
-          (Engine.Cache.epoch cache);
-        (edit, returned))
-  in
-  Thread.join edit;
-  Alcotest.(check bool) "the edit returns once the region closes" true
-    (Atomic.get returned);
-  Alcotest.(check int) "the edit landed" 1 (Engine.Cache.epoch cache)
-
-(* Writer preference: while an edit waits for an open region, a new
-   region waits for the edit, so it sees the edited state. *)
-let test_waiting_edit_holds_back_new_region () =
-  let cache = region_cache () in
-  let entered = Atomic.make false in
-  let seen_epoch = Atomic.make (-1) in
-  let edit, reader =
-    Engine.Cache.with_solves cache (fun () ->
-        let edit, _ = start_edit cache in
-        pause ();
-        let reader =
-          Thread.create
-            (fun () ->
-              Engine.Cache.with_solves cache (fun () ->
-                  Atomic.set seen_epoch (Engine.Cache.epoch cache);
-                  Atomic.set entered true))
-            ()
-        in
-        pause ();
-        Alcotest.(check bool) "a new region waits behind the waiting edit" false
-          (Atomic.get entered);
-        (edit, reader))
-  in
-  Thread.join edit;
-  Thread.join reader;
-  Alcotest.(check int) "the held-back region saw the edit" 1 (Atomic.get seen_epoch)
-
-let test_raising_region_releases_edit () =
-  let cache = region_cache () in
-  let edit = ref None in
-  (match
-     Engine.Cache.with_solves cache (fun () ->
-         edit := Some (fst (start_edit cache));
-         pause ();
-         raise Exit)
-   with
-  | () -> Alcotest.fail "the region body should have raised"
-  | exception Exit -> ());
-  Option.iter Thread.join !edit;
-  Alcotest.(check int) "the edit landed after the raise" 1 (Engine.Cache.epoch cache);
-  Alcotest.(check int) "a new region opens" 1
-    (Engine.Cache.with_solves cache (fun () -> Engine.Cache.epoch cache))
+(* Contexts hold no calendar, so one context answers any calendar
+   state: solving instance B with a context built from instance A
+   equals solving B with none, for every solver that takes a context. *)
+let prop_one_context_two_calendar_states =
+  Gen.qtest ~count:60 "one context, two calendar states" (Gen.stg_case ())
+    (fun case ->
+      let a = Gen.temporal_instance_of_stg_case case in
+      let query = Gen.stgq_of_stg_case case in
+      let n = Array.length a.Query.schedules in
+      let b =
+        { a with Query.schedules = Array.init n (fun v -> a.Query.schedules.((v + 1) mod n)) }
+      in
+      let ctx = Feasible.context_of_temporal a ~s:query.Query.s in
+      let pool = Lazy.force shared_pool in
+      (Stgselect.solve_report ~ctx b query).Stgselect.solution
+      = (Stgselect.solve_report b query).Stgselect.solution
+      && (Parallel.solve_report ~pool ~domains:2 ~ctx b query).Parallel.solution
+         = (Parallel.solve_report ~pool ~domains:2 b query).Parallel.solution
+      && Heuristics.beam_stgq ~ctx b query = Heuristics.beam_stgq b query)
 
 let suite =
   [
@@ -338,8 +401,7 @@ let suite =
     Alcotest.test_case "pool exception propagation" `Quick
       test_pool_exception_propagates;
     Alcotest.test_case "cache true-LRU recency" `Quick test_cache_lru_recency;
-    Alcotest.test_case "context pivot memo + guards" `Quick
-      test_context_pivots_memoized_and_guarded;
+    Alcotest.test_case "context guards" `Quick test_context_guards;
     prop_bounded_dist_early_exit_reaches_fixpoint;
     prop_sgq_context_matches_direct;
     prop_engine_matches_sequential;
@@ -349,10 +411,13 @@ let suite =
       test_concurrent_misses_on_one_key;
     Alcotest.test_case "a swap mid-build is not cached" `Quick
       test_swap_mid_build_not_cached;
-    Alcotest.test_case "an edit waits for an open region" `Quick
-      test_edit_waits_for_region;
-    Alcotest.test_case "a waiting edit holds back a new region" `Quick
-      test_waiting_edit_holds_back_new_region;
-    Alcotest.test_case "a raising region releases a waiting edit" `Quick
-      test_raising_region_releases_edit;
+    Alcotest.test_case "an edit leaves a held world as it was" `Quick
+      test_edit_leaves_held_world;
+    Alcotest.test_case "a calendar edit keeps cached contexts" `Quick
+      test_calendar_edit_keeps_contexts;
+    Alcotest.test_case "a lookup against a replaced graph builds uncached" `Quick
+      test_lookup_against_replaced_graph;
+    prop_one_context_two_calendar_states;
+    Alcotest.test_case "a supplied context checks the ball's calendars" `Quick
+      test_supplied_context_checks_ball_calendars;
   ]

@@ -627,6 +627,54 @@ let test_oversized_frame_over_wire () =
       Alcotest.failf "expected Bad_request, got %a" Proto.pp_response resp
   | Error e -> Alcotest.fail (Proto.string_of_decode_error e)
 
+(* `stgq query` exits with one code per server error kind: the codes
+   are distinct, clear of success and of cmdliner's own, listed for
+   --help and in docs/PROTOCOL.md, and a refusal the server really
+   sends maps to its kind's code. *)
+let test_exit_code_per_error_kind () =
+  let kinds =
+    [
+      ("Overloaded", Proto.Overloaded { queue_depth = 1; limit = 1 });
+      ("Degraded", Proto.Degraded { reason = Budget.Deadline; retries = 0 });
+      ("Unavailable", Proto.Unavailable { message = "x"; retries = 0 });
+      ("Bad_request", Proto.Bad_request { message = "x" });
+      ("Unsupported_version", Proto.Unsupported_version { server_version = 1 });
+    ]
+  in
+  let codes = List.map (fun (_, e) -> Server.Client.exit_code e) kinds in
+  check Alcotest.(list int) "one code per kind, listed in code order"
+    (List.map fst Server.Client.exit_codes) codes;
+  check Alcotest.int "all distinct" (List.length kinds)
+    (List.length (List.sort_uniq compare codes));
+  List.iter
+    (fun c ->
+      check Alcotest.bool "clear of 0, 1 and cmdliner's 123-125" false
+        (List.mem c [ 0; 1; 123; 124; 125 ]))
+    codes;
+  let doc =
+    match Gen.repo_path "docs/PROTOCOL.md" with
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> Alcotest.fail "docs/PROTOCOL.md not found"
+  in
+  List.iter
+    (fun (name, e) ->
+      let row = Printf.sprintf "| %d | `%s` |" (Server.Client.exit_code e) name in
+      check Alcotest.bool ("docs/PROTOCOL.md lists " ^ row) true
+        (Astring_like.contains doc row))
+    kinds;
+  let service = Service.create small_ti in
+  with_server service @@ fun addr ->
+  with_client addr @@ fun c ->
+  match
+    request_exn c
+      (Proto.Sgq { initiator = 99; q = { Query.p = 2; s = 1; k = 1 }; policy = None })
+  with
+  | Proto.Failed e ->
+      check Alcotest.int "an out-of-range initiator exits as a bad request"
+        (Server.Client.exit_code (Proto.Bad_request { message = "" }))
+        (Server.Client.exit_code e)
+  | resp -> Alcotest.failf "expected a refusal, got %a" Proto.pp_response resp
+
 (* --- calendar edits against in-flight wire queries ------------------- *)
 
 module R = Suite_service
@@ -642,10 +690,10 @@ let expect_updated c ~vertex avail =
 
 (* A wire calendar edit on a second connection arrives while the first
    connection's STGQ sits between its search and its certificate, on a
-   store-backed server.  The edit is journalled, then waits for the
-   query: the query answers the pre-edit optimum, certified, and the
-   WAL holds the edit. *)
-let test_wire_edit_waits_for_inflight_query () =
+   store-backed server.  The edit is journalled and acked while the
+   query is held; the query answers the pre-edit optimum, certified,
+   the WAL holds the edit and the next query sees it. *)
+let test_wire_edit_lands_mid_query () =
   let r = R.calendar_race () in
   let q = List.nth r.R.shapes 0 and pre = List.nth r.R.pre_refs 0 in
   let initiator = r.R.initiator and victim = r.R.victim and busy = r.R.busy in
@@ -660,22 +708,31 @@ let test_wire_edit_waits_for_inflight_query () =
     | Ok (store, _) -> store
     | Error e -> Alcotest.failf "open_dir: %s" (Store.string_of_error e)
   in
-  let answer, seen =
+  let (answer, seen), next =
     Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
     with_server ~config:{ Server.default_config with store = Some store } service
     @@ fun addr ->
     with_client addr @@ fun querier ->
     with_client addr @@ fun editor ->
-    Gen.edit_mid_solve ~src:"stgq.stgselect"
-      ~edit:(fun () -> expect_updated editor ~vertex:victim busy)
-      (fun () -> request_exn querier (Proto.Stgq { initiator; q; policy = None }))
+    let ask () = request_exn querier (Proto.Stgq { initiator; q; policy = None }) in
+    let mid =
+      Gen.edit_mid_solve ~src:"stgq.stgselect"
+        ~edit:(fun () -> expect_updated editor ~vertex:victim busy)
+        ask
+    in
+    (mid, ask ())
   in
   (match answer with
   | Proto.Stg_answer { value; certified = true; _ } ->
       check Alcotest.bool "the answer is the pre-edit optimum" true
         (R.same_stg value pre)
   | resp -> Alcotest.failf "expected a certified answer, got %a" Proto.pp_response resp);
-  R.check_held seen;
+  R.check_landed_mid seen;
+  (match next with
+  | Proto.Stg_answer { value; certified = true; _ } ->
+      check Alcotest.bool "the next query sees the edit" true
+        (R.same_stg value (List.nth r.R.post_refs 0))
+  | resp -> Alcotest.failf "expected a certified answer, got %a" Proto.pp_response resp);
   match Store.replay_wal (Store.wal_path ~dir ~gen:0) with
   | Ok { Store.deltas = [ Store.Schedule_set { vertex; avail } ]; _ } ->
       check Alcotest.int "the WAL holds the edit's vertex" victim vertex;
@@ -755,8 +812,10 @@ let suite =
       test_answer_trace_id_fetchable;
     Alcotest.test_case "oversized frame over the wire" `Quick
       test_oversized_frame_over_wire;
-    Alcotest.test_case "wire calendar edit waits for an in-flight query" `Quick
-      test_wire_edit_waits_for_inflight_query;
+    Alcotest.test_case "wire calendar edit lands mid-query" `Quick
+      test_wire_edit_lands_mid_query;
+    Alcotest.test_case "one exit code per server error kind" `Quick
+      test_exit_code_per_error_kind;
     Alcotest.test_case "wire queries race a wire calendar writer" `Quick
       test_wire_queries_race_calendar_writer;
   ]

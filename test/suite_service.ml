@@ -106,6 +106,28 @@ let test_schedule_update_visible () =
   Alcotest.check Alcotest.bool "no window after busy-out" true
     (Gen.served (Service.stgq_r service ~initiator:0 q) = None)
 
+(* [Service.create] leaves its checks to [Engine.Cache.create]; each
+   still raises from [Service.create], and the initiator field, which
+   the service never reads, is not checked. *)
+let test_create_checks_instance () =
+  let ti = fixture () in
+  let rejects name ?cache_capacity ti =
+    match Service.create ?cache_capacity ti with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "capacity 0" ~cache_capacity:0 ti;
+  rejects "a short calendar array"
+    { ti with Query.schedules = Array.sub ti.Query.schedules 0 4 };
+  let skewed = Array.copy ti.Query.schedules in
+  skewed.(3) <- Timetable.Availability.create ~horizon:13;
+  rejects "disagreeing horizons" { ti with Query.schedules = skewed };
+  let service =
+    Service.create { ti with Query.social = { ti.Query.social with Query.initiator = 99 } }
+  in
+  Alcotest.check Alcotest.int "the initiator field is not read" 5
+    (Service.n_vertices service)
+
 (* With a pool attached, single STGQ requests run the pooled parallel
    kernel; its answers equal a pool-less service's, on the exact rung. *)
 let prop_pooled_service_matches_plain =
@@ -382,16 +404,16 @@ let graph_race () =
     post;
   }
 
-let check_held (seen : Gen.mid_solve) =
+let check_landed_mid (seen : Gen.mid_solve) =
   Alcotest.(check bool) "the solver's debug line was caught" true seen.Gen.fired;
-  Alcotest.(check bool) "the edit did not return while the request was in flight"
-    false seen.Gen.edit_returned_mid_request
+  Alcotest.(check bool) "the edit returned while the request was in flight" true
+    seen.Gen.edit_returned_mid_request
 
 (* A calendar edit that arrives between a pool-less STGQ's search and
-   its certificate busies out an attendee of the answer.  It must wait
-   for the request: the request answers the pre-edit optimum, certified,
-   and the edit lands after it. *)
-let test_schedule_edit_waits_for_request () =
+   its certificate busies out an attendee of the answer.  It returns at
+   once: the request answers the pre-edit optimum, certified against
+   the world it read, and the next request sees the edit. *)
+let test_schedule_edit_lands_mid_request () =
   let r = calendar_race () in
   let q = List.nth r.shapes 0 and pre = List.nth r.pre_refs 0 in
   let initiator = r.initiator in
@@ -406,13 +428,13 @@ let test_schedule_edit_waits_for_request () =
       Alcotest.(check bool) "the answer is the pre-edit optimum" true
         (same_stg a.Resilience.value pre)
   | Error e -> Alcotest.failf "request failed: %a" Resilience.pp_error e);
-  check_held seen;
-  Alcotest.(check bool) "the edit landed after the request" true
+  check_landed_mid seen;
+  Alcotest.(check bool) "the next request sees the edit" true
     (same_stg (Gen.served (Service.stgq_r service ~initiator q)) (List.nth r.post_refs 0))
 
 (* The same for a social-graph edit against an SGQ: the edit isolates
-   an attendee of the answer and must wait for the request. *)
-let test_graph_edit_waits_for_request () =
+   an attendee of the answer and returns while the request is held. *)
+let test_graph_edit_lands_mid_request () =
   let r = graph_race () in
   let initiator = r.g_initiator in
   let service = Service.create r.g_ti in
@@ -426,8 +448,8 @@ let test_graph_edit_waits_for_request () =
       Alcotest.(check bool) "the answer is the pre-edit optimum" true
         (same_sg a.Resilience.value r.pre)
   | Error e -> Alcotest.failf "request failed: %a" Resilience.pp_error e);
-  check_held seen;
-  Alcotest.(check bool) "the edit landed after the request" true
+  check_landed_mid seen;
+  Alcotest.(check bool) "the next request sees the edit" true
     (same_sg (Gen.served (Service.sgq_r service ~initiator r.q)) r.post)
 
 (* Calendar edits racing single pooled requests: every request sees one
@@ -487,6 +509,8 @@ let suite =
     Alcotest.test_case "cache hits and eviction" `Quick test_cache_hits_and_eviction;
     Alcotest.test_case "graph update invalidates" `Quick test_graph_update_invalidates;
     Alcotest.test_case "schedule update visible" `Quick test_schedule_update_visible;
+    Alcotest.test_case "create checks its instance once" `Quick
+      test_create_checks_instance;
     prop_service_matches_direct;
     prop_pooled_service_matches_plain;
     Alcotest.test_case "malformed query rejected before lookup" `Quick
@@ -497,10 +521,10 @@ let suite =
       test_cold_request_words_independent_of_n;
     Alcotest.test_case "schedule edits race pooled requests consistently" `Quick
       test_schedule_edit_race_consistent;
-    Alcotest.test_case "calendar edit waits for an in-flight request" `Quick
-      test_schedule_edit_waits_for_request;
-    Alcotest.test_case "graph edit waits for an in-flight request" `Quick
-      test_graph_edit_waits_for_request;
+    Alcotest.test_case "calendar edit lands mid-request" `Quick
+      test_schedule_edit_lands_mid_request;
+    Alcotest.test_case "graph edit lands mid-request" `Quick
+      test_graph_edit_lands_mid_request;
     Alcotest.test_case "graph edits race single requests consistently" `Quick
       test_graph_edit_race_consistent;
   ]

@@ -709,7 +709,7 @@ let test_cache_epoch_and_swap () =
     (Engine.Cache.stats cache).Engine.Cache.entries;
   check Alcotest.int "the entries gauge reads 0" 0 (entries_gauge ());
   check Alcotest.int "epoch bumped" 1 (Engine.Cache.epoch cache);
-  let rebuilt = Engine.Cache.lookup cache ~initiator:4 ~s:1 in
+  let rebuilt = Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:4 ~s:1 in
   check Alcotest.bool "the next lookup rebuilds" false rebuilt.Engine.Cache.hit;
   check Alcotest.bool "from the new graph" true
     (rebuilt.Engine.Cache.ctx.Engine.Context.graph == g2);

@@ -34,6 +34,5 @@ let () =
       ("io", Suite_io.suite);
       ("integration", Suite_integration.suite);
       ("paper-example", Suite_paper_example.suite);
-      ("astar", Suite_astar.suite);
       ("lint-typed", Suite_lint_typed.suite);
     ]
