@@ -12,6 +12,9 @@ type t = Engine.Feasible.t = {
   q : int;                  (** the initiator's sub-id *)
   dist : float array;       (** sub-id -> s-edge minimum distance to q *)
   nbr : Bitset.t array;     (** sub-id -> neighbour bitset in [sub] *)
+  by_dist : int array;
+      (** every sub-id but [q], by increasing [(dist, sub-id)]: the one
+          distance order the solvers filter, sorted once per extraction *)
 }
 
 (** [extract instance ~s] builds the feasible graph. *)

@@ -11,32 +11,29 @@ let partial_ok fg ~k group v =
   let extended = v :: group in
   List.for_all (fun x -> nn_of x extended <= k) extended
 
-let candidates_by_distance fg =
-  List.init (Feasible.size fg) Fun.id
-  |> List.filter (fun v -> v <> fg.Feasible.q)
-  |> List.sort (fun a b -> compare (fg.Feasible.dist.(a), a) (fg.Feasible.dist.(b), b))
-
 (* ------------------------------------------------------------------ *)
 (* Greedy.                                                             *)
 
 let greedy_social fg ~p ~k ~eligible ~shrink ~init ~budget =
   (* [shrink group v] is the temporal hook: [Some state'] when the common
      window survives adding [v].  For SGQ it always succeeds. *)
-  let rec go group size state = function
-    | _ when size = p -> Some (group, state)
-    | [] -> None
-    | v :: rest ->
-        (* Per-candidate budget poll: the acquaintance filter makes a
-           greedy pass quadratic in the group, so a tripped budget must
-           be observed mid-pass, not just between passes. *)
-        if Budget.check budget <> None then None
-        else if eligible v && partial_ok fg ~k group v then
-          match shrink state v with
-          | Some state' -> go (v :: group) (size + 1) state' rest
-          | None -> go group size state rest
-        else go group size state rest
+  let cands = fg.Feasible.by_dist in
+  let rec go group size state i =
+    if size = p then Some (group, state)
+    else if i >= Array.length cands then None
+    else
+      let v = cands.(i) in
+      (* Per-candidate budget poll: the acquaintance filter makes a
+         greedy pass quadratic in the group, so a tripped budget must
+         be observed mid-pass, not just between passes. *)
+      if Budget.check budget <> None then None
+      else if eligible v && partial_ok fg ~k group v then
+        match shrink state v with
+        | Some state' -> go (v :: group) (size + 1) state' (i + 1)
+        | None -> go group size state (i + 1)
+      else go group size state (i + 1)
   in
-  go [ fg.Feasible.q ] 1 init (candidates_by_distance fg)
+  go [ fg.Feasible.q ] 1 init 0
 
 let greedy_sgq ?(budget = Budget.unlimited) (instance : Query.instance)
     (query : Query.sgq) =
@@ -126,7 +123,7 @@ type 'state beam_node = {
 }
 
 let beam_social fg ~p ~k ~width ~eligible ~shrink ~init_state ~budget =
-  let cands = Array.of_list (candidates_by_distance fg) in
+  let cands = fg.Feasible.by_dist in
   let f = Array.length cands in
   let cmp a b = compare (a.td, a.group) (b.td, b.group) in
   let level =

@@ -35,9 +35,7 @@ let bucket_job ~config ~budget ctx ~avail (query : Query.stgq) bucket () =
 
 let finish ctx ~n_domains ~(query : Query.stgq) ~budget results =
   let total_nodes = List.fold_left (fun acc (_, n) -> acc + n) 0 results in
-  let key (f : Search_core.found) =
-    (f.distance, f.window_start, List.sort compare f.group)
-  in
+  let key (f : Search_core.found) = (f.distance, f.window_start, f.group) in
   let best =
     List.fold_left
       (fun acc (out, _) ->

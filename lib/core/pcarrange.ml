@@ -20,12 +20,7 @@ let run (ti : Query.temporal_instance) ~p ~s ~m =
   let avail = Feasible.slab fg ti.schedules in
   let q = fg.Feasible.q in
   let horizon = Timetable.Availability.horizon avail.(q) in
-  let by_distance =
-    List.init (Feasible.size fg) Fun.id
-    |> List.filter (fun v -> v <> q)
-    |> List.sort (fun a b ->
-           compare (fg.Feasible.dist.(a), a) (fg.Feasible.dist.(b), b))
-  in
+  let by_distance = Array.to_list fg.Feasible.by_dist in
   let rec split n = function
     | [] -> ([], [])
     | l when n = 0 -> ([], l)

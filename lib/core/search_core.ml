@@ -91,7 +91,7 @@ type state = {
   cfg : config;
   stats : stats;
   order : int array;    (* candidate pick order *)
-  by_dist : int array;  (* always distance-sorted, for min-distance scans *)
+  by_dist : int array;  (* the same candidates by distance, for Lemmas 2 and 3 *)
   in_vs : bool array;
   in_va : bool array;
   nbr_vs : int array;   (* per vertex: #neighbours currently in VS *)
@@ -215,25 +215,33 @@ let temporal_extensibility tc u =
 (* ------------------------------------------------------------------ *)
 (* Pruning lemmas, evaluated at every node-loop iteration.             *)
 
-let min_distance_in_va st =
-  let n = Array.length st.by_dist in
-  let[@lint.bounded] rec go i =
-    if i >= n then infinity
-    else
-      let v = st.by_dist.(i) in
-      if st.in_va.(v) then st.fg.dist.(v) else go (i + 1)
-  in
-  go 0
+(* Lemma 2 as a sum.  [cheapest fg order ~needed ok] is the sum of the
+   distances of the first [needed] sub-ids of the distance-sorted
+   [order] that pass [ok] (the [needed] smallest such distances), or
+   [infinity] when fewer pass.  A completion adds [needed] distinct
+   passing members, so it costs at least this much. *)
+let cheapest (fg : Feasible.t) order ~needed ok =
+  let n = Array.length order in
+  let sum = ref 0. and left = ref needed and i = ref 0 in
+  while !left > 0 && !i < n do
+    let v = order.(!i) in
+    if ok v then begin
+      sum := !sum +. fg.dist.(v);
+      decr left
+    end;
+    incr i
+  done;
+  if !left > 0 then infinity else !sum
 
-(* Lemma 2. *)
+(* Lemma 2: no completion of VS gets strictly below the bound.  Ties are
+   pruned too; the sinks keep only strictly better groups. *)
 let distance_prunes st =
   st.cfg.use_distance_pruning
   &&
   let bound = st.sink.bound () in
   Float.is_finite bound
-  &&
-  let needed = float_of_int (st.p - st.vs_size) in
-  st.td +. (needed *. min_distance_in_va st) >= bound -. eps
+  && st.td +. cheapest st.fg st.by_dist ~needed:(st.p - st.vs_size) (fun v -> st.in_va.(v))
+     >= bound -. eps
 
 (* Lemma 3, safe form by default (see DESIGN.md).  The sum of inner
    degrees is maintained incrementally; the minimum is only scanned when
@@ -283,11 +291,15 @@ let availability_prunes st =
 (* ------------------------------------------------------------------ *)
 (* The node loop (Algorithms 2 and 4).                                 *)
 
+(* The group goes out sorted by sub-id with its distance summed in that
+   order, so the reported distance is a function of the group alone,
+   whatever path reached it. *)
 let record_best st =
+  let group = List.sort Int.compare st.vs_list in
   st.sink.offer
     {
-      group = st.vs_list;
-      distance = st.td;
+      group;
+      distance = Feasible.total_distance st.fg group;
       window_start = (match st.temporal with Some tc -> Some tc.ts_lo | None -> None);
     }
 
@@ -441,40 +453,40 @@ let rec node st =
 (* ------------------------------------------------------------------ *)
 (* State construction.                                                 *)
 
-let sorted_candidates fg ~eligible ~by_distance =
-  let size = Feasible.size fg in
-  let cands = ref [] in
-  for v = size - 1 downto 0 do
-    if v <> fg.Feasible.q && eligible v then cands := v :: !cands
-  done;
-  let arr = Array.of_list !cands in
-  if by_distance then
-    Array.sort
-      (fun a b -> compare (fg.Feasible.dist.(a), a) (fg.Feasible.dist.(b), b))
-      arr;
-  arr
+(* The sub-ids of [ids] that pass [eligible], in [ids]' order. *)
+let filter eligible ids =
+  let n = Array.fold_left (fun n v -> if eligible v then n + 1 else n) 0 ids in
+  let out = Array.make n 0 and j = ref 0 in
+  Array.iter
+    (fun v ->
+      if eligible v then begin
+        out.(!j) <- v;
+        incr j
+      end)
+    ids;
+  out
 
 let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
   let size = Feasible.size fg in
-  let order = sorted_candidates fg ~eligible ~by_distance:cfg.use_access_ordering in
-  let by_dist =
-    if cfg.use_access_ordering then order
-    else sorted_candidates fg ~eligible ~by_distance:true
+  let q = fg.Feasible.q in
+  let by_dist = filter eligible fg.Feasible.by_dist in
+  let order =
+    if cfg.use_access_ordering then by_dist
+    else filter (fun v -> v <> q && eligible v) (Array.init size Fun.id)
   in
   let in_vs = Array.make size false in
   let in_va = Array.make size false in
   Array.iter (fun v -> in_va.(v) <- true) order;
-  in_vs.(fg.Feasible.q) <- true;
+  in_vs.(q) <- true;
   let nbr_vs = Array.make size 0 in
   let nbr_va = Array.make size 0 in
-  Bitset.iter (fun w -> nbr_vs.(w) <- 1) fg.Feasible.nbr.(fg.Feasible.q);
+  Bitset.iter (fun w -> nbr_vs.(w) <- 1) fg.Feasible.nbr.(q);
   Array.iter
     (fun v -> Bitset.iter (fun w -> nbr_va.(w) <- nbr_va.(w) + 1) fg.Feasible.nbr.(v))
     order;
   (match temporal with
   | Some tc ->
       (* Unavailability counts of the initial VA over the pivot interval. *)
-      Array.fill tc.unavail 0 (Array.length tc.unavail) 0;
       Array.iter (fun v -> unavail_adjust tc v 1) order
   | None -> ());
   {
@@ -493,11 +505,9 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
     round = 0;
     vs_size = 1;
     va_size = Array.length order;
-    vs_list = [ fg.Feasible.q ];
+    vs_list = [ q ];
     td = 0.;
-    sum_nbr_va =
-      Array.fold_left (fun acc v -> if in_va.(v) then acc + nbr_va.(v) else acc) 0
-        (Array.init size Fun.id);
+    sum_nbr_va = Array.fold_left (fun acc v -> acc + nbr_va.(v)) 0 order;
     sink;
     temporal;
     budget;
@@ -512,17 +522,7 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
    sound for every region a truncated search abandoned; computed once
    per budgeted solve, never on the per-node path. *)
 let completion_lower_bound fg ~p ~eligible =
-  let dists = ref [] in
-  for v = Feasible.size fg - 1 downto 0 do
-    if v <> fg.Feasible.q && eligible v then dists := fg.Feasible.dist.(v) :: !dists
-  done;
-  let sorted = List.sort compare !dists in
-  let[@lint.bounded] rec take acc n = function
-    | _ when n = 0 -> Some acc
-    | [] -> None
-    | d :: rest -> take (acc +. d) (n - 1) rest
-  in
-  match take 0. (p - 1) sorted with Some lb -> lb | None -> infinity
+  cheapest fg fg.Feasible.by_dist ~needed:(p - 1) eligible
 
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
@@ -594,45 +594,64 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
     ~avail ~p ~k ~m ~pivots ~config ~stats ~sink =
   let fg = ctx.Engine.Context.fg in
   let size = Feasible.size fg in
+  let q = fg.Feasible.q in
+  let h = Timetable.Availability.horizon avail.(q) in
+  (* Each pivot writes a member's run before reading it. *)
+  let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
+  let free v = run_hi.(v) - run_lo.(v) + 1 >= m in
   let explore_pivot pivot =
-    let h = Timetable.Availability.horizon avail.(fg.Feasible.q) in
     let ilo, ihi = Timetable.Window.interval ~horizon:h ~m pivot in
-    let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
-    for v = 0 to size - 1 do
+    let set_run v =
       match Timetable.Availability.run_around avail.(v) pivot with
       | Some (lo, hi) ->
           run_lo.(v) <- max lo ilo;
           run_hi.(v) <- min hi ihi
-      | None -> ()
-    done;
-    let run_len v = run_hi.(v) - run_lo.(v) + 1 in
-    if run_len fg.Feasible.q >= m then begin
-      let tc =
-        {
-          m;
-          pivot;
-          ilo;
-          ihi;
-          run_lo;
-          run_hi;
-          unavail = Array.make (ihi - ilo + 1) 0;
-          av = avail;
-          ts_lo = run_lo.(fg.Feasible.q);
-          ts_hi = run_hi.(fg.Feasible.q);
-        }
-      in
+      | None ->
+          run_lo.(v) <- 1;
+          run_hi.(v) <- 0
+    in
+    (* The initiator's run first: no other member is touched at a pivot
+       where the initiator is busy. *)
+    set_run q;
+    if free q then
       if p = 1 then
-        sink.offer
-          { group = [ fg.Feasible.q ]; distance = 0.; window_start = Some tc.ts_lo }
+        sink.offer { group = [ q ]; distance = 0.; window_start = Some run_lo.(q) }
       else begin
-        let st =
-          make_state fg ~p ~k ~cfg:config ~stats
-            ~eligible:(fun v -> run_len v >= m)
-            ~temporal:(Some tc) ~sink ~budget
+        (* Lemma 2 at the root, before any state is built.  Runs are read
+           in distance order and only until the p-1 cheapest free members
+           are known; [infinity] means fewer than p-1 are free. *)
+        let floor =
+          cheapest fg fg.Feasible.by_dist ~needed:(p - 1) (fun v ->
+              set_run v;
+              free v)
         in
-        if st.vs_size + st.va_size >= p then node st
+        if floor = infinity then ()
+        else if config.use_distance_pruning && floor >= sink.bound () -. eps then
+          stats.pruned_distance <- stats.pruned_distance + 1
+        else begin
+          (* The search reads every member's run. *)
+          for v = 0 to size - 1 do
+            if v <> q then set_run v
+          done;
+          let tc =
+            {
+              m;
+              pivot;
+              ilo;
+              ihi;
+              run_lo;
+              run_hi;
+              unavail = Array.make (ihi - ilo + 1) 0;
+              av = avail;
+              ts_lo = run_lo.(q);
+              ts_hi = run_hi.(q);
+            }
+          in
+          node
+            (make_state fg ~p ~k ~cfg:config ~stats ~eligible:free ~temporal:(Some tc)
+               ~sink ~budget)
+        end
       end
-    end
   in
   match Budget.check budget with
   | Some _ as stopped -> stopped

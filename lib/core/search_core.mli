@@ -8,9 +8,12 @@
     excludes it — enumerating every group exactly once under the pruning
     lemmas.  {!Sgselect} and {!Stgselect} are thin wrappers. *)
 
-(** Strategy switches.  Defaults reproduce the paper's full algorithm;
-    the [use_*] flags and [unsafe_lemma3] exist for the ablation study
-    (DESIGN.md A1-A6). *)
+(** Strategy switches.  Defaults run the paper's full algorithm with
+    two sound tightenings of its lemmas: the safe form of Lemma 3, and
+    Lemma 2 as the sum of the cheapest completion rather than the
+    smallest distance times the members missing (docs/LEMMAS.md §2-3);
+    neither changes an optimum.  The [use_*] flags and [unsafe_lemma3]
+    exist for the ablation study (DESIGN.md A1-A6). *)
 type config = {
   theta0 : int;
       (** initial θ of the interior-unfamiliarity condition (paper: 2) *)
@@ -20,7 +23,9 @@ type config = {
           condition's RHS is treated as 0 *)
   use_access_ordering : bool;
       (** false: candidates in vertex-id order instead of distance order *)
-  use_distance_pruning : bool;   (** Lemma 2 *)
+  use_distance_pruning : bool;
+      (** Lemma 2, summed, at every node and before every STGSelect
+          pivot's setup *)
   use_acquaintance_pruning : bool;  (** Lemma 3, safe form *)
   unsafe_lemma3 : bool;
       (** use the paper's printed (too strong) Lemma 3 bound — may lose
@@ -54,8 +59,8 @@ val fresh_stats : unit -> stats
 
 (** A found optimum, in feasible-graph sub-ids. *)
 type found = {
-  group : int list;       (** sub-ids, includes q *)
-  distance : float;
+  group : int list;       (** sub-ids in increasing order, includes q *)
+  distance : float;       (** [dist] summed over [group] in that order *)
   window_start : int option;  (** [Some start] for STGQ, [None] for SGQ *)
 }
 
@@ -107,7 +112,10 @@ val pivots : Timetable.Availability.t array -> m:int -> int list
     ({!Feasible.slab}); only the given pivot slots are explored
     (Lemma 4).  The best solution across all pivots is returned; the
     incumbent bound is shared between pivots for extra pruning (sound:
-    it only tightens Lemma 2). *)
+    it only tightens Lemma 2).  A pivot reads the other members' runs
+    only when the initiator's own run holds [m] slots, and builds its
+    search state only when at least [p-1] members are free for [m]
+    slots and the [p-1] cheapest of them stay below the bound. *)
 val solve_temporal :
   ?bound_init:float ->
   Engine.Context.t ->

@@ -14,7 +14,7 @@ let make_sink ~n =
   let kept = Pqueue.Bounded.create ~capacity:n ~cmp in
   let seen = Hashtbl.create 64 in
   let offer (f : Search_core.found) =
-    let key = List.sort compare f.Search_core.group in
+    let key = f.Search_core.group in
     if not (Hashtbl.mem seen key) then begin
       let element = (f.Search_core.distance, key, f.Search_core.window_start) in
       if Pqueue.Bounded.add kept element then begin

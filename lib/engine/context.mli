@@ -3,7 +3,8 @@
     A context bundles everything the branch-and-bound kernel reads that
     the social graph determines for [(initiator, s)] — not the per-query
     [p]/[k]/[m] knobs, and no calendar: the feasible subgraph with its
-    adjacency bitsets and hop-bounded distance table ({!Feasible}).
+    adjacency bitsets, hop-bounded distance table and distance order
+    ({!Feasible}).
     Build once, answer many SGQs and STGQs.
 
     A temporal solver reads the ball's calendars from its own instance
@@ -16,7 +17,8 @@ type t = {
   graph : Socgraph.Graph.t;   (** the social graph the context was built from *)
   initiator : int;            (** original vertex id of the activity initiator *)
   s : int;                    (** acquaintance radius the context was built for *)
-  fg : Feasible.t;            (** feasible subgraph, distances, adjacency bitsets *)
+  fg : Feasible.t;
+      (** feasible subgraph, distances, distance order, adjacency bitsets *)
 }
 
 (** [build g ~initiator ~s] extracts the feasible graph and assembles

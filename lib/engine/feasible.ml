@@ -4,6 +4,7 @@ type t = {
   q : int;
   dist : float array;
   nbr : Bitset.t array;
+  by_dist : int array;
 }
 
 (* Binary search over the sorted [of_sub]: O(log |V_F|) and no n-sized
@@ -32,7 +33,13 @@ let extract g ~initiator ~s =
   let of_sub, dist = Socgraph.Bounded_dist.ball g ~src:initiator ~max_edges:s in
   let sub = Socgraph.Graph.induced g of_sub in
   let nbr = Array.init (Array.length of_sub) (Socgraph.Graph.neighbor_bitset sub) in
-  { sub; of_sub; q = index_of of_sub initiator; dist; nbr }
+  let q = index_of of_sub initiator in
+  (* The only distance sort in the solvers: they filter this order. *)
+  let by_dist = Array.init (Array.length of_sub - 1) (fun i -> if i < q then i else i + 1) in
+  Array.sort
+    (fun a b -> match Float.compare dist.(a) dist.(b) with 0 -> Int.compare a b | c -> c)
+    by_dist;
+  { sub; of_sub; q; dist; nbr; by_dist }
 
 let size t = Array.length t.of_sub
 let adjacent t u v = u <> v && Bitset.mem t.nbr.(u) v

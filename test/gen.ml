@@ -240,14 +240,19 @@ let qtest ?(count = 200) name arbitrary prop =
     (QCheck.Test.make ~count:(count * iters) ~name arbitrary prop)
 
 (* A dense deterministic STGQ instance big enough that the exact solver
-   crosses several budget checkpoints (256 nodes each), so small node
-   limits and short deadlines trip mid-search. *)
+   crosses several budget checkpoints (256 nodes each) from initiators
+   0-3, so small node limits and short deadlines trip mid-search: the
+   solver visits 6,369, 13,413, 3,652 and 4,408 nodes from them.  A
+   third of the complete graph's edges are dropped and k is 2, so the
+   summed Lemma 2 bound cannot settle the search early; on the complete
+   graph at k = 5 it visits 9-25 nodes. *)
 let dense_ti, dense_q =
   let n = 22 in
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      edges := (u, v, float_of_int (1 + ((u + (3 * v)) mod 19))) :: !edges
+      if ((7 * u) + (13 * v)) mod 3 <> 0 then
+        edges := (u, v, float_of_int (1 + ((u + (3 * v)) mod 19))) :: !edges
     done
   done;
   let horizon = 40 in
@@ -262,7 +267,7 @@ let dense_ti, dense_q =
         { Stgq_core.Query.graph = Socgraph.Graph.of_edges n !edges; initiator = 0 };
       schedules;
     },
-    { Stgq_core.Query.p = 10; s = 2; k = 5; m = 3 } )
+    { Stgq_core.Query.p = 10; s = 2; k = 2; m = 3 } )
 
 (* The value of a service answer under the default policy, whose
    unlimited budget always answers on the exact rung; a typed ladder
@@ -311,9 +316,11 @@ let allocated_words f =
 
 (* The replay workload of these counts: a 600-member coauthor world
    served by a pool-less [Service], so every solve runs on the calling
-   domain.  [tiny_q]'s exact search visits a handful of nodes and
-   [heavy_q]'s several hundred, so a cost that grows with search nodes
-   shows as a difference between the two. *)
+   domain.  [tiny_q]'s exact search visits 2 nodes and [heavy_q]'s 620,
+   so a cost that grows with search nodes shows as a difference between
+   the two.  [heavy_q] runs at s = 1 (a 45-member ball): at s = 2 the
+   ball holds 485 members and a search of that many nodes takes
+   hundreds of milliseconds. *)
 let replay_ti, replay_initiator =
   let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
   let initiator =
@@ -324,10 +331,36 @@ let replay_ti, replay_initiator =
 
 let tiny_q = { Stgq_core.Query.p = 3; s = 2; k = 1; m = 6 }
 
-let heavy_q = { Stgq_core.Query.p = 4; s = 2; k = 2; m = 4 }
+let heavy_q = { Stgq_core.Query.p = 7; s = 1; k = 4; m = 2 }
 
 let replay_queries =
   [ tiny_q; heavy_q; { tiny_q with m = 4 }; { heavy_q with m = 6 } ]
+
+(* perfbench's [hot] workload (perfbench/plan.ml, which the tests
+   cannot link): the 194-person network over 7 days, eight initiators
+   spread evenly over the degree ranking, and its 48 STGQ shapes
+   (p <= 5). *)
+let hot_world = Workload.People194.generate ~days:7 ()
+
+let hot_initiators =
+  let graph = hot_world.Workload.People194.graph in
+  let n = Socgraph.Graph.n_vertices graph in
+  let ranked = Array.init n Fun.id in
+  Array.stable_sort
+    (fun u v -> compare (Socgraph.Graph.degree graph v) (Socgraph.Graph.degree graph u))
+    ranked;
+  List.init 8 (fun i -> ranked.(i * n / 8))
+
+let hot_stgq_shapes =
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun m -> List.map (fun s -> { Stgq_core.Query.p; s; k; m }) [ 1; 2 ])
+            [ 2; 4; 6; 8 ])
+        [ 1; 2 ])
+    [ 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* An edit between a solve and its certificate.  [Sgselect]/

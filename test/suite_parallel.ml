@@ -2,7 +2,16 @@
 
 open Stgq_core
 
-let close a b = Float.abs (a -. b) <= 1e-6
+(* A group's distance is summed in sub-id order whatever path reached
+   it, so a pooled solve returns the sequential answer bit for bit. *)
+let same_answer (a : Query.stg_solution option) (b : Query.stg_solution option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.st_attendees = b.st_attendees
+      && a.start_slot = b.start_slot
+      && Float.equal a.st_total_distance b.st_total_distance
+  | _ -> false
 
 let prop_parallel_matches_sequential =
   Gen.qtest ~count:60 "parallel STGSelect = sequential" (Gen.stg_case ())
@@ -11,12 +20,30 @@ let prop_parallel_matches_sequential =
       let q = Gen.stgq_of_stg_case case in
       let seq = Stgselect.solve ti q in
       let par = Parallel.solve ~domains:4 ti q in
-      match (seq, par) with
-      | None, None -> true
-      | Some a, Some b ->
-          close a.Query.st_total_distance b.Query.st_total_distance
-          && Validate.is_valid_stg ti q b
-      | _ -> false)
+      same_answer seq par
+      && match par with Some b -> Validate.is_valid_stg ti q b | None -> true)
+
+(* The same on hot's world, whose weights are not integers: every
+   (initiator, STGQ shape) pair on a 2-domain pool. *)
+let test_hot_pooled_equals_sequential () =
+  let graph = Gen.hot_world.Workload.People194.graph in
+  let schedules = Gen.hot_world.Workload.People194.schedules in
+  Engine.Pool.with_pool ~size:2 @@ fun pool ->
+  let differing =
+    List.concat_map
+      (fun initiator ->
+        let ti = { Query.social = { Query.graph; initiator }; schedules } in
+        let contexts = List.map (fun s -> (s, Engine.Context.build graph ~initiator ~s)) [ 1; 2 ] in
+        List.filter_map
+          (fun (q : Query.stgq) ->
+            let ctx = List.assoc q.s contexts in
+            if same_answer (Stgselect.solve ~ctx ti q) (Parallel.solve ~pool ~ctx ti q) then None
+            else
+              Some (Printf.sprintf "initiator %d p=%d s=%d k=%d m=%d" initiator q.p q.s q.k q.m))
+          Gen.hot_stgq_shapes)
+      Gen.hot_initiators
+  in
+  Alcotest.(check (list string)) "pooled answers = sequential answers" [] differing
 
 exception Boom of int
 
@@ -96,4 +123,6 @@ let suite =
     Alcotest.test_case "submission order on a saturated queue" `Quick
       test_submission_order_saturated;
     prop_parallel_matches_sequential;
+    Alcotest.test_case "hot world: pooled = sequential, bit for bit" `Quick
+      test_hot_pooled_equals_sequential;
   ]

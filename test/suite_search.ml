@@ -367,6 +367,34 @@ let prop_p1_trivial =
       | Some { attendees; total_distance } -> attendees = [ 0 ] && close total_distance 0.
       | None -> false)
 
+(* Pivot setup costs what qualifying pivots cost: with the initiator
+   busy at every pivot, a cached STGSelect over the replay world's
+   485-member ball reads no other member's run and builds no search
+   state, so it allocates a few words per ball member in all (its run
+   arrays and calendar slab), not run arrays at every pivot. *)
+let test_busy_initiator_setup_words () =
+  let ti = Gen.replay_ti in
+  let schedules = Array.copy ti.Query.schedules in
+  let initiator = Gen.replay_initiator in
+  schedules.(initiator) <-
+    Timetable.Availability.create
+      ~horizon:(Timetable.Availability.horizon schedules.(initiator));
+  let ti = { ti with Query.schedules } in
+  let q = { Query.p = 3; s = 2; k = 1; m = 2 } in
+  let ctx = Feasible.context_of_temporal ti ~s:q.s in
+  let size = Feasible.size ctx.Engine.Context.fg in
+  let solve () = Stgselect.solve_report ~ctx ti q in
+  let r = solve () in
+  check bool_c "no answer" true (r.Stgselect.solution = None);
+  check Alcotest.int "no search node" 0 r.Stgselect.stats.Search_core.nodes;
+  check bool_c "a ball of hundreds" true (size >= 200);
+  let words = Gen.allocated_words (fun () -> ignore (solve () : Stgselect.report)) in
+  check bool_c
+    (Printf.sprintf "%d words over %d pivots at |V_F| = %d (at most 8 |V_F|)" words
+       r.Stgselect.pivots_scanned size)
+    true
+    (words <= 8 * size)
+
 let suite =
   [
     Alcotest.test_case "star p=3 k=2" `Quick test_star_k2;
@@ -398,4 +426,6 @@ let suite =
     prop_k_monotone;
     prop_s_monotone;
     prop_p1_trivial;
+    Alcotest.test_case "busy initiator: setup words follow |V_F|" `Quick
+      test_busy_initiator_setup_words;
   ]
