@@ -243,50 +243,15 @@ let fig1gh st () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* The served mix of perfbench's [hot] workload: its world, its eight
-   degree-spread initiators and its 66 shapes (p <= 5, s in {1, 2}).
-   This executable cannot link perfbench/, so the three below copy
-   perfbench/plan.ml; keep them in step with it.                       *)
-
-let hot_world = lazy (Workload.People194.generate ~days:7 ())
-
-let hot_initiators graph =
-  let n = Socgraph.Graph.n_vertices graph in
-  let ranked = Array.init n Fun.id in
-  Array.stable_sort
-    (fun u v -> compare (Socgraph.Graph.degree graph v) (Socgraph.Graph.degree graph u))
-    ranked;
-  List.init 8 (fun i -> ranked.(i * n / 8))
-
-let hot_shapes =
-  let sg =
-    List.concat_map
-      (fun p ->
-        List.concat_map
-          (fun k -> List.map (fun s -> `Sg { Query.p; s; k }) [ 1; 2 ])
-          [ 1; 2; 3 ])
-      [ 3; 4; 5 ]
-  in
-  let stg =
-    List.concat_map
-      (fun p ->
-        List.concat_map
-          (fun k ->
-            List.concat_map
-              (fun m -> List.map (fun s -> `Stg { Query.p; s; k; m }) [ 1; 2 ])
-              [ 2; 4; 6; 8 ])
-          [ 1; 2 ])
-      [ 3; 4; 5 ]
-  in
-  sg @ stg
-
-(* Every (shape, initiator) pair of the mix, solved sequentially on a
+(* The served mix of perfbench's [hot] workload ({!Workload.Hot}):
+   every (shape, initiator) pair, SGQs first, solved sequentially on a
    context built once per (initiator, s): SGSelect's and STGSelect's
-   node totals and the optima summed in pair order. *)
+   node totals and the optima summed in pair order.                    *)
+
 let hot_mix () =
-  let ds = Lazy.force hot_world in
+  let ds = Workload.Hot.world () in
   let graph = ds.Workload.People194.graph in
-  let initiators = hot_initiators graph in
+  let initiators = Workload.Hot.initiators graph in
   let contexts = Hashtbl.create 16 in
   let context initiator s =
     match Hashtbl.find_opt contexts (initiator, s) with
@@ -298,24 +263,25 @@ let hot_mix () =
   in
   let pairs = ref 0 and sg_nodes = ref 0 and stg_nodes = ref 0 and sum = ref 0. in
   let add = function Some d -> sum := !sum +. d | None -> () in
-  List.iter
-    (fun shape ->
-      List.iter
-        (fun initiator ->
-          incr pairs;
-          let social = { Query.graph; initiator } in
-          match shape with
-          | `Sg (q : Query.sgq) ->
-              let r = Sgselect.solve_report ~ctx:(context initiator q.s) social q in
-              sg_nodes := !sg_nodes + r.Sgselect.stats.Search_core.nodes;
-              add (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution)
-          | `Stg (q : Query.stgq) ->
-              let ti = { Query.social; schedules = ds.Workload.People194.schedules } in
-              let r = Stgselect.solve_report ~ctx:(context initiator q.s) ti q in
-              stg_nodes := !stg_nodes + r.Stgselect.stats.Search_core.nodes;
-              add (Option.map (fun s -> s.Query.st_total_distance) r.Stgselect.solution))
-        initiators)
-    hot_shapes;
+  let each shapes solve =
+    List.iter
+      (fun shape ->
+        List.iter
+          (fun initiator ->
+            incr pairs;
+            solve shape { Query.graph; initiator })
+          initiators)
+      shapes
+  in
+  each Workload.Hot.sgq_shapes (fun (q : Query.sgq) social ->
+      let r = Sgselect.solve_report ~ctx:(context social.Query.initiator q.s) social q in
+      sg_nodes := !sg_nodes + r.Sgselect.stats.Search_core.nodes;
+      add (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution));
+  each Workload.Hot.stgq_shapes (fun (q : Query.stgq) social ->
+      let ti = { Query.social; schedules = ds.Workload.People194.schedules } in
+      let r = Stgselect.solve_report ~ctx:(context social.Query.initiator q.s) ti q in
+      stg_nodes := !stg_nodes + r.Stgselect.stats.Search_core.nodes;
+      add (Option.map (fun s -> s.Query.st_total_distance) r.Stgselect.solution));
   (!pairs, !sg_nodes, !stg_nodes, !sum)
 
 (* ------------------------------------------------------------------ *)

@@ -320,7 +320,8 @@ let allocated_words f =
    so a cost that grows with search nodes shows as a difference between
    the two.  [heavy_q] runs at s = 1 (a 45-member ball): at s = 2 the
    ball holds 485 members and a search of that many nodes takes
-   hundreds of milliseconds. *)
+   hundreds of milliseconds.  Only [tiny_q] reaches past the first hop,
+   so a test of the multi-hop ball build or certificate asks at s = 2. *)
 let replay_ti, replay_initiator =
   let ti = Workload.Scenario.coauthor ~seed:11 ~days:2 ~n:600 () in
   let initiator =
@@ -335,32 +336,6 @@ let heavy_q = { Stgq_core.Query.p = 7; s = 1; k = 4; m = 2 }
 
 let replay_queries =
   [ tiny_q; heavy_q; { tiny_q with m = 4 }; { heavy_q with m = 6 } ]
-
-(* perfbench's [hot] workload (perfbench/plan.ml, which the tests
-   cannot link): the 194-person network over 7 days, eight initiators
-   spread evenly over the degree ranking, and its 48 STGQ shapes
-   (p <= 5). *)
-let hot_world = Workload.People194.generate ~days:7 ()
-
-let hot_initiators =
-  let graph = hot_world.Workload.People194.graph in
-  let n = Socgraph.Graph.n_vertices graph in
-  let ranked = Array.init n Fun.id in
-  Array.stable_sort
-    (fun u v -> compare (Socgraph.Graph.degree graph v) (Socgraph.Graph.degree graph u))
-    ranked;
-  List.init 8 (fun i -> ranked.(i * n / 8))
-
-let hot_stgq_shapes =
-  List.concat_map
-    (fun p ->
-      List.concat_map
-        (fun k ->
-          List.concat_map
-            (fun m -> List.map (fun s -> { Stgq_core.Query.p; s; k; m }) [ 1; 2 ])
-            [ 2; 4; 6; 8 ])
-        [ 1; 2 ])
-    [ 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* An edit between a solve and its certificate.  [Sgselect]/

@@ -26,8 +26,7 @@ let prop_parallel_matches_sequential =
 (* The same on hot's world, whose weights are not integers: every
    (initiator, STGQ shape) pair on a 2-domain pool. *)
 let test_hot_pooled_equals_sequential () =
-  let graph = Gen.hot_world.Workload.People194.graph in
-  let schedules = Gen.hot_world.Workload.People194.schedules in
+  let { Workload.People194.graph; schedules; _ } = Workload.Hot.world () in
   Engine.Pool.with_pool ~size:2 @@ fun pool ->
   let differing =
     List.concat_map
@@ -40,8 +39,8 @@ let test_hot_pooled_equals_sequential () =
             if same_answer (Stgselect.solve ~ctx ti q) (Parallel.solve ~pool ~ctx ti q) then None
             else
               Some (Printf.sprintf "initiator %d p=%d s=%d k=%d m=%d" initiator q.p q.s q.k q.m))
-          Gen.hot_stgq_shapes)
-      Gen.hot_initiators
+          Workload.Hot.stgq_shapes)
+      (Workload.Hot.initiators graph)
   in
   Alcotest.(check (list string)) "pooled answers = sequential answers" [] differing
 

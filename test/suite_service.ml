@@ -246,9 +246,12 @@ let test_concurrent_cold_requests_match_sequential () =
 (* A cold request's work follows the initiator's ball, not the vertex
    count: padding the 600-member replay world with 50,000 isolated
    vertices, which no ball reaches, leaves the words a cold pool-less
-   request allocates unchanged. *)
+   request allocates unchanged.  The query asks at s = 2, so the
+   context's ball and the certificate's bounded search both run past
+   the first hop (a 485-member ball). *)
 let test_cold_request_words_independent_of_n () =
   let ti = Gen.replay_ti in
+  let q = { Query.p = 4; s = 2; k = 2; m = 4 } in
   let padded =
     let g = ti.Query.social.Query.graph in
     let n = Socgraph.Graph.n_vertices g + 50_000 in
@@ -270,7 +273,7 @@ let test_cold_request_words_independent_of_n () =
             services := rest;
             ignore
               (Gen.served
-                 (Service.stgq_r service ~initiator:Gen.replay_initiator Gen.heavy_q)
+                 (Service.stgq_r service ~initiator:Gen.replay_initiator q)
                 : Query.stg_solution option)
         | [] -> Alcotest.fail "ran out of fresh services")
   in
