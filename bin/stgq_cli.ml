@@ -234,7 +234,10 @@ let m_term = Arg.(value & opt int 4 & info [ "m" ] ~docv:"M" ~doc:"Activity leng
 let algo_term choices default =
   Arg.(value & opt (enum choices) default
        & info [ "algo" ] ~docv:"ALGO"
-           ~doc:(Printf.sprintf "Algorithm: %s."
+           ~doc:(Printf.sprintf
+                   "Algorithm: %s.  Ignored with $(b,--deadline-ms), \
+                    $(b,--node-budget) or $(b,--no-degrade): the resilience \
+                    ladder always solves with the sequential kernel."
                    (String.concat ", " (List.map fst choices))))
 
 type sg_algo = Sg_select | Sg_baseline | Sg_ip
@@ -300,8 +303,10 @@ let domains_term =
   Arg.(value & opt (some int) None
        & info [ "domains" ] ~docv:"N"
            ~env:(Cmd.Env.info "STGQ_DOMAINS")
-           ~doc:"Worker domains for --algo parallel (default: \
-                 $(b,STGQ_DOMAINS) or the recommended domain count).")
+           ~doc:"Worker domains: the pool that runs whole requests, one per \
+                 domain, or the pivot buckets of $(b,--algo parallel) \
+                 (default: $(b,STGQ_DOMAINS) or the recommended domain \
+                 count).")
 
 let stgq_cmd =
   let run src initiator p s k m algo domains deadline node_budget no_degrade
@@ -316,14 +321,8 @@ let stgq_cmd =
     let query = { Query.p; s; k; m } in
     match policy_of deadline node_budget no_degrade with
     | Some policy ->
-        let answer ?pool () =
-          Service.stgq_r ~policy (Service.create ?pool ti)
-            ~initiator:ti.Query.social.Query.initiator query
-        in
-        (match algo with
-        | St_parallel ->
-            Engine.Pool.with_pool ?size:domains (fun pool -> answer ~pool ())
-        | St_select | St_baseline | St_ip -> answer ())
+        Service.stgq_r ~policy (Service.create ti)
+          ~initiator:ti.Query.social.Query.initiator query
         |> print_resilient ~label:"STGSelect (resilient)"
              ~pp_solution:(Query.pp_stg_solution ~m) ~none_msg:"no feasible group/time"
     | None ->
@@ -552,11 +551,12 @@ let trace_sgq_cmd =
       $ trace_out_term)
 
 let trace_stgq_cmd =
-  let run src initiator p s k m domains trace_out =
+  let run src initiator p s k m trace_out =
     let graph, schedules = load_dataset src in
     let initiator = pick_initiator graph initiator in
     let ti = { Query.social = { Query.graph; initiator }; schedules } in
-    Engine.Pool.with_pool ?size:domains @@ fun pool ->
+    (* One request runs on one worker domain, whatever the pool's size. *)
+    Engine.Pool.with_pool ~size:1 @@ fun pool ->
     let service = Service.create ~pool ti in
     trace_query ~trace_out @@ fun () ->
     Service.stgq_r service ~initiator { Query.p; s; k; m }
@@ -566,11 +566,13 @@ let trace_stgq_cmd =
   in
   Cmd.v
     (Cmd.info "stgq"
-       ~doc:"Trace one Social-Temporal Group Query through the pooled \
-             service: the rendered tree spans every worker domain.")
+       ~doc:"Trace one Social-Temporal Group Query through a pooled \
+             service, as $(b,stgq serve) answers it: the whole request \
+             runs on one worker domain, and its root span carries the \
+             time it waited for that domain.")
     Term.(
       const run $ source_term $ initiator_term $ p_term $ s_term $ k_term
-      $ m_term $ domains_term $ trace_out_term)
+      $ m_term $ trace_out_term)
 
 (* Minimal HTTP/1.0 GET against the exposition endpoint — enough to
    pull one JSON body; the server closes after each response. *)

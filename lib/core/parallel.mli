@@ -11,7 +11,14 @@
 
     Buckets run on a persistent {!Engine.Pool} (the process-wide default
     pool unless one is passed), so repeated queries reuse warm domains
-    instead of paying spawn/join per call. *)
+    instead of paying spawn/join per call.
+
+    This solver is not on the served path: a pooled {!Service} runs
+    each request whole on one domain with {!Stgselect}, because buckets
+    that share no incumbent visit more nodes than one sequential solve.
+    Its users are [stgq stgq --algo parallel] (without a budget flag),
+    ablation A6 ([bench --only=ablation_stg]) and the wire benchmark's
+    traced replay, which calls {!solve_report} directly. *)
 
 type report = {
   solution : Query.stg_solution option;

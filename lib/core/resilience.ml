@@ -142,14 +142,16 @@ let is_transient = function
 
 (* --- the ladder ---------------------------------------------------- *)
 
-let budget_of policy ~cancel =
+(* [from] is the instant the deadline counts from (default: now). *)
+let budget_of ?from policy ~cancel =
   match (policy.deadline_ms, policy.node_limit, cancel) with
   | None, None, None -> Budget.unlimited
   | deadline_ms, node_limit, cancel ->
       let deadline_ns =
         Option.map
           (fun ms ->
-            Int64.add (Budget.now_ns ()) (Int64.of_float (ms *. 1e6)))
+            let from = match from with Some t -> t | None -> Budget.now_ns () in
+            Int64.add from (Int64.of_float (ms *. 1e6)))
           deadline_ms
       in
       Budget.create ?deadline_ns ?node_limit ?cancel ()
@@ -177,8 +179,8 @@ let rung_span name outcome_of f =
 
 (* One pass down the ladder with a fresh budget; returns the result or
    lets the failure escape for [run] to retry or classify. *)
-let descend policy ~cancel ~exact ~heuristic ~retries ~t0 =
-  let budget = budget_of policy ~cancel in
+let descend ?from policy ~cancel ~exact ~heuristic ~retries ~t0 =
+  let budget = budget_of ?from policy ~cancel in
   match rung_span "resilience.exact" outcome_attr (fun () -> exact budget) with
   | Anytime.Optimal value ->
       observe_rung Exact ~t0;
@@ -235,11 +237,13 @@ let certify_outcome ~certify (outcome : 'a Anytime.outcome) =
   | Anytime.Exhausted _ as e -> e
 
 (* Each attempt descends with fresh budgets; a transient fault retries
-   after a jittered backoff, anything else surviving is [Unavailable]. *)
-let run ?(policy = default_policy) ?cancel ~exact ~heuristic () =
+   after a jittered backoff, anything else surviving is [Unavailable].
+   Only the first attempt's deadline counts from [submitted]. *)
+let run ?(policy = default_policy) ?cancel ?submitted ~exact ~heuristic () =
   let rec attempt n =
     let t0 = Budget.now_ns () in
-    match descend policy ~cancel ~exact ~heuristic ~retries:n ~t0 with
+    let from = if n = 0 then submitted else None in
+    match descend ?from policy ~cancel ~exact ~heuristic ~retries:n ~t0 with
     | result -> result
     | exception e when is_transient e && n < policy.max_retries ->
         Obs.Counter.incr m_retries;

@@ -93,17 +93,21 @@ val classify : ('a answer, error) result -> classification
 val certify_outcome :
   certify:('a option -> 'a option) -> 'a Anytime.outcome -> 'a Anytime.outcome
 
-(** [run ?policy ?cancel ~exact ~heuristic ()] walks the ladder.  Each
-    attempt builds a fresh {!Budget.t} from [policy] (sharing [cancel]
-    when given, so an external flag aborts whichever rung is running)
-    and calls [exact]; its {!Anytime.outcome} selects the rung as
-    described above.  [heuristic] runs under its own fresh budget and
-    only when [exact] was [Exhausted].  Exceptions from either closure
-    are classified: transient injected faults retry with backoff, the
-    rest return {!Unavailable}. *)
+(** [run ?policy ?cancel ?submitted ~exact ~heuristic ()] walks the
+    ladder.  Each attempt builds a fresh {!Budget.t} from [policy]
+    (sharing [cancel] when given, so an external flag aborts whichever
+    rung is running) and calls [exact]; its {!Anytime.outcome} selects
+    the rung as described above.  The first attempt's deadline counts
+    from [submitted] (a {!Budget.now_ns} instant; default: when the
+    attempt starts), so a request that waited in a queue has spent that
+    wait; retries count from their own start.  [heuristic] runs under
+    its own fresh budget and only when [exact] was [Exhausted].
+    Exceptions from either closure are classified: transient injected
+    faults retry with backoff, the rest return {!Unavailable}. *)
 val run :
   ?policy:policy ->
   ?cancel:bool Atomic.t ->
+  ?submitted:int64 ->
   exact:(Budget.t -> 'a Anytime.outcome) ->
   heuristic:(Budget.t -> 'a option) ->
   unit ->

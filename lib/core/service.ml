@@ -86,16 +86,10 @@ let stg =
           Query.social = { Query.graph = world.graph; initiator };
           schedules = world.schedules;
         });
-    (* With a pool the buckets share the policy budget. *)
     exact =
       (fun t ~ctx ~budget ti q ->
-        match t.pool with
-        | Some pool ->
-            (Parallel.solve_report ~config:t.config ~pool ~ctx ~budget ti q)
-              .Parallel.outcome
-        | None ->
-            (Stgselect.solve_report ~config:t.config ~ctx ~budget ti q)
-              .Stgselect.outcome);
+        (Stgselect.solve_report ~config:t.config ~ctx ~budget ti q)
+          .Stgselect.outcome);
     beam = (fun ~ctx ~budget ti q -> Heuristics.beam_stgq ~ctx ~budget ti q);
     certify = Validate.certify_stg;
   }
@@ -132,12 +126,12 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
 (* --- the request path -------------------------------------------------
 
    [request] answers one query.  It opens the [service.<kind>] root span
-   (every solver, context-build and certify span below it, including
-   pooled bucket spans on other domains, stitches into one tree) and
-   walks the {!Resilience} ladder: the exact rung, the anytime incumbent
-   with its gap, then a budgeted beam — each rung's answer certified
-   under a [service.certify] span.  With the root span closed, so the
-   tree is complete, it classifies and publishes the outcome once.
+   (every solver, context-build and certify span below it stitches into
+   one tree) and walks the {!Resilience} ladder: the exact rung, the
+   anytime incumbent with its gap, then a budgeted beam — each rung's
+   answer certified under a [service.certify] span.  With the root span
+   closed, so the tree is complete, it classifies and publishes the
+   outcome once.
 
    The request reads the cache's world once, on entry, and answers
    wholly against it: the initiator check, the instance, every lookup,
@@ -146,10 +140,20 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
    the next request, never between a solve and its certificate.  Each
    rung looks the context up in the cache, so a faulted build is
    retried; the query event's [cache_hit] is the outcome of the first
-   lookup that returned.  With a pool attached, STGQ solves with the
-   pooled parallel kernel. *)
+   lookup that returned.
 
-let request kind ?policy ?cancel t ~initiator q =
+   [submitted] is set when the request waited in the pool's queue: the
+   wait is recorded, and the first attempt's deadline counts from
+   submission, so queueing spends the budget. *)
+
+let queue_wait = Obs.histogram "service.queue_wait_ns"
+
+let waited_attr submitted =
+  let waited = Int64.to_float (Int64.sub (Budget.now_ns ()) submitted) in
+  Obs.Histogram.observe queue_wait waited;
+  ("queue_wait_us", Printf.sprintf "%.1f" (waited /. 1e3))
+
+let request kind ?policy ?cancel ?submitted t ~initiator q =
   let hit = ref None in
   let answer () =
     Obs.time_hist kind.latency @@ fun () ->
@@ -169,7 +173,7 @@ let request kind ?policy ?cancel t ~initiator q =
       Obs.time_hist Instr.certify_latency @@ fun () ->
       kind.certify instance q solution
     in
-    Resilience.run ?policy ?cancel
+    Resilience.run ?policy ?cancel ?submitted
       ~exact:(fun budget ->
         Resilience.certify_outcome ~certify
           (kind.exact t ~ctx:(context ()) ~budget instance q))
@@ -177,7 +181,10 @@ let request kind ?policy ?cancel t ~initiator q =
         certify (kind.beam ~ctx:(context ()) ~budget instance q))
       ()
   in
-  let attrs = [ ("initiator", string_of_int initiator) ] in
+  let attrs =
+    ("initiator", string_of_int initiator)
+    :: Option.to_list (Option.map waited_attr submitted)
+  in
   if not (plane_on ()) then Obs.Trace.with_span kind.span ~attrs answer
   else begin
     let t0 = Obs.now_ns () in
@@ -193,9 +200,20 @@ let request kind ?policy ?cancel t ~initiator q =
     result
   end
 
-let sgq_r ?policy ?cancel t ~initiator q = request sg ?policy ?cancel t ~initiator q
+(* With a pool, the whole request is one job on one worker domain; the
+   caller, typically a connection thread, blocks on its future. *)
+let serve kind ?policy ?cancel t ~initiator q =
+  match t.pool with
+  | None -> request kind ?policy ?cancel t ~initiator q
+  | Some pool ->
+      let submitted = Budget.now_ns () in
+      Engine.Pool.await
+        (Engine.Pool.submit pool (fun () ->
+             request kind ?policy ?cancel ~submitted t ~initiator q))
 
-let stgq_r ?policy ?cancel t ~initiator q = request stg ?policy ?cancel t ~initiator q
+let sgq_r ?policy ?cancel t ~initiator q = serve sg ?policy ?cancel t ~initiator q
+
+let stgq_r ?policy ?cancel t ~initiator q = serve stg ?policy ?cancel t ~initiator q
 
 let cache_stats t =
   let s = Engine.Cache.stats t.engine in

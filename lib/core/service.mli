@@ -7,9 +7,18 @@
     poses, so the service memoises {!Engine.Context}s per
     [(initiator, s)] in {!Engine.Cache}'s O(1) LRU.  A miss builds its
     context outside the cache lock, so a cold key, whose build grows
-    with its s-hop ball, holds up no other request and no edit.  With
-    an {!Engine.Pool} attached, STGQ answers are computed by the pooled
-    parallel solver.
+    with its s-hop ball, holds up no other request and no edit.
+
+    With an {!Engine.Pool} attached, each request runs whole, as one job
+    on one pool domain: world read, lookups, the ladder, certification
+    and publication.  Every rung solves with the sequential kernel
+    ({!Sgselect}, {!Stgselect}), so a pooled service answers exactly as
+    a pool-less one does, and concurrent requests use one domain each.
+    The caller blocks until its job is done.  Without a pool, a request
+    runs inline on the caller.  A pooled service must not be called from
+    a job running on its own pool: that awaits a future of the pool from
+    one of its workers, which {!Engine.Pool} forbids (it can deadlock
+    once every worker waits).
 
     The served graph and calendars are one immutable
     {!Engine.Cache.world}.  Two query functions share one request path:
@@ -33,10 +42,10 @@ type cache_stats = {
 
 (** [create ?config ?cache_capacity ?pool ti] serves a copy of [ti]'s
     graph and calendars — [cache_capacity] (default 64) bounds the
-    number of cached contexts; [pool] (default: none, i.e. sequential
-    STGQ solving) routes STGQ pivot buckets through a persistent domain
-    pool.  The instance's [initiator] field is never read, so it is not
-    checked: every query names its own initiator.
+    number of cached contexts; [pool] (default: none, every request runs
+    on its caller) runs each request whole on one of its domains.  The
+    instance's [initiator] field is never read, so it is not checked:
+    every query names its own initiator.
     @raise Invalid_argument if [cache_capacity < 1], or [ti.schedules]
     has a length other than the vertex count or disagrees on horizon
     (the checks of {!Engine.Cache.create}). *)
@@ -55,16 +64,24 @@ val create :
     certificate: it was re-checked against the raw instance by
     {!Validate} before being returned; a failed re-check (a solver bug
     surfacing) is {!Resilience.Unavailable}.
+
+    With a pool, the request is one job on a pool domain.  The policy's
+    deadline counts from this call, so the time the job waits in the
+    pool's queue spends the first attempt's budget (retries start
+    fresh).  The wait is recorded in [service.queue_wait_ns] and as the
+    [queue_wait_us] attribute of the [service.sgq] span.
     @raise Invalid_argument on a malformed query or an initiator outside
-    [0 .. n_vertices t - 1], before any context is looked up. *)
+    [0 .. n_vertices t - 1], before any context is looked up.
+    @raise Engine.Pool.Pool_closed if the service's pool was shut down. *)
 val sgq_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> initiator:int -> Query.sgq ->
   (Query.sg_solution Resilience.answer, Resilience.error) result
 
 (** [stgq_r ?policy ?cancel t ~initiator query] — the temporal analogue
-    of {!sgq_r}; uses the pooled parallel solver when the service has a
-    pool (the policy budget is shared across its buckets). *)
+    of {!sgq_r}.  The exact rung always runs {!Stgselect}; with a pool,
+    the whole request runs on one pool domain, as for {!sgq_r}.
+    {!Parallel}'s pivot buckets are not on this path. *)
 val stgq_r :
   ?policy:Resilience.policy -> ?cancel:bool Atomic.t ->
   t -> initiator:int -> Query.stgq ->

@@ -33,16 +33,19 @@ let m_requests = Obs.counter "server.requests"
 let m_sheds = Obs.counter "server.sheds"
 let m_decode_errors = Obs.counter "server.decode_errors"
 let g_inflight = Obs.gauge "server.inflight"
+let g_open = Obs.gauge "server.connections.open"
 let h_latency = Obs.histogram "server.request.latency_ns"
 
 type t = {
   service : Service.t;
   config : config;
   inflight : int Atomic.t;
-  lock : Mutex.t;  (* guards [conns] and [threads] *)
+  lock : Mutex.t;  (* guards [conns], [live] and [closing] *)
+  drained : Condition.t;  (* broadcast when [live] drops to 0 *)
   durable : Mutex.t;  (* serialises journal + apply, so WAL order = apply order *)
   mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
+  mutable live : int;  (* handler threads not yet finished *)
+  mutable closing : bool;  (* set by [stop]: no new handler starts *)
 }
 
 let create ?(config = default_config) service =
@@ -53,9 +56,11 @@ let create ?(config = default_config) service =
     config;
     inflight = Atomic.make 0;
     lock = Mutex.create ();
+    drained = Condition.create ();
     durable = Mutex.create ();
     conns = [];
-    threads = [];
+    live = 0;
+    closing = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -330,20 +335,36 @@ let shutdown_quiet fd =
   | () -> ()
   | exception Unix.Unix_error _ -> ()
 
+(* A handler counts itself out when it finishes, so a long-running
+   server holds nothing for the connections it has closed.  A
+   connection accepted once [stop] has begun is closed at once. *)
 let spawn_handler t fd =
-  Mutex.protect t.lock (fun () -> t.conns <- fd :: t.conns);
-  let thread =
-    Thread.create
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            close_quiet fd;
-            Mutex.protect t.lock (fun () ->
-                t.conns <- List.filter (fun c -> not (c = fd)) t.conns))
-          (fun () -> handle_conn t fd))
-      ()
+  let admitted =
+    Mutex.protect t.lock (fun () ->
+        if not t.closing then begin
+          t.conns <- fd :: t.conns;
+          t.live <- t.live + 1;
+          Obs.Gauge.set g_open t.live
+        end;
+        not t.closing)
   in
-  Mutex.protect t.lock (fun () -> t.threads <- thread :: t.threads)
+  let finish () =
+    close_quiet fd;
+    Mutex.protect t.lock (fun () ->
+        t.conns <- List.filter (fun c -> not (c = fd)) t.conns;
+        t.live <- t.live - 1;
+        Obs.Gauge.set g_open t.live;
+        if t.live = 0 then Condition.broadcast t.drained)
+  in
+  if not admitted then close_quiet fd
+  else
+    match
+      Thread.create (fun () -> Fun.protect ~finally:finish (fun () -> handle_conn t fd)) ()
+    with
+    | (_ : Thread.t) -> ()
+    | exception e ->
+        finish ();
+        raise e
 
 (* ------------------------------------------------------------------ *)
 (* Listening. *)
@@ -382,9 +403,10 @@ let resolved_addr addr sock =
   | _ -> addr
 
 let join_handlers t =
-  let threads = Mutex.protect t.lock (fun () -> t.threads) in
-  List.iter Thread.join threads;
-  Mutex.protect t.lock (fun () -> t.threads <- [])
+  Mutex.protect t.lock (fun () ->
+      while t.live > 0 do
+        Condition.wait t.drained t.lock
+      done)
 
 (* Accept until the listener dies ([stop] closes it under us — accept
    then fails with EBADF/EINVAL, which is the shutdown signal). *)
@@ -436,13 +458,18 @@ let stop h =
        Linux; [shutdown] does (accept returns EINVAL). *)
     shutdown_quiet h.listener;
     h.cleanup ();
-    (* Accept fails once the listener is closed; joining the domain
-       first guarantees no handler spawns after the sweep below. *)
-    Domain.join h.accept_domain;
-    (* Unblock handler threads parked in [Unix.read]. *)
-    let conns = Mutex.protect h.server.lock (fun () -> h.server.conns) in
+    (* Unblock handler threads parked in [Unix.read]; a connection the
+       accept loop takes after this is closed by [spawn_handler].  The
+       accept domain ends only once its handler threads have, so it is
+       joined last. *)
+    let conns =
+      Mutex.protect h.server.lock (fun () ->
+          h.server.closing <- true;
+          h.server.conns)
+    in
     List.iter shutdown_quiet conns;
     join_handlers h.server;
+    Domain.join h.accept_domain;
     Obs.Events.emit ~kind:"server.stop"
       [ ("addr", "\"" ^ Obs.json_escape (addr_string h.bound) ^ "\"") ]
   end

@@ -7,18 +7,25 @@
     in-process calls — answers are bit-identical by construction.
 
     Concurrency model: one background accept domain ({!start}), one
-    systhread per connection.  Handler threads block in [Unix.read]
-    and in pool futures with the runtime lock released, so solves for
-    different connections proceed in parallel through the service's
-    domain pool.
+    systhread per connection.  Connection threads do the I/O, admission
+    and calendar edits on the accept domain.  With a pooled {!Service}
+    (as [stgq serve] builds it) each query runs whole on one pool
+    domain, and its connection thread waits on the job's future with
+    the runtime lock released; so queries from different connections
+    solve in parallel, one domain each.  A calendar edit journals (and
+    fsyncs) on its connection thread, never on a pool domain.  A
+    handler counts itself out when its connection closes, so the
+    listener keeps nothing per closed connection; the
+    [server.connections.open] gauge counts the live ones.
 
     Admission control: a single in-flight counter over all work
     requests (queries and calendar edits).  When [admission_limit]
-    requests are already executing, new work is shed immediately with
-    a typed {!Proto.Overloaded} response carrying the observed depth —
-    the connection stays open, the request is never queued.  Sheds are
-    counted in [server.sheds]; peak concurrency is the high-water mark
-    of the [server.inflight] gauge.
+    requests are already admitted — each query is at most one queued or
+    running pool job — new work is shed immediately with a typed
+    {!Proto.Overloaded} response carrying the observed depth: the
+    connection stays open, and the shed request is never queued.  Sheds
+    are counted in [server.sheds]; peak concurrency is the high-water
+    mark of the [server.inflight] gauge.
 
     Calendar edits never wait for queries: {!Service} answers each
     query against the world it read on entry, and an edit publishes the
@@ -30,7 +37,9 @@ open Stgq_core
 type addr = Tcp of string * int | Unix_path of string
 
 type config = {
-  admission_limit : int;  (** max concurrently-executing work requests *)
+  admission_limit : int;
+      (** max admitted work requests, queued for a pool domain or
+          running *)
   policy : Resilience.policy option;
       (** default solve policy when a request carries none; wire
           policies override its deadline/node-limit/degrade fields *)
@@ -57,8 +66,8 @@ val create : ?config:config -> Service.t -> t
 
 (** [serve t addr] binds, listens and accepts on the calling thread
     until accepting fails (the listening socket is closed or errors).
-    Handler threads are joined and the listener closed before
-    returning. *)
+    It waits for every live handler thread and closes the listener
+    before returning. *)
 val serve : t -> addr -> unit
 
 (** {1 Background serving} — used by tests, the bench harness and
@@ -74,6 +83,8 @@ val start : t -> addr -> handle
 (** The address actually bound (ephemeral port resolved). *)
 val bound_addr : handle -> addr
 
-(** [stop h] closes the listener, shuts down live connections, joins
-    every handler thread and the accept domain.  Idempotent. *)
+(** [stop h] closes the listener, shuts down live connections, waits
+    for every handler thread to finish and joins the accept domain.  A
+    connection accepted meanwhile is closed at once.  Idempotent; the
+    server does not serve again. *)
 val stop : handle -> unit

@@ -227,6 +227,37 @@ let test_wire_env_plan () =
             Alcotest.failf "wire must serve despite a one-shot fault, got %a"
               Proto.pp_response resp)
 
+(* The served configuration under a worker death.  `stgq serve`
+   attaches a pool, so each wire request is one pool job; the pool's
+   worker dies as that job starts.  The supervisor requeues the job on
+   its replacement, and the wire carries the answer a pool-less service
+   gives.  [with_plan] supersedes any armed STGQ_FAULTS plan, so this
+   runs on every run of the matrix; the pool-less reference starts no
+   pool job, so the wire request's job is the plan's first hit. *)
+let test_pooled_wire_worker_death () =
+  Faultinject.with_plan "pool_job_start@1" @@ fun () ->
+  let expected =
+    Suite_server.response_of_stg
+      (Service.stgq_r (Service.create small_ti) ~initiator:0 small_q)
+  in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let respawns = Obs.counter "engine.pool.respawns" in
+  let before = Obs.Counter.value respawns in
+  let actual =
+    Engine.Pool.with_pool ~size:1 @@ fun pool ->
+    Suite_server.with_server (Service.create ~pool small_ti) @@ fun addr ->
+    Suite_server.with_client addr @@ fun c ->
+    Suite_server.request_exn c
+      (Proto.Stgq { initiator = 0; q = small_q; policy = None })
+  in
+  check Alcotest.int "two job starts: the one that died, then its requeue" 2
+    (Faultinject.hits Faultinject.Pool_job_start);
+  Suite_server.check_identical ~name:"requeued request" expected actual;
+  (* [with_pool] has joined every worker, the dead one included, so its
+     respawn is counted by now. *)
+  check Alcotest.int "one respawn" 1 (Obs.Counter.value respawns - before)
+
 let suite =
   [
     Alcotest.test_case "pool job start" `Quick test_pool_job_start;
@@ -235,4 +266,6 @@ let suite =
     Alcotest.test_case "certify" `Quick test_certify;
     Alcotest.test_case "wire survival" `Quick test_wire_survival;
     Alcotest.test_case "wire env plan" `Quick test_wire_env_plan;
+    Alcotest.test_case "pooled wire request survives a worker death" `Quick
+      test_pooled_wire_worker_death;
   ]

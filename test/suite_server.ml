@@ -344,6 +344,88 @@ let test_concurrent_clients () =
   check Alcotest.int "all concurrent answers bit-identical" 0
     (Atomic.get failures)
 
+(* The served configuration: `stgq serve` attaches a pool, so each
+   request runs whole on a worker domain.  Two clients send hot's mix
+   at once to a pooled service, and every answer equals a pool-less
+   in-process service's, trace id aside. *)
+let zero_trace_id = function
+  | Proto.Sg_answer a -> Proto.Sg_answer { a with trace_id = 0 }
+  | Proto.Stg_answer a -> Proto.Stg_answer { a with trace_id = 0 }
+  | resp -> resp
+
+let test_pooled_server_matches_in_process () =
+  let { Workload.People194.graph; schedules; _ } = Workload.Hot.world () in
+  let ti = { Query.social = { Query.graph; initiator = 0 }; schedules } in
+  let plain = Service.create ti in
+  let mix =
+    List.concat_map
+      (fun initiator ->
+        List.map
+          (fun q ->
+            ( Proto.Sgq { initiator; q; policy = None },
+              response_of_sg (Service.sgq_r plain ~initiator q) ))
+          Workload.Hot.sgq_shapes
+        @ List.map
+            (fun q ->
+              ( Proto.Stgq { initiator; q; policy = None },
+                response_of_stg (Service.stgq_r plain ~initiator q) ))
+            Workload.Hot.stgq_shapes)
+      (Workload.Hot.initiators graph)
+  in
+  Engine.Pool.with_pool ~size:2 @@ fun pool ->
+  with_server (Service.create ~pool ti) @@ fun addr ->
+  let diverged = Atomic.make 0 in
+  let client () =
+    with_client addr @@ fun c ->
+    List.iter
+      (fun (req, expected) ->
+        match Server.Client.request c req with
+        | Ok resp when Proto.equal_response expected (zero_trace_id resp) -> ()
+        | Ok _ | Error _ -> Atomic.incr diverged)
+      mix
+  in
+  let clients = List.init 2 (fun _ -> Thread.create client ()) in
+  List.iter Thread.join clients;
+  check Alcotest.int
+    (Printf.sprintf "wire answers that differ, of %d per client" (List.length mix))
+    0 (Atomic.get diverged)
+
+(* --- connection lifecycle -------------------------------------------- *)
+
+(* A closed connection leaves nothing behind in the listener: its
+   handler counts itself out when it finishes.  After 200 sequential
+   connect/close cycles the open-connection gauge is back to 0, and
+   [stop] still waits for every handler that is live. *)
+let test_connections_do_not_accumulate () =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let open_conns = Obs.gauge "server.connections.open" in
+  let handle = Server.start (Server.create (Service.create small_ti)) loopback in
+  let addr = Server.bound_addr handle in
+  let ping c =
+    match request_exn c (Proto.Ping "x") with
+    | Proto.Pong _ -> ()
+    | resp -> Alcotest.failf "expected Pong, got %a" Proto.pp_response resp
+  in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  for _ = 1 to 200 do
+    with_client addr ping
+  done;
+  (* A handler finishes after its peer's close reaches it. *)
+  let give_up = Unix.gettimeofday () +. 5. in
+  while Obs.Gauge.value open_conns > 0 && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  check Alcotest.int "no handler outlives its connection" 0
+    (Obs.Gauge.value open_conns);
+  let live = List.init 3 (fun _ -> Server.Client.connect addr) in
+  Fun.protect ~finally:(fun () -> List.iter Server.Client.close live) @@ fun () ->
+  List.iter ping live;
+  check Alcotest.int "three live handlers" 3 (Obs.Gauge.value open_conns);
+  Server.stop handle;
+  check Alcotest.int "stop waited for every live handler" 0
+    (Obs.Gauge.value open_conns)
+
 (* --- admission control --------------------------------------------- *)
 
 (* Deterministic shed: the [on_admitted] hook pins request A in flight
@@ -800,6 +882,10 @@ let suite =
       test_bad_requests;
     Alcotest.test_case "calendar edit over the wire" `Quick test_update_schedule;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+    Alcotest.test_case "pooled server answers hot's mix as in process" `Quick
+      test_pooled_server_matches_in_process;
+    Alcotest.test_case "closed connections do not accumulate" `Quick
+      test_connections_do_not_accumulate;
     Alcotest.test_case "admission limit sheds typed Overloaded" `Quick
       test_shedding;
     Alcotest.test_case "wrong version over the wire" `Quick

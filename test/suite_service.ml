@@ -128,33 +128,144 @@ let test_create_checks_instance () =
   Alcotest.check Alcotest.int "the initiator field is not read" 5
     (Service.n_vertices service)
 
-(* With a pool attached, single STGQ requests run the pooled parallel
-   kernel; its answers equal a pool-less service's, on the exact rung. *)
+(* Bit for bit: the same attendees (and start slot) and the same
+   distance, compared with [Float.equal], not within a tolerance.  One
+   kernel answers every path these tests compare — direct, pool-less,
+   pooled and wire — and it sums a group in sub-id order. *)
+let same_stg a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Query.stg_solution), Some (y : Query.stg_solution) ->
+      x.Query.st_attendees = y.Query.st_attendees
+      && x.Query.start_slot = y.Query.start_slot
+      && Float.equal x.Query.st_total_distance y.Query.st_total_distance
+  | _ -> false
+
+let same_sg a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Query.sg_solution), Some (y : Query.sg_solution) ->
+      x.Query.attendees = y.Query.attendees
+      && Float.equal x.Query.total_distance y.Query.total_distance
+  | _ -> false
+
+let same_answer same (a : _ Resilience.answer) (b : _ Resilience.answer) =
+  a.Resilience.rung = b.Resilience.rung && same a.Resilience.value b.Resilience.value
+
+(* With a pool attached, a request runs whole on a worker domain, with
+   the same sequential kernel as a pool-less service: both kinds answer
+   bit for bit as they do without a pool, on the same rung. *)
 let prop_pooled_service_matches_plain =
   Gen.qtest ~count:30 "pooled service answers = pool-less answers"
     (Gen.stg_case ()) (fun case ->
       let ti = Gen.temporal_instance_of_stg_case case in
       let query = Gen.stgq_of_stg_case case in
+      let sg_query = Query.sgq_of_stgq query in
       let plain = Service.create ti in
       Engine.Pool.with_pool ~size:2 @@ fun pool ->
       let pooled = Service.create ~pool ti in
       List.for_all
         (fun initiator ->
+          (match
+             ( Service.stgq_r pooled ~initiator query,
+               Service.stgq_r plain ~initiator query )
+           with
+          | Ok a, Ok b -> same_answer same_stg a b
+          | _ -> false)
+          &&
           match
-            ( Service.stgq_r pooled ~initiator query,
-              Service.stgq_r plain ~initiator query )
+            ( Service.sgq_r pooled ~initiator sg_query,
+              Service.sgq_r plain ~initiator sg_query )
           with
-          | Ok a, Ok b -> (
-              a.Resilience.rung = Resilience.Exact
-              && b.Resilience.rung = Resilience.Exact
-              &&
-              match (a.Resilience.value, b.Resilience.value) with
-              | None, None -> true
-              | Some x, Some y ->
-                  close x.Query.st_total_distance y.Query.st_total_distance
-              | _ -> false)
+          | Ok a, Ok b -> same_answer same_sg a b
           | _ -> false)
         (List.init (min 4 case.Gen.sg.Gen.n) Fun.id))
+
+let with_obs f =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+(* A pooled request is one job on one worker domain, whatever its kind:
+   an SGQ does not stay on the caller, and an STGQ does not fan its
+   pivots out into buckets.  Each job records its queue wait once. *)
+let test_one_job_per_request () =
+  with_obs @@ fun () ->
+  let jobs = Obs.counter "engine.pool.jobs_submitted" in
+  let waits = Obs.histogram "service.queue_wait_ns" in
+  Engine.Pool.with_pool ~size:2 @@ fun pool ->
+  let service = Service.create ~pool Gen.replay_ti in
+  let initiator = Gen.replay_initiator in
+  let one_job name request =
+    let jobs0 = Obs.Counter.value jobs and waits0 = Obs.Histogram.count waits in
+    request ();
+    Alcotest.(check int) (name ^ ": one pool job") 1 (Obs.Counter.value jobs - jobs0);
+    Alcotest.(check int) (name ^ ": one queue wait") 1 (Obs.Histogram.count waits - waits0)
+  in
+  List.iter
+    (fun (q : Query.stgq) ->
+      let shape = Printf.sprintf "p=%d s=%d k=%d m=%d" q.p q.s q.k q.m in
+      one_job ("stgq " ^ shape) (fun () ->
+          ignore (Gen.served (Service.stgq_r service ~initiator q) : Query.stg_solution option));
+      one_job ("sgq " ^ shape) (fun () ->
+          ignore
+            (Gen.served (Service.sgq_r service ~initiator (Query.sgq_of_stgq q))
+              : Query.sg_solution option)))
+    [ Gen.tiny_q; Gen.heavy_q ]
+
+(* A pooled request's deadline counts from its submission, not from
+   the moment a worker takes its job.  The pool's one worker is held for
+   50 ms, so a request with a 5 ms deadline has spent its budget before
+   its job starts: the exact rung trips at its entry checkpoint, and the
+   answer descends with reason [Deadline]. *)
+let deadline_after_queue_wait request =
+  let { Workload.People194.graph; schedules; _ } = Workload.Hot.world () in
+  let initiator =
+    match Workload.Hot.initiators graph with
+    | v :: _ -> v
+    | [] -> Alcotest.fail "hot has no initiators"
+  in
+  let ti = { Query.social = { Query.graph; initiator }; schedules } in
+  let policy = { Resilience.default_policy with deadline_ms = Some 5. } in
+  Engine.Pool.with_pool ~size:1 @@ fun pool ->
+  let service = Service.create ~pool ti in
+  let gate = Atomic.make false and held = Atomic.make false in
+  let holder =
+    Engine.Pool.submit pool (fun () ->
+        Atomic.set held true;
+        while not (Atomic.get gate) do
+          Unix.sleepf 0.001
+        done)
+  in
+  while not (Atomic.get held) do
+    Unix.sleepf 0.001
+  done;
+  let releaser =
+    Thread.create
+      (fun () ->
+        Unix.sleepf 0.05;
+        Atomic.set gate true)
+      ()
+  in
+  let answer = request ~policy service ~initiator in
+  Thread.join releaser;
+  Engine.Pool.await holder;
+  match answer with
+  | Ok (a : _ Resilience.answer) ->
+      Alcotest.(check bool) "not answered on the exact rung" true
+        (a.Resilience.rung <> Resilience.Exact);
+      Alcotest.(check bool) "descended for the deadline" true
+        (a.Resilience.reason = Some Budget.Deadline)
+  | Error e -> Alcotest.failf "expected a descended answer, got %a" Resilience.pp_error e
+
+let hot_probe = { Query.p = 3; s = 1; k = 1; m = 2 }
+
+let test_stgq_deadline_covers_queue_wait () =
+  deadline_after_queue_wait (fun ~policy service ~initiator ->
+      Service.stgq_r ~policy service ~initiator hot_probe)
+
+let test_sgq_deadline_covers_queue_wait () =
+  deadline_after_queue_wait (fun ~policy service ~initiator ->
+      Service.sgq_r ~policy service ~initiator (Query.sgq_of_stgq hot_probe))
 
 (* A malformed query is rejected before any work: both kinds raise
    [Invalid_argument] and no context is looked up.  So is an initiator
@@ -284,23 +395,6 @@ let test_cold_request_words_independent_of_n () =
     (abs (large - small) <= 64)
 
 (* --- edits against in-flight requests ------------------------------- *)
-
-let same_stg a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (x : Query.stg_solution), Some (y : Query.stg_solution) ->
-      x.Query.st_attendees = y.Query.st_attendees
-      && x.Query.start_slot = y.Query.start_slot
-      && close x.Query.st_total_distance y.Query.st_total_distance
-  | _ -> false
-
-let same_sg a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (x : Query.sg_solution), Some (y : Query.sg_solution) ->
-      x.Query.attendees = y.Query.attendees
-      && close x.Query.total_distance y.Query.total_distance
-  | _ -> false
 
 (* The 120-member coauthor world, posed by its rank-4 member. *)
 let race_world () =
@@ -516,6 +610,12 @@ let suite =
       test_create_checks_instance;
     prop_service_matches_direct;
     prop_pooled_service_matches_plain;
+    Alcotest.test_case "a pooled request is one pool job" `Quick
+      test_one_job_per_request;
+    Alcotest.test_case "a pooled STGQ's deadline covers its queue wait" `Quick
+      test_stgq_deadline_covers_queue_wait;
+    Alcotest.test_case "a pooled SGQ's deadline covers its queue wait" `Quick
+      test_sgq_deadline_covers_queue_wait;
     Alcotest.test_case "malformed query rejected before lookup" `Quick
       test_malformed_query_rejected_before_lookup;
     Alcotest.test_case "concurrent cold requests = sequential" `Quick

@@ -65,6 +65,41 @@ let test_pooled_single_tree () =
          sp.Obs.Trace.sp_domain <> root.Obs.Trace.sp_domain)
        spans)
 
+(* The served tree of a pooled request: the caller's span holds
+   [service.stgq], which runs on a worker domain and carries its queue
+   wait; the sequential kernel answers under it, with no bucket spans.
+   Every span below the hop stays on that one domain. *)
+let test_pooled_request_one_domain_hop () =
+  let ti = small_ti () in
+  with_trace @@ fun () ->
+  (Engine.Pool.with_pool ~size:2 @@ fun pool ->
+   let service = Service.create ~pool ti in
+   Obs.Trace.with_span "caller" @@ fun () ->
+   ignore
+     (Gen.served
+        (Service.stgq_r service ~initiator:ti.Query.social.Query.initiator
+           stg_query)
+       : Query.stg_solution option));
+  let rec all t = t.Obs.Trace.t_span :: List.concat_map all t.Obs.Trace.t_children in
+  match Obs.Trace.trees (Obs.Trace.spans ()) with
+  | [ { Obs.Trace.t_span = caller; t_children = [ served ] } ] ->
+      let hop = served.Obs.Trace.t_span in
+      check Alcotest.string "the caller's child" "service.stgq" hop.Obs.Trace.sp_name;
+      check Alcotest.bool "on a worker domain" true
+        (hop.Obs.Trace.sp_domain <> caller.Obs.Trace.sp_domain);
+      check Alcotest.bool "carries its queue wait" true
+        (List.mem_assoc "queue_wait_us" hop.Obs.Trace.sp_attrs);
+      let below = all served in
+      check Alcotest.bool "the sequential kernel answers" true
+        (List.exists (fun (sp : Obs.Trace.span) -> sp.sp_name = "stgselect.solve") below);
+      check Alcotest.bool "no bucket spans" false
+        (List.exists (fun (sp : Obs.Trace.span) -> sp.sp_name = "parallel.bucket") below);
+      check Alcotest.bool "one worker domain below the hop" true
+        (List.for_all
+           (fun (sp : Obs.Trace.span) -> sp.sp_domain = hop.Obs.Trace.sp_domain)
+           below)
+  | trees -> Alcotest.failf "expected one tree of one hop, got %d trees" (List.length trees)
+
 (* The served tree: the request root holds the exact rung, and the rung
    holds both the solve and the certification of its answer. *)
 let test_service_root_covers_certify () =
@@ -350,6 +385,8 @@ let suite =
   [
     Alcotest.test_case "pooled solve yields one rooted tree" `Quick
       test_pooled_single_tree;
+    Alcotest.test_case "pooled request hops to one worker domain" `Quick
+      test_pooled_request_one_domain_hop;
     Alcotest.test_case "service root covers solver and certify" `Quick
       test_service_root_covers_certify;
     Alcotest.test_case "disabled tracing records nothing" `Quick
