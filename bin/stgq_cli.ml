@@ -1010,8 +1010,9 @@ let initiators_term =
        & info [ "initiators" ] ~docv:"N" ~doc:"Distinct initiators to query.")
 
 (* The example workload behind `stats` and `stats serve`: [rounds] x
-   [initiators] x {sgq, stgq} through a pooled service. *)
-let run_workload src p s k m rounds initiators domains =
+   [initiators] x {sgq, stgq} through a pooled service, one request at a
+   time.  One request runs on one worker domain, so the pool has one. *)
+let run_workload src p s k m rounds initiators =
   let graph, schedules = load_dataset src in
   let ti = { Query.social = { Query.graph; initiator = 0 }; schedules } in
   let queries = ref 0 in
@@ -1019,7 +1020,7 @@ let run_workload src p s k m rounds initiators domains =
     | Ok _ -> incr queries
     | Error e -> Fmt.failwith "query failed: %a" Resilience.pp_error e
   in
-  (Engine.Pool.with_pool ?size:domains @@ fun pool ->
+  (Engine.Pool.with_pool ~size:1 @@ fun pool ->
    let service = Service.create ~pool ti in
    for _round = 1 to rounds do
      for rank = 0 to initiators - 1 do
@@ -1035,10 +1036,10 @@ let stats_default_term =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the snapshot as JSON instead of tables.")
   in
-  let run src p s k m rounds initiators domains json =
+  let run src p s k m rounds initiators json =
     Obs.set_enabled true;
     Obs.reset ();
-    let queries = run_workload src p s k m rounds initiators domains in
+    let queries = run_workload src p s k m rounds initiators in
     let snap = Obs.snapshot () in
     if json then Fmt.pr "%s@." (Obs.json snap)
     else begin
@@ -1049,7 +1050,7 @@ let stats_default_term =
   in
   Term.(
     const run $ source_term $ p_term $ s_term $ k_term $ m_term $ rounds_term
-    $ initiators_term $ domains_term $ json)
+    $ initiators_term $ json)
 
 let stats_serve_cmd =
   let bind_host =
@@ -1069,7 +1070,7 @@ let stats_serve_cmd =
          & info [ "max-requests" ] ~docv:"N"
              ~doc:"Exit after $(docv) requests (default: serve forever).")
   in
-  let run src p s k m rounds initiators domains bind_host port unix_socket
+  let run src p s k m rounds initiators bind_host port unix_socket
       max_requests =
     Obs.set_enabled true;
     Obs.reset ();
@@ -1077,7 +1078,7 @@ let stats_serve_cmd =
     (* Baseline before the workload, so /metrics/delta shows what this
        process did since startup. *)
     let baseline = Obs.snapshot () in
-    let queries = run_workload src p s k m rounds initiators domains in
+    let queries = run_workload src p s k m rounds initiators in
     let addr, where =
       match unix_socket with
       | Some path -> (Obs.Exposition.Unix_path path, path)
@@ -1095,7 +1096,7 @@ let stats_serve_cmd =
              and the last trace over HTTP.")
     Term.(
       const run $ source_term $ p_term $ s_term $ k_term $ m_term $ rounds_term
-      $ initiators_term $ domains_term $ bind_host $ port $ unix_socket
+      $ initiators_term $ bind_host $ port $ unix_socket
       $ max_requests)
 
 let stats_cmd =

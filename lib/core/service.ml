@@ -108,9 +108,8 @@ let current_trace_id () =
   | Some c -> c.Obs.Trace.trace_id
   | None -> 0
 
-let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
+let publish ~kind ~initiator ~params ~trace_id ~latency_ns ~cache_hit
     (c : Resilience.classification) =
-  let latency_ns = Obs.now_ns () -. t0 in
   Obs.Flightrec.observe ~trace_id ~kind ~latency_ns
     ~degraded:c.Resilience.c_degraded ~unavailable:c.c_unavailable
     ~retries:c.c_retries ?trip:c.c_trip ();
@@ -143,20 +142,22 @@ let publish ~kind ~initiator ~params ~trace_id ~t0 ~cache_hit
    lookup that returned.
 
    [submitted] is set when the request waited in the pool's queue: the
-   wait is recorded, and the first attempt's deadline counts from
-   submission, so queueing spends the budget. *)
+   wait is recorded, the first attempt's deadline counts from
+   submission, so queueing spends the budget, and the service latency
+   ([service.<kind>.latency_ns], and the [latency_ns] published to the
+   flight recorder and the event log) runs from submission too, so it
+   is the latency the caller sees. *)
 
 let queue_wait = Obs.histogram "service.queue_wait_ns"
 
-let waited_attr submitted =
+let waited_ns submitted =
   let waited = Int64.to_float (Int64.sub (Budget.now_ns ()) submitted) in
   Obs.Histogram.observe queue_wait waited;
-  ("queue_wait_us", Printf.sprintf "%.1f" (waited /. 1e3))
+  waited
 
 let request kind ?policy ?cancel ?submitted t ~initiator q =
   let hit = ref None in
   let answer () =
-    Obs.time_hist kind.latency @@ fun () ->
     let world = Engine.Cache.world t.engine in
     kind.check q;
     check_initiator world initiator;
@@ -181,22 +182,40 @@ let request kind ?policy ?cancel ?submitted t ~initiator q =
         certify (kind.beam ~ctx:(context ()) ~budget instance q))
       ()
   in
+  let waited = Option.map waited_ns submitted in
   let attrs =
     ("initiator", string_of_int initiator)
-    :: Option.to_list (Option.map waited_attr submitted)
+    :: Option.to_list
+         (Option.map
+            (fun w -> ("queue_wait_us", Printf.sprintf "%.1f" (w /. 1e3)))
+            waited)
   in
-  if not (plane_on ()) then Obs.Trace.with_span kind.span ~attrs answer
+  if not (Obs.enabled () || plane_on ()) then
+    Obs.Trace.with_span kind.span ~attrs answer
   else begin
-    let t0 = Obs.now_ns () in
+    let t0 = Obs.now_ns () -. Option.value waited ~default:0. in
+    let latency () =
+      let ns = Obs.now_ns () -. t0 in
+      Obs.Histogram.observe kind.latency ns;
+      ns
+    in
     let trace_id = ref 0 in
     let result =
-      Obs.Trace.with_span kind.span ~attrs (fun () ->
-          trace_id := current_trace_id ();
-          answer ())
+      match
+        Obs.Trace.with_span kind.span ~attrs (fun () ->
+            trace_id := current_trace_id ();
+            answer ())
+      with
+      | result -> result
+      | exception e ->
+          ignore (latency () : float);
+          raise e
     in
-    publish ~kind:kind.name ~initiator ~params:(kind.params q)
-      ~trace_id:!trace_id ~t0 ~cache_hit:(!hit = Some true)
-      (Resilience.classify result);
+    let latency_ns = latency () in
+    if plane_on () then
+      publish ~kind:kind.name ~initiator ~params:(kind.params q)
+        ~trace_id:!trace_id ~latency_ns ~cache_hit:(!hit = Some true)
+        (Resilience.classify result);
     result
   end
 

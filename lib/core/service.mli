@@ -69,7 +69,9 @@ val create :
     deadline counts from this call, so the time the job waits in the
     pool's queue spends the first attempt's budget (retries start
     fresh).  The wait is recorded in [service.queue_wait_ns] and as the
-    [queue_wait_us] attribute of the [service.sgq] span.
+    [queue_wait_us] attribute of the [service.sgq] span, and it counts
+    in the request's latency ([service.sgq.latency_ns], and the latency
+    reported to {!Obs.Flightrec} and {!Obs.Events}).
     @raise Invalid_argument on a malformed query or an initiator outside
     [0 .. n_vertices t - 1], before any context is looked up.
     @raise Engine.Pool.Pool_closed if the service's pool was shut down. *)

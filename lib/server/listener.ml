@@ -337,7 +337,10 @@ let shutdown_quiet fd =
 
 (* A handler counts itself out when it finishes, so a long-running
    server holds nothing for the connections it has closed.  A
-   connection accepted once [stop] has begun is closed at once. *)
+   connection accepted once [stop] has begun is closed at once.  A
+   connection's fd leaves [conns] and is closed under one lock, and
+   [stop] shuts the listed ones down under it, so [stop] never touches a
+   closed fd whose number the process has since handed to a new one. *)
 let spawn_handler t fd =
   let admitted =
     Mutex.protect t.lock (fun () ->
@@ -349,9 +352,9 @@ let spawn_handler t fd =
         not t.closing)
   in
   let finish () =
-    close_quiet fd;
     Mutex.protect t.lock (fun () ->
         t.conns <- List.filter (fun c -> not (c = fd)) t.conns;
+        close_quiet fd;
         t.live <- t.live - 1;
         Obs.Gauge.set g_open t.live;
         if t.live = 0 then Condition.broadcast t.drained)
@@ -458,16 +461,13 @@ let stop h =
        Linux; [shutdown] does (accept returns EINVAL). *)
     shutdown_quiet h.listener;
     h.cleanup ();
-    (* Unblock handler threads parked in [Unix.read]; a connection the
-       accept loop takes after this is closed by [spawn_handler].  The
-       accept domain ends only once its handler threads have, so it is
-       joined last. *)
-    let conns =
-      Mutex.protect h.server.lock (fun () ->
-          h.server.closing <- true;
-          h.server.conns)
-    in
-    List.iter shutdown_quiet conns;
+    (* Unblock handler threads parked in [Unix.read] ([shutdown] does
+       not block); a connection the accept loop takes after this is
+       closed by [spawn_handler].  The accept domain ends only once its
+       handler threads have, so it is joined last. *)
+    Mutex.protect h.server.lock (fun () ->
+        h.server.closing <- true;
+        List.iter shutdown_quiet h.server.conns);
     join_handlers h.server;
     Domain.join h.accept_domain;
     Obs.Events.emit ~kind:"server.stop"

@@ -149,12 +149,16 @@ let same_sg a b =
       && Float.equal x.Query.total_distance y.Query.total_distance
   | _ -> false
 
-let same_answer same (a : _ Resilience.answer) (b : _ Resilience.answer) =
-  a.Resilience.rung = b.Resilience.rung && same a.Resilience.value b.Resilience.value
+(* Under the default, unlimited policy every request completes on the
+   exact rung. *)
+let same_exact_answer same (a : _ Resilience.answer) (b : _ Resilience.answer) =
+  a.Resilience.rung = Resilience.Exact
+  && b.Resilience.rung = Resilience.Exact
+  && same a.Resilience.value b.Resilience.value
 
 (* With a pool attached, a request runs whole on a worker domain, with
    the same sequential kernel as a pool-less service: both kinds answer
-   bit for bit as they do without a pool, on the same rung. *)
+   exactly, and bit for bit as they do without a pool. *)
 let prop_pooled_service_matches_plain =
   Gen.qtest ~count:30 "pooled service answers = pool-less answers"
     (Gen.stg_case ()) (fun case ->
@@ -170,14 +174,14 @@ let prop_pooled_service_matches_plain =
              ( Service.stgq_r pooled ~initiator query,
                Service.stgq_r plain ~initiator query )
            with
-          | Ok a, Ok b -> same_answer same_stg a b
+          | Ok a, Ok b -> same_exact_answer same_stg a b
           | _ -> false)
           &&
           match
             ( Service.sgq_r pooled ~initiator sg_query,
               Service.sgq_r plain ~initiator sg_query )
           with
-          | Ok a, Ok b -> same_answer same_sg a b
+          | Ok a, Ok b -> same_exact_answer same_sg a b
           | _ -> false)
         (List.init (min 4 case.Gen.sg.Gen.n) Fun.id))
 
@@ -212,12 +216,10 @@ let test_one_job_per_request () =
               : Query.sg_solution option)))
     [ Gen.tiny_q; Gen.heavy_q ]
 
-(* A pooled request's deadline counts from its submission, not from
-   the moment a worker takes its job.  The pool's one worker is held for
-   50 ms, so a request with a 5 ms deadline has spent its budget before
-   its job starts: the exact rung trips at its entry checkpoint, and the
-   answer descends with reason [Deadline]. *)
-let deadline_after_queue_wait request =
+(* Sends [request] to a pooled service on hot's world while the pool's
+   one worker is held for 50 ms, so the request waits that long in the
+   pool's queue before its job starts; returns its answer. *)
+let after_queue_wait request =
   let { Workload.People194.graph; schedules; _ } = Workload.Hot.world () in
   let initiator =
     match Workload.Hot.initiators graph with
@@ -225,7 +227,6 @@ let deadline_after_queue_wait request =
     | [] -> Alcotest.fail "hot has no initiators"
   in
   let ti = { Query.social = { Query.graph; initiator }; schedules } in
-  let policy = { Resilience.default_policy with deadline_ms = Some 5. } in
   Engine.Pool.with_pool ~size:1 @@ fun pool ->
   let service = Service.create ~pool ti in
   let gate = Atomic.make false and held = Atomic.make false in
@@ -246,10 +247,27 @@ let deadline_after_queue_wait request =
         Atomic.set gate true)
       ()
   in
-  let answer = request ~policy service ~initiator in
+  let answer = request service ~initiator in
   Thread.join releaser;
   Engine.Pool.await holder;
-  match answer with
+  answer
+
+let hot_probe = { Query.p = 3; s = 1; k = 1; m = 2 }
+
+let stgq_probe policy service ~initiator =
+  Service.stgq_r ?policy service ~initiator hot_probe
+
+let sgq_probe policy service ~initiator =
+  Service.sgq_r ?policy service ~initiator (Query.sgq_of_stgq hot_probe)
+
+(* A pooled request's deadline counts from its submission, not from
+   the moment a worker takes its job.  A request with a 5 ms deadline
+   has spent its budget before its job starts: the exact rung trips at
+   its entry checkpoint, and the answer descends with reason
+   [Deadline]. *)
+let deadline_after_queue_wait request =
+  let policy = { Resilience.default_policy with deadline_ms = Some 5. } in
+  match after_queue_wait (request (Some policy)) with
   | Ok (a : _ Resilience.answer) ->
       Alcotest.(check bool) "not answered on the exact rung" true
         (a.Resilience.rung <> Resilience.Exact);
@@ -257,15 +275,55 @@ let deadline_after_queue_wait request =
         (a.Resilience.reason = Some Budget.Deadline)
   | Error e -> Alcotest.failf "expected a descended answer, got %a" Resilience.pp_error e
 
-let hot_probe = { Query.p = 3; s = 1; k = 1; m = 2 }
+let test_stgq_deadline_covers_queue_wait () = deadline_after_queue_wait stgq_probe
 
-let test_stgq_deadline_covers_queue_wait () =
-  deadline_after_queue_wait (fun ~policy service ~initiator ->
-      Service.stgq_r ~policy service ~initiator hot_probe)
+let test_sgq_deadline_covers_queue_wait () = deadline_after_queue_wait sgq_probe
 
-let test_sgq_deadline_covers_queue_wait () =
-  deadline_after_queue_wait (fun ~policy service ~initiator ->
-      Service.sgq_r ~policy service ~initiator (Query.sgq_of_stgq hot_probe))
+(* The service latency is the caller's, queue wait included: the
+   [service.<kind>.latency_ns] sample, which sets the flight recorder's
+   slow threshold, and the [latency_ns] of the query's event both count
+   the 50 ms the request waited for the pool's worker. *)
+let latency_after_queue_wait kind request =
+  let latency = Obs.histogram (Printf.sprintf "service.%s.latency_ns" kind) in
+  with_obs @@ fun () ->
+  Obs.Events.set_enabled true;
+  Fun.protect ~finally:Obs.Events.stop @@ fun () ->
+  Obs.Histogram.reset latency;
+  Obs.Events.reset ();
+  (match after_queue_wait (request None) with
+  | Ok (_ : _ Resilience.answer) -> ()
+  | Error e -> Alcotest.failf "expected an answer, got %a" Resilience.pp_error e);
+  let at_least_50ms what ns =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %.1f ms covers the 50 ms wait" what (ns /. 1e6))
+      true (ns >= 50e6)
+  in
+  at_least_50ms "the latency sample" (Obs.Histogram.max_value latency);
+  let event =
+    match
+      List.filter
+        (fun line -> Astring_like.contains line "\"event\": \"query\"")
+        (Obs.Events.tail 8)
+    with
+    | [ line ] -> line
+    | lines -> Alcotest.failf "expected one query event, got %d" (List.length lines)
+  in
+  let key = "\"latency_ns\": " in
+  let rec field_at i =
+    if i + String.length key > String.length event then
+      Alcotest.failf "no latency_ns in %s" event
+    else if String.sub event i (String.length key) = key then
+      Scanf.sscanf
+        (String.sub event (i + String.length key)
+           (String.length event - i - String.length key))
+        "%f" Fun.id
+    else field_at (i + 1)
+  in
+  at_least_50ms "the event's latency_ns" (field_at 0)
+
+let test_stgq_latency_covers_queue_wait () = latency_after_queue_wait "stgq" stgq_probe
+
+let test_sgq_latency_covers_queue_wait () = latency_after_queue_wait "sgq" sgq_probe
 
 (* A malformed query is rejected before any work: both kinds raise
    [Invalid_argument] and no context is looked up.  So is an initiator
@@ -616,6 +674,10 @@ let suite =
       test_stgq_deadline_covers_queue_wait;
     Alcotest.test_case "a pooled SGQ's deadline covers its queue wait" `Quick
       test_sgq_deadline_covers_queue_wait;
+    Alcotest.test_case "a pooled STGQ's latency covers its queue wait" `Quick
+      test_stgq_latency_covers_queue_wait;
+    Alcotest.test_case "a pooled SGQ's latency covers its queue wait" `Quick
+      test_sgq_latency_covers_queue_wait;
     Alcotest.test_case "malformed query rejected before lookup" `Quick
       test_malformed_query_rejected_before_lookup;
     Alcotest.test_case "concurrent cold requests = sequential" `Quick
