@@ -619,20 +619,12 @@ let ext_scale st () =
         in
         let query = { Query.p = 5; s = 1; k = 2; m = 4 } in
         let exact = timed (run_stgselect build query) in
-        let (_, plan), auto_ns = time (fun () -> Auto.stgq build query) in
-        [
-          string_of_int n;
-          Report.ns gen_ns;
-          ns_cell exact;
-          detail_cell exact;
-          Report.ns auto_ns;
-          (match plan.Auto.choice with Auto.Exact -> "exact" | Auto.Beam -> "beam");
-        ])
+        [ string_of_int n; Report.ns gen_ns; ns_cell exact; detail_cell exact ])
       sizes
   in
   print_table
     ~title:"Extension E5  end-to-end scale   (STGQ p=5, s=1, k=2, m=4, 7-day schedules)"
-    ~header:[ "network"; "generate"; "STGSelect"; "distance"; "Auto"; "auto chose" ]
+    ~header:[ "network"; "generate"; "STGSelect"; "distance" ]
     rows
 
 (* ------------------------------------------------------------------ *)

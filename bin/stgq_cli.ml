@@ -437,17 +437,28 @@ let topk_cmd =
       { Query.social = { Query.graph; initiator = pick_initiator graph initiator };
         schedules }
     in
-    let entries = Topk.stgq ~n ti { Query.p; s; k; m } in
+    let query = { Query.p; s; k; m } in
+    let entries = Topk.stgq ~n ti query in
     if entries = [] then Fmt.pr "No feasible group/time.@."
     else
       List.iteri
         (fun i e ->
+          let window, certified =
+            match e.Topk.start_slot with
+            | Some start_slot ->
+                ( Printf.sprintf "  from %s" (Timetable.Slot.to_string start_slot),
+                  Validate.is_valid_stg ti query
+                    {
+                      Query.st_attendees = e.Topk.attendees;
+                      st_total_distance = e.Topk.total_distance;
+                      start_slot;
+                    } )
+            | None -> ("", false)
+          in
           Fmt.pr "#%d  distance %.2f  {%s}%s@." (i + 1) e.Topk.total_distance
             (String.concat ", " (List.map string_of_int e.Topk.attendees))
-            (match e.Topk.start_slot with
-            | Some start ->
-                Printf.sprintf "  from %s" (Timetable.Slot.to_string start)
-            | None -> ""))
+            window;
+          if not certified then Fmt.epr "WARNING: solution failed validation!@.")
         entries
   in
   Cmd.v
@@ -455,35 +466,6 @@ let topk_cmd =
     Term.(
       const run $ source_term $ initiator_term $ p_term $ s_term $ k_term $ m_term
       $ n_best)
-
-(* ------------------------------------------------------------------ *)
-(* auto.                                                               *)
-
-let auto_cmd =
-  let budget =
-    Arg.(value & opt float 1e8
-         & info [ "budget" ] ~docv:"GROUPS"
-             ~doc:"Candidate-group budget above which the beam heuristic is used.")
-  in
-  let run src initiator p s k m budget =
-    let graph, schedules = load_dataset src in
-    let ti =
-      { Query.social = { Query.graph; initiator = pick_initiator graph initiator };
-        schedules }
-    in
-    let solution, plan = Auto.stgq ~budget ti { Query.p; s; k; m } in
-    Fmt.pr "plan: %s (|V_F| = %d, log10 groups = %.1f)@."
-      (match plan.Auto.choice with Auto.Exact -> "exact STGSelect" | Auto.Beam -> "beam heuristic")
-      plan.Auto.feasible_size plan.Auto.log10_groups;
-    match solution with
-    | Some sol -> Fmt.pr "%a@." (Query.pp_stg_solution ~m) sol
-    | None -> Fmt.pr "no feasible group/time.@."
-  in
-  Cmd.v
-    (Cmd.info "auto" ~doc:"Answer an STGQ with adaptive exact/heuristic selection.")
-    Term.(
-      const run $ source_term $ initiator_term $ p_term $ s_term $ k_term $ m_term
-      $ budget)
 
 (* ------------------------------------------------------------------ *)
 (* kplex: maximal cohesive subgroups around an initiator.              *)
@@ -498,8 +480,8 @@ let kplex_cmd =
     let q = pick_initiator graph initiator in
     (* Restrict to the initiator's radius-s egocentric network; whole-graph
        enumeration is exponential and rarely what a user wants. *)
-    let fg = Feasible.extract { Query.graph; initiator = q } ~s in
-    let sub = fg.Feasible.sub in
+    let fg = Engine.Feasible.extract graph ~initiator:q ~s in
+    let sub = fg.Engine.Feasible.sub in
     if Socgraph.Graph.n_vertices sub > 25 then
       Fmt.epr
         "note: egocentric network has %d vertices; enumeration may be slow.@."
@@ -509,7 +491,7 @@ let kplex_cmd =
       (List.length groups) k min_size s q;
     List.iter
       (fun group ->
-        let originals = List.map (fun v -> fg.Feasible.of_sub.(v)) group in
+        let originals = List.map (fun v -> fg.Engine.Feasible.of_sub.(v)) group in
         Fmt.pr "  {%s}@." (String.concat ", " (List.map string_of_int originals)))
       groups
   in
@@ -1205,7 +1187,6 @@ let () =
             arrange_cmd;
             explain_cmd;
             topk_cmd;
-            auto_cmd;
             kplex_cmd;
             trace_cmd;
             serve_cmd;

@@ -2,8 +2,7 @@
 
    The single optimum is rarely the end of the story — an initiator wants
    alternatives ("same closeness, but Tuesday instead of Monday?").  This
-   example lists the top-5 STGQ groups, explains the winner, and shows the
-   adaptive solver agreeing with the exact one on a mid-size instance.
+   example lists the top-5 STGQ groups and explains the winner.
 
    Run with: dune exec examples/study_group.exe *)
 
@@ -26,7 +25,7 @@ let () =
     entries;
   Format.printf "@.";
 
-  (match entries with
+  match entries with
   | best :: _ ->
       let solution =
         {
@@ -38,12 +37,4 @@ let () =
       Format.printf "Why the winner works:@.%a@."
         (Explain.pp ?name:None)
         (Explain.stg ti { Query.p; s; k; m } solution)
-  | [] -> Format.printf "No feasible study group this week.@.");
-
-  (* The adaptive front door picks the exact solver here and must agree. *)
-  let auto_solution, plan = Auto.stgq ti { Query.p; s; k; m } in
-  Format.printf "Auto solver chose %s and found %s@."
-    (match plan.Auto.choice with Auto.Exact -> "the exact search" | Auto.Beam -> "the beam")
-    (match auto_solution with
-    | Some sol -> Printf.sprintf "distance %.2f" sol.Query.st_total_distance
-    | None -> "nothing")
+  | [] -> Format.printf "No feasible study group this week.@."

@@ -17,7 +17,7 @@ let acquaintance_ok fg ~k group =
     (fun v ->
       let nbrs =
         List.fold_left
-          (fun acc w -> if w <> v && Feasible.adjacent fg v w then acc + 1 else acc)
+          (fun acc w -> if w <> v && Engine.Feasible.adjacent fg v w then acc + 1 else acc)
           0 group
       in
       size - 1 - nbrs <= k)
@@ -29,7 +29,7 @@ let acquaintance_ok fg ~k group =
    reported as the returned reason ([None] = ran to completion); the cap
    maps to [Budget.Node_limit] (one "node" = one examined group). *)
 let enumerate fg ~p ~k ~candidates ~budget ~max_groups ~examined ~consider =
-  let q = fg.Feasible.q in
+  let q = fg.Engine.Feasible.q in
   let n = Array.length candidates in
   let chosen = Array.make (max 0 (p - 1)) 0 in
   let stopped = ref None in
@@ -53,24 +53,24 @@ let enumerate fg ~p ~k ~candidates ~budget ~max_groups ~examined ~consider =
       for i = first to n - (p - 1 - depth) do
         let v = candidates.(i) in
         chosen.(depth) <- v;
-        go (depth + 1) (i + 1) (td +. fg.Feasible.dist.(v))
+        go (depth + 1) (i + 1) (td +. fg.Engine.Feasible.dist.(v))
       done
   in
   (try if p - 1 <= n then go 0 0 0. with Stop -> ());
   !stopped
 
-let sg_gap fg ~p (s : Query.sg_solution) =
-  let lb = Search_core.completion_lower_bound fg ~p ~eligible:(fun _ -> true) in
-  Float.max 0. (s.total_distance -. lb)
+let sg_gap fg ~p (s : Query.sg_solution) = Search_core.gap fg ~p s.total_distance
 
 let sgq_brute ?(max_groups = max_int) ?(budget = Budget.unlimited) instance
     (query : Query.sgq) =
   Query.check_sgq query;
-  Query.check_instance instance;
-  let fg = Feasible.extract instance ~s:query.s in
-  let size = Feasible.size fg in
+  let fg =
+    Engine.Feasible.extract instance.Query.graph ~initiator:instance.initiator ~s:query.s
+  in
+  let size = Engine.Feasible.size fg in
   let candidates =
-    Array.of_list (List.filter (fun v -> v <> fg.Feasible.q) (List.init size Fun.id))
+    Array.of_list
+      (List.filter (fun v -> v <> fg.Engine.Feasible.q) (List.init size Fun.id))
   in
   let examined = ref 0 in
   let best = ref None in
@@ -86,7 +86,7 @@ let sgq_brute ?(max_groups = max_int) ?(budget = Budget.unlimited) instance
   let solution =
     Option.map
       (fun (td, group) ->
-        { Query.attendees = Feasible.originals fg group; total_distance = td })
+        { Query.attendees = Engine.Feasible.originals fg group; total_distance = td })
       !best
   in
   let outcome = Anytime.make ~completion ~gap_of:(sg_gap fg ~p:query.p) solution in
@@ -99,9 +99,7 @@ type stg_report = {
   groups_examined : int;
 }
 
-let stg_gap fg ~p (s : Query.stg_solution) =
-  let lb = Search_core.completion_lower_bound fg ~p ~eligible:(fun _ -> true) in
-  Float.max 0. (s.st_total_distance -. lb)
+let stg_gap fg ~p (s : Query.stg_solution) = Search_core.gap fg ~p s.st_total_distance
 
 (* Shared scaffolding of the per-period baselines: scan every start slot,
    restrict candidates to members available throughout the window, solve
@@ -112,9 +110,11 @@ let per_window (ti : Query.temporal_instance) (query : Query.stgq) ~budget
     ~solve_window =
   Query.check_stgq query;
   Query.check_temporal_instance ti;
-  let fg = Feasible.extract ti.social ~s:query.s in
-  let avail = Feasible.slab fg ti.schedules in
-  let horizon = Timetable.Availability.horizon avail.(fg.Feasible.q) in
+  let fg =
+    Engine.Feasible.extract ti.social.graph ~initiator:ti.social.initiator ~s:query.s
+  in
+  let avail = Engine.Feasible.slab fg ti.schedules in
+  let horizon = Timetable.Availability.horizon avail.(fg.Engine.Feasible.q) in
   let windows = ref 0 in
   let best = ref None in
   let stopped = ref None in
@@ -124,7 +124,9 @@ let per_window (ti : Query.temporal_instance) (query : Query.stgq) ~budget
     (match Budget.check budget with
     | Some _ as r -> stopped := r
     | None ->
-        if Timetable.Availability.window_free avail.(fg.Feasible.q) ~start:s ~len:query.m
+        if
+          Timetable.Availability.window_free avail.(fg.Engine.Feasible.q) ~start:s
+            ~len:query.m
         then begin
           incr windows;
           let eligible v =
@@ -145,7 +147,7 @@ let per_window (ti : Query.temporal_instance) (query : Query.stgq) ~budget
     Option.map
       (fun (td, group, s) ->
         {
-          Query.st_attendees = Feasible.originals fg group;
+          Query.st_attendees = Engine.Feasible.originals fg group;
           st_total_distance = td;
           start_slot = s;
         })
@@ -182,18 +184,18 @@ let stgq_per_slot ?(config = Search_core.default_config)
     (* A full SGQ from scratch for this period: a throwaway context
        (radius extraction and all), then a slot-by-slot availability
        scan over every candidate. *)
-    let ctx = Feasible.context_of_instance ti.social ~s:query.s in
+    let ctx = Query.sg_context ti.social ~s:query.s in
     let fg = ctx.Engine.Context.fg in
     last_fg := Some fg;
     let available =
-      Array.init (Feasible.size fg) (fun v ->
-          naive_window_free ti.schedules.(fg.Feasible.of_sub.(v)) s)
+      Array.init (Engine.Feasible.size fg) (fun v ->
+          naive_window_free ti.schedules.(fg.Engine.Feasible.of_sub.(v)) s)
     in
-    if available.(fg.Feasible.q) then begin
+    if available.(fg.Engine.Feasible.q) then begin
       let consider distance group =
         match !best with
         | Some (btd, _, _) when distance >= btd -. 1e-12 -> ()
-        | _ -> best := Some (distance, Feasible.originals fg group, s)
+        | _ -> best := Some (distance, Engine.Feasible.originals fg group, s)
       in
       match
         Search_core.solve_social_out
@@ -231,10 +233,12 @@ let stgq_brute ?(max_groups = max_int) ?(budget = Budget.unlimited) ti
     (query : Query.stgq) =
   let examined = ref 0 in
   let solve_window fg ~eligible =
-    let size = Feasible.size fg in
+    let size = Engine.Feasible.size fg in
     let candidates =
       Array.of_list
-        (List.filter (fun v -> v <> fg.Feasible.q && eligible v) (List.init size Fun.id))
+        (List.filter
+           (fun v -> v <> fg.Engine.Feasible.q && eligible v)
+           (List.init size Fun.id))
     in
     let best = ref None in
     let consider group td =

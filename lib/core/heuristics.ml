@@ -5,7 +5,8 @@
 let partial_ok fg ~k group v =
   let nn_of x others =
     List.fold_left
-      (fun acc w -> if w <> x && not (Feasible.adjacent fg x w) then acc + 1 else acc)
+      (fun acc w ->
+        if w <> x && not (Engine.Feasible.adjacent fg x w) then acc + 1 else acc)
       0 others
   in
   let extended = v :: group in
@@ -17,7 +18,7 @@ let partial_ok fg ~k group v =
 let greedy_social fg ~p ~k ~eligible ~shrink ~init ~budget =
   (* [shrink group v] is the temporal hook: [Some state'] when the common
      window survives adding [v].  For SGQ it always succeeds. *)
-  let cands = fg.Feasible.by_dist in
+  let cands = fg.Engine.Feasible.by_dist in
   let rec go group size state i =
     if size = p then Some (group, state)
     else if i >= Array.length cands then None
@@ -33,7 +34,7 @@ let greedy_social fg ~p ~k ~eligible ~shrink ~init ~budget =
         | None -> go group size state (i + 1)
       else go group size state (i + 1)
   in
-  go [ fg.Feasible.q ] 1 init 0
+  go [ fg.Engine.Feasible.q ] 1 init 0
 
 let greedy_sgq ?(budget = Budget.unlimited) (instance : Query.instance)
     (query : Query.sgq) =
@@ -41,7 +42,9 @@ let greedy_sgq ?(budget = Budget.unlimited) (instance : Query.instance)
   Query.check_instance instance;
   if Budget.check budget <> None then None
   else
-  let fg = Feasible.extract instance ~s:query.s in
+  let fg =
+    Engine.Feasible.extract instance.graph ~initiator:instance.initiator ~s:query.s
+  in
   if query.p = 1 then Some { Query.attendees = [ instance.initiator ]; total_distance = 0. }
   else
     greedy_social fg ~p:query.p ~k:query.k ~eligible:(fun _ -> true)
@@ -49,30 +52,32 @@ let greedy_sgq ?(budget = Budget.unlimited) (instance : Query.instance)
       ~init:() ~budget
     |> Option.map (fun (group, ()) ->
            {
-             Query.attendees = Feasible.originals fg group;
-             total_distance = Feasible.total_distance fg group;
+             Query.attendees = Engine.Feasible.originals fg group;
+             total_distance = Engine.Feasible.total_distance fg group;
            })
 
 (* Temporal runs around a pivot, shared by greedy and beam. *)
 let pivot_runs fg ~m ~avail pivot =
-  let h = Timetable.Availability.horizon avail.(fg.Feasible.q) in
+  let h = Timetable.Availability.horizon avail.(fg.Engine.Feasible.q) in
   let ilo, ihi = Timetable.Window.interval ~horizon:h ~m pivot in
   let run v =
     match Timetable.Availability.run_around avail.(v) pivot with
     | Some (lo, hi) -> (max lo ilo, min hi ihi)
     | None -> (1, 0)
   in
-  Array.init (Feasible.size fg) run
+  Array.init (Engine.Feasible.size fg) run
 
 let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
     (query : Query.stgq) =
   Query.check_stgq query;
   Query.check_temporal_instance ti;
-  let fg = Feasible.extract ti.social ~s:query.s in
-  let avail = Feasible.slab fg ti.schedules in
+  let fg =
+    Engine.Feasible.extract ti.social.graph ~initiator:ti.social.initiator ~s:query.s
+  in
+  let avail = Engine.Feasible.slab fg ti.schedules in
   let best = ref None in
   let consider group start =
-    let td = Feasible.total_distance fg group in
+    let td = Engine.Feasible.total_distance fg group in
     match !best with
     | Some (btd, _, _) when btd <= td +. 1e-12 -> ()
     | _ -> best := Some (td, group, start)
@@ -83,15 +88,15 @@ let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
       let len (lo, hi) = hi - lo + 1 in
       (* Per-pivot budget poll: tripped => remaining pivots are skipped
          and the best answer so far stands. *)
-      if Budget.check budget = None && len runs.(fg.Feasible.q) >= query.m then begin
+      if Budget.check budget = None && len runs.(fg.Engine.Feasible.q) >= query.m then begin
         let shrink (lo, hi) v =
           let rlo, rhi = runs.(v) in
           let lo' = max lo rlo and hi' = min hi rhi in
           if hi' - lo' + 1 >= query.m then Some (lo', hi') else None
         in
-        let start_state = runs.(fg.Feasible.q) in
+        let start_state = runs.(fg.Engine.Feasible.q) in
         let result =
-          if query.p = 1 then Some ([ fg.Feasible.q ], start_state)
+          if query.p = 1 then Some ([ fg.Engine.Feasible.q ], start_state)
           else
             greedy_social fg ~p:query.p ~k:query.k
               ~eligible:(fun v -> len runs.(v) >= query.m)
@@ -105,7 +110,7 @@ let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
   Option.map
     (fun (td, group, start) ->
       {
-        Query.st_attendees = Feasible.originals fg group;
+        Query.st_attendees = Engine.Feasible.originals fg group;
         st_total_distance = td;
         start_slot = start;
       })
@@ -123,11 +128,12 @@ type 'state beam_node = {
 }
 
 let beam_social fg ~p ~k ~width ~eligible ~shrink ~init_state ~budget =
-  let cands = fg.Feasible.by_dist in
+  let cands = fg.Engine.Feasible.by_dist in
   let f = Array.length cands in
   let cmp a b = compare (a.td, a.group) (b.td, b.group) in
   let level =
-    ref [ { group = [ fg.Feasible.q ]; size = 1; td = 0.; next = 0; state = init_state } ]
+    ref
+      [ { group = [ fg.Engine.Feasible.q ]; size = 1; td = 0.; next = 0; state = init_state } ]
   in
   let result = ref None in
   (* Per-level budget poll: a beam level is polynomial work, so a trip is
@@ -146,7 +152,7 @@ let beam_social fg ~p ~k ~width ~eligible ~shrink ~init_state ~budget =
                      {
                        group = v :: node.group;
                        size = node.size + 1;
-                       td = node.td +. fg.Feasible.dist.(v);
+                       td = node.td +. fg.Engine.Feasible.dist.(v);
                        next = i + 1;
                        state = state';
                      }
@@ -165,16 +171,8 @@ let beam_social fg ~p ~k ~width ~eligible ~shrink ~init_state ~budget =
 let beam_sgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
     (instance : Query.instance) (query : Query.sgq) =
   Query.check_sgq query;
-  Query.check_instance instance;
   if width < 1 then invalid_arg "Heuristics.beam_sgq: width must be >= 1";
-  let ctx =
-    match ctx with
-    | Some c ->
-        Engine.Context.ensure_for c ~initiator:instance.Query.initiator ~s:query.s;
-        c
-    | None -> Feasible.context_of_instance instance ~s:query.s
-  in
-  let fg = ctx.Engine.Context.fg in
+  let fg = (Query.sg_context ?ctx instance ~s:query.s).Engine.Context.fg in
   if query.p = 1 then Some { Query.attendees = [ instance.initiator ]; total_distance = 0. }
   else
     beam_social fg ~p:query.p ~k:query.k ~width ~eligible:(fun _ -> true)
@@ -182,7 +180,7 @@ let beam_sgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
       ~init_state:() ~budget
     |> Option.map (fun node ->
            {
-             Query.attendees = Feasible.originals fg node.group;
+             Query.attendees = Engine.Feasible.originals fg node.group;
              total_distance = node.td;
            })
 
@@ -190,7 +188,7 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
     (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   if width < 1 then invalid_arg "Heuristics.beam_stgq: width must be >= 1";
-  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
+  let ctx, avail = Query.stg_context ?ctx ti ~s:query.s in
   let fg = ctx.Engine.Context.fg in
   let best = ref None in
   List.iter
@@ -199,7 +197,7 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
       let len (lo, hi) = hi - lo + 1 in
       (* Per-pivot budget poll: tripped => remaining pivots are skipped
          and the best answer so far stands. *)
-      if Budget.check budget = None && len runs.(fg.Feasible.q) >= query.m then begin
+      if Budget.check budget = None && len runs.(fg.Engine.Feasible.q) >= query.m then begin
         let shrink (lo, hi) v =
           let rlo, rhi = runs.(v) in
           let lo' = max lo rlo and hi' = min hi rhi in
@@ -209,16 +207,16 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
           if query.p = 1 then
             Some
               {
-                group = [ fg.Feasible.q ];
+                group = [ fg.Engine.Feasible.q ];
                 size = 1;
                 td = 0.;
                 next = 0;
-                state = runs.(fg.Feasible.q);
+                state = runs.(fg.Engine.Feasible.q);
               }
           else
             beam_social fg ~p:query.p ~k:query.k ~width
               ~eligible:(fun v -> len runs.(v) >= query.m)
-              ~shrink ~init_state:runs.(fg.Feasible.q) ~budget
+              ~shrink ~init_state:runs.(fg.Engine.Feasible.q) ~budget
         in
         match found with
         | Some node -> (
@@ -232,7 +230,7 @@ let beam_stgq ?(width = 32) ?ctx ?(budget = Budget.unlimited)
   Option.map
     (fun (td, group, start) ->
       {
-        Query.st_attendees = Feasible.originals fg group;
+        Query.st_attendees = Engine.Feasible.originals fg group;
         st_total_distance = td;
         start_slot = start;
       })

@@ -12,13 +12,13 @@ type 'a outcome = {
 
 (* Constraints (1)-(3): cardinality, initiator membership, acquaintance. *)
 let social_constraints fg ~p ~k =
-  let size = Feasible.size fg in
+  let size = Engine.Feasible.size fg in
   let all_phi = List.init size (fun u -> (u, 1.)) in
   let cardinality = Lp.constr all_phi Lp.Eq (float_of_int p) in
-  let initiator = Lp.constr [ (fg.Feasible.q, 1.) ] Lp.Eq 1. in
+  let initiator = Lp.constr [ (fg.Engine.Feasible.q, 1.) ] Lp.Eq 1. in
   let acquaintance u =
     (* Σ_{v∈N(u)} φ_v >= (p-1) φ_u - k *)
-    let nbrs = Bitset.fold (fun v acc -> (v, 1.) :: acc) fg.Feasible.nbr.(u) [] in
+    let nbrs = Bitset.fold (fun v acc -> (v, 1.) :: acc) fg.Engine.Feasible.nbr.(u) [] in
     Lp.constr ((u, -.float_of_int (p - 1)) :: nbrs) Lp.Ge (-.float_of_int k)
   in
   cardinality :: initiator :: List.init size acquaintance
@@ -28,7 +28,7 @@ let social_constraints fg ~p ~k =
    only where a_{u,t̂} = 0 (they are vacuous otherwise).  [literal] keeps
    one row per (u, t, t̂) as printed; otherwise rows are merged per (u, t). *)
 let temporal_constraints fg ~m ~avail ~starts ~tau ~literal =
-  let size = Feasible.size fg in
+  let size = Engine.Feasible.size fg in
   let one_per_activity =
     Lp.constr (List.map (fun t -> (tau t, 1.)) starts) Lp.Eq 1.
   in
@@ -52,22 +52,22 @@ let temporal_constraints fg ~m ~avail ~starts ~tau ~literal =
    Returns the extra constraints plus the number of flow/distance
    variables appended after the φ block. *)
 let path_constraints fg ~s ~delta ~pi =
-  let size = Feasible.size fg in
-  let q = fg.Feasible.q in
-  let edges = Socgraph.Graph.edges fg.Feasible.sub in
+  let size = Engine.Feasible.size fg in
+  let q = fg.Engine.Feasible.q in
+  let edges = Socgraph.Graph.edges fg.Engine.Feasible.sub in
   let rows = ref [] in
   for u = 0 to size - 1 do
     if u <> q then begin
       (* (4): flow leaves q iff u is selected. *)
       let out_q =
-        Socgraph.Graph.fold_neighbors fg.Feasible.sub q
+        Socgraph.Graph.fold_neighbors fg.Engine.Feasible.sub q
           (fun i _ acc -> (pi ~u ~from:q ~into:i, 1.) :: acc)
           []
       in
       rows := Lp.constr ((u, -1.) :: out_q) Lp.Eq 0. :: !rows;
       (* (5): flow enters u iff u is selected. *)
       let in_u =
-        Socgraph.Graph.fold_neighbors fg.Feasible.sub u
+        Socgraph.Graph.fold_neighbors fg.Engine.Feasible.sub u
           (fun i _ acc -> (pi ~u ~from:i ~into:u, 1.) :: acc)
           []
       in
@@ -76,7 +76,7 @@ let path_constraints fg ~s ~delta ~pi =
       for j = 0 to size - 1 do
         if j <> q && j <> u then begin
           let terms =
-            Socgraph.Graph.fold_neighbors fg.Feasible.sub j
+            Socgraph.Graph.fold_neighbors fg.Engine.Feasible.sub j
               (fun i _ acc ->
                 (pi ~u ~from:i ~into:j, 1.) :: (pi ~u ~from:j ~into:i, -1.) :: acc)
               []
@@ -116,13 +116,13 @@ type layout = {
 
 (* Group form: φ only, objective Σ d_u φ_u with precomputed distances. *)
 let group_layout fg ~tau_count =
-  let size = Feasible.size fg in
+  let size = Engine.Feasible.size fg in
   let n_vars = size + tau_count in
   {
     n_vars;
     kinds = Array.make n_vars Ilp.Binary;
     objective =
-      List.init size (fun u -> (u, fg.Feasible.dist.(u)))
+      List.init size (fun u -> (u, fg.Engine.Feasible.dist.(u)))
       |> List.filter (fun (_, d) -> d <> 0.);
     extra = [];
   }
@@ -130,8 +130,8 @@ let group_layout fg ~tau_count =
 (* Full form: φ (binary) + δ (continuous) + π (binary per target and
    directed edge) + τ at the tail. *)
 let full_layout fg ~s ~tau_count =
-  let size = Feasible.size fg in
-  let edges = Socgraph.Graph.edges fg.Feasible.sub in
+  let size = Engine.Feasible.size fg in
+  let edges = Socgraph.Graph.edges fg.Engine.Feasible.sub in
   let n_edges = List.length edges in
   (* Directed-edge index: 2e for (i->j) with i<j, 2e+1 for the reverse. *)
   let edge_index = Hashtbl.create (2 * n_edges) in
@@ -163,7 +163,7 @@ let tau_offset layout tau_count = layout.n_vars - tau_count
 
 let extract_group fg solution =
   let group = ref [] in
-  for u = Feasible.size fg - 1 downto 0 do
+  for u = Engine.Feasible.size fg - 1 downto 0 do
     if solution.(u) > 0.5 then group := u :: !group
   done;
   !group
@@ -182,10 +182,12 @@ let run_ilp ?node_limit layout constraints =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-let solve_sgq ?(form = Group_form) ?node_limit instance (query : Query.sgq) =
+let solve_sgq ?(form = Group_form) ?node_limit (instance : Query.instance)
+    (query : Query.sgq) =
   Query.check_sgq query;
-  Query.check_instance instance;
-  let fg = Feasible.extract instance ~s:query.s in
+  let fg =
+    Engine.Feasible.extract instance.graph ~initiator:instance.initiator ~s:query.s
+  in
   let layout =
     match form with
     | Group_form -> group_layout fg ~tau_count:0
@@ -201,8 +203,8 @@ let solve_sgq ?(form = Group_form) ?node_limit instance (query : Query.sgq) =
         result =
           Some
             {
-              Query.attendees = Feasible.originals fg group;
-              total_distance = Feasible.total_distance fg group;
+              Query.attendees = Engine.Feasible.originals fg group;
+              total_distance = Engine.Feasible.total_distance fg group;
             };
         ilp_stats = stats;
       }
@@ -211,15 +213,17 @@ let solve_stgq ?(form = Group_form) ?node_limit (ti : Query.temporal_instance)
     (query : Query.stgq) =
   Query.check_stgq query;
   Query.check_temporal_instance ti;
-  let fg = Feasible.extract ti.social ~s:query.s in
-  let avail = Feasible.slab fg ti.schedules in
-  let horizon = Timetable.Availability.horizon avail.(fg.Feasible.q) in
+  let fg =
+    Engine.Feasible.extract ti.social.graph ~initiator:ti.social.initiator ~s:query.s
+  in
+  let avail = Engine.Feasible.slab fg ti.schedules in
+  let horizon = Timetable.Availability.horizon avail.(fg.Engine.Feasible.q) in
   (* Only starts where the initiator is available can carry τ_t = 1
      (φ_q = 1 plus constraint (10) forbids the rest anyway). *)
   let starts =
     List.init (max 0 (horizon - query.m + 1)) Fun.id
     |> List.filter (fun t ->
-           Timetable.Availability.window_free avail.(fg.Feasible.q) ~start:t
+           Timetable.Availability.window_free avail.(fg.Engine.Feasible.q) ~start:t
              ~len:query.m)
   in
   if starts = [] then
@@ -260,8 +264,8 @@ let solve_stgq ?(form = Group_form) ?node_limit (ti : Query.temporal_instance)
           result =
             Some
               {
-                Query.st_attendees = Feasible.originals fg group;
-                st_total_distance = Feasible.total_distance fg group;
+                Query.st_attendees = Engine.Feasible.originals fg group;
+                st_total_distance = Engine.Feasible.total_distance fg group;
                 start_slot = start;
               };
           ilp_stats = stats;

@@ -35,14 +35,9 @@ let bucket_job ~config ~budget ctx ~avail (query : Query.stgq) bucket () =
 
 let finish ctx ~n_domains ~(query : Query.stgq) ~budget results =
   let total_nodes = List.fold_left (fun acc (_, n) -> acc + n) 0 results in
-  let key (f : Search_core.found) = (f.distance, f.window_start, f.group) in
   let best =
     List.fold_left
-      (fun acc (out, _) ->
-        match (acc, Anytime.solution out) with
-        | None, f -> f
-        | Some a, Some b -> if key b < key a then Some b else Some a
-        | Some a, None -> Some a)
+      (fun acc (out, _) -> Search_core.best_of acc (Anytime.solution out))
       None results
   in
   let completion =
@@ -52,15 +47,13 @@ let finish ctx ~n_domains ~(query : Query.stgq) ~budget results =
       | Some _ as r -> r
       | None -> List.find_map (fun (out, _) -> Anytime.reason out) results
   in
-  let gap_of (f : Search_core.found) =
-    let lb =
-      Search_core.completion_lower_bound ctx.Engine.Context.fg ~p:query.p
-        ~eligible:(fun _ -> true)
-    in
-    Float.max 0. (f.distance -. lb)
+  let fg = ctx.Engine.Context.fg in
+  let outcome =
+    Stgselect.convert_outcome fg
+      (Anytime.make ~completion
+         ~gap_of:(fun (f : Search_core.found) -> Search_core.gap fg ~p:query.p f.distance)
+         best)
   in
-  let found_outcome = Anytime.make ~completion ~gap_of best in
-  let outcome = Stgselect.convert_outcome ctx.Engine.Context.fg found_outcome in
   (match Anytime.reason outcome with
   | Some reason ->
       Log.debug (fun m_ ->
@@ -81,7 +74,7 @@ let solve_report ?(config = Search_core.default_config) ?domains ?pool ?ctx
       ]
   @@ fun () ->
   Query.check_stgq query;
-  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
+  let ctx, avail = Query.stg_context ?ctx ti ~s:query.s in
   let pivots = Search_core.pivots avail ~m:query.m in
   let pool = match pool with Some p -> p | None -> Engine.Pool.default () in
   let wanted =

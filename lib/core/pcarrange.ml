@@ -16,11 +16,11 @@ type result = {
 let run (ti : Query.temporal_instance) ~p ~s ~m =
   Query.check_stgq { p; s; k = 0; m };
   Query.check_temporal_instance ti;
-  let fg = Feasible.extract ti.social ~s in
-  let avail = Feasible.slab fg ti.schedules in
-  let q = fg.Feasible.q in
+  let fg = Engine.Feasible.extract ti.social.graph ~initiator:ti.social.initiator ~s in
+  let avail = Engine.Feasible.slab fg ti.schedules in
+  let q = fg.Engine.Feasible.q in
   let horizon = Timetable.Availability.horizon avail.(q) in
-  let by_distance = Array.to_list fg.Feasible.by_dist in
+  let by_distance = Array.to_list fg.Engine.Feasible.by_dist in
   let rec split n = function
     | [] -> ([], [])
     | l when n = 0 -> ([], l)
@@ -68,7 +68,7 @@ let run (ti : Query.temporal_instance) ~p ~s ~m =
                 let nn =
                   List.fold_left
                     (fun c w ->
-                      if w <> v && not (Feasible.adjacent fg v w) then c + 1 else c)
+                      if w <> v && not (Engine.Feasible.adjacent fg v w) then c + 1 else c)
                     0 group
                 in
                 max acc nn)
@@ -76,8 +76,8 @@ let run (ti : Query.temporal_instance) ~p ~s ~m =
           in
           Some
             {
-              attendees = Feasible.originals fg group;
-              total_distance = Feasible.total_distance fg group;
+              attendees = Engine.Feasible.originals fg group;
+              total_distance = Engine.Feasible.total_distance fg group;
               start_slot = start;
               observed_k;
               calls_made = calls;

@@ -3,10 +3,6 @@ type update_stats = {
   pivots_recomputed : int;
 }
 
-let log = Logs.Src.create "stgq.planner" ~doc:"Incremental STGQ planner"
-
-module Log = (val Logs.src_log log)
-
 type t = {
   config : Search_core.config;
   query : Query.stgq;
@@ -18,16 +14,18 @@ type t = {
   cache : Search_core.found option array;      (* per-pivot optimum *)
 }
 
+(* Unbudgeted, so the outcome is [Optimal]. *)
 let solve_pivot t ~avail pivot =
-  let stats = Search_core.fresh_stats () in
-  Search_core.solve_temporal t.ctx ~avail ~p:t.query.Query.p ~k:t.query.Query.k
-    ~m:t.query.Query.m ~pivots:[ pivot ] ~config:t.config ~stats
+  Anytime.solution
+    (Search_core.solve_temporal_out t.ctx ~avail ~p:t.query.Query.p
+       ~k:t.query.Query.k ~m:t.query.Query.m ~pivots:[ pivot ] ~config:t.config
+       ~stats:(Search_core.fresh_stats ()))
 
 let create ?(config = Search_core.default_config) (ti : Query.temporal_instance)
     (query : Query.stgq) =
   Query.check_stgq query;
   let schedules = Array.map Timetable.Availability.copy ti.schedules in
-  let ctx, avail = Feasible.temporal { ti with schedules } ~s:query.s in
+  let ctx, avail = Query.stg_context { ti with schedules } ~s:query.s in
   let pivots = Array.of_list (Search_core.pivots avail ~m:query.m) in
   let t =
     { config; query; ctx; schedules; pivots; cache = Array.map (fun _ -> None) pivots }
@@ -36,29 +34,9 @@ let create ?(config = Search_core.default_config) (ti : Query.temporal_instance)
   t
 
 let solution t =
-  let best =
-    Array.fold_left
-      (fun acc found ->
-        match (acc, found) with
-        | None, f -> f
-        | Some a, Some b ->
-            let key (f : Search_core.found) =
-              (f.Search_core.distance, f.Search_core.window_start)
-            in
-            if key b < key a then Some b else Some a
-        | Some a, None -> Some a)
-      None t.cache
-  in
-  match best with
-  | None -> None
-  | Some f -> (
-      match Search_core.temporal_solution t.ctx.Engine.Context.fg f with
-      | Ok s -> Some s
-      | Error (Search_core.Missing_window _) ->
-          Log.err (fun m_ ->
-              m_ "temporal search delivered a group without a window start; \
-                  dropping the (invalid) answer");
-          None)
+  Anytime.solution
+    (Stgselect.convert_outcome t.ctx.Engine.Context.fg
+       (Anytime.Optimal (Array.fold_left Search_core.best_of None t.cache)))
 
 let update_schedule t ~vertex schedule =
   if vertex < 0 || vertex >= Array.length t.schedules then
@@ -80,10 +58,10 @@ let update_schedule t ~vertex schedule =
   let dirty =
     (* Only members of the feasible graph influence results, but the
        schedule copy is refreshed regardless. *)
-    if Feasible.sub_id fg vertex < 0 then [||] else Array.map dirty_pivot t.pivots
+    if Engine.Feasible.sub_id fg vertex < 0 then [||] else Array.map dirty_pivot t.pivots
   in
   t.schedules.(vertex) <- Timetable.Availability.copy schedule;
-  let avail = Feasible.slab fg t.schedules in
+  let avail = Engine.Feasible.slab fg t.schedules in
   let recomputed = ref 0 in
   Array.iteri
     (fun i pivot ->

@@ -47,17 +47,19 @@ let check_instance { graph; initiator } =
 
 let check_temporal_instance { social; schedules } =
   check_instance social;
-  let n = Socgraph.Graph.n_vertices social.graph in
-  if Array.length schedules <> n then
-    invalid_arg "Query: need exactly one schedule per vertex";
-  if n > 0 then begin
-    let h = Timetable.Availability.horizon schedules.(0) in
-    Array.iter
-      (fun a ->
-        if Timetable.Availability.horizon a <> h then
-          invalid_arg "Query: schedules have mismatched horizons")
-      schedules
-  end
+  Engine.Feasible.check_schedules ~n:(Socgraph.Graph.n_vertices social.graph) schedules
+
+let sg_context ?ctx { graph; initiator } ~s =
+  match ctx with
+  | Some c ->
+      Engine.Context.ensure_for c ~initiator ~s;
+      c
+  | None -> Engine.Context.build graph ~initiator ~s
+
+let stg_context ?ctx ti ~s =
+  if Option.is_none ctx then check_temporal_instance ti;
+  let ctx = sg_context ?ctx ti.social ~s in
+  (ctx, Engine.Feasible.slab ctx.Engine.Context.fg ti.schedules)
 
 let sgq_of_stgq { p; s; k; m = _ } = { p; s; k }
 

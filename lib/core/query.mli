@@ -52,8 +52,26 @@ val check_stgq : stgq -> unit
 val check_instance : instance -> unit
 
 (** [check_temporal_instance ti] additionally requires one schedule per
-    vertex, all with equal horizons. *)
+    vertex, all with equal horizons ({!Engine.Feasible.check_schedules}). *)
 val check_temporal_instance : temporal_instance -> unit
+
+(** [sg_context ?ctx instance ~s] is the context an SGQ solver answers
+    from: [ctx], checked against [instance]'s initiator and [s], or a
+    fresh one built from [instance].
+    @raise Invalid_argument on a context built for another query, an
+    out-of-range initiator or [s < 1]. *)
+val sg_context : ?ctx:Engine.Context.t -> instance -> s:int -> Engine.Context.t
+
+(** [stg_context ?ctx ti ~s] is what every temporal solver starts from:
+    {!sg_context}'s context and the ball's calendars read from [ti]
+    ({!Engine.Feasible.slab}).  A build first checks the whole instance
+    ({!check_temporal_instance}); a supplied context was checked when it
+    was made, so only its ball's calendars are read.
+    @raise Invalid_argument as {!sg_context}, or on calendars that fail
+    those checks. *)
+val stg_context :
+  ?ctx:Engine.Context.t -> temporal_instance -> s:int ->
+  Engine.Context.t * Timetable.Availability.t array
 
 (** [sgq_of_stgq q] drops the temporal dimension. *)
 val sgq_of_stgq : stgq -> sgq

@@ -85,7 +85,7 @@ type temporal = {
 }
 
 type state = {
-  fg : Feasible.t;
+  fg : Engine.Feasible.t;
   p : int;
   k : int;
   cfg : config;
@@ -184,7 +184,7 @@ let nn_vs st w = st.vs_size - (if st.in_vs.(w) then 1 else 0) - st.nbr_vs.(w)
 
 (* U(VS ∪ {u}) for a candidate u ∈ VA. *)
 let interior_unfamiliarity st u =
-  let adj = Feasible.adjacent st.fg in
+  let adj = Engine.Feasible.adjacent st.fg in
   let worst =
     List.fold_left
       (fun acc w ->
@@ -196,7 +196,7 @@ let interior_unfamiliarity st u =
 
 (* A(VS ∪ {u}) with VA' = VA - {u} (Definition 3). *)
 let exterior_expansibility st u =
-  let adj = Feasible.adjacent st.fg in
+  let adj = Engine.Feasible.adjacent st.fg in
   let of_member w =
     let a = if adj w u then 1 else 0 in
     let in_va' = st.nbr_va.(w) - a in
@@ -220,7 +220,7 @@ let temporal_extensibility tc u =
    [order] that pass [ok] (the [needed] smallest such distances), or
    [infinity] when fewer pass.  A completion adds [needed] distinct
    passing members, so it costs at least this much. *)
-let cheapest (fg : Feasible.t) order ~needed ok =
+let cheapest (fg : Engine.Feasible.t) order ~needed ok =
   let n = Array.length order in
   let sum = ref 0. and left = ref needed and i = ref 0 in
   while !left > 0 && !i < n do
@@ -299,7 +299,7 @@ let record_best st =
   st.sink.offer
     {
       group;
-      distance = Feasible.total_distance st.fg group;
+      distance = Engine.Feasible.total_distance st.fg group;
       window_start = (match st.temporal with Some tc -> Some tc.ts_lo | None -> None);
     }
 
@@ -467,9 +467,9 @@ let filter eligible ids =
   out
 
 let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
-  let size = Feasible.size fg in
-  let q = fg.Feasible.q in
-  let by_dist = filter eligible fg.Feasible.by_dist in
+  let size = Engine.Feasible.size fg in
+  let q = fg.Engine.Feasible.q in
+  let by_dist = filter eligible fg.Engine.Feasible.by_dist in
   let order =
     if cfg.use_access_ordering then by_dist
     else filter (fun v -> v <> q && eligible v) (Array.init size Fun.id)
@@ -480,9 +480,10 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
   in_vs.(q) <- true;
   let nbr_vs = Array.make size 0 in
   let nbr_va = Array.make size 0 in
-  Bitset.iter (fun w -> nbr_vs.(w) <- 1) fg.Feasible.nbr.(q);
+  Bitset.iter (fun w -> nbr_vs.(w) <- 1) fg.Engine.Feasible.nbr.(q);
   Array.iter
-    (fun v -> Bitset.iter (fun w -> nbr_va.(w) <- nbr_va.(w) + 1) fg.Feasible.nbr.(v))
+    (fun v ->
+      Bitset.iter (fun w -> nbr_va.(w) <- nbr_va.(w) + 1) fg.Engine.Feasible.nbr.(v))
     order;
   (match temporal with
   | Some tc ->
@@ -514,18 +515,22 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Admissible completion bound, for anytime gap reporting.             *)
+(* Anytime gap and incumbents.                                         *)
 
 (* Any qualified group is q plus p-1 distinct eligible candidates, so
    its distance is at least the sum of the p-1 smallest candidate
    distances.  Coarse (it ignores acquaintance and availability) but
    sound for every region a truncated search abandoned; computed once
-   per budgeted solve, never on the per-node path. *)
-let completion_lower_bound fg ~p ~eligible =
-  cheapest fg fg.Feasible.by_dist ~needed:(p - 1) eligible
+   per truncated solve, never on the per-node path. *)
+let gap ?(eligible = fun _ -> true) (fg : Engine.Feasible.t) ~p distance =
+  Float.max 0. (distance -. cheapest fg fg.by_dist ~needed:(p - 1) eligible)
 
-(* ------------------------------------------------------------------ *)
-(* Entry points.                                                       *)
+let best_of a b =
+  match (a, b) with
+  | None, f | f, None -> f
+  | Some x, Some y ->
+      let key (f : found) = (f.distance, f.window_start, f.group) in
+      if key y < key x then b else a
 
 (* The single-best sink used by SGSelect/STGSelect: keep the strictly
    better solution, bound the search by the incumbent.  [bound_init]
@@ -546,14 +551,17 @@ let best_sink ?(bound_init = infinity) cell =
         | None -> bound_init);
   }
 
+(* ------------------------------------------------------------------ *)
+(* Entry points.                                                       *)
+
 let solve_social_sink ?(eligible = fun _ -> true) ?(budget = Budget.unlimited)
     (ctx : Engine.Context.t) ~p ~k ~config ~stats ~sink =
   let fg = ctx.Engine.Context.fg in
   if p = 1 then begin
-    sink.offer { group = [ fg.Feasible.q ]; distance = 0.; window_start = None };
+    sink.offer { group = [ fg.Engine.Feasible.q ]; distance = 0.; window_start = None };
     None
   end
-  else if Feasible.size fg < p then None
+  else if Engine.Feasible.size fg < p then None
   else
     match Budget.check budget with
     | Some _ as stopped -> stopped
@@ -566,26 +574,15 @@ let solve_social_sink ?(eligible = fun _ -> true) ?(budget = Budget.unlimited)
         | () -> None
         | exception Stop -> Budget.tripped budget)
 
-let solve_social ?eligible ?bound_init ctx ~p ~k ~config ~stats =
-  let cell = ref None in
-  ignore
-    (solve_social_sink ?eligible ctx ~p ~k ~config ~stats
-       ~sink:(best_sink ?bound_init cell)
-      : Budget.reason option);
-  !cell
-
 let solve_social_out ?eligible ?bound_init ?budget ctx ~p ~k ~config ~stats =
   let cell = ref None in
   let completion =
     solve_social_sink ?eligible ?budget ctx ~p ~k ~config ~stats
       ~sink:(best_sink ?bound_init cell)
   in
-  let gap_of (f : found) =
-    let elig = match eligible with Some e -> e | None -> fun _ -> true in
-    let lb = completion_lower_bound ctx.Engine.Context.fg ~p ~eligible:elig in
-    Float.max 0. (f.distance -. lb)
-  in
-  Anytime.make ~completion ~gap_of !cell
+  Anytime.make ~completion
+    ~gap_of:(fun f -> gap ?eligible ctx.Engine.Context.fg ~p f.distance)
+    !cell
 
 let pivots avail ~m =
   Timetable.Window.pivots ~horizon:(Timetable.Availability.horizon avail.(0)) ~m
@@ -593,8 +590,8 @@ let pivots avail ~m =
 let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
     ~avail ~p ~k ~m ~pivots ~config ~stats ~sink =
   let fg = ctx.Engine.Context.fg in
-  let size = Feasible.size fg in
-  let q = fg.Feasible.q in
+  let size = Engine.Feasible.size fg in
+  let q = fg.Engine.Feasible.q in
   let h = Timetable.Availability.horizon avail.(q) in
   (* Each pivot writes a member's run before reading it. *)
   let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
@@ -621,7 +618,7 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
            in distance order and only until the p-1 cheapest free members
            are known; [infinity] means fewer than p-1 are free. *)
         let floor =
-          cheapest fg fg.Feasible.by_dist ~needed:(p - 1) (fun v ->
+          cheapest fg fg.Engine.Feasible.by_dist ~needed:(p - 1) (fun v ->
               set_run v;
               free v)
         in
@@ -660,14 +657,6 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
       | () -> None
       | exception Stop -> Budget.tripped budget)
 
-let solve_temporal ?bound_init ctx ~avail ~p ~k ~m ~pivots ~config ~stats =
-  let cell = ref None in
-  ignore
-    (solve_temporal_sink ctx ~avail ~p ~k ~m ~pivots ~config ~stats
-       ~sink:(best_sink ?bound_init cell)
-      : Budget.reason option);
-  !cell
-
 let solve_temporal_out ?bound_init ?budget ctx ~avail ~p ~k ~m ~pivots ~config
     ~stats =
   let cell = ref None in
@@ -675,23 +664,6 @@ let solve_temporal_out ?bound_init ?budget ctx ~avail ~p ~k ~m ~pivots ~config
     solve_temporal_sink ?budget ctx ~avail ~p ~k ~m ~pivots ~config ~stats
       ~sink:(best_sink ?bound_init cell)
   in
-  let gap_of (f : found) =
-    let lb =
-      completion_lower_bound ctx.Engine.Context.fg ~p ~eligible:(fun _ -> true)
-    in
-    Float.max 0. (f.distance -. lb)
-  in
-  Anytime.make ~completion ~gap_of !cell
-
-type temporal_error = Missing_window of { group : int list; distance : float }
-
-let temporal_solution fg (f : found) =
-  match f.window_start with
-  | Some start ->
-      Ok
-        {
-          Query.st_attendees = Feasible.originals fg f.group;
-          st_total_distance = f.distance;
-          start_slot = start;
-        }
-  | None -> Error (Missing_window { group = f.group; distance = f.distance })
+  Anytime.make ~completion
+    ~gap_of:(fun f -> gap ctx.Engine.Context.fg ~p f.distance)
+    !cell

@@ -74,58 +74,40 @@ type sink = {
   bound : unit -> float;
 }
 
-(** [best_sink ?bound_init cell] — the classic incumbent: keeps the
-    strictly better solution in [cell], bounds by it.  [bound_init] seeds
-    distance pruning before any solution is found (used by STGArrange
-    with the PCArrange target); a returned solution may exceed the seed
-    and must be re-checked by the caller. *)
-val best_sink : ?bound_init:float -> found option ref -> sink
-
-(** [solve_social ctx ~p ~k ~config ~stats] runs SGSelect's search on an
-    engine context: optimal group of [p] sub-ids containing the
-    initiator minimising total distance under the acquaintance bound
-    [k].  [eligible] (default: everyone) restricts the candidate set —
-    the per-slot STGQ baseline uses it to keep only the attendees
-    available during a window. *)
-val solve_social :
-  ?eligible:(int -> bool) -> ?bound_init:float ->
-  Engine.Context.t -> p:int -> k:int -> config:config -> stats:stats -> found option
-
-(** [solve_social_out ?budget ctx ...] is {!solve_social} under a
-    cooperative {!Budget}: the search polls the budget every
+(** [solve_social_out ?eligible ?bound_init ?budget ctx ~p ~k ~config
+    ~stats] runs SGSelect's search on an engine context: the optimal
+    group of [p] sub-ids containing the initiator minimising total
+    distance under the acquaintance bound [k].  [eligible] (default:
+    everyone) restricts the candidate set — the per-slot STGQ baseline
+    uses it to keep only the attendees available during a window.
+    [bound_init] seeds distance pruning before any solution is found
+    (STGArrange passes the PCArrange target); a returned solution may
+    exceed the seed and must be re-checked by the caller.  Under a
+    cooperative {!Budget} the search polls every
     {!Budget.check_interval} node expansions and, instead of raising on
-    a trip, reports how far it got as an {!Anytime.outcome}.  With the
-    default {!Budget.unlimited} the exploration is bit-identical to
-    {!solve_social} and the outcome is always [Optimal]. *)
+    a trip, reports how far it got as an {!Anytime.outcome} whose gap is
+    {!gap}'s.  With the default {!Budget.unlimited} the outcome is
+    always [Optimal]. *)
 val solve_social_out :
   ?eligible:(int -> bool) -> ?bound_init:float -> ?budget:Budget.t ->
   Engine.Context.t -> p:int -> k:int -> config:config -> stats:stats ->
   found Anytime.outcome
 
 (** [pivots avail ~m] — the Lemma-4 pivot slots for window length [m]
-    over the horizon of the slab [avail] ({!Feasible.slab}).
+    over the horizon of the slab [avail] ({!Engine.Feasible.slab}).
     @raise Invalid_argument if [m < 1]. *)
 val pivots : Timetable.Availability.t array -> m:int -> int list
 
-(** [solve_temporal ctx ~avail ~p ~k ~m ~pivots ~config ~stats] runs
-    STGSelect's search over [avail], the ball's calendars by sub-id
-    ({!Feasible.slab}); only the given pivot slots are explored
-    (Lemma 4).  The best solution across all pivots is returned; the
-    incumbent bound is shared between pivots for extra pruning (sound:
-    it only tightens Lemma 2).  A pivot reads the other members' runs
-    only when the initiator's own run holds [m] slots, and builds its
-    search state only when at least [p-1] members are free for [m]
-    slots and the [p-1] cheapest of them stay below the bound. *)
-val solve_temporal :
-  ?bound_init:float ->
-  Engine.Context.t ->
-  avail:Timetable.Availability.t array ->
-  p:int -> k:int -> m:int ->
-  pivots:int list ->
-  config:config -> stats:stats ->
-  found option
-
-(** Budgeted {!solve_temporal}; see {!solve_social_out}. *)
+(** [solve_temporal_out ?bound_init ?budget ctx ~avail ~p ~k ~m ~pivots
+    ~config ~stats] runs STGSelect's search over [avail], the ball's
+    calendars by sub-id ({!Engine.Feasible.slab}); only the given pivot
+    slots are explored (Lemma 4).  The best solution across all pivots
+    is returned; the incumbent bound is shared between pivots for extra
+    pruning (sound: it only tightens Lemma 2).  A pivot reads the other
+    members' runs only when the initiator's own run holds [m] slots, and
+    builds its search state only when at least [p-1] members are free
+    for [m] slots and the [p-1] cheapest of them stay below the bound.
+    [bound_init] and [budget] as in {!solve_social_out}. *)
 val solve_temporal_out :
   ?bound_init:float -> ?budget:Budget.t ->
   Engine.Context.t ->
@@ -153,20 +135,16 @@ val solve_temporal_sink :
   config:config -> stats:stats -> sink:sink ->
   Budget.reason option
 
-(** [completion_lower_bound fg ~p ~eligible] — an admissible lower bound
-    on the distance of {e any} qualified group over the eligible
-    candidates (the sum of the [p-1] smallest candidate distances;
-    [infinity] when fewer than [p-1] candidates are eligible).  Feeds
-    the anytime gap bound. *)
-val completion_lower_bound : Feasible.t -> p:int -> eligible:(int -> bool) -> float
+(** [gap ?eligible fg ~p distance] is the anytime gap bound of a group
+    of [p] at [distance]: [max 0 (distance - lb)], where [lb], the sum
+    of the [p-1] smallest candidate distances among [eligible] (default:
+    everyone), is an admissible lower bound on {e any} qualified group
+    ([infinity] when fewer than [p-1] candidates are eligible, making
+    the gap [0]). *)
+val gap : ?eligible:(int -> bool) -> Engine.Feasible.t -> p:int -> float -> float
 
-(** Why a temporal {!found} could not become an STGQ solution: the
-    search delivered a group with no window start.  [solve_temporal]
-    always sets one, so this marks an internal invariant violation;
-    callers handle it as a typed error instead of raising. *)
-type temporal_error = Missing_window of { group : int list; distance : float }
-
-(** [temporal_solution fg found] converts a temporal search result to a
-    solution in original vertex ids. *)
-val temporal_solution :
-  Feasible.t -> found -> (Query.stg_solution, temporal_error) result
+(** [best_of a b] is the better of two results: the smaller distance,
+    then the earlier window start, then the smaller group.  The order is
+    total, so merging per-pivot or per-bucket results does not depend on
+    their order. *)
+val best_of : found option -> found option -> found option

@@ -20,16 +20,10 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
       ]
   @@ fun () ->
   Query.check_sgq query;
-  Query.check_instance instance;
-  let ctx =
-    match ctx with
-    | Some c ->
-        Engine.Context.ensure_for c ~initiator:instance.Query.initiator ~s:query.s;
-        c
-    | None -> Feasible.context_of_instance instance ~s:query.s
-  in
+  let ctx = Query.sg_context ?ctx instance ~s:query.s in
   let fg = ctx.Engine.Context.fg in
-  Obs.Trace.add_attrs [ ("feasible", string_of_int (Feasible.size fg)) ];
+  let size = Engine.Feasible.size fg in
+  Obs.Trace.add_attrs [ ("feasible", string_of_int size) ];
   let stats = Search_core.fresh_stats () in
   let found =
     Search_core.solve_social_out ?bound_init:initial_bound ?budget ctx
@@ -38,7 +32,7 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
   Instr.record_search stats;
   Log.debug (fun m ->
       m "SGQ(p=%d,s=%d,k=%d): |V_F|=%d, %d nodes, %s" query.p query.s query.k
-        (Feasible.size fg) stats.Search_core.nodes
+        size stats.Search_core.nodes
         (match found with
         | Anytime.Optimal (Some f) -> Printf.sprintf "optimum %g" f.Search_core.distance
         | Anytime.Optimal None -> "infeasible"
@@ -49,10 +43,10 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
   let outcome =
     Anytime.map
       (fun { Search_core.group; distance; _ } ->
-        { Query.attendees = Feasible.originals fg group; total_distance = distance })
+        { Query.attendees = Engine.Feasible.originals fg group; total_distance = distance })
       found
   in
-  { solution = Anytime.solution outcome; outcome; stats; feasible_size = Feasible.size fg }
+  { solution = Anytime.solution outcome; outcome; stats; feasible_size = size }
 
 let solve ?config ?ctx ?initial_bound instance query =
   (solve_report ?config ?ctx ?initial_bound instance query).solution
@@ -64,7 +58,7 @@ let solve ?config ?ctx ?initial_bound instance query =
    serves both passes. *)
 let solve_warm ?config ?(beam_width = 16) instance (query : Query.sgq) =
   Query.check_sgq query;
-  let ctx = Feasible.context_of_instance instance ~s:query.s in
+  let ctx = Query.sg_context instance ~s:query.s in
   let seed = Heuristics.beam_sgq ~width:beam_width ~ctx instance query in
   let initial_bound =
     Option.map (fun (s : Query.sg_solution) -> s.total_distance +. 1e-6) seed

@@ -7,7 +7,7 @@ let run ?config ?k_max (ti : Query.temporal_instance) ~p ~s ~m ~target_distance 
   let k_max = Option.value k_max ~default:(p - 1) in
   (* One context is shared across the whole k-relaxation ladder: only
      the acquaintance bound changes between attempts, never (q, s). *)
-  let ctx = Feasible.context_of_temporal ti ~s in
+  let ctx, _ = Query.stg_context ti ~s in
   let rec attempt k =
     if k > k_max then None
     else

@@ -14,10 +14,16 @@ module Log = (val Logs.src_log log)
    without a window start is an internal invariant violation; it is
    logged and dropped, degrading a [Feasible_best] to [Exhausted]. *)
 let convert_outcome fg (found : Search_core.found Anytime.outcome) =
-  let conv f =
-    match Search_core.temporal_solution fg f with
-    | Ok s -> Some s
-    | Error (Search_core.Missing_window _) ->
+  let conv (f : Search_core.found) =
+    match f.window_start with
+    | Some start_slot ->
+        Some
+          {
+            Query.st_attendees = Engine.Feasible.originals fg f.group;
+            st_total_distance = f.distance;
+            start_slot;
+          }
+    | None ->
         Log.err (fun m_ ->
             m_ "temporal search delivered a group without a window start; \
                 dropping the (invalid) answer");
@@ -44,12 +50,12 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
       ]
   @@ fun () ->
   Query.check_stgq query;
-  let ctx, avail = Feasible.temporal ?ctx ti ~s:query.s in
+  let ctx, avail = Query.stg_context ?ctx ti ~s:query.s in
   let fg = ctx.Engine.Context.fg in
   let pivots = Search_core.pivots avail ~m:query.m in
   Obs.Trace.add_attrs
     [
-      ("feasible", string_of_int (Feasible.size fg));
+      ("feasible", string_of_int (Engine.Feasible.size fg));
       ("pivots", string_of_int (List.length pivots));
     ];
   let stats = Search_core.fresh_stats () in
@@ -60,7 +66,7 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
   Instr.record_search stats;
   Log.debug (fun m_ ->
       m_ "STGQ(p=%d,s=%d,k=%d,m=%d): |V_F|=%d, %d pivots, %d nodes, %s" query.p
-        query.s query.k query.m (Feasible.size fg) (List.length pivots)
+        query.s query.k query.m (Engine.Feasible.size fg) (List.length pivots)
         stats.Search_core.nodes
         (match found with
         | Anytime.Optimal (Some f) -> Printf.sprintf "optimum %g" f.Search_core.distance
@@ -74,7 +80,7 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
     solution = Anytime.solution outcome;
     outcome;
     stats;
-    feasible_size = Feasible.size fg;
+    feasible_size = Engine.Feasible.size fg;
     pivots_scanned = List.length pivots;
   }
 
@@ -85,7 +91,7 @@ let solve ?config ?ctx ?initial_bound ti query =
    both passes. *)
 let solve_warm ?config ?(beam_width = 16) ti (query : Query.stgq) =
   Query.check_stgq query;
-  let ctx = Feasible.context_of_temporal ti ~s:query.s in
+  let ctx, _ = Query.stg_context ti ~s:query.s in
   let seed = Heuristics.beam_stgq ~width:beam_width ~ctx ti query in
   let initial_bound =
     Option.map (fun (s : Query.stg_solution) -> s.st_total_distance +. 1e-6) seed

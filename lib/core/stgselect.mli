@@ -38,12 +38,12 @@ val solve_report :
   Query.temporal_instance -> Query.stgq -> report
 
 (** [convert_outcome fg found] lifts a kernel-level outcome into solution
-    space (shared with {!Parallel}, which merges per-bucket outcomes at
-    the [found] level first).  A found group missing its window start is
-    an internal invariant violation: it is logged and dropped, degrading
-    a [Feasible_best] to [Exhausted]. *)
+    space (shared with {!Parallel} and {!Planner}, which merge per-bucket
+    and per-pivot results at the [found] level first).  A found group
+    missing its window start is an internal invariant violation: it is
+    logged and dropped, degrading a [Feasible_best] to [Exhausted]. *)
 val convert_outcome :
-  Feasible.t -> Search_core.found Anytime.outcome ->
+  Engine.Feasible.t -> Search_core.found Anytime.outcome ->
   Query.stg_solution Anytime.outcome
 
 (** [solve_warm ?config ?beam_width ti query] — beam-seeded exact search;

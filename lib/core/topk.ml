@@ -38,7 +38,7 @@ let entries_of fg kept =
   List.map
     (fun (d, group, window) ->
       {
-        attendees = Feasible.originals fg group;
+        attendees = Engine.Feasible.originals fg group;
         total_distance = d;
         start_slot = window;
       })
@@ -48,7 +48,7 @@ let sgq ?(config = Search_core.default_config) ?budget ~n instance
     (query : Query.sgq) =
   Query.check_sgq query;
   if n < 0 then invalid_arg "Topk.sgq: negative n";
-  let ctx = Feasible.context_of_instance instance ~s:query.s in
+  let ctx = Query.sg_context instance ~s:query.s in
   let kept, sink = make_sink ~n in
   let stats = Search_core.fresh_stats () in
   ignore
@@ -61,7 +61,7 @@ let stgq ?(config = Search_core.default_config) ?budget ~n
     (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   if n < 0 then invalid_arg "Topk.stgq: negative n";
-  let ctx, avail = Feasible.temporal ti ~s:query.s in
+  let ctx, avail = Query.stg_context ti ~s:query.s in
   let pivots = Search_core.pivots avail ~m:query.m in
   let kept, sink = make_sink ~n in
   let stats = Search_core.fresh_stats () in

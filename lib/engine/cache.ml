@@ -61,16 +61,10 @@ let create ?(capacity = 64) ?schedules graph =
   let schedules =
     match schedules with
     | None -> [||]
-    | Some a when Array.length a <> Socgraph.Graph.n_vertices graph ->
-        invalid_arg "Engine.Cache.create: need one schedule per vertex"
     | Some a ->
         (* The one O(n) horizon pass: [set_schedule] checks each edit and
            a solver only the ball it reads. *)
-        Array.iter
-          (fun s ->
-            if Timetable.Availability.horizon s <> Timetable.Availability.horizon a.(0)
-            then invalid_arg "Engine.Cache.create: schedules disagree on horizon")
-          a;
+        Feasible.check_schedules ~n:(Socgraph.Graph.n_vertices graph) a;
         a
   in
   {

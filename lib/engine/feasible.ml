@@ -48,6 +48,15 @@ let total_distance t subs = List.fold_left (fun acc v -> acc +. t.dist.(v)) 0. s
 
 let originals t subs = List.sort compare (List.map (fun v -> t.of_sub.(v)) subs)
 
+let check_schedules ~n schedules =
+  if Array.length schedules <> n then
+    invalid_arg "Engine.Feasible.check_schedules: need one schedule per vertex";
+  Array.iter
+    (fun a ->
+      if Timetable.Availability.horizon a <> Timetable.Availability.horizon schedules.(0)
+      then invalid_arg "Engine.Feasible.check_schedules: schedules disagree on horizon")
+    schedules
+
 let slab t schedules =
   (* [of_sub] is increasing, so its last entry is the largest id read. *)
   if t.of_sub.(size t - 1) >= Array.length schedules then

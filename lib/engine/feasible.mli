@@ -9,8 +9,7 @@
     Nothing here is sized by the whole graph: a context costs what its
     ball costs.
 
-    This is the engine-level (graph, initiator) API; [Stgq_core.Feasible]
-    re-exports it behind the [Query.instance] interface. *)
+    Solvers reach it through {!Context}, or call {!extract} directly. *)
 
 type t = {
   sub : Socgraph.Graph.t;   (** induced feasible graph over sub-ids *)
@@ -44,10 +43,16 @@ val total_distance : t -> int list -> float
 (** [originals fg subs] maps sub-ids back to sorted original ids. *)
 val originals : t -> int list -> int list
 
+(** [check_schedules ~n schedules] checks a whole world's calendars:
+    one per vertex of an [n]-vertex graph, all on one horizon.  It reads
+    all [n]; {!slab} checks the same rule for one ball.
+    @raise Invalid_argument otherwise. *)
+val check_schedules : n:int -> Timetable.Availability.t array -> unit
+
 (** [slab fg schedules] is the ball's calendars by sub-id, read from
     [schedules] (indexed by original vertex) without copying them.  It
     reads only the ball, so it costs what the ball costs; that all [n]
-    calendars share one horizon is the instance's check.
+    calendars share one horizon is {!check_schedules}'s job.
     @raise Invalid_argument if a ball member has no schedule or the
     ball's calendars disagree on horizon. *)
 val slab : t -> Timetable.Availability.t array -> Timetable.Availability.t array

@@ -4,8 +4,9 @@
     looks exactly like a right one unless it is re-checked against the
     raw instance.  The runtime side of that contract is {!Validate};
     this pass is the static side: in every scanned compilation unit,
-    each top-level binding that calls a solver entry point
-    ([Sgselect]/[Stgselect]/[Baseline]/[Ip_model] solve functions) must
+    each top-level binding that calls a solver entry point (the solve
+    functions of [Sgselect], [Stgselect], [Parallel], [Heuristics],
+    [Topk], [Baseline] and [Ip_model]) must
     be able to reach a [Validate.check_*] / [is_valid_*] / [certify_*]
     call through the unit's own call graph (a flat approximation over
     the Parsetree: binding → referenced binding).  Producer units —

@@ -167,8 +167,8 @@ let test_context_guards () =
   let case = Gen.stg_case_gen (Random.State.make [| 23 |]) in
   let ti = Gen.temporal_instance_of_stg_case case in
   let query = Gen.stgq_of_stg_case case in
-  let ctx = Feasible.context_of_temporal ti ~s:query.Query.s in
-  let social = Feasible.context_of_instance ti.Query.social ~s:query.Query.s in
+  let ctx, _ = Query.stg_context ti ~s:query.Query.s in
+  let social = Query.sg_context ti.Query.social ~s:query.Query.s in
   Alcotest.(check (array int)) "one ball for SGQ and STGQ"
     social.Engine.Context.fg.Engine.Feasible.of_sub
     ctx.Engine.Context.fg.Engine.Feasible.of_sub;
@@ -191,8 +191,8 @@ let test_supplied_context_checks_ball_calendars () =
   let schedules = Array.init 3 (fun _ -> Timetable.Availability.create ~horizon:8) in
   let ti = { Query.social = { Query.graph = g; initiator = 0 }; schedules } in
   let q = { Query.p = 2; s = 1; k = 0; m = 2 } in
-  let ctx = Feasible.context_of_temporal ti ~s:1 in
-  let slab = Feasible.slab ctx.Engine.Context.fg schedules in
+  let ctx, _ = Query.stg_context ti ~s:1 in
+  let slab = Engine.Feasible.slab ctx.Engine.Context.fg schedules in
   Alcotest.(check bool) "the slab reads the ball's calendars, uncopied" true
     (Array.length slab = 2 && slab.(0) == schedules.(0) && slab.(1) == schedules.(1));
   let skewed = Array.copy schedules in
@@ -387,7 +387,7 @@ let prop_one_context_two_calendar_states =
       let b =
         { a with Query.schedules = Array.init n (fun v -> a.Query.schedules.((v + 1) mod n)) }
       in
-      let ctx = Feasible.context_of_temporal a ~s:query.Query.s in
+      let ctx, _ = Query.stg_context a ~s:query.Query.s in
       let pool = Lazy.force shared_pool in
       (Stgselect.solve_report ~ctx b query).Stgselect.solution
       = (Stgselect.solve_report b query).Stgselect.solution

@@ -232,6 +232,9 @@ let test_uncertified_solver () =
   (* an unrelated helper does not *)
   expect_rule ~rule:"uncertified-solver"
     "let audit _ = true\nlet answer ti q = Stgselect.solve ti q";
+  (* a top-N list is a set of solver answers too *)
+  expect_rule ~rule:"uncertified-solver" ~line:1
+    "let best ti q = Topk.stgq ~n:3 ti q";
   (* the solver-defining units are producers, not consumers *)
   expect_clean ~rule:"uncertified-solver" ~file:"lib/core/stgselect.ml"
     "let solve_again ti q = Stgselect.solve ti q";

@@ -5,13 +5,17 @@ open Stgq_core
 
 let close a b = Float.abs (a -. b) <= 1e-6
 
+(* Bit for bit: the same attendees, start slot and distance. *)
 let agree planner ti query =
   let fresh =
     Stgselect.solve { ti with Query.schedules = Planner.schedules planner } query
   in
   match (Planner.solution planner, fresh) with
   | None, None -> true
-  | Some a, Some b -> close a.Query.st_total_distance b.Query.st_total_distance
+  | Some a, Some b ->
+      a.Query.st_attendees = b.Query.st_attendees
+      && a.Query.start_slot = b.Query.start_slot
+      && Float.equal a.Query.st_total_distance b.Query.st_total_distance
   | _ -> false
 
 let mutate_schedule rng horizon =

@@ -381,8 +381,8 @@ let test_busy_initiator_setup_words () =
       ~horizon:(Timetable.Availability.horizon schedules.(initiator));
   let ti = { ti with Query.schedules } in
   let q = { Query.p = 3; s = 2; k = 1; m = 2 } in
-  let ctx = Feasible.context_of_temporal ti ~s:q.s in
-  let size = Feasible.size ctx.Engine.Context.fg in
+  let ctx, _ = Query.stg_context ti ~s:q.s in
+  let size = Engine.Feasible.size ctx.Engine.Context.fg in
   let solve () = Stgselect.solve_report ~ctx ti q in
   let r = solve () in
   check bool_c "no answer" true (r.Stgselect.solution = None);

@@ -108,20 +108,28 @@ let test_schedule_update_visible () =
 
 (* [Service.create] leaves its checks to [Engine.Cache.create]; each
    still raises from [Service.create], and the initiator field, which
-   the service never reads, is not checked. *)
+   the service never reads, is not checked.  A solver given no context
+   checks the calendars by the same rule and raises the same error. *)
 let test_create_checks_instance () =
   let ti = fixture () in
   let rejects name ?cache_capacity ti =
     match Service.create ?cache_capacity ti with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-    | exception Invalid_argument _ -> ()
+    | exception (Invalid_argument _ as e) -> e
   in
-  rejects "capacity 0" ~cache_capacity:0 ti;
-  rejects "a short calendar array"
+  let both_reject name ti =
+    let e = rejects name ti in
+    Alcotest.check_raises (name ^ ", STGSelect without a context") e (fun () ->
+        ignore
+          (Stgselect.solve ti { Query.p = 2; s = 1; k = 1; m = 2 }
+            : Query.stg_solution option))
+  in
+  ignore (rejects "capacity 0" ~cache_capacity:0 ti : exn);
+  both_reject "a short calendar array"
     { ti with Query.schedules = Array.sub ti.Query.schedules 0 4 };
   let skewed = Array.copy ti.Query.schedules in
   skewed.(3) <- Timetable.Availability.create ~horizon:13;
-  rejects "disagreeing horizons" { ti with Query.schedules = skewed };
+  both_reject "disagreeing horizons" { ti with Query.schedules = skewed };
   let service =
     Service.create { ti with Query.social = { ti.Query.social with Query.initiator = 99 } }
   in

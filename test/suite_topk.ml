@@ -7,9 +7,12 @@ let close a b = Float.abs (a -. b) <= 1e-6
 
 (* Oracle: all qualified SGQ groups, as sorted distances. *)
 let all_sg_distances instance (query : Query.sgq) =
-  let fg = Feasible.extract instance ~s:query.s in
-  let size = Feasible.size fg in
-  let q = fg.Feasible.q in
+  let fg =
+    Engine.Feasible.extract instance.Query.graph ~initiator:instance.Query.initiator
+      ~s:query.s
+  in
+  let size = Engine.Feasible.size fg in
+  let q = fg.Engine.Feasible.q in
   let acc = ref [] in
   let rec go v group count td =
     if count = query.p then begin
@@ -18,7 +21,7 @@ let all_sg_distances instance (query : Query.sgq) =
           (fun x ->
             List.fold_left
               (fun nn w ->
-                if w <> x && not (Feasible.adjacent fg x w) then nn + 1 else nn)
+                if w <> x && not (Engine.Feasible.adjacent fg x w) then nn + 1 else nn)
               0 group
             <= query.k)
           group
@@ -26,7 +29,7 @@ let all_sg_distances instance (query : Query.sgq) =
       if ok then acc := td :: !acc
     end
     else if v < size then begin
-      if v <> q then go (v + 1) (v :: group) (count + 1) (td +. fg.Feasible.dist.(v));
+      if v <> q then go (v + 1) (v :: group) (count + 1) (td +. fg.Engine.Feasible.dist.(v));
       go (v + 1) group count td
     end
   in

@@ -16,7 +16,6 @@ let () =
       ("heuristics", Suite_heuristics.suite);
       ("planner", Suite_planner.suite);
       ("explain", Suite_explain.suite);
-      ("auto", Suite_auto.suite);
       ("service", Suite_service.suite);
       ("engine", Suite_engine.suite);
       ("obs", Suite_obs.suite);
