@@ -214,6 +214,77 @@ let test_supplied_context_checks_ball_calendars () =
         (Stgselect.solve ~ctx { ti with Query.schedules = Array.sub schedules 0 1 } q
           : Query.stg_solution option))
 
+(* "One calendar per vertex, all on one horizon" is written once, in
+   [Engine.Feasible.check_schedules]: the engine cache and every temporal
+   solver that builds its own context raise its exception, for too few
+   or too many calendars and for a skewed horizon anywhere. *)
+let test_one_calendar_check () =
+  let g = Socgraph.Graph.of_edges 4 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.) ] in
+  let cal horizon = Timetable.Availability.create ~horizon in
+  let world = Array.init 4 (fun _ -> cal 8) in
+  Engine.Feasible.check_schedules ~n:4 world;
+  Engine.Feasible.check_schedules ~n:0 [||];
+  let q = { Query.p = 2; s = 1; k = 1; m = 2 } in
+  let per_vertex =
+    Invalid_argument "Engine.Feasible.check_schedules: need one schedule per vertex"
+  in
+  let horizon =
+    Invalid_argument "Engine.Feasible.check_schedules: schedules disagree on horizon"
+  in
+  let skewed v =
+    let a = Array.copy world in
+    a.(v) <- cal 9;
+    a
+  in
+  List.iter
+    (fun (name, schedules, e) ->
+      let ti = { Query.social = { Query.graph = g; initiator = 0 }; schedules } in
+      let raises front f = Alcotest.check_raises (name ^ ", " ^ front) e f in
+      let stg answer = ignore (answer : Query.stg_solution option) in
+      raises "check_schedules" (fun () -> Engine.Feasible.check_schedules ~n:4 schedules);
+      raises "Query.check_temporal_instance" (fun () -> Query.check_temporal_instance ti);
+      raises "Engine.Cache.create" (fun () ->
+          ignore (Engine.Cache.create ~schedules g : Engine.Cache.t));
+      raises "Stgselect.solve_warm" (fun () -> stg (Stgselect.solve_warm ti q));
+      raises "Parallel.solve" (fun () ->
+          stg (Parallel.solve ~pool:(Lazy.force shared_pool) ti q));
+      raises "Planner.create" (fun () -> ignore (Planner.create ti q : Planner.t));
+      raises "Heuristics.greedy_stgq" (fun () -> stg (Heuristics.greedy_stgq ti q));
+      raises "Heuristics.beam_stgq" (fun () -> stg (Heuristics.beam_stgq ti q));
+      raises "Topk.stgq" (fun () -> ignore (Topk.stgq ~n:2 ti q : Topk.entry list));
+      raises "Baseline.stgq_per_slot" (fun () ->
+          ignore (Baseline.stgq_per_slot ti q : Baseline.stg_report)))
+    [
+      ("too few", Array.sub world 0 3, per_vertex);
+      ("too many", Array.append world [| cal 8 |], per_vertex);
+      ("first skewed", skewed 0, horizon);
+      ("last skewed", skewed 3, horizon);
+    ]
+
+(* [Query.stg_context] resolves a supplied context as it is and a
+   missing one by a build of the same ball; either way the calendars are
+   the instance's own, read by sub-id without a copy. *)
+let prop_supplied_context_resolves_as_built =
+  Gen.qtest ~count:60 "a supplied context resolves as a built one" (Gen.stg_case ())
+    (fun case ->
+      let ti = Gen.temporal_instance_of_stg_case case in
+      let s = case.Gen.sg.Gen.query.Query.s in
+      let supplied = Engine.Context.build ti.Query.social.Query.graph ~initiator:0 ~s in
+      let built, built_avail = Query.stg_context ti ~s in
+      let ctx, avail = Query.stg_context ~ctx:supplied ti ~s in
+      let fg = ctx.Engine.Context.fg in
+      ctx == supplied
+      && Query.sg_context ~ctx:supplied ti.Query.social ~s == supplied
+      && built.Engine.Context.fg.Engine.Feasible.of_sub = fg.Engine.Feasible.of_sub
+      && built.Engine.Context.fg.Engine.Feasible.dist = fg.Engine.Feasible.dist
+      && Array.length avail = Engine.Feasible.size fg
+      && Array.for_all2 ( == ) avail built_avail
+      && Array.for_all2 (fun v a -> a == ti.Query.schedules.(v)) fg.Engine.Feasible.of_sub avail
+      &&
+      match Query.sg_context ~ctx:supplied ti.Query.social ~s:(s + 1) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 (* Concurrent misses on one key: a miss builds outside the lock, with
    no single-flight, so anywhere from one to every domain may build.  In
    every interleaving each lookup counts once (hits + misses = lookups),
@@ -420,4 +491,7 @@ let suite =
     prop_one_context_two_calendar_states;
     Alcotest.test_case "a supplied context checks the ball's calendars" `Quick
       test_supplied_context_checks_ball_calendars;
+    Alcotest.test_case "one calendar check at every temporal front door" `Quick
+      test_one_calendar_check;
+    prop_supplied_context_resolves_as_built;
   ]

@@ -245,6 +245,29 @@ let test_uncertified_solver () =
     ~options:{ Lint.Engine.default_options with certify = false }
     ~rule:"uncertified-solver" "let answer ti q = Stgselect.solve ti q"
 
+(* Every solver module's entry points are audited: each one is flagged
+   when its answer goes unchecked, also through the library path, and
+   cleared by a Validate call, except in the unit that defines it. *)
+let test_audit_covers_every_solver () =
+  let entries = Lint.Certify.solver_entry_points in
+  let module_of ep = List.hd (String.split_on_char '.' ep) in
+  List.iter
+    (fun m ->
+      check Alcotest.bool (m ^ " is audited") true
+        (List.exists (fun ep -> module_of ep = m) entries))
+    [ "Sgselect"; "Stgselect"; "Parallel"; "Heuristics"; "Topk"; "Baseline"; "Ip_model" ];
+  List.iter
+    (fun ep ->
+      let call = Printf.sprintf "let answer i q = %s i q" ep in
+      expect_rule ~rule:"uncertified-solver" ~line:1 call;
+      expect_rule ~rule:"uncertified-solver" ~line:1
+        (Printf.sprintf "let answer i q = Stgq_core.%s i q" ep);
+      expect_clean ~rule:"uncertified-solver"
+        (Printf.sprintf "let answer i q = Validate.certify_stg i q (%s i q)" ep);
+      let unit = String.uncapitalize_ascii (module_of ep) ^ ".ml" in
+      expect_clean ~rule:"uncertified-solver" ~file:("lib/core/" ^ unit) call)
+    entries
+
 (* Engine & reporters ----------------------------------------------- *)
 
 let test_parse_error () =
@@ -296,6 +319,8 @@ let suite =
     Alcotest.test_case "R10 event-log bypass in serving code" `Quick
       test_event_log_bypass;
     Alcotest.test_case "certificate audit" `Quick test_uncertified_solver;
+    Alcotest.test_case "certificate audit covers every solver module" `Quick
+      test_audit_covers_every_solver;
     Alcotest.test_case "parse errors are findings" `Quick test_parse_error;
     Alcotest.test_case "reporters" `Quick test_reporters;
     Alcotest.test_case "HEAD is lint-clean" `Quick test_head_is_clean;

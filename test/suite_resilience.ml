@@ -74,6 +74,34 @@ let test_anytime_make () =
   | Anytime.Exhausted Budget.Node_limit -> ()
   | _ -> Alcotest.fail "truncated run without incumbent must be Exhausted"
 
+(* [Stgselect.convert_outcome], which STGSelect, Parallel and Planner
+   share: a windowed group maps to original ids with its start slot and
+   keeps its gap and reason; a group without a window start is dropped,
+   degrading an incumbent to [Exhausted] with the same reason. *)
+let test_convert_outcome () =
+  (* The ball of 2 at s = 1 is {1, 2, 3}: sub-ids 0, 1, 2. *)
+  let g = Socgraph.Graph.of_edges 5 [ (1, 2, 1.); (2, 3, 2.); (0, 4, 1.) ] in
+  let fg = Engine.Feasible.extract g ~initiator:2 ~s:1 in
+  let windowed = { Search_core.group = [ 1; 2 ]; distance = 2.; window_start = Some 4 } in
+  let windowless = { windowed with Search_core.window_start = None } in
+  let convert = Stgselect.convert_outcome fg in
+  let solution = { Query.st_attendees = [ 2; 3 ]; st_total_distance = 2.; start_slot = 4 } in
+  check Alcotest.bool "optimal, windowed" true
+    (convert (Anytime.Optimal (Some windowed)) = Anytime.Optimal (Some solution));
+  check Alcotest.bool "incumbent, windowed" true
+    (convert (Anytime.Feasible_best { best = windowed; gap = 0.5; reason = Budget.Deadline })
+    = Anytime.Feasible_best { best = solution; gap = 0.5; reason = Budget.Deadline });
+  check Alcotest.bool "optimal, windowless" true
+    (convert (Anytime.Optimal (Some windowless)) = Anytime.Optimal None);
+  check Alcotest.bool "incumbent, windowless" true
+    (convert
+       (Anytime.Feasible_best { best = windowless; gap = 0.5; reason = Budget.Node_limit })
+    = Anytime.Exhausted Budget.Node_limit);
+  check Alcotest.bool "proven infeasible" true
+    (convert (Anytime.Optimal None) = Anytime.Optimal None);
+  check Alcotest.bool "exhausted" true
+    (convert (Anytime.Exhausted Budget.Cancelled) = Anytime.Exhausted Budget.Cancelled)
+
 (* --- budgeted solves ---------------------------------------------- *)
 
 (* An already-expired deadline must return promptly with a typed
@@ -442,6 +470,8 @@ let suite =
     Alcotest.test_case "budget: cross-domain cancel" `Quick
       test_budget_cross_domain_cancel;
     Alcotest.test_case "anytime: outcome construction" `Quick test_anytime_make;
+    Alcotest.test_case "anytime: a windowless group is dropped" `Quick
+      test_convert_outcome;
     Alcotest.test_case "expired deadline answers promptly" `Quick
       test_expired_deadline_prompt_and_valid;
     Alcotest.test_case "node limit yields a sound anytime answer" `Quick

@@ -367,6 +367,71 @@ let prop_p1_trivial =
       | Some { attendees; total_distance } -> attendees = [ 0 ] && close total_distance 0.
       | None -> false)
 
+(* The anytime gap is [max 0 (distance - lb)], where [lb], the sum of
+   the [p-1] smallest candidate distances, is admissible: it never
+   exceeds the brute-force optimum, so an incumbent at distance [d] is
+   at most [gap d] above it. *)
+let prop_gap_bounds_optimum =
+  Gen.qtest ~count:150 "anytime gap bounds the distance to the optimum" (Gen.sg_case ())
+    (fun case ->
+      let instance = Gen.instance_of_sg_case case in
+      let ({ p; s; _ } : Query.sgq) = case.Gen.query in
+      let fg = Engine.Feasible.extract instance.Query.graph ~initiator:0 ~s in
+      let smallest =
+        List.init (Engine.Feasible.size fg) Fun.id
+        |> List.filter (fun v -> v <> fg.Engine.Feasible.q)
+        |> List.map (fun v -> fg.Engine.Feasible.dist.(v))
+        |> List.sort compare
+      in
+      let lb =
+        if List.length smallest < p - 1 then infinity
+        else List.fold_left ( +. ) 0. (List.filteri (fun i _ -> i < p - 1) smallest)
+      in
+      let gap = Search_core.gap fg ~p in
+      List.for_all (fun d -> close (gap d) (Float.max 0. (d -. lb))) [ 0.; 1.; 7.5; 100. ]
+      && Search_core.gap ~eligible:(fun _ -> false) fg ~p 5. = 0.
+      &&
+      match (Baseline.sgq_brute instance case.Gen.query).Baseline.solution with
+      | None -> true
+      | Some opt ->
+          let d = opt.Query.total_distance in
+          lb <= d +. 1e-9
+          && List.for_all (fun extra -> gap (d +. extra) >= extra -. 1e-9) [ 0.; 0.5; 3.; 40. ])
+
+(* Planner and Parallel merge per-pivot and per-bucket results with
+   [best_of]: the smallest (distance, window start, group), whatever
+   order the results arrive in. *)
+let found_list =
+  let open QCheck.Gen in
+  let found =
+    map3
+      (fun d window_start group ->
+        { Search_core.distance = float_of_int d; window_start; group = List.sort_uniq compare group })
+      (int_bound 3) (opt (int_bound 3))
+      (list_size (int_range 1 3) (int_bound 4))
+  in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list
+         (QCheck.Print.option (fun (f : Search_core.found) ->
+              Printf.sprintf "%g@%s{%s}" f.distance
+                (match f.window_start with Some w -> string_of_int w | None -> "-")
+                (String.concat "," (List.map string_of_int f.group)))))
+    (list_size (int_bound 8) (opt found))
+
+let prop_best_of_order_independent =
+  Gen.qtest ~count:200 "best_of merges to the least result in any order" found_list
+    (fun results ->
+      let merge l = List.fold_left Search_core.best_of None l in
+      let key (f : Search_core.found) = (f.distance, f.window_start, f.group) in
+      let least =
+        match List.sort (fun a b -> compare (key a) (key b)) (List.filter_map Fun.id results) with
+        | [] -> None
+        | f :: _ -> Some f
+      in
+      let rotated = match results with [] -> [] | x :: rest -> rest @ [ x ] in
+      merge results = least && merge (List.rev results) = least && merge rotated = least)
+
 (* Pivot setup costs what qualifying pivots cost: with the initiator
    busy at every pivot, a cached STGSelect over the replay world's
    485-member ball reads no other member's run and builds no search
@@ -426,6 +491,8 @@ let suite =
     prop_k_monotone;
     prop_s_monotone;
     prop_p1_trivial;
+    prop_gap_bounds_optimum;
+    prop_best_of_order_independent;
     Alcotest.test_case "busy initiator: setup words follow |V_F|" `Quick
       test_busy_initiator_setup_words;
   ]
