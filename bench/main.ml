@@ -246,7 +246,21 @@ let fig1gh st () =
 (* The served mix of perfbench's [hot] workload ({!Workload.Hot}):
    every (shape, initiator) pair, SGQs first, solved sequentially on a
    context built once per (initiator, s): SGSelect's and STGSelect's
-   node totals and the optima summed in pair order.                    *)
+   search counters summed over their pairs, and the optima summed in
+   pair order.  The waterfall totals pin every per-candidate decision,
+   not only those that change a node count.                            *)
+
+let add_stats (acc : Search_core.stats) (st : Search_core.stats) =
+  acc.nodes <- acc.nodes + st.nodes;
+  acc.examined <- acc.examined + st.examined;
+  acc.includes <- acc.includes + st.includes;
+  acc.deferred <- acc.deferred + st.deferred;
+  acc.pruned_distance <- acc.pruned_distance + st.pruned_distance;
+  acc.pruned_acquaintance <- acc.pruned_acquaintance + st.pruned_acquaintance;
+  acc.pruned_availability <- acc.pruned_availability + st.pruned_availability;
+  acc.removed_exterior <- acc.removed_exterior + st.removed_exterior;
+  acc.removed_interior <- acc.removed_interior + st.removed_interior;
+  acc.removed_temporal <- acc.removed_temporal + st.removed_temporal
 
 let hot_mix () =
   let ds = Workload.Hot.world () in
@@ -261,7 +275,8 @@ let hot_mix () =
         Hashtbl.add contexts (initiator, s) ctx;
         ctx
   in
-  let pairs = ref 0 and sg_nodes = ref 0 and stg_nodes = ref 0 and sum = ref 0. in
+  let pairs = ref 0 and sum = ref 0. in
+  let sg = Search_core.fresh_stats () and stg = Search_core.fresh_stats () in
   let add = function Some d -> sum := !sum +. d | None -> () in
   let each shapes solve =
     List.iter
@@ -275,14 +290,14 @@ let hot_mix () =
   in
   each Workload.Hot.sgq_shapes (fun (q : Query.sgq) social ->
       let r = Sgselect.solve_report ~ctx:(context social.Query.initiator q.s) social q in
-      sg_nodes := !sg_nodes + r.Sgselect.stats.Search_core.nodes;
+      add_stats sg r.Sgselect.stats;
       add (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution));
   each Workload.Hot.stgq_shapes (fun (q : Query.stgq) social ->
       let ti = { Query.social; schedules = ds.Workload.People194.schedules } in
       let r = Stgselect.solve_report ~ctx:(context social.Query.initiator q.s) ti q in
-      stg_nodes := !stg_nodes + r.Stgselect.stats.Search_core.nodes;
+      add_stats stg r.Stgselect.stats;
       add (Option.map (fun s -> s.Query.st_total_distance) r.Stgselect.solution));
-  (!pairs, !sg_nodes, !stg_nodes, !sum)
+  (!pairs, sg, stg, !sum)
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 1 record (--only=paper): per shape of the full sweeps, the
@@ -345,11 +360,31 @@ let paper _ () =
               ("pcarrange_distance", num pc.Pcarrange.total_distance);
             ])
   in
-  let hot_mix_row () =
-    let pairs, sg_nodes, stg_nodes, sum = hot_mix () in
-    row
-      (ints [ ("pairs", pairs); ("sgselect_nodes", sg_nodes); ("stgselect_nodes", stg_nodes) ]
-      @ [ ("distance_sum", Printf.sprintf "%.9f" sum) ])
+  let hot_mix_rows () =
+    let pairs, sg, stg, sum = hot_mix () in
+    let waterfall name (w : Search_core.stats) =
+      row
+        (("kernel", Printf.sprintf "%S" name)
+        :: ints
+             [
+               ("examined", w.examined);
+               ("includes", w.includes);
+               ("deferred", w.deferred);
+               ("pruned_distance", w.pruned_distance);
+               ("pruned_acquaintance", w.pruned_acquaintance);
+               ("pruned_availability", w.pruned_availability);
+               ("removed_exterior", w.removed_exterior);
+               ("removed_interior", w.removed_interior);
+               ("removed_temporal", w.removed_temporal);
+             ])
+    in
+    [
+      row
+        (ints [ ("pairs", pairs); ("sgselect_nodes", sg.nodes); ("stgselect_nodes", stg.nodes) ]
+        @ [ ("distance_sum", Printf.sprintf "%.9f" sum) ]);
+      waterfall "sgselect" sg;
+      waterfall "stgselect" stg;
+    ]
   in
   let figure (name, rows) =
     Printf.sprintf "  %S: [\n%s\n  ]" name (String.concat ",\n" rows)
@@ -366,7 +401,7 @@ let paper _ () =
             ("fig1e", stg_rows (fig1e_points st));
             ("fig1f", stg_rows ~x:"days" (fig1f_points st));
             ("fig1gh", List.map arrange_row (List.filter (( >= ) 7) (fig1gh_ps st)));
-            ("hot_mix", [ hot_mix_row () ]);
+            ("hot_mix", hot_mix_rows ());
           ]));
   print_endline "}"
 
