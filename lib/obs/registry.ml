@@ -370,8 +370,7 @@ let table s =
   if !sections = [] then "(no metrics registered)"
   else String.concat "\n\n" !sections
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -380,11 +379,28 @@ let json_escape s =
       | '\n' -> Buffer.add_string b "\\n"
       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let json_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  add_escaped b s;
   Buffer.contents b
 
+(* One buffer for the whole object: the flight recorder's event line is
+   rendered on every query the plane observes. *)
 let json_object fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields) ^ "}"
+  let b = Buffer.create 256 in
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_char b '"';
+      add_escaped b k;
+      Buffer.add_string b "\": ";
+      Buffer.add_string b v)
+    fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let json s =
   let counters =

@@ -126,8 +126,9 @@ let () =
 
 type frame = {
   f_ctx : ctx;
-  (* newest attr first; reversed at record time *)
-  mutable f_attrs : (string * string) list;
+  (* the attr lists as given, newest list first; flattened once, at
+     record time, so adding a list costs one cell whatever its length *)
+  mutable f_attrs : (string * string) list list;
 }
 
 let tls : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -141,7 +142,7 @@ let add_attrs kvs =
   if Atomic.get enabled_flag then
     match !(Domain.DLS.get tls) with
     | [] -> ()
-    | f :: _ -> List.iter (fun kv -> f.f_attrs <- kv :: f.f_attrs) kvs
+    | f :: _ -> f.f_attrs <- kvs :: f.f_attrs
 
 (* [with_ctx ctx f] runs [f] with [ctx] installed as the parent for
    spans opened inside — the cross-domain half of propagation: capture
@@ -158,41 +159,43 @@ let with_ctx octx f =
         Fun.protect ~finally:(fun () -> stack := saved) f
       end
 
+(* Pop [frame] (restoring [saved]) and record its span. *)
+let close stack saved frame ~parent name t0 =
+  let dur = Registry.now_ns () -. t0 in
+  stack := saved;
+  record
+    {
+      sp_trace = frame.f_ctx.trace_id;
+      sp_id = frame.f_ctx.span_id;
+      sp_parent = parent;
+      sp_name = name;
+      sp_domain = (Domain.self () :> int);
+      sp_start_ns = t0;
+      sp_dur_ns = dur;
+      sp_attrs = List.concat (List.rev frame.f_attrs);
+    }
+
 let with_span ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let stack = Domain.DLS.get tls in
     let saved = !stack in
     let id = fresh_id () in
-    let trace_id, parent =
+    let frame, parent =
       match saved with
-      | f0 :: _ -> (f0.f_ctx.trace_id, f0.f_ctx.span_id)
-      | [] -> (id, 0)
+      | f0 :: _ ->
+          ( { f_ctx = { trace_id = f0.f_ctx.trace_id; span_id = id }; f_attrs = [ attrs ] },
+            f0.f_ctx.span_id )
+      | [] -> ({ f_ctx = { trace_id = id; span_id = id }; f_attrs = [ attrs ] }, 0)
     in
-    let frame = { f_ctx = { trace_id; span_id = id }; f_attrs = List.rev attrs } in
     stack := frame :: saved;
     let t0 = Registry.now_ns () in
-    let close () =
-      let dur = Registry.now_ns () -. t0 in
-      stack := saved;
-      record
-        {
-          sp_trace = trace_id;
-          sp_id = id;
-          sp_parent = parent;
-          sp_name = name;
-          sp_domain = (Domain.self () :> int);
-          sp_start_ns = t0;
-          sp_dur_ns = dur;
-          sp_attrs = List.rev frame.f_attrs;
-        }
-    in
     match f () with
     | v ->
-        close ();
+        close stack saved frame ~parent name t0;
         v
     | exception e ->
-        close ();
+        close stack saved frame ~parent name t0;
         raise e
   end
 
