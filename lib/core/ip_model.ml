@@ -18,7 +18,9 @@ let social_constraints fg ~p ~k =
   let initiator = Lp.constr [ (fg.Engine.Feasible.q, 1.) ] Lp.Eq 1. in
   let acquaintance u =
     (* Σ_{v∈N(u)} φ_v >= (p-1) φ_u - k *)
-    let nbrs = Bitset.fold (fun v acc -> (v, 1.) :: acc) fg.Engine.Feasible.nbr.(u) [] in
+    let nbrs =
+      Socgraph.Graph.fold_neighbors fg.Engine.Feasible.sub u (fun v _ acc -> (v, 1.) :: acc) []
+    in
     Lp.constr ((u, -.float_of_int (p - 1)) :: nbrs) Lp.Ge (-.float_of_int k)
   in
   cardinality :: initiator :: List.init size acquaintance

@@ -70,7 +70,10 @@ type sink = {
    is the member's maximal available run containing the pivot, clipped to
    the pivot interval ([lo > hi] encodes "not available at the pivot");
    [unavail.(t - ilo)] counts VA members unavailable at slot [t];
-   [ts_lo..ts_hi] is TS, the common run of the vertices in VS. *)
+   [ts_lo..ts_hi] is TS, the common run of the vertices in VS.  A VA
+   member's busy slots in the interval are read once per pivot into
+   [busy]: [words] ints per member, bit [i] of word [j] set when it is
+   busy at slot [ilo + j * Sys.int_size + i]. *)
 type temporal = {
   m : int;
   pivot : int;
@@ -80,19 +83,22 @@ type temporal = {
   run_hi : int array;
   unavail : int array;
   av : Timetable.Availability.t array;
+  words : int;
+  busy : int array;
   mutable ts_lo : int;
   mutable ts_hi : int;
 }
 
 type state = {
   fg : Engine.Feasible.t;
+  row : int array;      (* [fg.sub]'s CSR, read once per solve: the neighbours *)
+  adj : int array;      (* of v are adj.(row.(v)) .. adj.(row.(v + 1) - 1), sorted *)
   p : int;
   k : int;
   cfg : config;
   stats : stats;
   order : int array;    (* candidate pick order *)
   by_dist : int array;  (* the same candidates by distance, for Lemmas 2 and 3 *)
-  in_vs : bool array;
   in_va : bool array;
   nbr_vs : int array;   (* per vertex: #neighbours currently in VS *)
   nbr_va : int array;   (* per vertex: #neighbours currently in VA *)
@@ -104,6 +110,7 @@ type state = {
   mutable td : float;
   mutable sum_nbr_va : int;  (* Σ_{v∈VA} nbr_va(v), maintained incrementally *)
   sink : sink;
+  mutable bound : float;  (* [sink.bound ()], re-read after each offer *)
   temporal : temporal option;
   budget : Budget.t;
 }
@@ -115,32 +122,57 @@ let eps = 1e-9
    discarded, so no undo is needed on this path. *)
 exception Stop
 
+(* Monomorphic: [Stdlib.min]/[max] compare through [compare_val]. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
+
 (* ------------------------------------------------------------------ *)
-(* State transitions, all O(deg) with exact inverses.                  *)
+(* State transitions, all O(deg) with exact inverses.  They walk the
+   rows as array reads here: a [Socgraph.Graph] call per neighbour would
+   not be inlined across modules.                                      *)
+
+(* Words per member that hold an interval of [len] slots. *)
+let busy_words len = (len + Sys.int_size - 1) / Sys.int_size
+
+let load_busy tc v =
+  let base = v * tc.words in
+  Array.fill tc.busy base tc.words 0;
+  for t = tc.ilo to tc.ihi do
+    if not (Timetable.Availability.available tc.av.(v) t) then begin
+      let i = t - tc.ilo in
+      let j = base + (i / Sys.int_size) in
+      tc.busy.(j) <- tc.busy.(j) lor (1 lsl (i mod Sys.int_size))
+    end
+  done
 
 let unavail_adjust tc v delta =
-  for t = tc.ilo to tc.ihi do
-    if not (Timetable.Availability.available tc.av.(v) t) then
-      tc.unavail.(t - tc.ilo) <- tc.unavail.(t - tc.ilo) + delta
+  let base = v * tc.words in
+  for j = 0 to tc.words - 1 do
+    let bits = ref tc.busy.(base + j) and t = ref (j * Sys.int_size) in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then tc.unavail.(!t) <- tc.unavail.(!t) + delta;
+      bits := !bits lsr 1;
+      incr t
+    done
   done
 
 let remove_from_va st v =
   st.in_va.(v) <- false;
   st.va_size <- st.va_size - 1;
   st.sum_nbr_va <- st.sum_nbr_va - st.nbr_va.(v);
-  Bitset.iter
-    (fun w ->
-      st.nbr_va.(w) <- st.nbr_va.(w) - 1;
-      if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va - 1)
-    st.fg.nbr.(v);
+  for e = st.row.(v) to st.row.(v + 1) - 1 do
+    let w = st.adj.(e) in
+    st.nbr_va.(w) <- st.nbr_va.(w) - 1;
+    if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va - 1
+  done;
   match st.temporal with Some tc -> unavail_adjust tc v (-1) | None -> ()
 
 let restore_to_va st v =
-  Bitset.iter
-    (fun w ->
-      st.nbr_va.(w) <- st.nbr_va.(w) + 1;
-      if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va + 1)
-    st.fg.nbr.(v);
+  for e = st.row.(v) to st.row.(v + 1) - 1 do
+    let w = st.adj.(e) in
+    st.nbr_va.(w) <- st.nbr_va.(w) + 1;
+    if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va + 1
+  done;
   st.in_va.(v) <- true;
   st.va_size <- st.va_size + 1;
   st.sum_nbr_va <- st.sum_nbr_va + st.nbr_va.(v);
@@ -149,26 +181,30 @@ let restore_to_va st v =
 (* Returns the TS interval to restore on undo. *)
 let add_to_vs st v =
   remove_from_va st v;
-  st.in_vs.(v) <- true;
   st.vs_size <- st.vs_size + 1;
   st.vs_list <- v :: st.vs_list;
   st.td <- st.td +. st.fg.dist.(v);
-  Bitset.iter (fun w -> st.nbr_vs.(w) <- st.nbr_vs.(w) + 1) st.fg.nbr.(v);
+  for e = st.row.(v) to st.row.(v + 1) - 1 do
+    let w = st.adj.(e) in
+    st.nbr_vs.(w) <- st.nbr_vs.(w) + 1
+  done;
   match st.temporal with
   | Some tc ->
       let saved = (tc.ts_lo, tc.ts_hi) in
-      tc.ts_lo <- max tc.ts_lo tc.run_lo.(v);
-      tc.ts_hi <- min tc.ts_hi tc.run_hi.(v);
+      tc.ts_lo <- imax tc.ts_lo tc.run_lo.(v);
+      tc.ts_hi <- imin tc.ts_hi tc.run_hi.(v);
       saved
   | None -> (0, 0)
 
 let remove_from_vs st v (saved_lo, saved_hi) =
-  st.in_vs.(v) <- false;
   st.vs_size <- st.vs_size - 1;
   (* [v] was pushed last, so it is the head. *)
   st.vs_list <- (match st.vs_list with _ :: rest -> rest | [] -> assert false);
   st.td <- st.td -. st.fg.dist.(v);
-  Bitset.iter (fun w -> st.nbr_vs.(w) <- st.nbr_vs.(w) - 1) st.fg.nbr.(v);
+  for e = st.row.(v) to st.row.(v + 1) - 1 do
+    let w = st.adj.(e) in
+    st.nbr_vs.(w) <- st.nbr_vs.(w) - 1
+  done;
   (match st.temporal with
   | Some tc ->
       tc.ts_lo <- saved_lo;
@@ -179,38 +215,86 @@ let remove_from_vs st v (saved_lo, saved_hi) =
 (* ------------------------------------------------------------------ *)
 (* Access-ordering measures (Definitions 2, 3, 5).                     *)
 
-(* Non-neighbours of [w] within VS, excluding [w] itself. *)
-let nn_vs st w = st.vs_size - (if st.in_vs.(w) then 1 else 0) - st.nbr_vs.(w)
+(* Whether [u] is in [v]'s sorted row: a binary search, O(log deg). *)
+let adjacent st v u =
+  let lo = ref st.row.(v) and hi = ref st.row.(v + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if st.adj.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  !lo < st.row.(v + 1) && st.adj.(!lo) = u
 
-(* U(VS ∪ {u}) for a candidate u ∈ VA. *)
-let interior_unfamiliarity st u =
-  let adj = Engine.Feasible.adjacent st.fg in
-  let worst =
-    List.fold_left
-      (fun acc w ->
-        let nn = nn_vs st w + (if adj w u then 0 else 1) in
-        max acc nn)
-      0 st.vs_list
-  in
-  max worst (st.vs_size - st.nbr_vs.(u))
+(* A member w of VS has nn w = |VS| - 1 - nbr_vs w strangers in VS.  The
+   members with the most strangers are those with the fewest VS
+   neighbours: [fewest] is that least nbr_vs over [vs] (at most [acc]),
+   and [ties] how many members of [vs] have exactly [fewest].  Both
+   depend on VS alone. *)
+let[@lint.bounded] rec fewest_vs_nbrs st acc = function
+  | [] -> acc
+  | w :: rest -> fewest_vs_nbrs st (imin acc st.nbr_vs.(w)) rest
 
-(* A(VS ∪ {u}) with VA' = VA - {u} (Definition 3). *)
+let[@lint.bounded] rec ties st fewest acc = function
+  | [] -> acc
+  | w :: rest -> ties st fewest (if st.nbr_vs.(w) = fewest then acc + 1 else acc) rest
+
+(* Whether some member of [vs] with [fewest] VS neighbours is not
+   adjacent to [u]. *)
+let[@lint.bounded] rec misses_a_tie st fewest u = function
+  | [] -> false
+  | w :: rest ->
+      (st.nbr_vs.(w) = fewest && not (adjacent st w u)) || misses_a_tie st fewest u rest
+
+(* U(VS ∪ {u}) for a candidate u ∈ VA (Definition 2): the most strangers
+   any member of VS ∪ {u} has in it.  u has [own] = |VS| - nbr_vs u.  A
+   member of VS gains a stranger exactly when it is not adjacent to u,
+   so the members' maximum is [worst] + 1 when some member at [worst]
+   misses u and [worst] otherwise (docs/LEMMAS.md §1).  u has nbr_vs u
+   neighbours in VS, so more ties than that settle it without an
+   adjacency test. *)
+let interior_unfamiliarity st ~fewest ~tied u =
+  let worst = st.vs_size - 1 - fewest in
+  let own = st.vs_size - st.nbr_vs.(u) in
+  if own > worst then own
+  else if tied > st.nbr_vs.(u) || misses_a_tie st fewest u st.vs_list then worst + 1
+  else worst
+
+(* A(VS ∪ {u}) with VA' = VA - {u} (Definition 3): the least slack
+   nbr_va' + (k - nn') over VS ∪ {u}.  Moving u out of VA costs a member
+   w of VS one VA neighbour when they are adjacent and one unit of its
+   stranger quota when not, so w's slack is
+   nbr_va w + k - nn w - 1 = nbr_va w + nbr_vs w + k - |VS| either way
+   (docs/LEMMAS.md §1): [least_in_play] is the least nbr_va + nbr_vs
+   over [vs]. *)
+let[@lint.bounded] rec least_in_play st acc = function
+  | [] -> acc
+  | w :: rest -> least_in_play st (imin acc (st.nbr_va.(w) + st.nbr_vs.(w))) rest
+
 let exterior_expansibility st u =
-  let adj = Engine.Feasible.adjacent st.fg in
-  let of_member w =
-    let a = if adj w u then 1 else 0 in
-    let in_va' = st.nbr_va.(w) - a in
-    let quota = st.k - (nn_vs st w + (1 - a)) in
-    in_va' + quota
-  in
-  let u_val = st.nbr_va.(u) + st.k - (st.vs_size - st.nbr_vs.(u)) in
-  List.fold_left (fun acc w -> min acc (of_member w)) u_val st.vs_list
+  let own = st.nbr_va.(u) + st.k - (st.vs_size - st.nbr_vs.(u)) in
+  imin own (least_in_play st max_int st.vs_list + st.k - st.vs_size)
 
 (* X(VS ∪ {u}) = |TS ∩ run_u| - m (Definition 5). *)
 let temporal_extensibility tc u =
-  let lo = max tc.ts_lo tc.run_lo.(u) in
-  let hi = min tc.ts_hi tc.run_hi.(u) in
+  let lo = imax tc.ts_lo tc.run_lo.(u) in
+  let hi = imin tc.ts_hi tc.run_hi.(u) in
   hi - lo + 1 - tc.m
+
+(* The right-hand sides of Definitions 2 and 5 at the current θ/φ.
+   Within a node |VS| is fixed, so a node computes each when θ or φ
+   moves, with the expression it always had, and compares candidates
+   against the stored value. *)
+let interior_threshold st theta =
+  float_of_int st.k
+  *. Float.pow (float_of_int (st.vs_size + 1) /. float_of_int st.p) (float_of_int theta)
+
+let temporal_threshold st phi =
+  match st.temporal with
+  | Some tc when phi < st.cfg.phi_threshold ->
+      float_of_int (tc.m - 1)
+      *. Float.pow
+           (float_of_int (st.p - (st.vs_size + 1)) /. float_of_int st.p)
+           (float_of_int phi)
+  | Some _ | None -> 0.
 
 (* ------------------------------------------------------------------ *)
 (* Pruning lemmas, evaluated at every node-loop iteration.             *)
@@ -233,15 +317,37 @@ let cheapest (fg : Engine.Feasible.t) order ~needed ok =
   done;
   if !left > 0 then infinity else !sum
 
+(* [cheapest] over VA, in the same order, with no closure: the node
+   loop asks it before every candidate. *)
+let cheapest_in_va st ~needed =
+  let order = st.by_dist in
+  let n = Array.length order in
+  let sum = ref 0. and left = ref needed and i = ref 0 in
+  while !left > 0 && !i < n do
+    let v = order.(!i) in
+    if st.in_va.(v) then begin
+      sum := !sum +. st.fg.dist.(v);
+      decr left
+    end;
+    incr i
+  done;
+  if !left > 0 then infinity else !sum
+
 (* Lemma 2: no completion of VS gets strictly below the bound.  Ties are
    pruned too; the sinks keep only strictly better groups. *)
 let distance_prunes st =
   st.cfg.use_distance_pruning
   &&
-  let bound = st.sink.bound () in
-  Float.is_finite bound
-  && st.td +. cheapest st.fg st.by_dist ~needed:(st.p - st.vs_size) (fun v -> st.in_va.(v))
-     >= bound -. eps
+  Float.is_finite st.bound
+  && st.td +. cheapest_in_va st ~needed:(st.p - st.vs_size) >= st.bound -. eps
+
+(* Whether every VA member from position [i] of [by_dist] on has more
+   than [threshold] VA neighbours. *)
+let[@lint.bounded] rec all_above st threshold i =
+  i >= Array.length st.by_dist
+  ||
+  let v = st.by_dist.(i) in
+  (not (st.in_va.(v) && st.nbr_va.(v) <= threshold)) && all_above st threshold (i + 1)
 
 (* Lemma 3, safe form by default (see DESIGN.md).  The sum of inner
    degrees is maintained incrementally; the minimum is only scanned when
@@ -263,14 +369,19 @@ let acquaintance_prunes st =
   st.va_size > needed
   &&
   let threshold = (st.sum_nbr_va - rhs) / (st.va_size - needed) in
-  let n = Array.length st.by_dist in
-  let[@lint.bounded] rec all_above i =
-    if i >= n then true
-    else
-      let v = st.by_dist.(i) in
-      if st.in_va.(v) && st.nbr_va.(v) <= threshold then false else all_above (i + 1)
-  in
-  all_above 0
+  all_above st threshold 0
+
+(* The nearest slot from [t] up (down) at which at least [n] VA members
+   are busy, or the first slot past the pivot interval. *)
+let[@lint.bounded] rec blocked_up tc n t =
+  if t > tc.ihi then tc.ihi + 1
+  else if tc.unavail.(t - tc.ilo) >= n then t
+  else blocked_up tc n (t + 1)
+
+let[@lint.bounded] rec blocked_down tc n t =
+  if t < tc.ilo then tc.ilo - 1
+  else if tc.unavail.(t - tc.ilo) >= n then t
+  else blocked_down tc n (t - 1)
 
 (* Lemma 5. *)
 let availability_prunes st =
@@ -279,14 +390,8 @@ let availability_prunes st =
   match st.temporal with
   | None -> false
   | Some tc ->
-      let needed = st.p - st.vs_size in
-      let n = st.va_size - needed + 1 in
-      let blocked t = tc.unavail.(t - tc.ilo) >= n in
-      let[@lint.bounded] rec up t = if t > tc.ihi then tc.ihi + 1 else if blocked t then t else up (t + 1) in
-      let[@lint.bounded] rec down t = if t < tc.ilo then tc.ilo - 1 else if blocked t then t else down (t - 1) in
-      let t_plus = up (tc.pivot + 1) in
-      let t_minus = down (tc.pivot - 1) in
-      t_plus - t_minus <= tc.m
+      let n = st.va_size - (st.p - st.vs_size) + 1 in
+      blocked_up tc n (tc.pivot + 1) - blocked_down tc n (tc.pivot - 1) <= tc.m
 
 (* ------------------------------------------------------------------ *)
 (* The node loop (Algorithms 2 and 4).                                 *)
@@ -301,7 +406,8 @@ let record_best st =
       group;
       distance = Engine.Feasible.total_distance st.fg group;
       window_start = (match st.temporal with Some tc -> Some tc.ts_lo | None -> None);
-    }
+    };
+  st.bound <- st.sink.bound ()
 
 (* The budget checkpoint: one [land] per node, real work only every
    [Budget.check_interval] expansions (clock read, shared-counter
@@ -323,12 +429,26 @@ let checkpoint st =
     | None -> ()
   end
 
+(* The position of the first candidate from [i] on in pick order that
+   is in VA and not yet examined in [round], or [-1]. *)
+let[@lint.bounded] rec next_candidate st round i =
+  if i >= Array.length st.order then -1
+  else
+    let v = st.order.(i) in
+    if st.in_va.(v) && st.visited.(v) <> round then i else next_candidate st round (i + 1)
+
 let rec node st =
   st.stats.nodes <- st.stats.nodes + 1;
   checkpoint st;
+  (* VS is the same at every iteration of this node's loop (an include
+     restores it), so Definition 2's [fewest] and [tied] are too. *)
+  let fewest = fewest_vs_nbrs st max_int st.vs_list in
+  let tied = ties st fewest 0 st.vs_list in
   let removed = ref [] in
   let theta = ref st.cfg.theta0 in
   let phi = ref st.cfg.phi0 in
+  let interior_rhs = ref (interior_threshold st !theta) in
+  let temporal_rhs = ref (temporal_threshold st !phi) in
   st.round <- st.round + 1;
   let current_round = ref st.round in
   (* Within one round the pick scan can only move right: a vertex left of
@@ -341,28 +461,10 @@ let rec node st =
     current_round := st.round;
     cursor := 0
   in
-  let pick () =
-    let n = Array.length st.order in
-    let[@lint.bounded] rec go i =
-      if i >= n then begin
-        cursor := n;
-        None
-      end
-      else
-        let v = st.order.(i) in
-        if st.in_va.(v) && st.visited.(v) <> !current_round then begin
-          cursor := i;
-          Some v
-        end
-        else go (i + 1)
-    in
-    go !cursor
-  in
   let remove_here v =
     remove_from_va st v;
     removed := v :: !removed
   in
-  let fp = float_of_int st.p in
   let rec loop () =
     if st.vs_size + st.va_size < st.p then ()
     else if distance_prunes st then
@@ -372,79 +474,65 @@ let rec node st =
     else if availability_prunes st then
       st.stats.pruned_availability <- st.stats.pruned_availability + 1
     else
-      match pick () with
-      | None ->
-          if !theta > 0 then begin
-            decr theta;
-            new_round ();
-            loop ()
+      let i = next_candidate st !current_round !cursor in
+      if i < 0 then begin
+        if !theta > 0 then begin
+          decr theta;
+          interior_rhs := interior_threshold st !theta;
+          new_round ();
+          loop ()
+        end
+        else
+          match st.temporal with
+          | Some _ when !phi < st.cfg.phi_threshold ->
+              incr phi;
+              temporal_rhs := temporal_threshold st !phi;
+              new_round ();
+              loop ()
+          | Some _ | None -> ()
+      end
+      else begin
+        cursor := i;
+        let u = st.order.(i) in
+        st.visited.(u) <- !current_round;
+        st.stats.examined <- st.stats.examined + 1;
+        if exterior_expansibility st u < st.p - (st.vs_size + 1) then begin
+          st.stats.removed_exterior <- st.stats.removed_exterior + 1;
+          remove_here u;
+          loop ()
+        end
+        else if
+          float_of_int (interior_unfamiliarity st ~fewest ~tied u) > !interior_rhs +. 1e-12
+        then begin
+          if !theta = 0 then begin
+            st.stats.removed_interior <- st.stats.removed_interior + 1;
+            remove_here u
           end
-          else if st.temporal <> None && !phi < st.cfg.phi_threshold then begin
-            incr phi;
-            new_round ();
-            loop ()
-          end
-          else ()
-      | Some u ->
-          st.visited.(u) <- !current_round;
-          st.stats.examined <- st.stats.examined + 1;
-          if exterior_expansibility st u < st.p - (st.vs_size + 1) then begin
-            st.stats.removed_exterior <- st.stats.removed_exterior + 1;
-            remove_here u;
-            loop ()
-          end
-          else begin
-            let unfamiliarity = float_of_int (interior_unfamiliarity st u) in
-            let interior_rhs =
-              float_of_int st.k
-              *. Float.pow (float_of_int (st.vs_size + 1) /. fp) (float_of_int !theta)
-            in
-            if unfamiliarity > interior_rhs +. 1e-12 then begin
-              if !theta = 0 then begin
-                st.stats.removed_interior <- st.stats.removed_interior + 1;
+          else
+            (* at theta > 0: deferred — retried at a lower theta *)
+            st.stats.deferred <- st.stats.deferred + 1;
+          loop ()
+        end
+        else
+          match st.temporal with
+          | Some tc
+            when float_of_int (temporal_extensibility tc u) < !temporal_rhs -. 1e-12 ->
+              if !phi >= st.cfg.phi_threshold then begin
+                st.stats.removed_temporal <- st.stats.removed_temporal + 1;
                 remove_here u
               end
               else
-                (* at theta > 0: deferred — retried at a lower theta *)
+                (* deferred: retried once phi relaxes *)
                 st.stats.deferred <- st.stats.deferred + 1;
               loop ()
-            end
-            else begin
-              let temporal_ok =
-                match st.temporal with
-                | None -> `Ok
-                | Some tc ->
-                    let x = float_of_int (temporal_extensibility tc u) in
-                    let rhs =
-                      if !phi >= st.cfg.phi_threshold then 0.
-                      else
-                        float_of_int (tc.m - 1)
-                        *. Float.pow
-                             (float_of_int (st.p - (st.vs_size + 1)) /. fp)
-                             (float_of_int !phi)
-                    in
-                    if x >= rhs -. 1e-12 then `Ok
-                    else if !phi >= st.cfg.phi_threshold then `Remove
-                    else `Skip
-              in
-              match temporal_ok with
-              | `Remove ->
-                  st.stats.removed_temporal <- st.stats.removed_temporal + 1;
-                  remove_here u;
-                  loop ()
-              | `Skip ->
-                  (* deferred: retried once phi relaxes *)
-                  st.stats.deferred <- st.stats.deferred + 1;
-                  loop ()
-              | `Ok ->
-                  st.stats.includes <- st.stats.includes + 1;
-                  let saved_ts = add_to_vs st u in
-                  if st.vs_size = st.p then record_best st else node st;
-                  remove_from_vs st u saved_ts;
-                  remove_here u;
-                  loop ()
-            end
-          end
+          | Some _ | None ->
+              st.stats.includes <- st.stats.includes + 1;
+              let saved_ts = add_to_vs st u in
+              if st.vs_size = st.p then record_best st else node st;
+              remove_from_vs st u saved_ts;
+              remove_here u;
+              loop ()
+      end
   in
   loop ();
   (* Give the removed candidates back to the parent. *)
@@ -474,31 +562,40 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
     if cfg.use_access_ordering then by_dist
     else filter (fun v -> v <> q && eligible v) (Array.init size Fun.id)
   in
-  let in_vs = Array.make size false in
   let in_va = Array.make size false in
   Array.iter (fun v -> in_va.(v) <- true) order;
-  in_vs.(q) <- true;
   let nbr_vs = Array.make size 0 in
   let nbr_va = Array.make size 0 in
-  Bitset.iter (fun w -> nbr_vs.(w) <- 1) fg.Engine.Feasible.nbr.(q);
+  let row, adj = Socgraph.Graph.csr fg.Engine.Feasible.sub in
+  for e = row.(q) to row.(q + 1) - 1 do
+    nbr_vs.(adj.(e)) <- 1
+  done;
   Array.iter
     (fun v ->
-      Bitset.iter (fun w -> nbr_va.(w) <- nbr_va.(w) + 1) fg.Engine.Feasible.nbr.(v))
+      for e = row.(v) to row.(v + 1) - 1 do
+        let w = adj.(e) in
+        nbr_va.(w) <- nbr_va.(w) + 1
+      done)
     order;
   (match temporal with
   | Some tc ->
       (* Unavailability counts of the initial VA over the pivot interval. *)
-      Array.iter (fun v -> unavail_adjust tc v 1) order
+      Array.iter
+        (fun v ->
+          load_busy tc v;
+          unavail_adjust tc v 1)
+        order
   | None -> ());
   {
     fg;
+    row;
+    adj;
     p;
     k;
     cfg;
     stats;
     order;
     by_dist;
-    in_vs;
     in_va;
     nbr_vs;
     nbr_va;
@@ -510,6 +607,7 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
     td = 0.;
     sum_nbr_va = Array.fold_left (fun acc v -> acc + nbr_va.(v)) 0 order;
     sink;
+    bound = sink.bound ();
     temporal;
     budget;
   }
@@ -593,19 +691,32 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
   let size = Engine.Feasible.size fg in
   let q = fg.Engine.Feasible.q in
   let h = Timetable.Availability.horizon avail.(q) in
-  (* Each pivot writes a member's run before reading it. *)
+  (* Each pivot writes a member's run (and busy slots) before reading it. *)
   let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
+  let words = busy_words ((2 * m) - 1) in
+  let busy = Array.make (size * words) 0 in
   let free v = run_hi.(v) - run_lo.(v) + 1 >= m in
   let explore_pivot pivot =
     let ilo, ihi = Timetable.Window.interval ~horizon:h ~m pivot in
+    (* The maximal run around the pivot, clipped to [ilo, ihi], read
+       only as far as the clip. *)
     let set_run v =
-      match Timetable.Availability.run_around avail.(v) pivot with
-      | Some (lo, hi) ->
-          run_lo.(v) <- max lo ilo;
-          run_hi.(v) <- min hi ihi
-      | None ->
-          run_lo.(v) <- 1;
-          run_hi.(v) <- 0
+      let a = avail.(v) in
+      if Timetable.Availability.available a pivot then begin
+        let lo = ref pivot and hi = ref pivot in
+        while !lo > ilo && Timetable.Availability.available a (!lo - 1) do
+          decr lo
+        done;
+        while !hi < ihi && Timetable.Availability.available a (!hi + 1) do
+          incr hi
+        done;
+        run_lo.(v) <- !lo;
+        run_hi.(v) <- !hi
+      end
+      else begin
+        run_lo.(v) <- 1;
+        run_hi.(v) <- 0
+      end
     in
     (* The initiator's run first: no other member is touched at a pivot
        where the initiator is busy. *)
@@ -640,6 +751,8 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
               run_hi;
               unavail = Array.make (ihi - ilo + 1) 0;
               av = avail;
+              words;
+              busy;
               ts_lo = run_lo.(q);
               ts_hi = run_hi.(q);
             }

@@ -3,7 +3,6 @@ type t = {
   of_sub : int array;
   q : int;
   dist : float array;
-  nbr : Bitset.t array;
   by_dist : int array;
 }
 
@@ -32,17 +31,16 @@ let extract g ~initiator ~s =
   if s < 1 then invalid_arg "Engine.Feasible.extract: s must be >= 1";
   let of_sub, dist = Socgraph.Bounded_dist.ball g ~src:initiator ~max_edges:s in
   let sub = Socgraph.Graph.induced g of_sub in
-  let nbr = Array.init (Array.length of_sub) (Socgraph.Graph.neighbor_bitset sub) in
   let q = index_of of_sub initiator in
   (* The only distance sort in the solvers: they filter this order. *)
   let by_dist = Array.init (Array.length of_sub - 1) (fun i -> if i < q then i else i + 1) in
   Array.sort
     (fun a b -> match Float.compare dist.(a) dist.(b) with 0 -> Int.compare a b | c -> c)
     by_dist;
-  { sub; of_sub; q; dist; nbr; by_dist }
+  { sub; of_sub; q; dist; by_dist }
 
 let size t = Array.length t.of_sub
-let adjacent t u v = u <> v && Bitset.mem t.nbr.(u) v
+let adjacent t u v = Socgraph.Graph.adjacent t.sub u v
 
 let total_distance t subs = List.fold_left (fun acc v -> acc +. t.dist.(v)) 0. subs
 

@@ -16,7 +16,6 @@ type t = {
   of_sub : int array;       (** sub-id -> original vertex, increasing *)
   q : int;                  (** the initiator's sub-id *)
   dist : float array;       (** sub-id -> s-edge minimum distance to q *)
-  nbr : Bitset.t array;     (** sub-id -> neighbour bitset in [sub] *)
   by_dist : int array;
       (** every sub-id but [q], by increasing [(dist, sub-id)]: the one
           distance order the solvers filter, sorted once per extraction *)
@@ -34,7 +33,8 @@ val size : t -> int
     binary search over [of_sub]. *)
 val sub_id : t -> int -> int
 
-(** [adjacent fg u v] is adjacency between sub-ids, O(1) via bitsets. *)
+(** [adjacent fg u v] is adjacency between sub-ids: a binary search of
+    [u]'s row in [sub], O(log deg). *)
 val adjacent : t -> int -> int -> bool
 
 (** [total_distance fg subs] sums [dist] over a sub-id list. *)

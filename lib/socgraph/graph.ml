@@ -13,6 +13,7 @@ type t = {
 let n_vertices g = g.n
 let n_edges g = g.m
 let degree g v = g.row.(v + 1) - g.row.(v)
+let csr g = (g.row, g.adj)
 
 let validate_edge n (u, v, w) =
   if u = v then invalid_arg (Printf.sprintf "Graph: self-loop at %d" u);
@@ -164,11 +165,6 @@ let edges g =
     iter_neighbors g v (fun u w -> if v < u then acc := (v, u, w) :: !acc)
   done;
   !acc
-
-let neighbor_bitset g v =
-  let b = Bitset.create g.n in
-  iter_neighbors g v (fun u _ -> Bitset.set b u);
-  b
 
 (* Sub ids follow [vs]'s order, so each sub row inherits the sortedness
    of the row it filters.  A sub row holds at most min(degree, |vs| - 1)

@@ -36,7 +36,8 @@ val n_edges : t -> int
 (** [degree g v] is the number of neighbours of [v]. *)
 val degree : t -> int -> int
 
-(** [adjacent g u v] tests whether edge [{u,v}] exists ([false] if [u = v]). *)
+(** [adjacent g u v] tests whether edge [{u,v}] exists ([false] if [u = v]):
+    a binary search of [u]'s row, O(log deg). *)
 val adjacent : t -> int -> int -> bool
 
 (** [edge_weight g u v] is [Some w] when [{u,v}] exists. *)
@@ -55,12 +56,15 @@ val neighbors : t -> int -> (int * float) list
 (** [neighbor_ids g v] is the sorted list of neighbour ids. *)
 val neighbor_ids : t -> int -> int list
 
+(** [csr g] is [(row, adj)], [g]'s compressed rows: the neighbours of
+    [v] are [adj.(row.(v)) .. adj.(row.(v + 1) - 1)], in increasing
+    order.  These are [g]'s own arrays, not copies, so a caller that
+    walks rows in a hot loop pays one call per graph instead of one per
+    row; it must never write to them. *)
+val csr : t -> int array * int array
+
 (** [edges g] lists every undirected edge once, with [u < v], sorted. *)
 val edges : t -> edge list
-
-(** [neighbor_bitset g v] is a fresh bitset of capacity [n_vertices g] with
-    the neighbours of [v] set. *)
-val neighbor_bitset : t -> int -> Bitset.t
 
 (** [induced g vs] is the subgraph induced by [vs], a strictly
     increasing array of vertex ids: sub id [i] is vertex [vs.(i)], so
