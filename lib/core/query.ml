@@ -47,7 +47,9 @@ let check_instance { graph; initiator } =
 
 let check_temporal_instance { social; schedules } =
   check_instance social;
-  Engine.Feasible.check_schedules ~n:(Socgraph.Graph.n_vertices social.graph) schedules
+  Timetable.Availability.check_schedules
+    ~n:(Socgraph.Graph.n_vertices social.graph)
+    schedules
 
 let sg_context ?ctx { graph; initiator } ~s =
   match ctx with

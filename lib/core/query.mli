@@ -52,7 +52,8 @@ val check_stgq : stgq -> unit
 val check_instance : instance -> unit
 
 (** [check_temporal_instance ti] additionally requires one schedule per
-    vertex, all with equal horizons ({!Engine.Feasible.check_schedules}). *)
+    vertex, all with equal horizons
+    ({!Timetable.Availability.check_schedules}). *)
 val check_temporal_instance : temporal_instance -> unit
 
 (** [sg_context ?ctx instance ~s] is the context an SGQ solver answers

@@ -64,7 +64,7 @@ let create ?(capacity = 64) ?schedules graph =
     | Some a ->
         (* The one O(n) horizon pass: [set_schedule] checks each edit and
            a solver only the ball it reads. *)
-        Feasible.check_schedules ~n:(Socgraph.Graph.n_vertices graph) a;
+        Timetable.Availability.check_schedules ~n:(Socgraph.Graph.n_vertices graph) a;
         a
   in
   {

@@ -90,15 +90,7 @@ let horizon_of schedules =
   else Timetable.Availability.horizon schedules.(0)
 
 let state_of_instance graph schedules =
-  let n = Socgraph.Graph.n_vertices graph in
-  if Array.length schedules <> n then
-    invalid_arg "Store.state_of_instance: need one schedule per vertex";
-  let h = horizon_of schedules in
-  Array.iter
-    (fun a ->
-      if Timetable.Availability.horizon a <> h then
-        invalid_arg "Store.state_of_instance: schedules disagree on horizon")
-    schedules;
+  Timetable.Availability.check_schedules ~n:(Socgraph.Graph.n_vertices graph) schedules;
   { graph; schedules }
 
 let copy_state st =

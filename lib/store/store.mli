@@ -39,7 +39,8 @@ type state = {
 }
 
 (** [state_of_instance graph schedules] validates shape (one schedule
-    per vertex, uniform horizon) and packs a state.
+    per vertex, uniform horizon: {!Timetable.Availability.check_schedules})
+    and packs a state.
     @raise Invalid_argument on shape violations. *)
 val state_of_instance :
   Socgraph.Graph.t -> Timetable.Availability.t array -> state

@@ -30,6 +30,15 @@ let windows t ~len =
   done;
   !acc
 
+let check_schedules ~n schedules =
+  if Array.length schedules <> n then
+    invalid_arg "Timetable.Availability.check_schedules: need one schedule per vertex";
+  Array.iter
+    (fun a ->
+      if horizon a <> horizon schedules.(0) then
+        invalid_arg "Timetable.Availability.check_schedules: schedules disagree on horizon")
+    schedules
+
 let run_around = Bitset.run_containing
 let has_run_in t ~len ~lo ~hi = Bitset.has_run_of t ~len ~lo ~hi
 let pp = Bitset.pp

@@ -41,6 +41,13 @@ val common : t list -> t
     [len] slots, in increasing order. *)
 val windows : t -> len:int -> int list
 
+(** [check_schedules ~n schedules] checks a whole world's calendars:
+    one per vertex of an [n]-vertex graph, all on one horizon.  It reads
+    all [n], so the places that install a world call it once: the engine
+    cache, a solver that builds its own context, and the store.
+    @raise Invalid_argument otherwise. *)
+val check_schedules : n:int -> t array -> unit
+
 (** [run_around t slot] is the maximal inclusive range of consecutive
     available slots containing [slot], if [slot] is available. *)
 val run_around : t -> int -> (int * int) option

@@ -215,21 +215,22 @@ let test_supplied_context_checks_ball_calendars () =
           : Query.stg_solution option))
 
 (* "One calendar per vertex, all on one horizon" is written once, in
-   [Engine.Feasible.check_schedules]: the engine cache and every temporal
-   solver that builds its own context raise its exception, for too few
-   or too many calendars and for a skewed horizon anywhere. *)
+   [Timetable.Availability.check_schedules]: the engine cache, the store
+   and every temporal solver that builds its own context raise its
+   exception, for too few or too many calendars and for a skewed horizon
+   anywhere. *)
 let test_one_calendar_check () =
   let g = Socgraph.Graph.of_edges 4 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.) ] in
   let cal horizon = Timetable.Availability.create ~horizon in
   let world = Array.init 4 (fun _ -> cal 8) in
-  Engine.Feasible.check_schedules ~n:4 world;
-  Engine.Feasible.check_schedules ~n:0 [||];
+  Timetable.Availability.check_schedules ~n:4 world;
+  Timetable.Availability.check_schedules ~n:0 [||];
   let q = { Query.p = 2; s = 1; k = 1; m = 2 } in
   let per_vertex =
-    Invalid_argument "Engine.Feasible.check_schedules: need one schedule per vertex"
+    Invalid_argument "Timetable.Availability.check_schedules: need one schedule per vertex"
   in
   let horizon =
-    Invalid_argument "Engine.Feasible.check_schedules: schedules disagree on horizon"
+    Invalid_argument "Timetable.Availability.check_schedules: schedules disagree on horizon"
   in
   let skewed v =
     let a = Array.copy world in
@@ -241,7 +242,10 @@ let test_one_calendar_check () =
       let ti = { Query.social = { Query.graph = g; initiator = 0 }; schedules } in
       let raises front f = Alcotest.check_raises (name ^ ", " ^ front) e f in
       let stg answer = ignore (answer : Query.stg_solution option) in
-      raises "check_schedules" (fun () -> Engine.Feasible.check_schedules ~n:4 schedules);
+      raises "check_schedules" (fun () ->
+          Timetable.Availability.check_schedules ~n:4 schedules);
+      raises "Store.state_of_instance" (fun () ->
+          ignore (Store.state_of_instance g schedules : Store.state));
       raises "Query.check_temporal_instance" (fun () -> Query.check_temporal_instance ti);
       raises "Engine.Cache.create" (fun () ->
           ignore (Engine.Cache.create ~schedules g : Engine.Cache.t));
