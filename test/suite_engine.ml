@@ -470,6 +470,25 @@ let prop_one_context_two_calendar_states =
          = (Parallel.solve_report ~pool ~domains:2 b query).Parallel.solution
       && Heuristics.beam_stgq ~ctx b query = Heuristics.beam_stgq b query)
 
+(* A context costs what its ball's rows cost.  The s = 2 context of the
+   best-connected member of a 10,000-member coauthor world (5,472 ball
+   members, 23,231 edges among them) allocated 993,392 words while every
+   member kept a |ball|-bit neighbour bitset; the gate is half that.  A
+   warm-up build fills the ball's scratch pool first, and the count
+   includes the words allocated straight into the major heap. *)
+let test_context_build_words () =
+  let graph = (Workload.Coauthor.generate ~n:10_000 ()).Workload.Coauthor.graph in
+  let initiator = Workload.Scenario.pick_initiator ~rank:0 graph in
+  let build () = Engine.Feasible.extract graph ~initiator ~s:2 in
+  let fg = build () in
+  Alcotest.check Alcotest.int "ball members" 5472 (Engine.Feasible.size fg);
+  Alcotest.check Alcotest.int "ball edges" 23231
+    (Socgraph.Graph.n_edges fg.Engine.Feasible.sub);
+  let words = Gen.allocated_words (fun () -> ignore (build () : Engine.Feasible.t)) in
+  Alcotest.check Alcotest.bool
+    (Printf.sprintf "an s = 2 build allocates %d words (at most 494,000)" words)
+    true (words <= 494_000)
+
 let suite =
   [
     Alcotest.test_case "pool order + reuse" `Quick test_pool_order_and_reuse;
@@ -498,4 +517,6 @@ let suite =
     Alcotest.test_case "one calendar check at every temporal front door" `Quick
       test_one_calendar_check;
     prop_supplied_context_resolves_as_built;
+    Alcotest.test_case "an s = 2 context allocates half its bitset build" `Quick
+      test_context_build_words;
   ]
