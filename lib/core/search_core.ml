@@ -110,7 +110,6 @@ type state = {
   mutable td : float;
   mutable sum_nbr_va : int;  (* Σ_{v∈VA} nbr_va(v), maintained incrementally *)
   sink : sink;
-  mutable bound : float;  (* [sink.bound ()], re-read after each offer *)
   temporal : temporal option;
   budget : Budget.t;
 }
@@ -338,8 +337,9 @@ let cheapest_in_va st ~needed =
 let distance_prunes st =
   st.cfg.use_distance_pruning
   &&
-  Float.is_finite st.bound
-  && st.td +. cheapest_in_va st ~needed:(st.p - st.vs_size) >= st.bound -. eps
+  let bound = st.sink.bound () in
+  Float.is_finite bound
+  && st.td +. cheapest_in_va st ~needed:(st.p - st.vs_size) >= bound -. eps
 
 (* Whether every VA member from position [i] of [by_dist] on has more
    than [threshold] VA neighbours. *)
@@ -406,8 +406,7 @@ let record_best st =
       group;
       distance = Engine.Feasible.total_distance st.fg group;
       window_start = (match st.temporal with Some tc -> Some tc.ts_lo | None -> None);
-    };
-  st.bound <- st.sink.bound ()
+    }
 
 (* The budget checkpoint: one [land] per node, real work only every
    [Budget.check_interval] expansions (clock read, shared-counter
@@ -607,7 +606,6 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
     td = 0.;
     sum_nbr_va = Array.fold_left (fun acc v -> acc + nbr_va.(v)) 0 order;
     sink;
-    bound = sink.bound ();
     temporal;
     budget;
   }
@@ -693,7 +691,8 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
   let h = Timetable.Availability.horizon avail.(q) in
   (* Each pivot writes a member's run (and busy slots) before reading it. *)
   let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
-  let words = busy_words ((2 * m) - 1) in
+  (* A pivot interval spans at most 2m-1 slots of the horizon. *)
+  let words = busy_words (imin ((2 * m) - 1) h) in
   let busy = Array.make (size * words) 0 in
   let free v = run_hi.(v) - run_lo.(v) + 1 >= m in
   let explore_pivot pivot =

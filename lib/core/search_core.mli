@@ -66,11 +66,9 @@ type found = {
 
 (** Where complete qualified groups are delivered.  [offer] receives every
     leaf the search reaches; [bound] feeds distance pruning (Lemma 2) — a
-    node is cut when no completion can get strictly below it.  The search
-    reads [bound] when it builds a search state and after each [offer],
-    so it must change only through [offer].  The single-best solvers use
-    an incumbent cell; {!Topk} keeps the N best and bounds by the current
-    worst kept. *)
+    node is cut when no completion can get strictly below it.  The
+    single-best solvers use an incumbent cell; {!Topk} keeps the N best
+    and bounds by the current worst kept. *)
 type sink = {
   offer : found -> unit;
   bound : unit -> float;
