@@ -91,7 +91,7 @@ type temporal = {
 
 type state = {
   fg : Engine.Feasible.t;
-  row : int array;      (* [fg.sub]'s CSR, read once per solve: the neighbours *)
+  row : int array;      (* [fg.sub]'s CSR, read once per state: the neighbours *)
   adj : int array;      (* of v are adj.(row.(v)) .. adj.(row.(v + 1) - 1), sorted *)
   p : int;
   k : int;
