@@ -198,6 +198,83 @@ let test_apply_delta () =
     (Store.Schedule_set
        { vertex = 0; avail = Timetable.Availability.create ~horizon:5 })
 
+(* --- calendar mask bytes ------------------------------------------- *)
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let same_calendar a b =
+  let h = Timetable.Availability.horizon a in
+  h = Timetable.Availability.horizon b
+  && List.for_all
+       (fun i -> Timetable.Availability.available a i = Timetable.Availability.available b i)
+       (List.init h Fun.id)
+
+(* One calendar crosses the wire and reaches the disk as the same mask:
+   ceil(horizon/8) bytes, slot [i] at bit [i land 7] of byte [i / 8],
+   set = free.  Horizon 37 leaves the last byte partial.  The free slots
+   {0, 3, 9, 10, 11, 17, 24, 31, 32, 36} give 09 0e 02 81 11; an
+   all-free calendar gives ff ff ff ff 1f, so no bit past the horizon is
+   set.  The bytes are spelled out, so any change to the layout, in
+   either direction, fails here. *)
+let test_calendar_mask_bytes () =
+  let cal free =
+    let a = Timetable.Availability.create ~horizon:37 in
+    List.iter (fun i -> Timetable.Availability.set_free a i i) free;
+    a
+  in
+  let sparse = cal [ 0; 3; 9; 10; 11; 17; 24; 31; 32; 36 ] in
+  let full = cal (List.init 37 Fun.id) in
+  let pinned name hex bytes = check Alcotest.string name hex (to_hex bytes) in
+  let update = Proto.Update_schedule { vertex = 258; avail = sparse } in
+  List.iter
+    (fun (version, hex) ->
+      let frame = Proto.encode_request ~version update in
+      pinned (Printf.sprintf "v%d Update_schedule frame" version) hex frame;
+      match Proto.decode_request (of_hex hex) with
+      | Ok got ->
+          check Alcotest.bool
+            (Printf.sprintf "v%d frame decodes to its calendar" version)
+            true (Proto.equal_request got update)
+      | Error e -> Alcotest.fail (Proto.string_of_decode_error e))
+    [
+      (1, "0000000f01050000010200000025090e028111");
+      (2, "0000000f02050000010200000025090e028111");
+    ];
+  let record_hex = "0000000f43fd84b801040000010200000025090e028111" in
+  pinned "Schedule_set WAL record" record_hex
+    (Store.encode_record (Store.Schedule_set { vertex = 258; avail = sparse }));
+  (with_dir @@ fun d ->
+   let wal = Filename.concat d "pinned.wal" in
+   write_file wal (of_hex record_hex);
+   match Store.replay_wal wal with
+   | Ok { Store.deltas = [ Store.Schedule_set { vertex; avail } ]; _ } ->
+       check Alcotest.int "record vertex" 258 vertex;
+       check Alcotest.bool "record decodes to its calendar" true
+         (same_calendar avail sparse)
+   | Ok _ -> Alcotest.fail "expected one Schedule_set record"
+   | Error e -> Alcotest.fail (Store.string_of_error e));
+  let st =
+    Store.state_of_instance (Socgraph.Graph.of_edges 2 [ (0, 1, 1.5) ]) [| sparse; full |]
+  in
+  let image = Store.encode_snapshot st in
+  let section_hex =
+    "02000000121c9a9f030000000200000025090e028111ffffffff1f"
+  in
+  let section_len = String.length section_hex / 2 in
+  pinned "timetable section" section_hex
+    (String.sub image (String.length image - section_len) section_len);
+  match Store.decode_snapshot ~file:"mem" image with
+  | Ok got ->
+      check Alcotest.bool "the section decodes to its calendars" true
+        (same_calendar got.Store.schedules.(0) sparse
+        && same_calendar got.Store.schedules.(1) full)
+  | Error e -> Alcotest.fail (Store.string_of_error e)
+
 (* --- WAL codec + recovery ------------------------------------------ *)
 
 let test_wal_roundtrip () =
@@ -998,6 +1075,8 @@ let suite =
     Alcotest.test_case "empty snapshot" `Quick (unless_armed test_snapshot_empty);
     Alcotest.test_case "apply_delta semantics" `Quick
       (unless_armed test_apply_delta);
+    Alcotest.test_case "calendar mask bytes pinned" `Quick
+      (unless_armed test_calendar_mask_bytes);
     Alcotest.test_case "WAL round-trip + recovery" `Quick
       (unless_armed test_wal_roundtrip);
     Alcotest.test_case "checkpoint + prune" `Quick (unless_armed test_checkpoint);
