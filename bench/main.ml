@@ -791,16 +791,17 @@ let scale_smoke ~out =
     exit 1
   end;
   let bytes_per_user = float_of_int snapshot_bytes /. float_of_int n in
-  (* a deterministic mutation stream: mostly calendar flips, an edge
-     rewrite every 100th record (edge deltas rebuild the CSR, so their
-     cost dominates — keep the mix serving-shaped) *)
+  (* a deterministic, serving-shaped mutation stream: calendar
+     replacements, the one record a server journals; record [i] sets a
+     vertex's base calendar with one slot toggled *)
   let records = 2_000 in
   let delta_of i =
-    let v = i * 7919 mod n in
-    if i mod 100 = 99 then
-      Store.Edge_add
-        { u = v; v = (v + 1 + (i mod 97)) mod n; w = 1.0 +. float_of_int (i mod 5) }
-    else Store.Avail_flip { vertex = v; slot = i mod horizon }
+    let vertex = i * 7919 mod n and slot = i mod horizon in
+    let avail = Timetable.Availability.copy state0.Store.schedules.(vertex) in
+    if Timetable.Availability.available avail slot then
+      Timetable.Availability.set_busy avail slot slot
+    else Timetable.Availability.set_free avail slot slot;
+    Store.Schedule_set { vertex; avail }
   in
   let store, _ = ok_or_die (Store.open_dir ~init:(fun () -> state0) dir) in
   for i = 0 to records - 1 do

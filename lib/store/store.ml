@@ -114,75 +114,24 @@ let state_equal a b =
        !eq
      end
 
-type delta =
-  | Edge_add of { u : int; v : int; w : float }
-  | Edge_remove of { u : int; v : int }
-  | Avail_flip of { vertex : int; slot : int }
-  | Schedule_set of { vertex : int; avail : Timetable.Availability.t }
+type delta = Schedule_set of { vertex : int; avail : Timetable.Availability.t }
 
-let pp_delta ppf = function
-  | Edge_add { u; v; w } -> Format.fprintf ppf "edge_add(%d,%d,%g)" u v w
-  | Edge_remove { u; v } -> Format.fprintf ppf "edge_remove(%d,%d)" u v
-  | Avail_flip { vertex; slot } ->
-      Format.fprintf ppf "avail_flip(%d,%d)" vertex slot
-  | Schedule_set { vertex; avail } ->
-      Format.fprintf ppf "schedule_set(%d,h=%d)" vertex
-        (Timetable.Availability.horizon avail)
-
-let apply_delta st d =
+let apply_delta st (Schedule_set { vertex; avail }) =
   let n = Socgraph.Graph.n_vertices st.graph in
-  let check_vertex ctx v =
-    if v < 0 || v >= n then
-      Error (Printf.sprintf "%s: vertex %d out of range [0,%d)" ctx v n)
-    else Ok ()
-  in
-  match d with
-  | Edge_add { u; v; w } -> (
-      match (check_vertex "edge_add" u, check_vertex "edge_add" v) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok (), Ok () ->
-          if u = v then Error (Printf.sprintf "edge_add: self-loop at %d" u)
-          else if (not (Float.is_finite w)) || w <= 0. then
-            Error (Printf.sprintf "edge_add: weight %g not positive" w)
-          else Ok { st with graph = Socgraph.Graph.with_edge st.graph u v (Some w) })
-  | Edge_remove { u; v } -> (
-      match (check_vertex "edge_remove" u, check_vertex "edge_remove" v) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok (), Ok () when u = v -> Ok st (* no self-loop to remove *)
-      | Ok (), Ok () -> Ok { st with graph = Socgraph.Graph.with_edge st.graph u v None })
-  | Avail_flip { vertex; slot } -> (
-      match check_vertex "avail_flip" vertex with
-      | Error e -> Error e
-      | Ok () ->
-          let a = st.schedules.(vertex) in
-          let h = Timetable.Availability.horizon a in
-          if slot < 0 || slot >= h then
-            Error
-              (Printf.sprintf "avail_flip: slot %d outside horizon %d" slot h)
-          else begin
-            let fresh = Timetable.Availability.copy a in
-            (if Timetable.Availability.available fresh slot then
-               Timetable.Availability.set_busy fresh slot slot
-             else Timetable.Availability.set_free fresh slot slot);
-            let schedules = Array.copy st.schedules in
-            schedules.(vertex) <- fresh;
-            Ok { st with schedules }
-          end)
-  | Schedule_set { vertex; avail } -> (
-      match check_vertex "schedule_set" vertex with
-      | Error e -> Error e
-      | Ok () ->
-          let h = Timetable.Availability.horizon st.schedules.(vertex) in
-          if Timetable.Availability.horizon avail <> h then
-            Error
-              (Printf.sprintf "schedule_set: horizon %d, expected %d"
-                 (Timetable.Availability.horizon avail)
-                 h)
-          else begin
-            let schedules = Array.copy st.schedules in
-            schedules.(vertex) <- Timetable.Availability.copy avail;
-            Ok { st with schedules }
-          end)
+  if vertex < 0 || vertex >= n then
+    Error (Printf.sprintf "schedule_set: vertex %d out of range [0,%d)" vertex n)
+  else
+    let h = Timetable.Availability.horizon st.schedules.(vertex) in
+    if Timetable.Availability.horizon avail <> h then
+      Error
+        (Printf.sprintf "schedule_set: horizon %d, expected %d"
+           (Timetable.Availability.horizon avail)
+           h)
+    else begin
+      let schedules = Array.copy st.schedules in
+      schedules.(vertex) <- Timetable.Availability.copy avail;
+      Ok { st with schedules }
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Writers (big-endian, Proto discipline: range violations on the
@@ -586,37 +535,18 @@ let verify_snapshot path =
 
 let max_record = 1 lsl 20
 
-let rec_edge_add = 1
-
-let rec_edge_remove = 2
-
-let rec_avail_flip = 3
-
+(* Tags 1-3 (edge add, edge remove, slot flip) are retired: no server
+   wrote them, and a record that carries one is refused as unknown. *)
 let rec_schedule_set = 4
 
-let encode_record d =
+let encode_record (Schedule_set { vertex; avail }) =
   let p = Buffer.create 32 in
   w_u8 p format_version;
-  (match d with
-  | Edge_add { u; v; w } ->
-      w_u8 p rec_edge_add;
-      w_u32 p u;
-      w_u32 p v;
-      w_f64 p w
-  | Edge_remove { u; v } ->
-      w_u8 p rec_edge_remove;
-      w_u32 p u;
-      w_u32 p v
-  | Avail_flip { vertex; slot } ->
-      w_u8 p rec_avail_flip;
-      w_u32 p vertex;
-      w_u32 p slot
-  | Schedule_set { vertex; avail } ->
-      w_u8 p rec_schedule_set;
-      w_u32 p vertex;
-      let horizon = Timetable.Availability.horizon avail in
-      w_u32 p horizon;
-      w_mask p avail ~horizon);
+  w_u8 p rec_schedule_set;
+  w_u32 p vertex;
+  let horizon = Timetable.Availability.horizon avail in
+  w_u32 p horizon;
+  w_mask p avail ~horizon;
   let payload = Buffer.contents p in
   if String.length payload > max_record then
     invalid_arg "Store.encode_record: record exceeds 1 MiB cap";
@@ -632,46 +562,26 @@ let decode_record_payload p =
     fail p (Printf.sprintf "record version %d, this build reads %d" v
               format_version);
   let tag = r_u8 p in
-  let d =
-    if tag = rec_edge_add then begin
-      let u = r_u32 p in
-      let v = r_u32 p in
-      let w = r_f64 p in
-      Edge_add { u; v; w }
-    end
-    else if tag = rec_edge_remove then begin
-      let u = r_u32 p in
-      let v = r_u32 p in
-      Edge_remove { u; v }
-    end
-    else if tag = rec_avail_flip then begin
-      let vertex = r_u32 p in
-      let slot = r_u32 p in
-      Avail_flip { vertex; slot }
-    end
-    else if tag = rec_schedule_set then begin
-      let vertex = r_u32 p in
-      let horizon = r_u32 p in
-      let nbytes = (horizon + 7) / 8 in
-      need p nbytes;
-      let bits = Bitset.create horizon in
-      for byte = 0 to nbytes - 1 do
-        let v = Char.code p.buf.[p.pos + byte] in
-        for bit = 0 to 7 do
-          let slot = (byte * 8) + bit in
-          if slot < horizon && v land (1 lsl bit) <> 0 then Bitset.set bits slot
-        done
-      done;
-      p.pos <- p.pos + nbytes;
-      Schedule_set { vertex; avail = Timetable.Availability.of_bitset bits }
-    end
-    else fail p (Printf.sprintf "unknown record tag %d" tag)
-  in
+  if tag <> rec_schedule_set then
+    fail p (Printf.sprintf "unknown record tag %d" tag);
+  let vertex = r_u32 p in
+  let horizon = r_u32 p in
+  let nbytes = (horizon + 7) / 8 in
+  need p nbytes;
+  let bits = Bitset.create horizon in
+  for byte = 0 to nbytes - 1 do
+    let v = Char.code p.buf.[p.pos + byte] in
+    for bit = 0 to 7 do
+      let slot = (byte * 8) + bit in
+      if slot < horizon && v land (1 lsl bit) <> 0 then Bitset.set bits slot
+    done
+  done;
+  p.pos <- p.pos + nbytes;
   if p.pos <> String.length p.buf then
     fail p
       (Printf.sprintf "%d trailing byte(s) in record"
          (String.length p.buf - p.pos));
-  d
+  Schedule_set { vertex; avail = Timetable.Availability.of_bitset bits }
 
 type replay = {
   deltas : delta list;

@@ -53,22 +53,15 @@ val copy_state : state -> state
     differential gate checks. *)
 val state_equal : state -> state -> bool
 
-(** One journalled mutation. *)
+(** One journalled mutation.  A calendar replacement is the only edit
+    the served system makes, so it is the only record the log holds. *)
 type delta =
-  | Edge_add of { u : int; v : int; w : float }
-      (** insert one edge, or re-weight it if already present *)
-  | Edge_remove of { u : int; v : int }  (** drop one edge if present *)
-  | Avail_flip of { vertex : int; slot : int }
-      (** toggle one calendar slot *)
   | Schedule_set of { vertex : int; avail : Timetable.Availability.t }
       (** replace one calendar (same horizon required) *)
 
-val pp_delta : Format.formatter -> delta -> unit
-
 (** [apply_delta state d] returns the successor state, or [Error detail]
-    when the delta is semantically invalid against [state] (vertex or
-    slot out of range, horizon mismatch, non-positive weight).  The
-    input state is not mutated. *)
+    when the delta is invalid against [state] (vertex out of range,
+    horizon mismatch).  The input state is not mutated. *)
 val apply_delta : state -> delta -> (state, string) result
 
 (* ------------------------------------------------------------------ *)

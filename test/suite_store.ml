@@ -2,7 +2,7 @@
    hostile-input tests; the crash-at-every-record recovery differential
    (recovered state == in-memory replay of the durable prefix, and a
    recovered service answers bit-identically to an uncrashed one); the
-   cache-epoch / precise-invalidation contract; client connect retry;
+   cache epoch; client connect retry;
    and the env-gated [Store_*] half of the fault matrix (the root
    [@faults] alias replays each I/O crash plan through this suite). *)
 
@@ -95,21 +95,23 @@ let base_state () =
   let schedules = Array.init 8 (fun v -> mk_sched 0 (11 - (v mod 3))) in
   Store.state_of_instance base_graph schedules
 
-(* A representative mutation stream: every delta kind, including a
-   re-weight, a removal of a just-added edge's neighbour and a flip
-   that undoes an earlier flip. *)
+let set vertex avail = Store.Schedule_set { vertex; avail }
+
+(* A representative mutation stream of calendar replacements.  Vertex 2
+   is set twice, so a replay that reorders records lands elsewhere, and
+   vertex 5 is set back to its base calendar. *)
 let deltas () =
   [
-    Store.Avail_flip { vertex = 2; slot = 3 };
-    Store.Edge_add { u = 0; v = 7; w = 2.5 };
-    Store.Schedule_set { vertex = 1; avail = mk_sched 2 9 };
-    Store.Edge_remove { u = 1; v = 2 };
-    Store.Avail_flip { vertex = 5; slot = 0 };
-    Store.Edge_add { u = 2; v = 3; w = 0.5 };
-    Store.Schedule_set { vertex = 6; avail = mk_sched 0 5 };
-    Store.Edge_remove { u = 6; v = 7 };
-    Store.Avail_flip { vertex = 2; slot = 3 };
-    Store.Edge_add { u = 1; v = 4; w = 1.1 };
+    set 2 (mk_sched 3 7);
+    set 1 (mk_sched 2 9);
+    set 5 (mk_sched 1 11);
+    set 0 (mk_sched 4 4);
+    set 6 (mk_sched 0 5);
+    set 2 (mk_sched 6 11);
+    set 7 (Timetable.Availability.create ~horizon);
+    set 3 (mk_sched 8 11);
+    set 5 (mk_sched 0 9);
+    set 4 (mk_sched 0 11);
   ]
 
 let apply_all st ds =
@@ -166,37 +168,20 @@ let test_apply_delta () =
   let st = base_state () in
   let frozen = Store.copy_state st in
   (* the functional contract: inputs are never mutated *)
-  (match Store.apply_delta st (Store.Avail_flip { vertex = 0; slot = 1 }) with
+  (match Store.apply_delta st (set 0 (mk_sched 1 1)) with
   | Ok st' ->
-      check Alcotest.bool "flip changed the copy" false
+      check Alcotest.bool "the replacement changed the copy" false
         (Store.state_equal st st')
-  | Error e -> Alcotest.failf "flip: %s" e);
+  | Error e -> Alcotest.failf "replacement: %s" e);
   expect_state "input untouched" frozen st;
-  (* re-weight replaces the edge weight *)
-  (match Store.apply_delta st (Store.Edge_add { u = 1; v = 0; w = 9. }) with
-  | Ok st' ->
-      check (Alcotest.option (Alcotest.float 0.))
-        "re-weight wins" (Some 9.)
-        (Socgraph.Graph.edge_weight st'.Store.graph 0 1)
-  | Error e -> Alcotest.failf "re-weight: %s" e);
-  (* removing an absent edge is a no-op, not an error *)
-  (match Store.apply_delta st (Store.Edge_remove { u = 0; v = 6 }) with
-  | Ok st' -> expect_state "remove absent" st st'
-  | Error e -> Alcotest.failf "remove absent: %s" e);
   let expect_err name d =
     match Store.apply_delta st d with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: invalid delta accepted" name
   in
-  expect_err "oob vertex" (Store.Edge_add { u = 0; v = 99; w = 1. });
-  expect_err "self loop" (Store.Edge_add { u = 3; v = 3; w = 1. });
-  expect_err "bad weight" (Store.Edge_add { u = 0; v = 4; w = -1. });
-  expect_err "nan weight" (Store.Edge_add { u = 0; v = 4; w = Float.nan });
-  expect_err "oob slot" (Store.Avail_flip { vertex = 0; slot = horizon });
-  expect_err "oob flip vertex" (Store.Avail_flip { vertex = -1; slot = 0 });
-  expect_err "horizon mismatch"
-    (Store.Schedule_set
-       { vertex = 0; avail = Timetable.Availability.create ~horizon:5 })
+  expect_err "oob vertex" (set 8 (mk_sched 0 0));
+  expect_err "negative vertex" (set (-1) (mk_sched 0 0));
+  expect_err "horizon mismatch" (set 0 (Timetable.Availability.create ~horizon:5))
 
 (* --- calendar mask bytes ------------------------------------------- *)
 
@@ -310,7 +295,7 @@ let test_wal_roundtrip () =
 let test_checkpoint () =
   with_dir @@ fun d ->
   let t, _ = open_exn ~checkpoint_bytes:1 ~init:base_state d in
-  let d1 = Store.Avail_flip { vertex = 0; slot = 2 } in
+  let d1 = set 0 (mk_sched 2 2) in
   let st1 = apply_all (base_state ()) [ d1 ] in
   Store.append t d1;
   check Alcotest.bool "threshold crossed" true (Store.should_checkpoint t);
@@ -324,7 +309,7 @@ let test_checkpoint () =
     (Sys.file_exists (Store.wal_path ~dir:d ~gen:1));
   check Alcotest.bool "gen 0 log kept as fallback" true
     (Sys.file_exists (Store.wal_path ~dir:d ~gen:0));
-  let d2 = Store.Avail_flip { vertex = 1; slot = 2 } in
+  let d2 = set 1 (mk_sched 0 2) in
   let st2 = apply_all st1 [ d2 ] in
   Store.append t d2;
   Store.checkpoint t st2;
@@ -369,7 +354,7 @@ let test_torn_tail () =
   check Alcotest.int "durable prefix replayed" 2 r2.Store.r_replayed;
   expect_state "durable prefix state" (apply_all (base_state ()) ds)
     r2.Store.r_state;
-  Store.append t2 (Store.Avail_flip { vertex = 7; slot = 1 });
+  Store.append t2 (set 7 (mk_sched 1 1));
   Store.close t2;
   (match Store.verify_wal wal with
   | Ok n -> check Alcotest.int "appends extend the durable prefix" 3 n
@@ -437,9 +422,10 @@ let test_crash_at_every_record () =
    but the crash lands before the log rotates.  For every prefix of the
    mutation stream, recovery must load the new image and replay ZERO
    deltas — the superseded wal-g must never be applied on top of the
-   image that already contains it (Avail_flip is non-idempotent, so a
-   double apply would diverge).  Then the fallback chain: rot the new
-   image and recovery must rebuild the same state from gen g plus the
+   image that already contains it.  A calendar replacement applied twice
+   lands on the same state, so the replay count, not the state, is what
+   catches a double apply.  Then the fallback chain: rot the new image
+   and recovery must rebuild the same state from gen g plus the
    per-generation logs. *)
 let test_checkpoint_crash_window () =
   let ds = deltas () in
@@ -476,7 +462,7 @@ let test_checkpoint_crash_window () =
       (Printf.sprintf "prefix %d: recovered == acked" j)
       acked r2.Store.r_state;
     (* appends land in the rotated-forward log and recover on top *)
-    let extra = Store.Avail_flip { vertex = 7; slot = 4 } in
+    let extra = set 7 (mk_sched 4 4) in
     Store.append t2 extra;
     Store.close t2;
     let t3, r3 = open_exn ~init:no_init d in
@@ -725,7 +711,7 @@ let test_recovery_refuses () =
   (with_dir @@ fun d ->
    write_file
      (Store.wal_path ~dir:d ~gen:0)
-     (Store.encode_record (Store.Avail_flip { vertex = 0; slot = 1 }));
+     (Store.encode_record (set 0 (mk_sched 1 1)));
    (match Store.open_dir ~init:no_init d with
    | Error (Store.Corrupt c) ->
        check Alcotest.bool "stale log named" true
@@ -737,9 +723,8 @@ let test_recovery_refuses () =
      newer generation's log survives — state cannot be reconstructed *)
   (with_dir @@ fun d ->
    let t, _ = open_exn ~init:base_state d in
-   Store.append t (Store.Avail_flip { vertex = 0; slot = 1 });
-   Store.checkpoint t (apply_all (base_state ())
-                         [ Store.Avail_flip { vertex = 0; slot = 1 } ]);
+   Store.append t (set 0 (mk_sched 1 1));
+   Store.checkpoint t (apply_all (base_state ()) [ set 0 (mk_sched 1 1) ]);
    Store.close t;
    (* snapshots 0+1, logs 0+1 exist; lose snapshot 1 and log 0 *)
    Sys.remove (Store.snapshot_path ~dir:d ~gen:1);
@@ -756,7 +741,7 @@ let test_recovery_refuses () =
   Store.close t;
   write_file
     (Store.wal_path ~dir:d ~gen:0)
-    (Store.encode_record (Store.Edge_add { u = 0; v = 7777; w = 1. }));
+    (Store.encode_record (set 7777 (mk_sched 0 0)));
   match Store.open_dir ~init:no_init d with
   | Error (Store.Corrupt c) ->
       check Alcotest.int "offset of the bad record" 0 c.Store.offset;
@@ -764,42 +749,61 @@ let test_recovery_refuses () =
         (contains ~needle:"out of range" c.Store.detail)
   | Ok _ -> Alcotest.fail "replayed a semantically invalid record"
 
-(* --- engine epoch + graph-swap invalidation ------------------------ *)
+(* Tags 1-3 once named an edge add, an edge removal and a slot flip.  No
+   server wrote them, so a record that carries one, even under a valid
+   CRC, is refused as corrupt, by recovery and by both log readers, at
+   an offset inside that record. *)
+let test_retired_tags_refused () =
+  let record tag body =
+    let payload = "\001" ^ String.make 1 (Char.chr tag) ^ of_hex body in
+    let b = Buffer.create 32 in
+    w32_be b (String.length payload);
+    w32_be b (Store.crc32 payload);
+    Buffer.add_string b payload;
+    Buffer.contents b
+  in
+  with_dir @@ fun d ->
+  let t, _ = open_exn ~init:base_state d in
+  Store.close t;
+  let wal = Store.wal_path ~dir:d ~gen:0 in
+  List.iter
+    (fun (tag, body) ->
+      let bytes = record tag body in
+      write_file wal bytes;
+      let refused reader = function
+        | Error (Store.Corrupt c) ->
+            check Alcotest.bool
+              (Printf.sprintf "%s names tag %d" reader tag)
+              true
+              (contains ~needle:(Printf.sprintf "unknown record tag %d" tag) c.Store.detail);
+            check Alcotest.bool
+              (Printf.sprintf "%s: tag %d's offset lies in the record" reader tag)
+              true
+              (c.Store.offset >= 0 && c.Store.offset < String.length bytes)
+        | Ok () -> Alcotest.failf "%s accepted a record with retired tag %d" reader tag
+      in
+      refused "open_dir"
+        (Result.map (fun (t, _) -> Store.close t) (Store.open_dir ~init:no_init d));
+      refused "replay_wal" (Result.map ignore (Store.replay_wal wal));
+      refused "verify_wal" (Result.map ignore (Store.verify_wal wal)))
+    [
+      (* edge add {0, 7} of weight 2.5 *)
+      (1, "00000000000000074004000000000000");
+      (* edge remove {1, 2} *)
+      (2, "0000000100000002");
+      (* slot flip: vertex 2, slot 3 *)
+      (3, "0000000200000003");
+    ]
 
-let test_cache_epoch_and_swap () =
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  let entries_gauge () = Obs.Gauge.value (Obs.gauge "engine.cache.entries") in
+(* --- engine epoch --------------------------------------------------- *)
+
+let test_cache_epoch () =
   let path = Socgraph.Graph.of_edges 5 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.); (3, 4, 1.) ] in
-  let cache = Engine.Cache.create path in
-  check Alcotest.int "epoch starts at 0" 0 (Engine.Cache.epoch cache);
-  ignore (Engine.Cache.context cache ~initiator:0 ~s:1 : Engine.Context.t);
-  ignore (Engine.Cache.context cache ~initiator:4 ~s:1 : Engine.Context.t);
-  check Alcotest.int "two cached contexts" 2
-    (Engine.Cache.stats cache).Engine.Cache.entries;
-  (* a swap drops every context, including (0, s=1), whose ball the
-     re-weighted edge {3,4} does not reach *)
-  let g2 = Socgraph.Graph.of_edges 5 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.); (3, 4, 2.) ] in
-  check Alcotest.int "the entries gauge follows" 2 (entries_gauge ());
-  Engine.Cache.set_graph cache g2;
-  check Alcotest.int "every context dropped" 0
-    (Engine.Cache.stats cache).Engine.Cache.entries;
-  check Alcotest.int "the entries gauge reads 0" 0 (entries_gauge ());
-  check Alcotest.int "epoch bumped" 1 (Engine.Cache.epoch cache);
-  let rebuilt = Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:4 ~s:1 in
-  check Alcotest.bool "the next lookup rebuilds" false rebuilt.Engine.Cache.hit;
-  check Alcotest.bool "from the new graph" true
-    (rebuilt.Engine.Cache.ctx.Engine.Context.graph == g2);
-  let g3 = Socgraph.Graph.of_edges 5 [ (0, 1, 3.); (1, 2, 1.); (2, 3, 1.); (3, 4, 2.) ] in
-  Engine.Cache.set_graph cache g3;
-  check Alcotest.int "dropped again" 0
-    (Engine.Cache.stats cache).Engine.Cache.entries;
-  check Alcotest.int "epoch bumped again" 2 (Engine.Cache.epoch cache);
-  (* calendar edits bump the epoch too *)
   let schedules = Array.init 5 (fun _ -> mk_sched 0 5) in
-  let cache2 = Engine.Cache.create ~schedules path in
-  Engine.Cache.set_schedule cache2 ~vertex:2 (mk_sched 1 3);
-  check Alcotest.int "schedule edit bumps epoch" 1 (Engine.Cache.epoch cache2)
+  let cache = Engine.Cache.create ~schedules path in
+  check Alcotest.int "epoch starts at 0" 0 (Engine.Cache.epoch cache);
+  Engine.Cache.set_schedule cache ~vertex:2 (mk_sched 1 3);
+  check Alcotest.int "schedule edit bumps epoch" 1 (Engine.Cache.epoch cache)
 
 (* --- client retry + healthz ---------------------------------------- *)
 
@@ -1103,8 +1107,9 @@ let suite =
       (unless_armed test_wal_missing_vs_unreadable);
     Alcotest.test_case "recovery refuses bad stores" `Quick
       (unless_armed test_recovery_refuses);
-    Alcotest.test_case "cache epoch + swap invalidation" `Quick
-      (unless_armed test_cache_epoch_and_swap);
+    Alcotest.test_case "retired record tags refused" `Quick
+      (unless_armed test_retired_tags_refused);
+    Alcotest.test_case "cache epoch" `Quick (unless_armed test_cache_epoch);
     Alcotest.test_case "connect retry" `Quick (unless_armed test_connect_retry);
     Alcotest.test_case "healthz recovery field" `Quick
       (unless_armed test_healthz_recovery_field);
