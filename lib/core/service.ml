@@ -253,7 +253,5 @@ let graph t = Engine.Cache.graph t.engine
 let schedules t =
   Array.map Timetable.Availability.copy (Engine.Cache.world t.engine).schedules
 
-let update_graph t graph = Engine.Cache.set_graph t.engine graph
-
 let update_schedule t ~vertex schedule =
   Engine.Cache.set_schedule t.engine ~vertex schedule

@@ -24,12 +24,12 @@
     {!Engine.Cache.world}.  Two query functions share one request path:
     an SGQ or an STGQ, each answered through the {!Resilience} ladder and
     certified on every rung.  A request reads the world once, on entry,
-    and answers wholly against it, so an edit ({!update_graph},
-    {!update_schedule}) publishes the next world without waiting for
-    requests in flight: a request sees the state before or after an
-    edit, never a mixture, and its certificate checks the state its
-    solve read.  A calendar edit keeps every cached context; a graph
-    edit drops them all. *)
+    and answers wholly against it, so a calendar edit
+    ({!update_schedule}), the one edit the service takes, publishes the
+    next world without waiting for requests in flight: a request sees
+    the state before or after an edit, never a mixture, and its
+    certificate checks the state its solve read.  The graph never
+    changes, so an edit keeps every cached context. *)
 
 type t
 
@@ -102,20 +102,14 @@ val n_vertices : t -> int
     horizon a {!update_schedule} replacement must match). *)
 val horizon : t -> int
 
-(** [graph t] — the social graph currently served (immutable). *)
+(** [graph t] — the social graph served (immutable, and never
+    replaced). *)
 val graph : t -> Socgraph.Graph.t
 
 (** [schedules t] — a deep copy of the calendars of the world currently
     served, indexed by vertex.  This is what a durable checkpoint
     snapshots; the copy is the caller's to mutate. *)
 val schedules : t -> Timetable.Availability.t array
-
-(** [update_graph t graph] publishes a world with the new social graph
-    (same vertex count required) and drops every cached context
-    ({!Engine.Cache.set_graph}).  Requests already in flight answer
-    against the old graph; it waits for none of them.
-    @raise Invalid_argument if the vertex count differs. *)
-val update_graph : t -> Socgraph.Graph.t -> unit
 
 (** [update_schedule t ~vertex schedule] publishes a world whose
     calendar of [vertex] is a copy of [schedule] (same horizon

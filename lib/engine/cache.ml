@@ -85,11 +85,6 @@ let graph t = (world t).graph
 
 let epoch t = (world t).epoch
 
-(* Called with [t.lock] held, so two edits cannot lose one another. *)
-let publish_locked t w =
-  Atomic.set t.world w;
-  Obs.Gauge.set m_epoch w.epoch
-
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
   (match n.next with Some q -> q.prev <- n.prev | None -> t.tail <- n.prev);
@@ -129,13 +124,12 @@ let lookup t (w : world) ~initiator ~s =
   let cached =
     Mutex.protect t.lock @@ fun () ->
     match Hashtbl.find_opt t.table key with
-    (* lint: allow phys-eq *)
-    | Some n when n.ctx.Context.graph == w.graph ->
+    | Some n ->
         t.hits <- t.hits + 1;
         unlink t n;
         push_front t n;
         Some n.ctx
-    | _ ->
+    | None ->
         (* Counted before the build, so a build that raises still counts
            its miss; it inserts nothing. *)
         t.misses <- t.misses + 1;
@@ -152,13 +146,10 @@ let lookup t (w : world) ~initiator ~s =
       Obs.Trace.add_attrs [ ("context.cache", "miss") ];
       Log.debug (fun m -> m "context cache miss for (q=%d, s=%d)" initiator s);
       let ctx = Context.build w.graph ~initiator ~s in
-      (* Another miss on the key may have inserted first, and a context
-         of a graph that is no longer published is stale: either way it
-         answers this caller only.  Graphs are compared by identity. *)
+      (* Another miss on the key may have inserted first; then this
+         context answers its caller only. *)
       Mutex.protect t.lock (fun () ->
-          (* lint: allow phys-eq *)
-          if (world t).graph == w.graph && not (Hashtbl.mem t.table key) then
-            insert t key ctx);
+          if not (Hashtbl.mem t.table key) then insert t key ctx);
       { ctx; hit = false }
 
 let context t ~initiator ~s = (lookup t (world t) ~initiator ~s).ctx
@@ -172,21 +163,10 @@ let stats t =
         entries = Hashtbl.length t.table;
       })
 
-let set_graph t graph =
-  Mutex.protect t.lock (fun () ->
-      let w = world t in
-      if Socgraph.Graph.n_vertices graph <> Socgraph.Graph.n_vertices w.graph then
-        invalid_arg "Engine.Cache.set_graph: vertex count changed";
-      publish_locked t { w with graph; epoch = w.epoch + 1 };
-      (* Every context embeds distances derived from the old edges. *)
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None;
-      Obs.Gauge.set m_entries 0)
-
 let set_schedule t ~vertex schedule =
   (* Copied first, so the caller keeps no handle on the published one. *)
   let schedule = Timetable.Availability.copy schedule in
+  (* Under [t.lock], so two edits cannot lose one another. *)
   Mutex.protect t.lock (fun () ->
       let w = world t in
       if Array.length w.schedules = 0 then
@@ -199,4 +179,6 @@ let set_schedule t ~vertex schedule =
       then invalid_arg "Engine.Cache.set_schedule: horizon mismatch";
       let schedules = Array.copy w.schedules in
       schedules.(vertex) <- schedule;
-      publish_locked t { w with schedules; epoch = w.epoch + 1 })
+      let epoch = w.epoch + 1 in
+      Atomic.set t.world { w with schedules; epoch };
+      Obs.Gauge.set m_epoch epoch)

@@ -7,11 +7,12 @@
     lookup, touch and eviction are all O(1).
 
     The served state is a {!world}: the social graph, the calendars and
-    an epoch, published as one immutable value.  An edit builds the next
-    world and publishes it; nothing ever writes a calendar or a
-    calendar array that a world holds.  A reader that takes {!world}
-    once therefore sees one consistent graph and calendar state for as
-    long as it holds it, and no edit waits for a reader.
+    an epoch, published as one immutable value.  The graph never
+    changes; a calendar edit builds the next world and publishes it, and
+    nothing ever writes a calendar or a calendar array that a world
+    holds.  A reader that takes {!world} once therefore sees one
+    consistent calendar state for as long as it holds it, and no edit
+    waits for a reader.
 
     Concurrency: every operation is safe to call from any domain or
     systhread (the wire server answers each connection on its own
@@ -24,11 +25,8 @@
     and every lookup counts as one hit or one miss, so
     [hits + misses = lookups].
 
-    Contexts hold only what the graph determines.  A calendar edit
-    ({!set_schedule}) keeps every cached context; a graph swap
-    ({!set_graph}) drops them all, and a lookup made against a replaced
-    graph builds a context that answers its own caller but is not
-    cached. *)
+    Contexts hold only what the graph determines, so a calendar edit
+    ({!set_schedule}) keeps every cached context. *)
 
 type t
 
@@ -77,12 +75,11 @@ val epoch : t -> int
 type lookup = { ctx : Context.t; hit : bool }
 
 (** [lookup t world ~initiator ~s] returns the context of the key for
-    [world]'s graph, which the caller read with {!world}.  A hit is a
-    cached context built from that very graph.  On a miss it builds the
-    context outside the cache lock and then caches it (possibly evicting
-    the least-recently-used entry), unless another miss cached the key
-    first or [world]'s graph is no longer the published one.  A build
-    that raises counts its miss and caches nothing. *)
+    [world]'s graph, which the caller read with {!world}.  On a miss it
+    builds the context outside the cache lock and then caches it
+    (possibly evicting the least-recently-used entry), unless another
+    miss cached the key first.  A build that raises counts its miss and
+    caches nothing. *)
 val lookup : t -> world -> initiator:int -> s:int -> lookup
 
 (** [context t ~initiator ~s] is [(lookup t (world t) ~initiator ~s).ctx]. *)
@@ -90,12 +87,6 @@ val context : t -> initiator:int -> s:int -> Context.t
 
 (** Cumulative cache behaviour. *)
 val stats : t -> stats
-
-(** [set_graph t g] publishes a world with graph [g] (same vertex count
-    required) and drops every cached context (counters are kept).
-    Waits for no reader.
-    @raise Invalid_argument if the vertex count differs. *)
-val set_graph : t -> Socgraph.Graph.t -> unit
 
 (** [set_schedule t ~vertex schedule] publishes a world whose calendar
     of [vertex] is a copy of [schedule] (same horizon required): the

@@ -1,5 +1,4 @@
 type t = {
-  graph : Socgraph.Graph.t;
   initiator : int;
   s : int;
   fg : Feasible.t;
@@ -12,7 +11,7 @@ let build graph ~initiator ~s =
   Obs.Counter.incr m_builds;
   Obs.Trace.with_span "context.build"
     ~attrs:[ ("initiator", string_of_int initiator); ("s", string_of_int s) ]
-  @@ fun () -> { graph; initiator; s; fg = Feasible.extract graph ~initiator ~s }
+  @@ fun () -> { initiator; s; fg = Feasible.extract graph ~initiator ~s }
 
 let ensure_for t ~initiator ~s =
   if t.initiator <> initiator then

@@ -2,23 +2,22 @@
 
     A context bundles everything the branch-and-bound kernel reads that
     the social graph determines for [(initiator, s)] — not the per-query
-    [p]/[k]/[m] knobs, and no calendar: the feasible subgraph with its
-    adjacency bitsets, hop-bounded distance table and distance order
+    [p]/[k]/[m] knobs, and no calendar: the feasible subgraph as CSR
+    rows, its hop-bounded distance table and distance order
     ({!Feasible}).
     Build once, answer many SGQs and STGQs.
 
     A temporal solver reads the ball's calendars from its own instance
     ({!Feasible.slab}), so a context stays valid while calendars change
-    and needs no invalidation on a calendar edit; only a graph swap
-    makes it stale ({!Cache}).  The record is never mutated, so any
-    number of domains may read one context at once. *)
+    and needs no invalidation on a calendar edit.  The served graph
+    never changes, so nothing else makes a context stale.  The record
+    is never mutated, so any number of domains may read one context at
+    once. *)
 
 type t = {
-  graph : Socgraph.Graph.t;   (** the social graph the context was built from *)
   initiator : int;            (** original vertex id of the activity initiator *)
   s : int;                    (** acquaintance radius the context was built for *)
-  fg : Feasible.t;
-      (** feasible subgraph, distances, distance order, adjacency bitsets *)
+  fg : Feasible.t;  (** feasible subgraph, distances, distance order *)
 }
 
 (** [build g ~initiator ~s] extracts the feasible graph and assembles

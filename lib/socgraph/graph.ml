@@ -197,59 +197,6 @@ let induced g vs =
   let len = max 1 row.(k) in
   { n = k; m = row.(k) / 2; row; adj = Array.sub adj 0 len; wgt = Array.sub wgt 0 len }
 
-(* The edge {lo,hi} (lo < hi) occupies one slot in row [lo] and one in
-   row [hi]; row [lo] precedes row [hi] in [adj], so its slot [a] comes
-   first.  Removing or inserting both slots shifts the rows strictly
-   after [lo] by one and those strictly after [hi] by two. *)
-let with_edge g u v w =
-  if u = v then invalid_arg (Printf.sprintf "Graph.with_edge: self-loop at %d" u);
-  (match w with
-  | Some w -> validate_edge g.n (u, v, w)
-  | None ->
-      if u < 0 || u >= g.n || v < 0 || v >= g.n then
-        invalid_arg (Printf.sprintf "Graph.with_edge: edge (%d,%d) out of [0,%d)" u v g.n));
-  let lo = min u v and hi = max u v in
-  let len = 2 * g.m in
-  let a = lower_bound g.adj g.row.(lo) g.row.(lo + 1) hi in
-  let b = lower_bound g.adj g.row.(hi) g.row.(hi + 1) lo in
-  let present = a < g.row.(lo + 1) && g.adj.(a) = hi in
-  let shift_rows d =
-    Array.mapi
-      (fun x r -> if x <= lo then r else if x <= hi then r + d else r + (2 * d))
-      g.row
-  in
-  match (present, w) with
-  | false, None -> g
-  | true, Some w ->
-      let wgt = Array.copy g.wgt in
-      wgt.(a) <- w;
-      wgt.(b) <- w;
-      { g with wgt }
-  | true, None ->
-      let adj = Array.make (max 1 (len - 2)) 0 in
-      let wgt = Array.make (max 1 (len - 2)) 0. in
-      let cut src dst =
-        Array.blit src 0 dst 0 a;
-        Array.blit src (a + 1) dst a (b - a - 1);
-        Array.blit src (b + 1) dst (b - 1) (len - b - 1)
-      in
-      cut g.adj adj;
-      cut g.wgt wgt;
-      { n = g.n; m = g.m - 1; row = shift_rows (-1); adj; wgt }
-  | false, Some w ->
-      let adj = Array.make (len + 2) 0 in
-      let wgt = Array.make (len + 2) 0. in
-      let splice src dst x y =
-        Array.blit src 0 dst 0 a;
-        dst.(a) <- x;
-        Array.blit src a dst (a + 1) (b - a);
-        dst.(b + 1) <- y;
-        Array.blit src b dst (b + 2) (len - b)
-      in
-      splice g.adj adj hi lo;
-      splice g.wgt wgt w w;
-      { n = g.n; m = g.m + 1; row = shift_rows 1; adj; wgt }
-
 let pp ppf g = Format.fprintf ppf "graph(%d vertices, %d edges)" g.n g.m
 
 let pp_full ppf g =

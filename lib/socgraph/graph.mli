@@ -75,15 +75,6 @@ val edges : t -> edge list
     an out-of-range id. *)
 val induced : t -> int array -> t
 
-(** [with_edge g u v w] is a copy of [g] in which the undirected edge
-    [{u,v}] has weight [w] — added, or its weight replaced — when [w] is
-    [Some w], and is absent when [w] is [None] (removing an absent edge
-    returns [g] itself).  Splices the two rows into copies of the CSR
-    arrays, keeping every row sorted: O(n + m) blits, no rebuild.
-    @raise Invalid_argument on [u = v], an out-of-range endpoint, or a
-    non-positive or non-finite weight. *)
-val with_edge : t -> int -> int -> float option -> t
-
 (** [pp] prints a terse [n/m] summary. *)
 val pp : Format.formatter -> t -> unit
 

@@ -340,12 +340,11 @@ let replay_queries =
 (* ------------------------------------------------------------------ *)
 (* An edit between a solve and its certificate.  [Sgselect]/
    [Stgselect.solve_report] log one debug line after the search and
-   before [Service] certifies the answer, and a cache miss logs one
-   before its build.  [edit_mid_solve ~src ~edit request] runs
-   [request ()] with that log source at [Debug] and a reporter that, on
-   the source's first line, releases a writer thread running [edit ()]
-   and holds the request up to 200 ms for the edit to return.  An edit
-   that waits for nothing returns within the hold, so
+   before [Service] certifies the answer.  [edit_mid_solve ~src ~edit
+   request] runs [request ()] with that log source at [Debug] and a
+   reporter that, on the source's first line, releases a writer thread
+   running [edit ()] and holds the request up to 200 ms for the edit to
+   return.  An edit that waits for nothing returns within the hold, so
    [edit_returned_mid_request] reads true and the request then finishes
    against the state it read before the edit; an edit that waited for
    the request would read false and land after it.  Both the level and

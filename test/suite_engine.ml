@@ -335,31 +335,6 @@ let test_concurrent_misses_on_one_key () =
           l.ctx.Engine.Context.fg.Engine.Feasible.of_sub)
     found
 
-(* A miss builds outside the lock, so a graph swap released by the
-   cache's miss line (logged once the lock is dropped, before the build)
-   lands at once; the stale build answers its own caller but is not
-   cached. *)
-let test_swap_mid_build_not_cached () =
-  let g1 = Socgraph.Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
-  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
-  let cache = Engine.Cache.create g1 in
-  let found, mid =
-    Gen.edit_mid_solve ~src:"stgq.engine.cache"
-      ~edit:(fun () -> Engine.Cache.set_graph cache g2)
-      (fun () -> Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:0 ~s:1)
-  in
-  Alcotest.(check bool) "the miss line fired" true mid.Gen.fired;
-  Alcotest.(check bool) "the swap landed mid-build" true
-    mid.Gen.edit_returned_mid_request;
-  Alcotest.(check bool) "the build read the old graph" true
-    (found.Engine.Cache.ctx.Engine.Context.graph == g1);
-  Alcotest.(check int) "the stale build is not cached" 0
-    (Engine.Cache.stats cache).Engine.Cache.entries;
-  let next = Engine.Cache.lookup cache (Engine.Cache.world cache) ~initiator:0 ~s:1 in
-  Alcotest.(check bool) "the next lookup misses" false next.Engine.Cache.hit;
-  Alcotest.(check bool) "and builds from the new graph" true
-    (next.Engine.Cache.ctx.Engine.Context.graph == g2)
-
 (* --- one immutable world ---------------------------------------------
 
    An edit publishes a new world; it never writes one that a reader may
@@ -375,29 +350,24 @@ let all_free () =
   Timetable.Availability.set_free a 0 7;
   a
 
-(* The world a request holds keeps its graph, its calendar array and
-   every calendar's bits through a calendar edit and a graph swap; the
-   published world carries both edits, and the calendar it publishes
-   is a copy the caller cannot write. *)
+(* The world a request holds keeps its calendar array and every
+   calendar's bits through a calendar edit; the published world carries
+   the edit, and the calendar it publishes is a copy the caller cannot
+   write. *)
 let test_edit_leaves_held_world () =
   let cache = world_cache () in
   let held = Engine.Cache.world cache in
   let held_calendar = held.Engine.Cache.schedules.(1) in
   let edit = all_free () in
   Engine.Cache.set_schedule cache ~vertex:1 edit;
-  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
-  Engine.Cache.set_graph cache g2;
   Alcotest.(check int) "the held world's epoch" 0 held.Engine.Cache.epoch;
   Alcotest.(check bool) "the held world's calendar is the one it had" true
     (held.Engine.Cache.schedules.(1) == held_calendar);
   Alcotest.(check int) "and its bits are as they were" 0
     (Timetable.Availability.free_count held_calendar);
-  Alcotest.(check bool) "the held world's graph" false (held.Engine.Cache.graph == g2);
   let now = Engine.Cache.world cache in
-  Alcotest.(check int) "two edits, two epochs" 2 now.Engine.Cache.epoch;
-  Alcotest.(check bool) "the published world has the new graph" true
-    (now.Engine.Cache.graph == g2);
-  Alcotest.(check int) "and the new calendar" 8
+  Alcotest.(check int) "one edit, one epoch" 1 now.Engine.Cache.epoch;
+  Alcotest.(check int) "the published world has the new calendar" 8
     (Timetable.Availability.free_count now.Engine.Cache.schedules.(1));
   Timetable.Availability.set_busy edit 0 7;
   Alcotest.(check int) "which the caller's object does not alias" 8
@@ -419,36 +389,6 @@ let test_calendar_edit_keeps_contexts () =
     (built.Engine.Cache.ctx == again.Engine.Cache.ctx);
   Alcotest.(check int) "still one entry" 1 (Engine.Cache.stats cache).Engine.Cache.entries;
   Alcotest.(check int) "the edit bumped the epoch" 1 (Engine.Cache.epoch cache)
-
-(* A request that read its world before a graph swap looks up against
-   the old graph: it never hits a context of the new graph, and the
-   context it builds answers it but is not cached.  Every lookup still
-   counts once. *)
-let test_lookup_against_replaced_graph () =
-  let cache = world_cache () in
-  let old_world = Engine.Cache.world cache in
-  let g1 = old_world.Engine.Cache.graph in
-  let g2 = Socgraph.Graph.of_edges 3 [ (0, 1, 2.); (1, 2, 1.) ] in
-  let lookup w = Engine.Cache.lookup cache w ~initiator:0 ~s:1 in
-  ignore (lookup old_world : Engine.Cache.lookup);
-  Engine.Cache.set_graph cache g2;
-  let stale = lookup old_world in
-  Alcotest.(check bool) "a miss" false stale.Engine.Cache.hit;
-  Alcotest.(check bool) "built from the graph the request read" true
-    (stale.Engine.Cache.ctx.Engine.Context.graph == g1);
-  Alcotest.(check int) "and not cached" 0 (Engine.Cache.stats cache).Engine.Cache.entries;
-  let fresh = lookup (Engine.Cache.world cache) in
-  Alcotest.(check bool) "the published world misses and builds from g2" true
-    ((not fresh.Engine.Cache.hit) && fresh.Engine.Cache.ctx.Engine.Context.graph == g2);
-  let stale_again = lookup old_world in
-  Alcotest.(check bool) "g2's cached context is no hit for the old world" true
-    ((not stale_again.Engine.Cache.hit)
-    && stale_again.Engine.Cache.ctx.Engine.Context.graph == g1);
-  Alcotest.(check bool) "the published world hits it" true
-    (lookup (Engine.Cache.world cache)).Engine.Cache.hit;
-  let s = Engine.Cache.stats cache in
-  Alcotest.(check (pair int int)) "hits + misses = lookups" (1, 4)
-    (s.Engine.Cache.hits, s.Engine.Cache.misses)
 
 (* Contexts hold no calendar, so one context answers any calendar
    state: solving instance B with a context built from instance A
@@ -503,14 +443,10 @@ let suite =
       test_cache_lookup_reports_own_hit;
     Alcotest.test_case "concurrent misses on one key" `Quick
       test_concurrent_misses_on_one_key;
-    Alcotest.test_case "a swap mid-build is not cached" `Quick
-      test_swap_mid_build_not_cached;
     Alcotest.test_case "an edit leaves a held world as it was" `Quick
       test_edit_leaves_held_world;
     Alcotest.test_case "a calendar edit keeps cached contexts" `Quick
       test_calendar_edit_keeps_contexts;
-    Alcotest.test_case "a lookup against a replaced graph builds uncached" `Quick
-      test_lookup_against_replaced_graph;
     prop_one_context_two_calendar_states;
     Alcotest.test_case "a supplied context checks the ball's calendars" `Quick
       test_supplied_context_checks_ball_calendars;

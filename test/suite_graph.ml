@@ -178,40 +178,6 @@ let prop_hop_consistency =
                   violations))
         (sources_and_radii n))
 
-(* Splicing one edge into the CSR must give exactly the graph a full
-   [of_edges] rebuild gives: same edges and weights, every row sorted.
-   Every ordered pair (u > v included) meets every operation, so the
-   cases are all covered on every graph: replacing a weight, removing
-   an absent edge, and inserting where row [lo] ends and row [hi]
-   begins. *)
-let prop_with_edge_matches_rebuild =
-  Gen.qtest ~count:150 "edge splice = of_edges rebuild" tied_graph_arb
-    (fun (n, edges) ->
-      let g = G.of_edges n edges in
-      let rows g = List.init n (G.neighbors g) in
-      let pairs =
-        List.concat_map
-          (fun u -> List.filter_map (fun v -> if u = v then None else Some (u, v))
-             (List.init n Fun.id))
-          (List.init n Fun.id)
-      in
-      List.for_all
-        (fun (u, v) ->
-          List.for_all
-            (fun w ->
-              let lo = min u v and hi = max u v in
-              let kept = List.filter (fun (a, b, _) -> (a, b) <> (lo, hi)) (G.edges g) in
-              let expected =
-                G.of_edges n
-                  (match w with Some w -> (lo, hi, w) :: kept | None -> kept)
-              in
-              let got = G.with_edge g u v w in
-              G.n_edges got = G.n_edges expected
-              && G.edges got = G.edges expected
-              && rows got = rows expected)
-            [ None; Some 0.2; Some 1. ])
-        pairs)
-
 let prop_degree_sum =
   Gen.qtest ~count:150 "degree sum = 2|E|" small_graph_arb
     (fun (n, edges) ->
@@ -369,30 +335,6 @@ let test_ba_degree_skew () =
     (float_of_int stats.Socgraph.Metrics.max_degree
     > 3. *. stats.Socgraph.Metrics.mean_degree)
 
-let test_builder () =
-  let b = Socgraph.Builder.create 4 in
-  Socgraph.Builder.add_edge b 0 1 5.;
-  Socgraph.Builder.add_edge b 1 0 3.;  (* re-weight, either orientation *)
-  Socgraph.Builder.add_edge b 1 2 2.;
-  check Alcotest.int "two edges" 2 (Socgraph.Builder.n_edges b);
-  check Alcotest.bool "mem" true (Socgraph.Builder.mem_edge b 2 1);
-  check Alcotest.bool "remove" true (Socgraph.Builder.remove_edge b 0 1);
-  check Alcotest.bool "remove absent" false (Socgraph.Builder.remove_edge b 0 1);
-  let g = Socgraph.Builder.snapshot b in
-  check Alcotest.int "snapshot edges" 1 (G.n_edges g);
-  check (Alcotest.option (Alcotest.float 0.)) "weight" (Some 2.) (G.edge_weight g 1 2);
-  (* The builder stays usable after a snapshot. *)
-  Socgraph.Builder.add_edge b 2 3 7.;
-  check Alcotest.int "snapshot unaffected" 1 (G.n_edges g);
-  check Alcotest.int "builder advanced" 2 (Socgraph.Builder.n_edges b)
-
-let prop_builder_roundtrip =
-  Gen.qtest ~count:150 "of_graph/snapshot roundtrip" small_graph_arb
-    (fun (n, edges) ->
-      let g = G.of_edges n edges in
-      let g' = Socgraph.Builder.snapshot (Socgraph.Builder.of_graph g) in
-      G.edges g' = G.edges g)
-
 let test_metrics () =
   let tri = G.of_edges 3 [ (0, 1, 1.); (1, 2, 2.); (0, 2, 3.) ] in
   check (Alcotest.float 1e-9) "clustering of triangle" 1. (Socgraph.Metrics.clustering tri 0);
@@ -416,15 +358,12 @@ let suite =
     Alcotest.test_case "k-plex enumeration fixture" `Quick test_kplex_enumeration;
     Alcotest.test_case "generators" `Quick test_generators;
     Alcotest.test_case "BA degree skew" `Quick test_ba_degree_skew;
-    Alcotest.test_case "builder" `Quick test_builder;
     Alcotest.test_case "metrics" `Quick test_metrics;
     prop_bounded_dist;
     prop_hop_consistency;
     prop_degree_sum;
     prop_gio_roundtrip;
-    prop_builder_roundtrip;
     prop_shortest_path_witness;
     prop_kplex_enumeration_sound;
     prop_kplex_monotone;
-    prop_with_edge_matches_rebuild;
   ]

@@ -71,26 +71,6 @@ let test_cache_hits_and_eviction () =
   Alcotest.check Alcotest.int "evictions" 2 stats.Service.evictions;
   Alcotest.check Alcotest.int "entries" 2 stats.Service.entries
 
-let test_graph_update_invalidates () =
-  let ti = fixture () in
-  let service = Service.create ti in
-  let q = { Query.p = 2; s = 1; k = 1 } in
-  (match Gen.served (Service.sgq_r service ~initiator:0 q) with
-  | Some { Query.total_distance; _ } ->
-      Alcotest.check Alcotest.bool "initially 1" true (close total_distance 1.)
-  | None -> Alcotest.fail "expected a solution");
-  (* Re-weight 0-1 to be expensive: the cheapest companion becomes 2. *)
-  let g' =
-    Socgraph.Graph.of_edges 5
-      [ (0, 1, 9.); (0, 2, 2.); (1, 2, 1.); (3, 4, 1.); (0, 3, 5.) ]
-  in
-  Service.update_graph service g';
-  (match Gen.served (Service.sgq_r service ~initiator:0 q) with
-  | Some { Query.total_distance; _ } ->
-      Alcotest.check Alcotest.bool "now 2" true (close total_distance 2.)
-  | None -> Alcotest.fail "expected a solution after update");
-  Alcotest.check Alcotest.int "cache dropped" 1 (Service.cache_stats service).Service.entries
-
 let test_schedule_update_visible () =
   let ti = fixture () in
   let service = Service.create ti in
@@ -527,46 +507,6 @@ let calendar_race () =
 let either_ref r i answer =
   same_stg answer (List.nth r.pre_refs i) || same_stg answer (List.nth r.post_refs i)
 
-(* The SGQ of the race world's first shape, an edit that drops every
-   edge of [victim], an attendee of its pre-edit answer, and the answer
-   before and after that edit. *)
-type graph_race = {
-  g_ti : Query.temporal_instance;
-  g_initiator : int;
-  q : Query.sgq;
-  original_graph : Socgraph.Graph.t;
-  edited : Socgraph.Graph.t;
-  pre : Query.sg_solution option;
-  post : Query.sg_solution option;
-}
-
-let graph_race () =
-  let ti, initiator = race_world () in
-  let social = ti.Query.social in
-  let q = Query.sgq_of_stgq race_q in
-  let pre = Sgselect.solve social q in
-  let victim =
-    match pre with
-    | Some sol -> non_initiator initiator sol.Query.attendees
-    | None -> Alcotest.fail "expected a pre-edit solution"
-  in
-  let graph = social.Query.graph in
-  let kept =
-    List.filter (fun (u, v, _) -> u <> victim && v <> victim) (Socgraph.Graph.edges graph)
-  in
-  let edited = Socgraph.Graph.of_edges (Socgraph.Graph.n_vertices graph) kept in
-  let post = Sgselect.solve { social with Query.graph = edited } q in
-  Alcotest.check Alcotest.bool "the edit changes the answer" false (same_sg pre post);
-  {
-    g_ti = ti;
-    g_initiator = initiator;
-    q;
-    original_graph = graph;
-    edited;
-    pre;
-    post;
-  }
-
 let check_landed_mid (seen : Gen.mid_solve) =
   Alcotest.(check bool) "the solver's debug line was caught" true seen.Gen.fired;
   Alcotest.(check bool) "the edit returned while the request was in flight" true
@@ -594,26 +534,6 @@ let test_schedule_edit_lands_mid_request () =
   check_landed_mid seen;
   Alcotest.(check bool) "the next request sees the edit" true
     (same_stg (Gen.served (Service.stgq_r service ~initiator q)) (List.nth r.post_refs 0))
-
-(* The same for a social-graph edit against an SGQ: the edit isolates
-   an attendee of the answer and returns while the request is held. *)
-let test_graph_edit_lands_mid_request () =
-  let r = graph_race () in
-  let initiator = r.g_initiator in
-  let service = Service.create r.g_ti in
-  let answer, seen =
-    Gen.edit_mid_solve ~src:"stgq.sgselect"
-      ~edit:(fun () -> Service.update_graph service r.edited)
-      (fun () -> Service.sgq_r service ~initiator r.q)
-  in
-  (match answer with
-  | Ok a ->
-      Alcotest.(check bool) "the answer is the pre-edit optimum" true
-        (same_sg a.Resilience.value r.pre)
-  | Error e -> Alcotest.failf "request failed: %a" Resilience.pp_error e);
-  check_landed_mid seen;
-  Alcotest.(check bool) "the next request sees the edit" true
-    (same_sg (Gen.served (Service.sgq_r service ~initiator r.q)) r.post)
 
 (* Calendar edits racing single pooled requests: every request sees one
    consistent calendar state, so each answer equals its shape's
@@ -645,32 +565,9 @@ let test_schedule_edit_race_consistent () =
   Alcotest.check Alcotest.bool "final answers are the pre-edit ones" true
     (List.for_all2 same_stg (List.map answer r.shapes) r.pre_refs)
 
-(* Social-graph edits racing single SGQ requests: each answer equals
-   the pre-edit or the post-edit reference. *)
-let test_graph_edit_race_consistent () =
-  let r = graph_race () in
-  let service = Service.create r.g_ti in
-  let editor =
-    Domain.spawn (fun () ->
-        for _ = 1 to 20 do
-          Service.update_graph service r.edited;
-          Service.update_graph service r.original_graph
-        done)
-  in
-  let answer () = Gen.served (Service.sgq_r service ~initiator:r.g_initiator r.q) in
-  for _ = 1 to 40 do
-    let a = answer () in
-    Alcotest.check Alcotest.bool "each answer matches one consistent graph" true
-      (same_sg a r.pre || same_sg a r.post)
-  done;
-  Domain.join editor;
-  Alcotest.check Alcotest.bool "the final answer is the pre-edit one" true
-    (same_sg (answer ()) r.pre)
-
 let suite =
   [
     Alcotest.test_case "cache hits and eviction" `Quick test_cache_hits_and_eviction;
-    Alcotest.test_case "graph update invalidates" `Quick test_graph_update_invalidates;
     Alcotest.test_case "schedule update visible" `Quick test_schedule_update_visible;
     Alcotest.test_case "create checks its instance once" `Quick
       test_create_checks_instance;
@@ -696,8 +593,4 @@ let suite =
       test_schedule_edit_race_consistent;
     Alcotest.test_case "calendar edit lands mid-request" `Quick
       test_schedule_edit_lands_mid_request;
-    Alcotest.test_case "graph edit lands mid-request" `Quick
-      test_graph_edit_lands_mid_request;
-    Alcotest.test_case "graph edits race single requests consistently" `Quick
-      test_graph_edit_race_consistent;
   ]
