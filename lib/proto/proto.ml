@@ -151,21 +151,11 @@ let w_list16 w b l =
   w_u16 b n;
   List.iter (w b) l
 
-(* Availability: u32 horizon, then ceil(horizon/8) bytes, slot [i]
-   mapped to bit [i land 7] (LSB first) of byte [i / 8]; set = free. *)
+(* Availability: u32 horizon, then the calendar's byte mask
+   ({!Timetable.Availability.add_mask}). *)
 let w_avail b a =
-  let h = Timetable.Availability.horizon a in
-  w_u32 b h;
-  let nbytes = (h + 7) / 8 in
-  for byte = 0 to nbytes - 1 do
-    let v = ref 0 in
-    for bit = 0 to 7 do
-      let slot = (byte * 8) + bit in
-      if slot < h && Timetable.Availability.available a slot then
-        v := !v lor (1 lsl bit)
-    done;
-    Buffer.add_char b (Char.chr !v)
-  done
+  w_u32 b (Timetable.Availability.horizon a);
+  Timetable.Availability.add_mask b a
 
 let w_policy b (p : policy) =
   w_opt w_f64 b p.deadline_ms;
@@ -375,17 +365,12 @@ let r_list16 read r =
   List.init n (fun _ -> read r)
 
 let r_avail r =
-  let h = r_u32 r in
-  let nbytes = (h + 7) / 8 in
-  (* The slab allocation below is sized from the wire; insist the
-     frame actually carries the bytes first (OOM cap). *)
+  let horizon = r_u32 r in
+  let nbytes = Timetable.Availability.mask_bytes ~horizon in
+  (* The calendar below is sized from the wire; insist the frame
+     actually carries the bytes first (OOM cap). *)
   need r nbytes;
-  let a = Timetable.Availability.create ~horizon:h in
-  for slot = 0 to h - 1 do
-    let byte = Char.code r.buf.[r.pos + (slot / 8)] in
-    if byte land (1 lsl (slot land 7)) <> 0 then
-      Timetable.Availability.set_free a slot slot
-  done;
+  let a = Timetable.Availability.of_mask r.buf ~pos:r.pos ~horizon in
   r.pos <- r.pos + nbytes;
   a
 
@@ -544,18 +529,6 @@ let decode_response f = decode_frame decode_response_payload f
 (* ------------------------------------------------------------------ *)
 (* Equality and printing. *)
 
-let equal_avail a b =
-  let h = Timetable.Availability.horizon a in
-  h = Timetable.Availability.horizon b
-  &&
-  let rec go i =
-    i >= h
-    || Timetable.Availability.available a i
-       = Timetable.Availability.available b i
-       && go (i + 1)
-  in
-  go 0
-
 let equal_policy (a : policy) (b : policy) =
   Option.equal Float.equal a.deadline_ms b.deadline_ms
   && Option.equal Int.equal a.node_limit b.node_limit
@@ -584,7 +557,7 @@ let equal_request (a : request) (b : request) =
       && x.q = y.q
       && Option.equal equal_policy x.policy y.policy
   | Update_schedule x, Update_schedule y ->
-      Int.equal x.vertex y.vertex && equal_avail x.avail y.avail
+      Int.equal x.vertex y.vertex && Timetable.Availability.equal x.avail y.avail
   | (Hello _ | Ping _ | Sgq _ | Stgq _ | Update_schedule _), _ -> false
 
 let equal_server_error (a : server_error) (b : server_error) =

@@ -100,19 +100,7 @@ let state_equal a b =
   Socgraph.Graph.n_vertices a.graph = Socgraph.Graph.n_vertices b.graph
   && Socgraph.Graph.edges a.graph = Socgraph.Graph.edges b.graph
   && Array.length a.schedules = Array.length b.schedules
-  && begin
-       let eq = ref true in
-       Array.iteri
-         (fun i sa ->
-           if
-             not
-               (Bitset.equal
-                  (Timetable.Availability.bits sa)
-                  (Timetable.Availability.bits b.schedules.(i)))
-           then eq := false)
-         a.schedules;
-       !eq
-     end
+  && Array.for_all2 Timetable.Availability.equal a.schedules b.schedules
 
 type delta = Schedule_set of { vertex : int; avail : Timetable.Availability.t }
 
@@ -153,20 +141,6 @@ let w_f64 b v =
   for i = 7 downto 0 do
     Buffer.add_char b
       (Char.chr (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xFF))
-  done
-
-(* One calendar as ceil(horizon/8) bytes, slot [i] at bit [i land 7]
-   (LSB first) of byte [i / 8]; set = free.  Same mapping as Proto. *)
-let w_mask b a ~horizon =
-  let nbytes = (horizon + 7) / 8 in
-  for byte = 0 to nbytes - 1 do
-    let v = ref 0 in
-    for bit = 0 to 7 do
-      let slot = (byte * 8) + bit in
-      if slot < horizon && Timetable.Availability.available a slot then
-        v := !v lor (1 lsl bit)
-    done;
-    Buffer.add_char b (Char.chr !v)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -240,10 +214,14 @@ let encode_graph_section g =
 let encode_timetable_section schedules =
   let count = Array.length schedules in
   let horizon = horizon_of schedules in
-  let b = Buffer.create (8 + (count * ((horizon + 7) / 8))) in
+  let b =
+    Buffer.create (8 + (count * Timetable.Availability.mask_bytes ~horizon))
+  in
   w_u32 b count;
   w_u32 b horizon;
-  Array.iter (fun a -> w_mask b a ~horizon) schedules;
+  (* One byte mask per calendar (Timetable.Availability.add_mask), the
+     layout Proto sends. *)
+  Array.iter (Timetable.Availability.add_mask b) schedules;
   Buffer.contents b
 
 let encode_snapshot st =
@@ -334,8 +312,8 @@ let decode_timetable_section p ~n =
   if count <> n then
     fail p (Printf.sprintf "timetable has %d calendars for %d vertices" count n);
   let horizon = r_u32 p in
-  let nbytes = (horizon + 7) / 8 in
-  (* Hostile [horizon]/[count] are rejected here, before any bitset is
+  let nbytes = Timetable.Availability.mask_bytes ~horizon in
+  (* Hostile [horizon]/[count] are rejected here, before any calendar is
      sized from them: the masks must all be physically present.  The
      first check bounds [count] by the bytes on disk so the product
      below cannot overflow. *)
@@ -343,16 +321,9 @@ let decode_timetable_section p ~n =
   need p (count * nbytes);
   let schedules =
     Array.init count (fun _ ->
-        let bits = Bitset.create horizon in
-        for byte = 0 to nbytes - 1 do
-          let v = Char.code p.buf.[p.pos + byte] in
-          for bit = 0 to 7 do
-            let slot = (byte * 8) + bit in
-            if slot < horizon && v land (1 lsl bit) <> 0 then Bitset.set bits slot
-          done
-        done;
+        let a = Timetable.Availability.of_mask p.buf ~pos:p.pos ~horizon in
         p.pos <- p.pos + nbytes;
-        Timetable.Availability.of_bitset bits)
+        a)
   in
   if p.pos <> String.length p.buf then
     fail p
@@ -544,9 +515,8 @@ let encode_record (Schedule_set { vertex; avail }) =
   w_u8 p format_version;
   w_u8 p rec_schedule_set;
   w_u32 p vertex;
-  let horizon = Timetable.Availability.horizon avail in
-  w_u32 p horizon;
-  w_mask p avail ~horizon;
+  w_u32 p (Timetable.Availability.horizon avail);
+  Timetable.Availability.add_mask p avail;
   let payload = Buffer.contents p in
   if String.length payload > max_record then
     invalid_arg "Store.encode_record: record exceeds 1 MiB cap";
@@ -566,22 +536,15 @@ let decode_record_payload p =
     fail p (Printf.sprintf "unknown record tag %d" tag);
   let vertex = r_u32 p in
   let horizon = r_u32 p in
-  let nbytes = (horizon + 7) / 8 in
+  let nbytes = Timetable.Availability.mask_bytes ~horizon in
   need p nbytes;
-  let bits = Bitset.create horizon in
-  for byte = 0 to nbytes - 1 do
-    let v = Char.code p.buf.[p.pos + byte] in
-    for bit = 0 to 7 do
-      let slot = (byte * 8) + bit in
-      if slot < horizon && v land (1 lsl bit) <> 0 then Bitset.set bits slot
-    done
-  done;
+  let avail = Timetable.Availability.of_mask p.buf ~pos:p.pos ~horizon in
   p.pos <- p.pos + nbytes;
   if p.pos <> String.length p.buf then
     fail p
       (Printf.sprintf "%d trailing byte(s) in record"
          (String.length p.buf - p.pos));
-  Schedule_set { vertex; avail = Timetable.Availability.of_bitset bits }
+  Schedule_set { vertex; avail }
 
 type replay = {
   deltas : delta list;

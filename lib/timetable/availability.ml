@@ -1,10 +1,9 @@
 type t = Bitset.t
 
 let create ~horizon = Bitset.create horizon
-let of_bitset b = b
-let bits t = t
 let horizon = Bitset.length
 let copy = Bitset.copy
+let equal = Bitset.equal
 let available = Bitset.mem
 let set_free = Bitset.set_range
 let set_busy = Bitset.clear_range
@@ -42,3 +41,25 @@ let check_schedules ~n schedules =
 let run_around = Bitset.run_containing
 let has_run_in t ~len ~lo ~hi = Bitset.has_run_of t ~len ~lo ~hi
 let pp = Bitset.pp
+
+let mask_bytes ~horizon = (horizon + 7) / 8
+
+let add_mask b t =
+  let h = horizon t in
+  for byte = 0 to mask_bytes ~horizon:h - 1 do
+    let v = ref 0 in
+    for bit = 0 to min 7 (h - 1 - (byte * 8)) do
+      if Bitset.mem t ((byte * 8) + bit) then v := !v lor (1 lsl bit)
+    done;
+    Buffer.add_char b (Char.chr !v)
+  done
+
+let of_mask s ~pos ~horizon =
+  if horizon < 0 || pos < 0 || mask_bytes ~horizon > String.length s - pos then
+    invalid_arg "Timetable.Availability.of_mask: mask truncated";
+  let t = Bitset.create horizon in
+  for slot = 0 to horizon - 1 do
+    if Char.code s.[pos + (slot lsr 3)] land (1 lsl (slot land 7)) <> 0 then
+      Bitset.set t slot
+  done;
+  t

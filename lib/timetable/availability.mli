@@ -8,14 +8,12 @@ type t
 (** [create ~horizon] is an all-busy availability over [horizon] slots. *)
 val create : horizon:int -> t
 
-(** [of_bitset b] adopts [b] (no copy). *)
-val of_bitset : Bitset.t -> t
-
-(** [bits t] exposes the underlying bitset (shared, not a copy). *)
-val bits : t -> Bitset.t
-
 val horizon : t -> int
 val copy : t -> t
+
+(** [equal a b] is [true] iff [a] and [b] share a horizon and the same
+    free slots. *)
+val equal : t -> t -> bool
 
 (** [available t slot] tests one slot. *)
 val available : t -> int -> bool
@@ -57,3 +55,24 @@ val run_around : t -> int -> (int * int) option
 val has_run_in : t -> len:int -> lo:int -> hi:int -> bool
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Byte mask}
+
+    The one byte layout of a calendar, on the wire and on disk:
+    [mask_bytes ~horizon] bytes, slot [i] at bit [i land 7] (least
+    significant first) of byte [i / 8], a set bit meaning free.  The
+    horizon itself is framed by the caller. *)
+
+(** [mask_bytes ~horizon] is [ceil (horizon / 8)]. *)
+val mask_bytes : horizon:int -> int
+
+(** [add_mask buf t] appends [t]'s mask to [buf]; bits past the horizon
+    in the last byte are clear. *)
+val add_mask : Buffer.t -> t -> unit
+
+(** [of_mask s ~pos ~horizon] decodes the mask of a [horizon]-slot
+    calendar that starts at byte [pos] of [s], ignoring bits past the
+    horizon.  A decoder checks that the [mask_bytes ~horizon] bytes are
+    present, and reports it in its own terms, before it calls this.
+    @raise Invalid_argument if they are not. *)
+val of_mask : string -> pos:int -> horizon:int -> t

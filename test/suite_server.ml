@@ -819,9 +819,7 @@ let test_wire_edit_lands_mid_query () =
   | Ok { Store.deltas = [ Store.Schedule_set { vertex; avail } ]; _ } ->
       check Alcotest.int "the WAL holds the edit's vertex" victim vertex;
       check Alcotest.bool "the WAL holds the edit's calendar" true
-        (Bitset.equal
-           (Timetable.Availability.bits avail)
-           (Timetable.Availability.bits busy))
+        (Timetable.Availability.equal avail busy)
   | Ok r -> Alcotest.failf "expected one journalled edit, got %d" r.Store.records
   | Error e -> Alcotest.failf "replay_wal: %s" (Store.string_of_error e)
 

@@ -603,6 +603,14 @@ let section b tag payload =
   w32_be b (Store.crc32 payload);
   Buffer.add_string b payload
 
+(* One WAL record around [payload]: its length, its CRC, the payload. *)
+let wal_frame payload =
+  let b = Buffer.create (8 + String.length payload) in
+  w32_be b (String.length payload);
+  w32_be b (Store.crc32 payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
 (* Hostile declared lengths must be rejected against the bytes present
    before anything is allocated from them. *)
 let test_hostile_lengths () =
@@ -673,9 +681,24 @@ let test_hostile_lengths () =
         | Some c -> contains ~needle:"cap" c.Store.detail
         | None -> false)
   | Error e -> Alcotest.fail (Store.string_of_error e));
-  match Store.verify_wal wal with
+  (match Store.verify_wal wal with
   | Error (Store.Corrupt _) -> ()
-  | Ok _ -> Alcotest.fail "strict verify accepted an over-cap record"
+  | Ok _ -> Alcotest.fail "strict verify accepted an over-cap record");
+  (* the WAL twin of the hostile horizon: a Schedule_set to vertex 0
+     declaring a ~4e9-slot horizon under a valid CRC, with no mask
+     bytes, is refused before any calendar is sized from it *)
+  write_file wal (wal_frame ("\001\004" ^ of_hex "00000000ffffff00"));
+  List.iter
+    (fun (reader, result) ->
+      match result with
+      | Error (Store.Corrupt c) ->
+          check Alcotest.bool (reader ^ ": truncation detail") true
+            (contains ~needle:"truncated" c.Store.detail)
+      | Ok () -> Alcotest.failf "%s decoded a hostile record horizon" reader)
+    [
+      ("replay_wal", Result.map ignore (Store.replay_wal wal));
+      ("verify_wal", Result.map ignore (Store.verify_wal wal));
+    ]
 
 (* Only ENOENT means "empty log": any other failure reading the log
    must surface as a typed error, never as an empty log — misreading an
@@ -754,21 +777,13 @@ let test_recovery_refuses () =
    CRC, is refused as corrupt, by recovery and by both log readers, at
    an offset inside that record. *)
 let test_retired_tags_refused () =
-  let record tag body =
-    let payload = "\001" ^ String.make 1 (Char.chr tag) ^ of_hex body in
-    let b = Buffer.create 32 in
-    w32_be b (String.length payload);
-    w32_be b (Store.crc32 payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
-  in
   with_dir @@ fun d ->
   let t, _ = open_exn ~init:base_state d in
   Store.close t;
   let wal = Store.wal_path ~dir:d ~gen:0 in
   List.iter
     (fun (tag, body) ->
-      let bytes = record tag body in
+      let bytes = wal_frame ("\001" ^ String.make 1 (Char.chr tag) ^ of_hex body) in
       write_file wal bytes;
       let refused reader = function
         | Error (Store.Corrupt c) ->
@@ -888,9 +903,7 @@ let test_wire_durability () =
   Store.close t2;
   check Alcotest.int "one journalled record" 1 r2.Store.r_replayed;
   check Alcotest.bool "recovered calendar carries the edit" true
-    (Bitset.equal
-       (Timetable.Availability.bits r2.Store.r_state.Store.schedules.(3))
-       (Timetable.Availability.bits edit));
+    (Timetable.Availability.equal r2.Store.r_state.Store.schedules.(3) edit);
   (* the recovered state is exactly what the live service holds... *)
   expect_state "recovered == live in-memory state" (init ()) r2.Store.r_state;
   (* ...and reverting the one acked edit lands back on the initial state *)

@@ -117,7 +117,7 @@ let test_sio_roundtrip () =
       check Alcotest.bool
         (Printf.sprintf "schedule %d preserved" i)
         true
-        (Bitset.equal (A.bits a) (A.bits parsed.(i))))
+        (A.equal a parsed.(i)))
     schedules
 
 let test_sio_rejects_malformed () =
@@ -137,7 +137,7 @@ let test_population_determinism () =
   let p2 = Timetable.Sched_gen.population (Random.State.make [| 5 |]) ~days:3 ~n:10 in
   Array.iteri
     (fun i a ->
-      check Alcotest.bool "same schedule" true (Bitset.equal (A.bits a) (A.bits p2.(i))))
+      check Alcotest.bool "same schedule" true (A.equal a p2.(i)))
     p1
 
 let suite =

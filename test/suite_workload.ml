@@ -121,9 +121,7 @@ let test_schedule_rhythms_differ_by_community () =
     List.filter (fun v -> c.(v) = comm) (List.init 194 Fun.id)
   in
   let overlap a b =
-    Bitset.inter_count
-      (Timetable.Availability.bits sched.(a))
-      (Timetable.Availability.bits sched.(b))
+    Timetable.Availability.free_count (Timetable.Availability.common [ sched.(a); sched.(b) ])
   in
   let avg pairs =
     let total = List.fold_left (fun acc (a, b) -> acc + overlap a b) 0 pairs in
