@@ -86,14 +86,3 @@ let solve_report ?(config = Search_core.default_config) ?ctx ?initial_bound
 
 let solve ?config ?ctx ?initial_bound ti query =
   (solve_report ?config ?ctx ?initial_bound ti query).solution
-
-(* Beam-seeded exact search; see Sgselect.solve_warm.  One context serves
-   both passes. *)
-let solve_warm ?config ?(beam_width = 16) ti (query : Query.stgq) =
-  Query.check_stgq query;
-  let ctx, _ = Query.stg_context ti ~s:query.s in
-  let seed = Heuristics.beam_stgq ~width:beam_width ~ctx ti query in
-  let initial_bound =
-    Option.map (fun (s : Query.stg_solution) -> s.st_total_distance +. 1e-6) seed
-  in
-  solve ?config ~ctx ?initial_bound ti query

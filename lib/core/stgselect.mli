@@ -45,9 +45,3 @@ val solve_report :
 val convert_outcome :
   Engine.Feasible.t -> Search_core.found Anytime.outcome ->
   Query.stg_solution Anytime.outcome
-
-(** [solve_warm ?config ?beam_width ti query] — beam-seeded exact search;
-    see {!Sgselect.solve_warm}. *)
-val solve_warm :
-  ?config:Search_core.config -> ?beam_width:int ->
-  Query.temporal_instance -> Query.stgq -> Query.stg_solution option

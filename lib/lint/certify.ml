@@ -3,7 +3,7 @@ open Parsetree
 let solver_entry_points =
   [
     "Sgselect.solve"; "Sgselect.solve_report"; "Sgselect.solve_warm";
-    "Stgselect.solve"; "Stgselect.solve_report"; "Stgselect.solve_warm";
+    "Stgselect.solve"; "Stgselect.solve_report";
     "Parallel.solve"; "Parallel.solve_report";
     "Heuristics.greedy_sgq"; "Heuristics.greedy_stgq";
     "Heuristics.beam_sgq"; "Heuristics.beam_stgq";

@@ -249,7 +249,6 @@ let test_one_calendar_check () =
       raises "Query.check_temporal_instance" (fun () -> Query.check_temporal_instance ti);
       raises "Engine.Cache.create" (fun () ->
           ignore (Engine.Cache.create ~schedules g : Engine.Cache.t));
-      raises "Stgselect.solve_warm" (fun () -> stg (Stgselect.solve_warm ti q));
       raises "Parallel.solve" (fun () ->
           stg (Parallel.solve ~pool:(Lazy.force shared_pool) ti q));
       raises "Planner.create" (fun () -> ignore (Planner.create ti q : Planner.t));

@@ -321,18 +321,6 @@ let prop_warm_start_exact =
       | Some a, Some b -> close a.Query.total_distance b.Query.total_distance
       | _ -> false)
 
-let prop_warm_start_stgq_exact =
-  Gen.qtest ~count:80 "warm-started STGSelect stays exact" (Gen.stg_case ())
-    (fun case ->
-      let ti = Gen.temporal_instance_of_stg_case case in
-      let query = Gen.stgq_of_stg_case case in
-      let cold = Stgselect.solve ti query in
-      let warm = Stgselect.solve_warm ti query in
-      match (cold, warm) with
-      | None, None -> true
-      | Some a, Some b -> close a.Query.st_total_distance b.Query.st_total_distance
-      | _ -> false)
-
 let prop_k_monotone =
   Gen.qtest ~count:100 "looser k never worsens the optimum" (Gen.sg_case ())
     (fun case ->
@@ -492,7 +480,6 @@ let suite =
     prop_stgselect_vs_per_slot;
     prop_always_free_reduces_to_sgq;
     prop_warm_start_exact;
-    prop_warm_start_stgq_exact;
     prop_k_monotone;
     prop_s_monotone;
     prop_p1_trivial;
