@@ -6,19 +6,17 @@ type cache_stats = {
 }
 
 type t = {
-  config : Search_core.config;
   engine : Engine.Cache.t;
   pool : Engine.Pool.t option;
 }
 
 (* [Engine.Cache.create] checks the capacity and the calendars. *)
-let create ?(config = Search_core.default_config) ?(cache_capacity = 64) ?pool
-    (ti : Query.temporal_instance) =
+let create ?(cache_capacity = 64) ?pool (ti : Query.temporal_instance) =
   let schedules = Array.map Timetable.Availability.copy ti.schedules in
   let engine =
     Engine.Cache.create ~capacity:cache_capacity ~schedules ti.social.Query.graph
   in
-  { config; engine; pool }
+  { engine; pool }
 
 let n_vertices t = Socgraph.Graph.n_vertices (Engine.Cache.graph t.engine)
 
@@ -48,8 +46,7 @@ type ('q, 'inst, 'sol) kind = {
   radius : 'q -> int;
   instance : Engine.Cache.world -> initiator:int -> 'inst;
   exact :
-    t -> ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q ->
-    'sol Anytime.outcome;
+    ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q -> 'sol Anytime.outcome;
   beam : ctx:Engine.Context.t -> budget:Budget.t -> 'inst -> 'q -> 'sol option;
   certify : 'inst -> 'q -> 'sol option -> 'sol option;
 }
@@ -64,9 +61,8 @@ let sg =
     radius = (fun (q : Query.sgq) -> q.s);
     instance = (fun world ~initiator -> { Query.graph = world.graph; initiator });
     exact =
-      (fun t ~ctx ~budget instance q ->
-        (Sgselect.solve_report ~config:t.config ~ctx ~budget instance q)
-          .Sgselect.outcome);
+      (fun ~ctx ~budget instance q ->
+        (Sgselect.solve_report ~ctx ~budget instance q).Sgselect.outcome);
     beam = (fun ~ctx ~budget instance q -> Heuristics.beam_sgq ~ctx ~budget instance q);
     certify = Validate.certify_sg;
   }
@@ -87,9 +83,8 @@ let stg =
           schedules = world.schedules;
         });
     exact =
-      (fun t ~ctx ~budget ti q ->
-        (Stgselect.solve_report ~config:t.config ~ctx ~budget ti q)
-          .Stgselect.outcome);
+      (fun ~ctx ~budget ti q ->
+        (Stgselect.solve_report ~ctx ~budget ti q).Stgselect.outcome);
     beam = (fun ~ctx ~budget ti q -> Heuristics.beam_stgq ~ctx ~budget ti q);
     certify = Validate.certify_stg;
   }
@@ -177,7 +172,7 @@ let request kind ?policy ?cancel ?submitted t ~initiator q =
     Resilience.run ?policy ?cancel ?submitted
       ~exact:(fun budget ->
         Resilience.certify_outcome ~certify
-          (kind.exact t ~ctx:(context ()) ~budget instance q))
+          (kind.exact ~ctx:(context ()) ~budget instance q))
       ~heuristic:(fun budget ->
         certify (kind.beam ~ctx:(context ()) ~budget instance q))
       ()

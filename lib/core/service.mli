@@ -40,18 +40,18 @@ type cache_stats = {
   entries : int;
 }
 
-(** [create ?config ?cache_capacity ?pool ti] serves a copy of [ti]'s
-    graph and calendars — [cache_capacity] (default 64) bounds the
-    number of cached contexts; [pool] (default: none, every request runs
-    on its caller) runs each request whole on one of its domains.  The
-    instance's [initiator] field is never read, so it is not checked:
-    every query names its own initiator.
+(** [create ?cache_capacity ?pool ti] serves a copy of [ti]'s graph and
+    calendars — [cache_capacity] (default 64) bounds the number of
+    cached contexts; [pool] (default: none, every request runs on its
+    caller) runs each request whole on one of its domains.  Every exact
+    rung solves with {!Search_core.default_config}.  The instance's
+    [initiator] field is never read, so it is not checked: every query
+    names its own initiator.
     @raise Invalid_argument if [cache_capacity < 1], or [ti.schedules]
     has a length other than the vertex count or disagrees on horizon
     (the checks of {!Engine.Cache.create}). *)
 val create :
-  ?config:Search_core.config -> ?cache_capacity:int -> ?pool:Engine.Pool.t ->
-  Query.temporal_instance -> t
+  ?cache_capacity:int -> ?pool:Engine.Pool.t -> Query.temporal_instance -> t
 
 (** [sgq_r ?policy ?cancel t ~initiator query] answers an SGQ for any
     member through the {!Resilience} degradation ladder: exact within
