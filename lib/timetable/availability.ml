@@ -48,18 +48,24 @@ let add_mask b t =
   let h = horizon t in
   for byte = 0 to mask_bytes ~horizon:h - 1 do
     let v = ref 0 in
-    for bit = 0 to min 7 (h - 1 - (byte * 8)) do
-      if Bitset.mem t ((byte * 8) + bit) then v := !v lor (1 lsl bit)
+    for bit = 0 to 7 do
+      let slot = (byte * 8) + bit in
+      if slot < h && Bitset.mem t slot then v := !v lor (1 lsl bit)
     done;
     Buffer.add_char b (Char.chr !v)
   done
 
 let of_mask s ~pos ~horizon =
-  if horizon < 0 || pos < 0 || mask_bytes ~horizon > String.length s - pos then
+  let nbytes = mask_bytes ~horizon in
+  if horizon < 0 || pos < 0 || nbytes > String.length s - pos then
     invalid_arg "Timetable.Availability.of_mask: mask truncated";
   let t = Bitset.create horizon in
-  for slot = 0 to horizon - 1 do
-    if Char.code s.[pos + (slot lsr 3)] land (1 lsl (slot land 7)) <> 0 then
-      Bitset.set t slot
+  for byte = 0 to nbytes - 1 do
+    let v = Char.code s.[pos + byte] in
+    if v <> 0 then
+      for bit = 0 to 7 do
+        let slot = (byte * 8) + bit in
+        if slot < horizon && v land (1 lsl bit) <> 0 then Bitset.set t slot
+      done
   done;
   t
