@@ -246,9 +246,11 @@ let fig1gh st () =
 (* The served mix of perfbench's [hot] workload ({!Workload.Hot}):
    every (shape, initiator) pair, SGQs first, solved sequentially on a
    context built once per (initiator, s): SGSelect's and STGSelect's
-   search counters summed over their pairs, and the optima summed in
-   pair order.  The waterfall totals pin every per-candidate decision,
-   not only those that change a node count.                            *)
+   search counters summed over their pairs, the optima summed in pair
+   order, and a digest of every pair's answer (original ids, distance
+   bits, start slot), which sees a changed tie that the sum cannot.
+   The waterfall totals pin every per-candidate decision, not only
+   those that change a node count.                                     *)
 
 let add_stats (acc : Search_core.stats) (st : Search_core.stats) =
   acc.nodes <- acc.nodes + st.nodes;
@@ -275,9 +277,17 @@ let hot_mix () =
         Hashtbl.add contexts (initiator, s) ctx;
         ctx
   in
-  let pairs = ref 0 and sum = ref 0. in
+  let pairs = ref 0 and sum = ref 0. and answers = Buffer.create 4096 in
   let sg = Search_core.fresh_stats () and stg = Search_core.fresh_stats () in
-  let add = function Some d -> sum := !sum +. d | None -> () in
+  let add = function
+    | Some (group, d, slot) ->
+        sum := !sum +. d;
+        Printf.bprintf answers "%s %Ld %s\n"
+          (String.concat "," (List.map string_of_int group))
+          (Int64.bits_of_float d)
+          (match slot with Some t -> string_of_int t | None -> "none")
+    | None -> Buffer.add_string answers "none\n"
+  in
   let each shapes solve =
     List.iter
       (fun shape ->
@@ -291,13 +301,19 @@ let hot_mix () =
   each Workload.Hot.sgq_shapes (fun (q : Query.sgq) social ->
       let r = Sgselect.solve_report ~ctx:(context social.Query.initiator q.s) social q in
       add_stats sg r.Sgselect.stats;
-      add (Option.map (fun s -> s.Query.total_distance) r.Sgselect.solution));
+      add
+        (Option.map
+           (fun s -> (s.Query.attendees, s.Query.total_distance, None))
+           r.Sgselect.solution));
   each Workload.Hot.stgq_shapes (fun (q : Query.stgq) social ->
       let ti = { Query.social; schedules = ds.Workload.People194.schedules } in
       let r = Stgselect.solve_report ~ctx:(context social.Query.initiator q.s) ti q in
       add_stats stg r.Stgselect.stats;
-      add (Option.map (fun s -> s.Query.st_total_distance) r.Stgselect.solution));
-  (!pairs, sg, stg, !sum)
+      add
+        (Option.map
+           (fun s -> (s.Query.st_attendees, s.Query.st_total_distance, Some s.Query.start_slot))
+           r.Stgselect.solution));
+  (!pairs, sg, stg, !sum, Digest.to_hex (Digest.string (Buffer.contents answers)))
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 1 record (--only=paper): per shape of the full sweeps, the
@@ -361,7 +377,7 @@ let paper _ () =
             ])
   in
   let hot_mix_rows () =
-    let pairs, sg, stg, sum = hot_mix () in
+    let pairs, sg, stg, sum, digest = hot_mix () in
     let waterfall name (w : Search_core.stats) =
       row
         (("kernel", Printf.sprintf "%S" name)
@@ -382,6 +398,7 @@ let paper _ () =
       row
         (ints [ ("pairs", pairs); ("sgselect_nodes", sg.nodes); ("stgselect_nodes", stg.nodes) ]
         @ [ ("distance_sum", Printf.sprintf "%.9f" sum) ]);
+      row [ ("answer_digest", Printf.sprintf "%S" digest) ];
       waterfall "sgselect" sg;
       waterfall "stgselect" stg;
     ]
