@@ -24,8 +24,9 @@ let default_config =
 (* Accounting identity (kept exact, tested, and surfaced as the pruning
    waterfall): every [examined] candidate ends in exactly one of
    [includes], [removed_exterior], [removed_interior],
-   [removed_temporal] or [deferred].  A deferral (a θ/φ relaxation
-   round skipping the candidate) counts again when re-examined. *)
+   [removed_temporal] or [deferred].  Only a candidate that could still
+   join is deferred (a θ/φ relaxation round skipping it); it counts
+   again when re-examined. *)
 type stats = {
   mutable nodes : int;
   mutable examined : int;
@@ -497,40 +498,39 @@ let rec node st =
         st.stats.examined <- st.stats.examined + 1;
         if exterior_expansibility st u < st.p - (st.vs_size + 1) then begin
           st.stats.removed_exterior <- st.stats.removed_exterior + 1;
-          remove_here u;
-          loop ()
+          remove_here u
         end
-        else if
-          float_of_int (interior_unfamiliarity st ~fewest ~tied u) > !interior_rhs +. 1e-12
-        then begin
-          if !theta = 0 then begin
+        else begin
+          let unfamiliar = interior_unfamiliarity st ~fewest ~tied u in
+          let extensible =
+            match st.temporal with Some tc -> temporal_extensibility tc u | None -> 0
+          in
+          (* U only grows and X only shrinks as VS grows, so U > k or X < 0
+             puts u in no completion of VS: it leaves VA at first sight,
+             whatever θ and φ are (docs/LEMMAS.md §1). *)
+          if unfamiliar > st.k then begin
             st.stats.removed_interior <- st.stats.removed_interior + 1;
             remove_here u
           end
-          else
-            (* at theta > 0: deferred — retried at a lower theta *)
-            st.stats.deferred <- st.stats.deferred + 1;
-          loop ()
-        end
-        else
-          match st.temporal with
-          | Some tc
-            when float_of_int (temporal_extensibility tc u) < !temporal_rhs -. 1e-12 ->
-              if !phi >= st.cfg.phi_threshold then begin
-                st.stats.removed_temporal <- st.stats.removed_temporal + 1;
-                remove_here u
-              end
-              else
-                (* deferred: retried once phi relaxes *)
-                st.stats.deferred <- st.stats.deferred + 1;
-              loop ()
-          | Some _ | None ->
-              st.stats.includes <- st.stats.includes + 1;
-              let saved_ts = add_to_vs st u in
-              if st.vs_size = st.p then record_best st else node st;
-              remove_from_vs st u saved_ts;
-              remove_here u;
-              loop ()
+          else if extensible < 0 then begin
+            st.stats.removed_temporal <- st.stats.removed_temporal + 1;
+            remove_here u
+          end
+          else if
+            float_of_int unfamiliar > !interior_rhs +. 1e-12
+            || float_of_int extensible < !temporal_rhs -. 1e-12
+          then
+            (* u could still join: retried once θ or φ relaxes *)
+            st.stats.deferred <- st.stats.deferred + 1
+          else begin
+            st.stats.includes <- st.stats.includes + 1;
+            let saved_ts = add_to_vs st u in
+            if st.vs_size = st.p then record_best st else node st;
+            remove_from_vs st u saved_ts;
+            remove_here u
+          end
+        end;
+        loop ()
       end
   in
   loop ();

@@ -40,19 +40,27 @@ val default_config : config
     identity [examined = includes + removed_exterior + removed_interior
     + removed_temporal + deferred] exact: every examined candidate ends
     in exactly one bucket (a deferred candidate counts again when a θ/φ
-    relaxation round re-examines it). *)
+    relaxation round re-examines it).  A candidate leaves VA the first
+    time it is examined, at any θ and φ, once it is in no completion of
+    VS. *)
 type stats = {
   mutable nodes : int;           (** search-tree nodes expanded *)
   mutable examined : int;        (** candidates considered by the node loop *)
   mutable includes : int;        (** include-branches taken *)
   mutable deferred : int;
-      (** skipped at θ > 0 (or φ below threshold), re-examined later *)
+      (** could still join but fails the current θ or φ condition
+          (Definitions 2, 5); re-examined once θ or φ relaxes *)
   mutable pruned_distance : int;
   mutable pruned_acquaintance : int;
   mutable pruned_availability : int;
   mutable removed_exterior : int;
+      (** removed: A(VS ∪ {u}) below the members still missing
+          (Definition 3) *)
   mutable removed_interior : int;
+      (** removed: U(VS ∪ {u}) > k, a stranger count past the bound *)
   mutable removed_temporal : int;
+      (** removed: X(VS ∪ {u}) < 0, its run meets TS in fewer than m
+          slots *)
 }
 
 val fresh_stats : unit -> stats

@@ -177,6 +177,55 @@ let test_query_validation () =
   let ti = { Query.social = inst g; schedules = [| avail_of_runs 4 [] |] } in
   expect_invalid (fun () -> Stgselect.solve ti { p = 2; s = 1; k = 0; m = 2 })
 
+(* A candidate that can never join leaves VA the first time it is
+   examined, whatever θ and φ are, and is never deferred.  Here q = 0
+   reaches 4 and 5 in one hop and 1 and 3 in two.  1 and 3 each have a
+   stranger in {0} (U = 1 > k = 0), so they leave at once, where
+   Definition 2 alone would defer each at θ = 2 and 1 and remove it only
+   at θ = 0 (9 examinations, 4 of them deferrals).  4 and 5 are not
+   adjacent, so there is no answer. *)
+let test_doomed_candidate_leaves_at_first_sight () =
+  let g = graph [ (0, 4, 4.); (0, 5, 3.); (1, 4, 3.); (3, 4, 5.); (3, 5, 4.) ] 6 in
+  let r = Sgselect.solve_report (inst g) { p = 3; s = 2; k = 0 } in
+  let st = r.Sgselect.stats in
+  check bool_c "no answer" true (r.Sgselect.solution = None);
+  check (Alcotest.list Alcotest.int) "examined, deferred, removed interior, exterior"
+    [ 5; 0; 1; 3 ]
+    [ st.Search_core.examined; st.deferred; st.removed_interior; st.removed_exterior ]
+
+(* Its STGQ twin.  All four are acquainted, k = 0, p = 3, m = 3.  At
+   pivot 5 (interval 3-7) q and 3 are free throughout, 1 at 3-6 and 2 at
+   5-7.  Once 1 joins, TS is 3-6 and 2's run meets it in two slots
+   (X = -1), so 2 is removed at once, where Definition 5 alone would
+   defer it at every θ and φ below the threshold (6 deferrals) and
+   remove it only there.  The answer, {0, 1, 3} from slot 3, is the one
+   the search always found. *)
+let test_doomed_window_leaves_at_first_sight () =
+  let g =
+    graph [ (0, 1, 1.); (0, 2, 2.); (0, 3, 3.); (1, 2, 1.); (1, 3, 1.); (2, 3, 1.) ] 4
+  in
+  let horizon = 12 in
+  let schedules =
+    [|
+      avail_of_runs horizon [ (0, 11) ];
+      avail_of_runs horizon [ (3, 6) ];
+      avail_of_runs horizon [ (5, 7) ];
+      avail_of_runs horizon [ (0, 11) ];
+    |]
+  in
+  let ti = { Query.social = inst g; schedules } in
+  let r = Stgselect.solve_report ti { p = 3; s = 1; k = 0; m = 3 } in
+  let st = r.Stgselect.stats in
+  (match r.Stgselect.solution with
+  | Some { st_attendees; st_total_distance; start_slot } ->
+      check (Alcotest.list Alcotest.int) "group" [ 0; 1; 3 ] st_attendees;
+      check bool_c "distance 4" true (close st_total_distance 4.);
+      check Alcotest.int "start" 3 start_slot
+  | None -> Alcotest.fail "expected a solution");
+  check (Alcotest.list Alcotest.int) "examined, deferred, removed temporal"
+    [ 3; 0; 1 ]
+    [ st.Search_core.examined; st.deferred; st.removed_temporal ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties.                                                         *)
 
@@ -471,6 +520,10 @@ let suite =
     Alcotest.test_case "m=1 single shared slot" `Quick test_m_one_any_common_slot;
     Alcotest.test_case "m beyond horizon" `Quick test_window_longer_than_horizon;
     Alcotest.test_case "query validation" `Quick test_query_validation;
+    Alcotest.test_case "a stranger past k leaves VA at first sight" `Quick
+      test_doomed_candidate_leaves_at_first_sight;
+    Alcotest.test_case "a run too short for TS leaves VA at first sight" `Quick
+      test_doomed_window_leaves_at_first_sight;
     prop_sgselect_optimal;
     prop_ablations_stay_optimal;
     prop_unsafe_lemma3_never_better;
