@@ -311,7 +311,8 @@ let hot_mix () =
       add_stats stg r.Stgselect.stats;
       add
         (Option.map
-           (fun s -> (s.Query.st_attendees, s.Query.st_total_distance, Some s.Query.start_slot))
+           (fun s ->
+             (s.Query.st_attendees, s.Query.st_total_distance, Some s.Query.start_slot))
            r.Stgselect.solution));
   (!pairs, sg, stg, !sum, Digest.to_hex (Digest.string (Buffer.contents answers)))
 
@@ -447,10 +448,6 @@ let ablation_sg st () =
         } );
     ]
   in
-  let warm_row =
-    let t = timed (fun () -> sg_dist (Sgselect.solve_warm instance query)) in
-    [ "beam-seeded warm start"; ns_cell t; "-"; detail_cell t ]
-  in
   let rows =
     List.map
       (fun (name, config) ->
@@ -462,7 +459,6 @@ let ablation_sg st () =
           sg_dist r.Sgselect.solution;
         ])
       configs
-    @ [ warm_row ]
   in
   print_table
     ~title:

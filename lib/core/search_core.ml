@@ -670,11 +670,10 @@ let solve_social_sink ?(eligible = fun _ -> true) ?(budget = Budget.unlimited)
         | () -> None
         | exception Stop -> Budget.tripped budget)
 
-let solve_social_out ?eligible ?bound_init ?budget ctx ~p ~k ~config ~stats =
+let solve_social_out ?eligible ?budget ctx ~p ~k ~config ~stats =
   let cell = ref None in
   let completion =
-    solve_social_sink ?eligible ?budget ctx ~p ~k ~config ~stats
-      ~sink:(best_sink ?bound_init cell)
+    solve_social_sink ?eligible ?budget ctx ~p ~k ~config ~stats ~sink:(best_sink cell)
   in
   Anytime.make ~completion
     ~gap_of:(fun f -> gap ?eligible ctx.Engine.Context.fg ~p f.distance)

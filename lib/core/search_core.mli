@@ -82,22 +82,19 @@ type sink = {
   bound : unit -> float;
 }
 
-(** [solve_social_out ?eligible ?bound_init ?budget ctx ~p ~k ~config
-    ~stats] runs SGSelect's search on an engine context: the optimal
-    group of [p] sub-ids containing the initiator minimising total
-    distance under the acquaintance bound [k].  [eligible] (default:
-    everyone) restricts the candidate set — the per-slot STGQ baseline
-    uses it to keep only the attendees available during a window.
-    [bound_init] seeds distance pruning before any solution is found
-    (STGArrange passes the PCArrange target); a returned solution may
-    exceed the seed and must be re-checked by the caller.  Under a
-    cooperative {!Budget} the search polls every
+(** [solve_social_out ?eligible ?budget ctx ~p ~k ~config ~stats] runs
+    SGSelect's search on an engine context: the optimal group of [p]
+    sub-ids containing the initiator minimising total distance under the
+    acquaintance bound [k].  [eligible] (default: everyone) restricts the
+    candidate set — the per-slot STGQ baseline uses it to keep only the
+    attendees available during a window.  Under a cooperative {!Budget}
+    the search polls every
     {!Budget.check_interval} node expansions and, instead of raising on
     a trip, reports how far it got as an {!Anytime.outcome} whose gap is
     {!gap}'s.  With the default {!Budget.unlimited} the outcome is
     always [Optimal]. *)
 val solve_social_out :
-  ?eligible:(int -> bool) -> ?bound_init:float -> ?budget:Budget.t ->
+  ?eligible:(int -> bool) -> ?budget:Budget.t ->
   Engine.Context.t -> p:int -> k:int -> config:config -> stats:stats ->
   found Anytime.outcome
 
@@ -115,7 +112,10 @@ val pivots : Timetable.Availability.t array -> m:int -> int list
     members' runs only when the initiator's own run holds [m] slots, and
     builds its search state only when at least [p-1] members are free
     for [m] slots and the [p-1] cheapest of them stay below the bound.
-    [bound_init] and [budget] as in {!solve_social_out}. *)
+    [bound_init] seeds distance pruning before any solution is found
+    (STGArrange passes the PCArrange target); a returned solution may
+    exceed the seed and must be re-checked by the caller.  [budget] as
+    in {!solve_social_out}. *)
 val solve_temporal_out :
   ?bound_init:float -> ?budget:Budget.t ->
   Engine.Context.t ->

@@ -22,17 +22,7 @@ type report = {
     [query.s].
     @raise Invalid_argument if [ctx]'s initiator or [s] differs. *)
 val solve :
-  ?config:Search_core.config -> ?ctx:Engine.Context.t -> ?initial_bound:float ->
-  Query.instance -> Query.sgq -> Query.sg_solution option
-
-(** [solve_warm ?config ?beam_width instance query] runs a cheap beam
-    pass first and seeds the exact search's distance pruning with its
-    result — the answer is still the exact optimum, but tightly-
-    constrained instances (small [k]) prune from the first node instead
-    of waiting for a first feasible leaf.  [beam_width] defaults to 16.
-    Both passes share one context. *)
-val solve_warm :
-  ?config:Search_core.config -> ?beam_width:int ->
+  ?config:Search_core.config -> ?ctx:Engine.Context.t ->
   Query.instance -> Query.sgq -> Query.sg_solution option
 
 (** [solve_report ?config ?ctx ?budget instance query] also exposes
@@ -40,6 +30,5 @@ val solve_warm :
     the solve cooperatively; on a trip the report's [outcome] carries
     the anytime answer instead of raising (see {!Anytime}). *)
 val solve_report :
-  ?config:Search_core.config -> ?ctx:Engine.Context.t -> ?initial_bound:float ->
-  ?budget:Budget.t ->
+  ?config:Search_core.config -> ?ctx:Engine.Context.t -> ?budget:Budget.t ->
   Query.instance -> Query.sgq -> report

@@ -2,7 +2,7 @@ open Parsetree
 
 let solver_entry_points =
   [
-    "Sgselect.solve"; "Sgselect.solve_report"; "Sgselect.solve_warm";
+    "Sgselect.solve"; "Sgselect.solve_report";
     "Stgselect.solve"; "Stgselect.solve_report";
     "Parallel.solve"; "Parallel.solve_report";
     "Heuristics.greedy_sgq"; "Heuristics.greedy_stgq";

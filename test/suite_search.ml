@@ -359,17 +359,6 @@ let prop_always_free_reduces_to_sgq =
       | Some a, Some b -> close a.Query.total_distance b.Query.st_total_distance
       | _ -> false)
 
-let prop_warm_start_exact =
-  Gen.qtest ~count:150 "warm-started solvers stay exact" (Gen.sg_case ())
-    (fun case ->
-      let instance = Gen.instance_of_sg_case case in
-      let cold = Sgselect.solve instance case.Gen.query in
-      let warm = Sgselect.solve_warm instance case.Gen.query in
-      match (cold, warm) with
-      | None, None -> true
-      | Some a, Some b -> close a.Query.total_distance b.Query.total_distance
-      | _ -> false)
-
 let prop_k_monotone =
   Gen.qtest ~count:100 "looser k never worsens the optimum" (Gen.sg_case ())
     (fun case ->
@@ -532,7 +521,6 @@ let suite =
     prop_stg_ablations_stay_optimal;
     prop_stgselect_vs_per_slot;
     prop_always_free_reduces_to_sgq;
-    prop_warm_start_exact;
     prop_k_monotone;
     prop_s_monotone;
     prop_p1_trivial;
