@@ -144,17 +144,28 @@ let w_f64 b v =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Bounds-checked reader.  [base] is the absolute file offset of
-   [buf.[0]], so section payloads report real offsets. *)
+(* Bounds-checked reader of [buf] up to [limit] (exclusive).  [buf] is
+   the whole file and [pos] its absolute offset, so a section or record
+   payload is read in place, by a reader whose [limit] ends it, and
+   reports real offsets. *)
 
-type reader = { rfile : string; buf : string; base : int; mutable pos : int }
+type reader = { rfile : string; buf : string; limit : int; mutable pos : int }
 
 exception Fail of corrupt
 
-let fail r detail = raise (Fail { file = r.rfile; offset = r.base + r.pos; detail })
+let reader ~file bytes =
+  { rfile = file; buf = bytes; limit = String.length bytes; pos = 0 }
+
+(* The [len]-byte payload at [r.pos], which [r] then skips. *)
+let payload r len =
+  let p = { r with limit = r.pos + len } in
+  r.pos <- r.pos + len;
+  p
+
+let fail r detail = raise (Fail { file = r.rfile; offset = r.pos; detail })
 
 let need r n =
-  let remaining = String.length r.buf - r.pos in
+  let remaining = r.limit - r.pos in
   if n < 0 || n > remaining then
     fail r (Printf.sprintf "truncated: needed %d byte(s), %d available" n remaining)
 
@@ -238,9 +249,9 @@ let encode_snapshot st =
   section tag_timetable (encode_timetable_section st.schedules);
   Buffer.contents b
 
-(* Decode one section header and return a payload sub-reader.  The
-   declared length is checked against the bytes present before any
-   slice or allocation happens. *)
+(* Decode one section header and return a payload reader.  The
+   declared length is checked against the bytes present before the
+   payload is read. *)
 let r_section r ~expect_tag =
   let tag = r_u8 r in
   if tag <> expect_tag then
@@ -254,12 +265,7 @@ let r_section r ~expect_tag =
     fail r
       (Printf.sprintf "section %d CRC mismatch: stored %08x, computed %08x" tag
          declared_crc got_crc);
-  let payload =
-    { rfile = r.rfile; buf = String.sub r.buf r.pos len; base = r.base + r.pos;
-      pos = 0 }
-  in
-  r.pos <- r.pos + len;
-  payload
+  payload r len
 
 (* [Graph.of_sorted_arrays] sizes O(n) degree/row columns from [n]
    before a single edge is read, so the vertex count must be bounded
@@ -284,7 +290,7 @@ let decode_graph_section p =
     let u = r_u32 p in
     let v = r_u32 p in
     let w = r_f64 p in
-    let bad detail = raise (Fail { file = p.rfile; offset = p.base + at; detail }) in
+    let bad detail = raise (Fail { file = p.rfile; offset = at; detail }) in
     if u >= n || v >= n then
       bad (Printf.sprintf "edge (%d,%d) out of range [0,%d)" u v n);
     if u >= v then bad (Printf.sprintf "edge (%d,%d) not u < v" u v);
@@ -296,10 +302,8 @@ let decode_graph_section p =
     vs.(i) <- v;
     ws.(i) <- w
   done;
-  if p.pos <> String.length p.buf then
-    fail p
-      (Printf.sprintf "%d trailing byte(s) in graph section"
-         (String.length p.buf - p.pos));
+  if p.pos <> p.limit then
+    fail p (Printf.sprintf "%d trailing byte(s) in graph section" (p.limit - p.pos));
   let us = if m = 0 then [||] else us in
   let vs = if m = 0 then [||] else vs in
   let ws = if m = 0 then [||] else ws in
@@ -325,10 +329,8 @@ let decode_timetable_section p ~n =
         p.pos <- p.pos + nbytes;
         a)
   in
-  if p.pos <> String.length p.buf then
-    fail p
-      (Printf.sprintf "%d trailing byte(s) in timetable section"
-         (String.length p.buf - p.pos));
+  if p.pos <> p.limit then
+    fail p (Printf.sprintf "%d trailing byte(s) in timetable section" (p.limit - p.pos));
   schedules
 
 let decode_snapshot_reader r =
@@ -346,14 +348,12 @@ let decode_snapshot_reader r =
   let schedules =
     decode_timetable_section tp ~n:(Socgraph.Graph.n_vertices graph)
   in
-  if r.pos <> String.length r.buf then
-    fail r
-      (Printf.sprintf "%d trailing byte(s) after last section"
-         (String.length r.buf - r.pos));
+  if r.pos <> r.limit then
+    fail r (Printf.sprintf "%d trailing byte(s) after last section" (r.limit - r.pos));
   { graph; schedules }
 
 let decode_snapshot ~file bytes =
-  match decode_snapshot_reader { rfile = file; buf = bytes; base = 0; pos = 0 } with
+  match decode_snapshot_reader (reader ~file bytes) with
   | state -> Ok state
   | exception Fail c -> Error (Corrupt c)
   | exception Out_of_memory ->
@@ -540,10 +540,8 @@ let decode_record_payload p =
   need p nbytes;
   let avail = Timetable.Availability.of_mask p.buf ~pos:p.pos ~horizon in
   p.pos <- p.pos + nbytes;
-  if p.pos <> String.length p.buf then
-    fail p
-      (Printf.sprintf "%d trailing byte(s) in record"
-         (String.length p.buf - p.pos));
+  if p.pos <> p.limit then
+    fail p (Printf.sprintf "%d trailing byte(s) in record" (p.limit - p.pos));
   Schedule_set { vertex; avail }
 
 type replay = {
@@ -560,7 +558,7 @@ type replay = {
    produced it — so it raises [Fail] and the whole log is refused. *)
 let decode_frame r =
   let start = r.pos in
-  let remaining = String.length r.buf - r.pos in
+  let remaining = r.limit - r.pos in
   if remaining < 8 then
     `Torn
       { file = r.rfile; offset = start;
@@ -574,8 +572,8 @@ let decode_frame r =
         { file = r.rfile; offset = start;
           detail = Printf.sprintf "record length %d exceeds %d cap" len max_record }
     end
-    else if len > String.length r.buf - r.pos then begin
-      let got = String.length r.buf - r.pos in
+    else if len > r.limit - r.pos then begin
+      let got = r.limit - r.pos in
       r.pos <- start;
       `Torn
         { file = r.rfile; offset = start;
@@ -591,14 +589,7 @@ let decode_frame r =
               Printf.sprintf "record CRC mismatch: stored %08x, computed %08x"
                 declared_crc got_crc }
       end
-      else begin
-        let p =
-          { rfile = r.rfile; buf = String.sub r.buf r.pos len;
-            base = r.base + r.pos; pos = 0 }
-        in
-        r.pos <- r.pos + len;
-        `Record (decode_record_payload p, start)
-      end
+      else `Record (decode_record_payload (payload r len), start)
     end
   end
 
@@ -612,9 +603,9 @@ let replay_wal_records path =
       Ok ([], { deltas = []; records = 0; valid_bytes = 0; torn = None })
   | `Unreadable e -> Error e
   | `Contents bytes -> (
-      let r = { rfile = path; buf = bytes; base = 0; pos = 0 } in
+      let r = reader ~file:path bytes in
       let rec go acc =
-        if r.pos >= String.length bytes then (List.rev acc, None)
+        if r.pos >= r.limit then (List.rev acc, None)
         else
           match decode_frame r with
           | `Record (d, off) -> go ((d, off) :: acc)
