@@ -40,9 +40,9 @@ val default_config : config
     identity [examined = includes + removed_exterior + removed_interior
     + removed_temporal + deferred] exact: every examined candidate ends
     in exactly one bucket (a deferred candidate counts again when a θ/φ
-    relaxation round re-examines it).  A candidate leaves VA the first
-    time it is examined, at any θ and φ, once it is in no completion of
-    VS. *)
+    relaxation round re-examines it).  A candidate u with
+    U(VS ∪ {u}) > k or X(VS ∪ {u}) < 0 is in no completion of VS, and
+    it leaves VA the first time it is examined, at any θ and φ. *)
 type stats = {
   mutable nodes : int;           (** search-tree nodes expanded *)
   mutable examined : int;        (** candidates considered by the node loop *)

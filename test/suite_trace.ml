@@ -136,11 +136,9 @@ let test_service_root_covers_certify () =
    rung meets a zero node limit (a trip at its first 256-node
    checkpoint) before it holds an incumbent, so the beam rung answers,
    and its answer is certified under the beam rung's own span.  The
-   exact search must find no group in its first 256 nodes: this one
-   takes 436 in all.  On the n = 300, rank-10, p = 5 instance once used
-   here, the search has found one by then (346 nodes in all), since a
-   candidate that can never join leaves VA at first sight, so the
-   anytime rung answers instead. *)
+   instance must keep the exact search from finding a group in its
+   first 256 nodes, or the anytime rung answers instead: this search
+   takes 436 nodes in all. *)
 let test_beam_rung_covers_certify () =
   let ti = Workload.Scenario.coauthor ~seed:3 ~days:2 ~n:1000 () in
   let initiator =
