@@ -7,11 +7,16 @@
 
    Usage: dune exec bench/main.exe -- [--fast] [--only=fig1a,fig1e,...]
                                       [--skip-bechamel] [--domains=N]
-                                      [--smoke]
+                                      [--smoke] [--passes=N]
 
    --only=paper prints the Fig. 1 record instead: node counts and optima
    for every shape of the full sweeps, as one JSON document that the
    bench runtest rule diffs against the tracked bench/BENCH_paper.json.
+
+   --only=hot_time times perfbench's hot mix in process: --passes (20
+   by default) passes over its 528 pairs on cached contexts, with each
+   half's minimum, quartiles and median per pass, its node counts and
+   its answer digest.  Like paper, it runs only when named.
 
    --smoke runs the durable-store smoke at n = 100k users behind the root
    @bench-smoke alias and writes BENCH_scale.json.
@@ -29,13 +34,14 @@ type settings = {
   group_cap : int;      (* brute-force enumeration cap *)
   ip_node_cap : int;    (* branch-and-bound node cap *)
   domains : int option; (* --domains override *)
+  passes : int;         (* --passes: hot_time's passes over the mix *)
 }
 
 let full_settings =
-  { fast = false; group_cap = 4_000_000; ip_node_cap = 40_000; domains = None }
+  { fast = false; group_cap = 4_000_000; ip_node_cap = 40_000; domains = None; passes = 20 }
 
 let fast_settings =
-  { fast = true; group_cap = 200_000; ip_node_cap = 4_000; domains = None }
+  { fast = true; group_cap = 200_000; ip_node_cap = 4_000; domains = None; passes = 20 }
 
 (* ------------------------------------------------------------------ *)
 (* Timing helpers.  A capped run reports the elapsed time at the cap,
@@ -48,6 +54,13 @@ let time f =
   let t0 = now_ns () in
   let r = f () in
   (r, now_ns () -. t0)
+
+let percentile samples q =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 0 then 0.
+  else a.(min (n - 1) (int_of_float ((q *. float_of_int (n - 1)) +. 0.5)))
 
 type timed = Done of float * string | Capped of float
 
@@ -250,7 +263,10 @@ let fig1gh st () =
    order, and a digest of every pair's answer (original ids, distance
    bits, start slot), which sees a changed tie that the sum cannot.
    The waterfall totals pin every per-candidate decision, not only
-   those that change a node count.                                     *)
+   those that change a node count.  [hot_mix ()] builds the world and
+   its 16 contexts, and returns the pass that solves the mix on them;
+   each pass also times its SGQ and its STGQ half on the monotonic
+   clock, around the solves alone.                                     *)
 
 let add_stats (acc : Search_core.stats) (st : Search_core.stats) =
   acc.nodes <- acc.nodes + st.nodes;
@@ -264,57 +280,113 @@ let add_stats (acc : Search_core.stats) (st : Search_core.stats) =
   acc.removed_interior <- acc.removed_interior + st.removed_interior;
   acc.removed_temporal <- acc.removed_temporal + st.removed_temporal
 
+type hot_pass = {
+  pairs : int;
+  sg : Search_core.stats;
+  stg : Search_core.stats;
+  distance_sum : float;
+  digest : string;
+  sg_ns : float;   (* the SGQ half's solves *)
+  stg_ns : float;  (* the STGQ half's solves *)
+}
+
 let hot_mix () =
   let ds = Workload.Hot.world () in
   let graph = ds.Workload.People194.graph in
+  let schedules = ds.Workload.People194.schedules in
   let initiators = Workload.Hot.initiators graph in
   let contexts = Hashtbl.create 16 in
-  let context initiator s =
-    match Hashtbl.find_opt contexts (initiator, s) with
-    | Some ctx -> ctx
-    | None ->
-        let ctx = Engine.Context.build graph ~initiator ~s in
-        Hashtbl.add contexts (initiator, s) ctx;
-        ctx
-  in
-  let pairs = ref 0 and sum = ref 0. and answers = Buffer.create 4096 in
-  let sg = Search_core.fresh_stats () and stg = Search_core.fresh_stats () in
-  let add = function
-    | Some (group, d, slot) ->
-        sum := !sum +. d;
-        Printf.bprintf answers "%s %Ld %s\n"
-          (String.concat "," (List.map string_of_int group))
-          (Int64.bits_of_float d)
-          (match slot with Some t -> string_of_int t | None -> "none")
-    | None -> Buffer.add_string answers "none\n"
-  in
+  List.iter
+    (fun initiator ->
+      List.iter
+        (fun s -> Hashtbl.replace contexts (initiator, s) (Engine.Context.build graph ~initiator ~s))
+        [ 1; 2 ])
+    initiators;
+  let context initiator s = Hashtbl.find contexts (initiator, s) in
   let each shapes solve =
-    List.iter
-      (fun shape ->
-        List.iter
-          (fun initiator ->
-            incr pairs;
-            solve shape { Query.graph; initiator })
-          initiators)
+    List.concat_map
+      (fun shape -> List.map (fun initiator -> solve shape { Query.graph; initiator }) initiators)
       shapes
   in
-  each Workload.Hot.sgq_shapes (fun (q : Query.sgq) social ->
-      let r = Sgselect.solve_report ~ctx:(context social.Query.initiator q.s) social q in
-      add_stats sg r.Sgselect.stats;
-      add
-        (Option.map
-           (fun s -> (s.Query.attendees, s.Query.total_distance, None))
-           r.Sgselect.solution));
-  each Workload.Hot.stgq_shapes (fun (q : Query.stgq) social ->
-      let ti = { Query.social; schedules = ds.Workload.People194.schedules } in
-      let r = Stgselect.solve_report ~ctx:(context social.Query.initiator q.s) ti q in
-      add_stats stg r.Stgselect.stats;
-      add
-        (Option.map
-           (fun s ->
-             (s.Query.st_attendees, s.Query.st_total_distance, Some s.Query.start_slot))
-           r.Stgselect.solution));
-  (!pairs, sg, stg, !sum, Digest.to_hex (Digest.string (Buffer.contents answers)))
+  fun () ->
+    let sg_reports, sg_ns =
+      time (fun () ->
+          each Workload.Hot.sgq_shapes (fun (q : Query.sgq) social ->
+              Sgselect.solve_report ~ctx:(context social.Query.initiator q.s) social q))
+    in
+    let stg_reports, stg_ns =
+      time (fun () ->
+          each Workload.Hot.stgq_shapes (fun (q : Query.stgq) social ->
+              Stgselect.solve_report ~ctx:(context social.Query.initiator q.s)
+                { Query.social; schedules } q))
+    in
+    let sum = ref 0. and answers = Buffer.create 4096 in
+    let sg = Search_core.fresh_stats () and stg = Search_core.fresh_stats () in
+    let add = function
+      | Some (group, d, slot) ->
+          sum := !sum +. d;
+          Printf.bprintf answers "%s %Ld %s\n"
+            (String.concat "," (List.map string_of_int group))
+            (Int64.bits_of_float d)
+            (match slot with Some t -> string_of_int t | None -> "none")
+      | None -> Buffer.add_string answers "none\n"
+    in
+    List.iter
+      (fun (r : Sgselect.report) ->
+        add_stats sg r.stats;
+        add
+          (Option.map
+             (fun s -> (s.Query.attendees, s.Query.total_distance, None))
+             r.solution))
+      sg_reports;
+    List.iter
+      (fun (r : Stgselect.report) ->
+        add_stats stg r.stats;
+        add
+          (Option.map
+             (fun s ->
+               (s.Query.st_attendees, s.Query.st_total_distance, Some s.Query.start_slot))
+             r.solution))
+      stg_reports;
+    {
+      pairs = List.length sg_reports + List.length stg_reports;
+      sg;
+      stg;
+      distance_sum = !sum;
+      digest = Digest.to_hex (Digest.string (Buffer.contents answers));
+      sg_ns;
+      stg_ns;
+    }
+
+(* In-process timing of the mix (--only=hot_time [--passes N]): N
+   passes on the same contexts, each half's minimum, quartiles and
+   median in ms per pass, with the node counts and the answer digest,
+   which every pass must repeat.  On a shared host, compare two builds
+   run at the same time, or by their minima. *)
+let hot_time st () =
+  let pass = hot_mix () in
+  let runs = List.init st.passes (fun _ -> pass ()) in
+  let first = List.hd runs in
+  if List.exists (fun r -> r.digest <> first.digest) runs then begin
+    print_endline "hot_time: FAILED — the passes disagree on the answers";
+    exit 1
+  end;
+  let row name ns =
+    let ms = List.map (fun r -> ns r /. 1e6) runs in
+    name :: List.map (fun q -> Printf.sprintf "%.2f" (percentile ms q)) [ 0.; 0.25; 0.5; 0.75 ]
+  in
+  print_table
+    ~title:
+      (Printf.sprintf "hot mix in process: %d pairs, %d passes on 16 cached contexts (ms per pass)"
+         first.pairs st.passes)
+    ~header:[ "half"; "min"; "q1"; "median"; "q3" ]
+    [
+      row "SGQ" (fun r -> r.sg_ns);
+      row "STGQ" (fun r -> r.stg_ns);
+      row "both" (fun r -> r.sg_ns +. r.stg_ns);
+    ];
+  Printf.printf "nodes: SGSelect %d, STGSelect %d; answer_digest %s\n%!" first.sg.nodes
+    first.stg.nodes first.digest
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 1 record (--only=paper): per shape of the full sweeps, the
@@ -378,7 +450,7 @@ let paper _ () =
             ])
   in
   let hot_mix_rows () =
-    let pairs, sg, stg, sum, digest = hot_mix () in
+    let { pairs; sg; stg; distance_sum; digest; _ } = hot_mix () () in
     let waterfall name (w : Search_core.stats) =
       row
         (("kernel", Printf.sprintf "%S" name)
@@ -398,7 +470,7 @@ let paper _ () =
     [
       row
         (ints [ ("pairs", pairs); ("sgselect_nodes", sg.nodes); ("stgselect_nodes", stg.nodes) ]
-        @ [ ("distance_sum", Printf.sprintf "%.9f" sum) ]);
+        @ [ ("distance_sum", Printf.sprintf "%.9f" distance_sum) ]);
       row [ ("answer_digest", Printf.sprintf "%S" digest) ];
       waterfall "sgselect" sg;
       waterfall "stgselect" stg;
@@ -733,13 +805,6 @@ let bechamel_suite () =
 
 (* --- store scale smoke --------------------------------------------- *)
 
-let percentile samples q =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.
-  else a.(min (n - 1) (int_of_float ((q *. float_of_int (n - 1)) +. 0.5)))
-
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -936,17 +1001,22 @@ let experiments =
     ("ext_community", ext_community);
     ("ext_scale", ext_scale);
     ("paper", paper);
+    ("hot_time", hot_time);
   ]
 
+(* [--key=value] or [--key value]. *)
 let keyed_arg key args =
   let prefix = key ^ "=" in
   let plen = String.length prefix in
-  List.find_map
-    (fun a ->
-      if String.length a > plen && String.sub a 0 plen = prefix then
-        Some (String.sub a plen (String.length a - plen))
-      else None)
-    args
+  let rec find = function
+    | [] -> None
+    | a :: value :: _ when a = key -> Some value
+    | a :: rest ->
+        if String.length a > plen && String.sub a 0 plen = prefix then
+          Some (String.sub a plen (String.length a - plen))
+        else find rest
+  in
+  find args
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -957,18 +1027,25 @@ let () =
   let fast = List.mem "--fast" args in
   let skip_bechamel = List.mem "--skip-bechamel" args in
   let only = Option.map (String.split_on_char ',') (keyed_arg "--only" args) in
-  let domains =
-    Option.bind (keyed_arg "--domains" args) (fun raw ->
+  let positive key =
+    Option.bind (keyed_arg key args) (fun raw ->
         match int_of_string_opt raw with
         | Some d when d >= 1 -> Some d
         | Some _ | None ->
-            Printf.eprintf "ignoring --domains=%s: expected a positive integer\n" raw;
+            Printf.eprintf "ignoring %s=%s: expected a positive integer\n" key raw;
             None)
   in
+  let domains = positive "--domains" in
+  let st = if fast then fast_settings else full_settings in
   let st =
-    if fast then { fast_settings with domains } else { full_settings with domains }
+    { st with domains; passes = Option.value (positive "--passes") ~default:st.passes }
   in
-  let wanted name = match only with None -> name <> "paper" | Some l -> List.mem name l in
+  (* The record and the timing loop run only when asked for. *)
+  let wanted name =
+    match only with
+    | None -> not (List.mem name [ "paper"; "hot_time" ])
+    | Some l -> List.mem name l
+  in
   (* Alone, the Fig. 1 record prints nothing else, so its output is
      exactly the JSON document. *)
   let record_only = only = Some [ "paper" ] in

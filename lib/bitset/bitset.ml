@@ -1,6 +1,7 @@
-(* Bits are packed into an int array, 63 usable bits per word (OCaml ints).
-   Unused bits of the last word are kept at zero so that word-level
-   operations (count, equal, is_empty) need no masking. *)
+(* Bits are packed into an int array, 62 per word: one less than an
+   OCaml int's 63, so no word uses the sign bit.  Unused bits of the
+   last word are kept at zero so that word-level operations (count,
+   equal, is_empty) need no masking. *)
 
 let bits_per_word = Sys.int_size - 1
 
@@ -37,6 +38,24 @@ let mem t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
+
+let bits t ~pos ~len =
+  if len < 0 || len > bits_per_word || pos < 0 || pos > t.len - len then
+    invalid_arg
+      (Printf.sprintf "Bitset.bits: %d bits from %d leave [0,%d) or exceed %d" len pos t.len
+         bits_per_word);
+  if len = 0 then 0
+  else
+    let w = pos / bits_per_word and b = pos mod bits_per_word in
+    let low = t.words.(w) lsr b in
+    (* A range past the word's end continues in the next word; [lsl]
+       drops what it shifts past the int's top bit, and the mask keeps
+       [len] bits. *)
+    let x =
+      if b + len > bits_per_word then low lor (t.words.(w + 1) lsl (bits_per_word - b))
+      else low
+    in
+    x land ((1 lsl len) - 1)
 
 let set_range t lo hi =
   if lo <= hi then begin

@@ -27,6 +27,17 @@ val clear : t -> int -> unit
     @raise Invalid_argument if out of range. *)
 val mem : t -> int -> bool
 
+(** The most bits one {!bits} call reads: 62, one less than an OCaml
+    int's 63, so a word of [bits_per_word] bits is a non-negative int. *)
+val bits_per_word : int
+
+(** [bits t ~pos ~len] is the int whose bit [i] is bit [pos + i] of [t],
+    for [0 <= i < len]; its higher bits are clear.  It reads at most two
+    words, whatever [pos] is.
+    @raise Invalid_argument unless [0 <= len <= bits_per_word] and
+    [0 <= pos <= length t - len]. *)
+val bits : t -> pos:int -> len:int -> int
+
 (** [set_range t lo hi] sets every bit in the inclusive range [lo..hi].
     Does nothing if [lo > hi].  @raise Invalid_argument if out of range. *)
 val set_range : t -> int -> int -> unit

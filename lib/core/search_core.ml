@@ -71,10 +71,10 @@ type sink = {
    is the member's maximal available run containing the pivot, clipped to
    the pivot interval ([lo > hi] encodes "not available at the pivot");
    [unavail.(t - ilo)] counts VA members unavailable at slot [t];
-   [ts_lo..ts_hi] is TS, the common run of the vertices in VS.  A VA
+   [ts_lo..ts_hi] is TS, the common run of the vertices in VS.  Each
    member's busy slots in the interval are read once per pivot into
    [busy]: [words] ints per member, bit [i] of word [j] set when it is
-   busy at slot [ilo + j * Sys.int_size + i]. *)
+   busy at slot [ilo + j * slots_per_word + i]. *)
 type temporal = {
   m : int;
   pivot : int;
@@ -83,7 +83,6 @@ type temporal = {
   run_lo : int array;
   run_hi : int array;
   unavail : int array;
-  av : Timetable.Availability.t array;
   words : int;
   busy : int array;
   mutable ts_lo : int;
@@ -109,7 +108,7 @@ type state = {
   mutable va_size : int;
   mutable vs_list : int list;
   mutable td : float;
-  mutable sum_nbr_va : int;  (* Σ_{v∈VA} nbr_va(v), maintained incrementally *)
+  mutable sum_nbr_va : int;  (* Σ_{v∈VA} nbr_va(v) = 2|E(VA)|, maintained incrementally *)
   sink : sink;
   temporal : temporal option;
   budget : Budget.t;
@@ -131,24 +130,16 @@ let imax (a : int) b = if a >= b then a else b
    rows as array reads here: a [Socgraph.Graph] call per neighbour would
    not be inlined across modules.                                      *)
 
-(* Words per member that hold an interval of [len] slots. *)
-let busy_words len = (len + Sys.int_size - 1) / Sys.int_size
+(* Slots per busy word: one [free_bits] read fills a word. *)
+let slots_per_word = Timetable.Availability.bits_per_word
 
-let load_busy tc v =
-  let base = v * tc.words in
-  Array.fill tc.busy base tc.words 0;
-  for t = tc.ilo to tc.ihi do
-    if not (Timetable.Availability.available tc.av.(v) t) then begin
-      let i = t - tc.ilo in
-      let j = base + (i / Sys.int_size) in
-      tc.busy.(j) <- tc.busy.(j) lor (1 lsl (i mod Sys.int_size))
-    end
-  done
+(* Words per member that hold an interval of [len] slots. *)
+let busy_words len = (len + slots_per_word - 1) / slots_per_word
 
 let unavail_adjust tc v delta =
   let base = v * tc.words in
   for j = 0 to tc.words - 1 do
-    let bits = ref tc.busy.(base + j) and t = ref (j * Sys.int_size) in
+    let bits = ref tc.busy.(base + j) and t = ref (j * slots_per_word) in
     while !bits <> 0 do
       if !bits land 1 <> 0 then tc.unavail.(!t) <- tc.unavail.(!t) + delta;
       bits := !bits lsr 1;
@@ -156,29 +147,32 @@ let unavail_adjust tc v delta =
     done
   done
 
+(* Σ nbr_va counts each edge of VA twice, and v has nbr_va v of them
+   (no self-loops), so moving v out of VA or back changes the sum by
+   2 nbr_va v: the row walk needs no test per neighbour (docs/LEMMAS.md
+   §1). *)
 let remove_from_va st v =
   st.in_va.(v) <- false;
   st.va_size <- st.va_size - 1;
-  st.sum_nbr_va <- st.sum_nbr_va - st.nbr_va.(v);
+  st.sum_nbr_va <- st.sum_nbr_va - (2 * st.nbr_va.(v));
   for e = st.row.(v) to st.row.(v + 1) - 1 do
     let w = st.adj.(e) in
-    st.nbr_va.(w) <- st.nbr_va.(w) - 1;
-    if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va - 1
+    st.nbr_va.(w) <- st.nbr_va.(w) - 1
   done;
   match st.temporal with Some tc -> unavail_adjust tc v (-1) | None -> ()
 
 let restore_to_va st v =
   for e = st.row.(v) to st.row.(v + 1) - 1 do
     let w = st.adj.(e) in
-    st.nbr_va.(w) <- st.nbr_va.(w) + 1;
-    if st.in_va.(w) then st.sum_nbr_va <- st.sum_nbr_va + 1
+    st.nbr_va.(w) <- st.nbr_va.(w) + 1
   done;
   st.in_va.(v) <- true;
   st.va_size <- st.va_size + 1;
-  st.sum_nbr_va <- st.sum_nbr_va + st.nbr_va.(v);
+  st.sum_nbr_va <- st.sum_nbr_va + (2 * st.nbr_va.(v));
   match st.temporal with Some tc -> unavail_adjust tc v 1 | None -> ()
 
-(* Returns the TS interval to restore on undo. *)
+(* Moves v from VA into VS.  Returns the TS interval to restore on
+   undo. *)
 let add_to_vs st v =
   remove_from_va st v;
   st.vs_size <- st.vs_size + 1;
@@ -196,6 +190,8 @@ let add_to_vs st v =
       saved
   | None -> (0, 0)
 
+(* Undoes [add_to_vs] on the VS side only: v stays out of VA, where the
+   node loop's exclusion would put it next anyway (docs/LEMMAS.md §0). *)
 let remove_from_vs st v (saved_lo, saved_hi) =
   st.vs_size <- st.vs_size - 1;
   (* [v] was pushed last, so it is the head. *)
@@ -205,12 +201,11 @@ let remove_from_vs st v (saved_lo, saved_hi) =
     let w = st.adj.(e) in
     st.nbr_vs.(w) <- st.nbr_vs.(w) - 1
   done;
-  (match st.temporal with
+  match st.temporal with
   | Some tc ->
       tc.ts_lo <- saved_lo;
       tc.ts_hi <- saved_hi
-  | None -> ());
-  restore_to_va st v
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Access-ordering measures (Definitions 2, 3, 5).                     *)
@@ -297,7 +292,8 @@ let temporal_threshold st phi =
   | Some _ | None -> 0.
 
 (* ------------------------------------------------------------------ *)
-(* Pruning lemmas, evaluated at every node-loop iteration.             *)
+(* Pruning lemmas, evaluated when a node starts and after each change
+   to VA.                                                              *)
 
 (* Lemma 2 as a sum.  [cheapest fg order ~needed ok] is the sum of the
    distances of the first [needed] sub-ids of the distance-sorted
@@ -318,7 +314,7 @@ let cheapest (fg : Engine.Feasible.t) order ~needed ok =
   if !left > 0 then infinity else !sum
 
 (* [cheapest] over VA, in the same order, with no closure: the node
-   loop asks it before every candidate. *)
+   loop asks it after every change to VA. *)
 let cheapest_in_va st ~needed =
   let order = st.by_dist in
   let n = Array.length order in
@@ -465,6 +461,11 @@ let rec node st =
     remove_from_va st v;
     removed := v :: !removed
   in
+  (* The prune checks read VS, VA, TS and the sink's bound.  Only a
+     removal or an include moves them (the bound moves in [offer], inside
+     an include's subtree), so they run when the node starts and after
+     each removal or include; a deferral or a new round goes straight to
+     the next pick (docs/LEMMAS.md §0). *)
   let rec loop () =
     if st.vs_size + st.va_size < st.p then ()
     else if distance_prunes st then
@@ -473,32 +474,35 @@ let rec node st =
       st.stats.pruned_acquaintance <- st.stats.pruned_acquaintance + 1
     else if availability_prunes st then
       st.stats.pruned_availability <- st.stats.pruned_availability + 1
-    else
-      let i = next_candidate st !current_round !cursor in
-      if i < 0 then begin
-        if !theta > 0 then begin
-          decr theta;
-          interior_rhs := interior_threshold st !theta;
-          new_round ();
-          loop ()
-        end
-        else
-          match st.temporal with
-          | Some _ when !phi < st.cfg.phi_threshold ->
-              incr phi;
-              temporal_rhs := temporal_threshold st !phi;
-              new_round ();
-              loop ()
-          | Some _ | None -> ()
+    else pick ()
+  and pick () =
+    let i = next_candidate st !current_round !cursor in
+    if i < 0 then begin
+      if !theta > 0 then begin
+        decr theta;
+        interior_rhs := interior_threshold st !theta;
+        new_round ();
+        pick ()
       end
-      else begin
-        cursor := i;
-        let u = st.order.(i) in
-        st.visited.(u) <- !current_round;
-        st.stats.examined <- st.stats.examined + 1;
+      else
+        match st.temporal with
+        | Some _ when !phi < st.cfg.phi_threshold ->
+            incr phi;
+            temporal_rhs := temporal_threshold st !phi;
+            new_round ();
+            pick ()
+        | Some _ | None -> ()
+    end
+    else begin
+      cursor := i;
+      let u = st.order.(i) in
+      st.visited.(u) <- !current_round;
+      st.stats.examined <- st.stats.examined + 1;
+      let changed =
         if exterior_expansibility st u < st.p - (st.vs_size + 1) then begin
           st.stats.removed_exterior <- st.stats.removed_exterior + 1;
-          remove_here u
+          remove_here u;
+          true
         end
         else begin
           let unfamiliar = interior_unfamiliarity st ~fewest ~tied u in
@@ -510,28 +514,36 @@ let rec node st =
              whatever θ and φ are (docs/LEMMAS.md §1). *)
           if unfamiliar > st.k then begin
             st.stats.removed_interior <- st.stats.removed_interior + 1;
-            remove_here u
+            remove_here u;
+            true
           end
           else if extensible < 0 then begin
             st.stats.removed_temporal <- st.stats.removed_temporal + 1;
-            remove_here u
+            remove_here u;
+            true
           end
           else if
             float_of_int unfamiliar > !interior_rhs +. 1e-12
             || float_of_int extensible < !temporal_rhs -. 1e-12
-          then
+          then begin
             (* u could still join: retried once θ or φ relaxes *)
-            st.stats.deferred <- st.stats.deferred + 1
+            st.stats.deferred <- st.stats.deferred + 1;
+            false
+          end
           else begin
             st.stats.includes <- st.stats.includes + 1;
             let saved_ts = add_to_vs st u in
             if st.vs_size = st.p then record_best st else node st;
+            (* u left VA in [add_to_vs]; it comes back with the node's
+               removals. *)
             remove_from_vs st u saved_ts;
-            remove_here u
+            removed := u :: !removed;
+            true
           end
-        end;
-        loop ()
-      end
+        end
+      in
+      if changed then loop () else pick ()
+    end
   in
   loop ();
   (* Give the removed candidates back to the parent. *)
@@ -578,12 +590,9 @@ let make_state fg ~p ~k ~cfg ~stats ~eligible ~temporal ~sink ~budget =
     order;
   (match temporal with
   | Some tc ->
-      (* Unavailability counts of the initial VA over the pivot interval. *)
-      Array.iter
-        (fun v ->
-          load_busy tc v;
-          unavail_adjust tc v 1)
-        order
+      (* Unavailability counts of the initial VA over the pivot interval,
+         from the busy words that pivot setup read. *)
+      Array.iter (fun v -> unavail_adjust tc v 1) order
   | None -> ());
   {
     fg;
@@ -679,6 +688,49 @@ let solve_social_out ?eligible ?budget ctx ~p ~k ~config ~stats =
     ~gap_of:(fun f -> gap ?eligible ctx.Engine.Context.fg ~p f.distance)
     !cell
 
+(* ------------------------------------------------------------------ *)
+(* Pivot setup reads a member's calendar a word at a time.             *)
+
+(* The index of the highest set bit of [x > 0]. *)
+let highest_bit x =
+  let x = ref x and i = ref 0 in
+  if !x lsr 32 <> 0 then begin
+    x := !x lsr 32;
+    i := 32
+  end;
+  if !x lsr 16 <> 0 then begin
+    x := !x lsr 16;
+    i := !i + 16
+  end;
+  if !x lsr 8 <> 0 then begin
+    x := !x lsr 8;
+    i := !i + 8
+  end;
+  if !x lsr 4 <> 0 then begin
+    x := !x lsr 4;
+    i := !i + 4
+  end;
+  if !x lsr 2 <> 0 then begin
+    x := !x lsr 2;
+    i := !i + 2
+  end;
+  if !x lsr 1 <> 0 then !i + 1 else !i
+
+(* Offsets into a [width]-slot interval whose busy words start at
+   [busy.(base)], scanning from word [j], whose bits still in play are
+   [x]: the first busy slot from there up, or [width] when there is
+   none, and the last busy slot from there down, or [-1]. *)
+let[@lint.bounded] rec first_busy busy base ~width j x =
+  if x <> 0 then (j * slots_per_word) + highest_bit (x land -x)
+  else if (j + 1) * slots_per_word < width then
+    first_busy busy base ~width (j + 1) busy.(base + j + 1)
+  else width
+
+let[@lint.bounded] rec last_busy busy base j x =
+  if x <> 0 then (j * slots_per_word) + highest_bit x
+  else if j > 0 then last_busy busy base (j - 1) busy.(base + j - 1)
+  else -1
+
 let pivots avail ~m =
   Timetable.Window.pivots ~horizon:(Timetable.Availability.horizon avail.(0)) ~m
 
@@ -688,7 +740,7 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
   let size = Engine.Feasible.size fg in
   let q = fg.Engine.Feasible.q in
   let h = Timetable.Availability.horizon avail.(q) in
-  (* Each pivot writes a member's run (and busy slots) before reading it. *)
+  (* Each pivot writes a member's run and busy words before reading them. *)
   let run_lo = Array.make size 1 and run_hi = Array.make size 0 in
   (* A pivot interval spans at most 2m-1 slots of the horizon. *)
   let words = busy_words (imin ((2 * m) - 1) h) in
@@ -696,24 +748,32 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
   let free v = run_hi.(v) - run_lo.(v) + 1 >= m in
   let explore_pivot pivot =
     let ilo, ihi = Timetable.Window.interval ~horizon:h ~m pivot in
-    (* The maximal run around the pivot, clipped to [ilo, ihi], read
-       only as far as the clip. *)
+    (* Reads [v]'s calendar over [ilo, ihi] into its busy words, one
+       [free_bits] call per word, and takes from them its maximal run
+       around the pivot, clipped to the interval. *)
     let set_run v =
-      let a = avail.(v) in
-      if Timetable.Availability.available a pivot then begin
-        let lo = ref pivot and hi = ref pivot in
-        while !lo > ilo && Timetable.Availability.available a (!lo - 1) do
-          decr lo
-        done;
-        while !hi < ihi && Timetable.Availability.available a (!hi + 1) do
-          incr hi
-        done;
-        run_lo.(v) <- !lo;
-        run_hi.(v) <- !hi
-      end
-      else begin
+      let base = v * words in
+      for j = 0 to words - 1 do
+        let pos = ilo + (j * slots_per_word) in
+        let len = imin slots_per_word (ihi + 1 - pos) in
+        busy.(base + j) <-
+          (if len > 0 then
+             lnot (Timetable.Availability.free_bits avail.(v) ~pos ~len)
+             land ((1 lsl len) - 1)
+           else 0)
+      done;
+      (* The pivot is bit [b] of word [j]. *)
+      let j = (pivot - ilo) / slots_per_word and b = (pivot - ilo) mod slots_per_word in
+      let word = busy.(base + j) in
+      if word land (1 lsl b) <> 0 then begin
         run_lo.(v) <- 1;
         run_hi.(v) <- 0
+      end
+      else begin
+        run_lo.(v) <- ilo + 1 + last_busy busy base j (word land ((1 lsl b) - 1));
+        run_hi.(v) <-
+          ilo - 1
+          + first_busy busy base ~width:(ihi - ilo + 1) j (word land lnot ((2 lsl b) - 1))
       end
     in
     (* The initiator's run first: no other member is touched at a pivot
@@ -748,7 +808,6 @@ let solve_temporal_sink ?(budget = Budget.unlimited) (ctx : Engine.Context.t)
               run_lo;
               run_hi;
               unavail = Array.make (ihi - ilo + 1) 0;
-              av = avail;
               words;
               busy;
               ts_lo = run_lo.(q);

@@ -76,7 +76,14 @@ type found = {
     leaf the search reaches; [bound] feeds distance pruning (Lemma 2) — a
     node is cut when no completion can get strictly below it.  The
     single-best solvers use an incumbent cell; {!Topk} keeps the N best
-    and bounds by the current worst kept. *)
+    and bounds by the current worst kept.
+
+    Contract: [bound ()] may change only through [offer].  The node loop
+    reads it when a node starts and after each change to the candidate
+    set, not before every candidate (docs/LEMMAS.md §0).  A bound that
+    moved by other means would be seen only at the next such change:
+    the search would stay exact but prune later, and its counters would
+    differ.  Both sinks under lib/ keep the contract. *)
 type sink = {
   offer : found -> unit;
   bound : unit -> float;

@@ -5,6 +5,8 @@ let horizon = Bitset.length
 let copy = Bitset.copy
 let equal = Bitset.equal
 let available = Bitset.mem
+let bits_per_word = Bitset.bits_per_word
+let free_bits = Bitset.bits
 let set_free = Bitset.set_range
 let set_busy = Bitset.clear_range
 let free_count = Bitset.count

@@ -18,6 +18,16 @@ val equal : t -> t -> bool
 (** [available t slot] tests one slot. *)
 val available : t -> int -> bool
 
+(** The most slots one {!free_bits} call reads (62). *)
+val bits_per_word : int
+
+(** [free_bits t ~pos ~len] reads [len] slots from [pos] at once: bit
+    [i] of the result is set iff slot [pos + i] is available, for
+    [0 <= i < len], and its higher bits are clear.
+    @raise Invalid_argument unless [0 <= len <= bits_per_word] and the
+    slots lie inside the horizon. *)
+val free_bits : t -> pos:int -> len:int -> int
+
 (** [set_free t lo hi] marks the inclusive slot range available. *)
 val set_free : t -> int -> int -> unit
 

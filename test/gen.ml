@@ -72,6 +72,19 @@ let availability_gen ~horizon st =
   done;
   a
 
+(* Free throughout but for a few short busy runs, so that windows of
+   tens of slots exist and their edges fall anywhere. *)
+let mostly_free_gen ~horizon st =
+  let a = Timetable.Availability.create ~horizon in
+  Timetable.Availability.set_free a 0 (horizon - 1);
+  let gaps = 1 + G.int_bound 4 st in
+  for _ = 1 to gaps do
+    let lo = G.int_bound (horizon - 1) st in
+    let len = 1 + G.int_bound 7 st in
+    Timetable.Availability.set_busy a lo (min (horizon - 1) (lo + len - 1))
+  done;
+  a
+
 type stg_case = {
   sg : sg_case;
   horizon : int;
@@ -79,13 +92,18 @@ type stg_case = {
   m : int;
 }
 
-let stg_case_gen ?(max_n = 8) ?(max_p = 5) ?(max_m = 4) st =
+(* [horizons] is the inclusive range the horizon is drawn from;
+   [mostly_free] draws calendars with [mostly_free_gen]. *)
+let stg_case_gen ?(max_n = 8) ?(max_p = 5) ?(max_m = 4) ?(horizons = (16, 32))
+    ?(mostly_free = false) st =
   let sg = sg_case_gen ~max_n ~max_p st in
-  let horizon = 16 + G.int_bound 16 st in
+  let horizon = fst horizons + G.int_bound (snd horizons - fst horizons) st in
   let m = 2 + G.int_bound (Stdlib.max 0 (max_m - 2)) st in
   let free_runs =
     Array.init sg.n (fun _ ->
-        let a = availability_gen ~horizon st in
+        let a =
+          if mostly_free then mostly_free_gen ~horizon st else availability_gen ~horizon st
+        in
         (* Record as runs for printing and faithful reconstruction. *)
         let runs = ref [] in
         let i = ref 0 in
@@ -114,8 +132,9 @@ let print_stg_case { sg; horizon; free_runs; m } =
   in
   Printf.sprintf "%s horizon=%d m=%d sched=[%s]" (print_sg_case sg) horizon m sched
 
-let stg_case ?max_n ?max_p ?max_m () =
-  QCheck.make ~print:print_stg_case (stg_case_gen ?max_n ?max_p ?max_m)
+let stg_case ?max_n ?max_p ?max_m ?horizons ?mostly_free () =
+  QCheck.make ~print:print_stg_case
+    (stg_case_gen ?max_n ?max_p ?max_m ?horizons ?mostly_free)
 
 let temporal_instance_of_stg_case { sg; horizon; free_runs; m = _ } =
   let schedules =

@@ -226,6 +226,63 @@ let test_doomed_window_leaves_at_first_sight () =
     [ 3; 0; 1 ]
     [ st.Search_core.examined; st.deferred; st.removed_temporal ]
 
+(* The prune checks run when a node starts and after each change to
+   VA, not before every candidate: a deferral or a new θ/φ round
+   changes nothing that Lemmas 2, 3 and 5 read.  A sink that keeps the
+   strictly better group, as the single-best sink does, and counts its
+   [bound] reads sees at most one per node and one per include or
+   removal.  At p = 5, s = 2, k = 2 each of [hot]'s initiators defers
+   more candidates than the search has nodes (from 1.9 to 18 times as
+   many), so a read before every examination would pass that count.
+   The answer is SGSelect's. *)
+let test_bound_read_after_changes_only () =
+  let ds = Workload.Hot.world () in
+  let graph = ds.Workload.People194.graph in
+  let q = { Query.p = 5; s = 2; k = 2 } in
+  List.iter
+    (fun initiator ->
+      let instance = { Query.graph; initiator } in
+      let ctx = Query.sg_context instance ~s:q.s in
+      let cell = ref None and reads = ref 0 in
+      let sink =
+        {
+          Search_core.offer =
+            (fun f ->
+              match !cell with
+              | Some (best : Search_core.found) when f.distance >= best.distance -. 1e-9 -> ()
+              | Some _ | None -> cell := Some f);
+          bound =
+            (fun () ->
+              incr reads;
+              match !cell with Some f -> f.Search_core.distance | None -> infinity);
+        }
+      in
+      let stats = Search_core.fresh_stats () in
+      check bool_c "complete" true
+        (Search_core.solve_social_sink ctx ~p:q.p ~k:q.k ~config:Search_core.default_config
+           ~stats ~sink
+        = None);
+      let limit =
+        stats.nodes + stats.includes + stats.removed_exterior + stats.removed_interior
+        + stats.removed_temporal
+      in
+      check bool_c
+        (Printf.sprintf "initiator %d: %d deferrals over %d nodes" initiator stats.deferred
+           stats.nodes)
+        true
+        (stats.deferred > stats.nodes);
+      check bool_c
+        (Printf.sprintf "initiator %d: %d bound reads, at most %d" initiator !reads limit)
+        true (!reads <= limit);
+      match (!cell, Sgselect.solve instance q) with
+      | Some f, Some { attendees; total_distance } ->
+          check (Alcotest.list Alcotest.int) "SGSelect's group" attendees
+            (Engine.Feasible.originals ctx.Engine.Context.fg f.group);
+          check bool_c "SGSelect's distance" true (close f.distance total_distance)
+      | None, None -> ()
+      | Some _, None | None, Some _ -> Alcotest.fail "SGSelect disagrees on feasibility")
+    (Workload.Hot.initiators graph)
+
 (* ------------------------------------------------------------------ *)
 (* Properties.                                                         *)
 
@@ -295,6 +352,16 @@ let prop_stgselect_optimal =
 let prop_stgselect_optimal_wide_m =
   Gen.qtest ~count:80 "STGSelect = brute force at wide m"
     (Gen.stg_case ~max_n:7 ~max_m:8 ())
+    agree_stg
+
+(* Long horizons and wide windows: a pivot interval of 2m - 1 slots
+   often crosses one of the calendar's 62-slot words, and from m = 32
+   it fills two of the kernel's busy words.  The default generator's
+   horizons of 16-32 slots never cross a word.  Calendars free but for
+   a few short busy runs keep windows of up to 40 slots common. *)
+let prop_stgselect_optimal_word_edges =
+  Gen.qtest ~count:150 "STGSelect = per-window brute force across word edges"
+    (Gen.stg_case ~max_n:7 ~max_m:40 ~horizons:(60, 140) ~mostly_free:true ())
     agree_stg
 
 let agree_stg_with config case =
@@ -513,11 +580,14 @@ let suite =
       test_doomed_candidate_leaves_at_first_sight;
     Alcotest.test_case "a run too short for TS leaves VA at first sight" `Quick
       test_doomed_window_leaves_at_first_sight;
+    Alcotest.test_case "bound read once per node and per change to VA" `Quick
+      test_bound_read_after_changes_only;
     prop_sgselect_optimal;
     prop_ablations_stay_optimal;
     prop_unsafe_lemma3_never_better;
     prop_stgselect_optimal;
     prop_stgselect_optimal_wide_m;
+    prop_stgselect_optimal_word_edges;
     prop_stg_ablations_stay_optimal;
     prop_stgselect_vs_per_slot;
     prop_always_free_reduces_to_sgq;

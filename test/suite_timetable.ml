@@ -140,6 +140,45 @@ let test_population_determinism () =
       check Alcotest.bool "same schedule" true (A.equal a p2.(i)))
     p1
 
+(* [free_bits] equals a per-slot fold of [available] over every range
+   of at most 62 slots of a 200-slot calendar: ranges inside one word,
+   across the 62-slot word edges, and ending at the horizon.  An
+   all-free calendar pins the top bit of a full 62-slot read. *)
+let test_free_bits_per_slot () =
+  let horizon = 200 in
+  let rand = Random.State.make [| 28 |] in
+  let a = A.create ~horizon in
+  for t = 0 to horizon - 1 do
+    if Random.State.bool rand then A.set_free a t t
+  done;
+  let all_free = A.create ~horizon in
+  A.set_free all_free 0 (horizon - 1);
+  check Alcotest.int "62 slots per read" 62 A.bits_per_word;
+  List.iter
+    (fun a ->
+      for pos = 0 to horizon do
+        for len = 0 to min A.bits_per_word (horizon - pos) do
+          let expected = ref 0 in
+          for i = len - 1 downto 0 do
+            expected := (!expected lsl 1) lor if A.available a (pos + i) then 1 else 0
+          done;
+          if A.free_bits a ~pos ~len <> !expected then
+            Alcotest.failf "free_bits ~pos:%d ~len:%d = %#x, slot by slot %#x" pos len
+              (A.free_bits a ~pos ~len) !expected
+        done
+      done)
+    [ a; all_free ];
+  check Alcotest.int "a full read" ((1 lsl 62) - 1) (A.free_bits all_free ~pos:138 ~len:62);
+  let rejects pos len =
+    match A.free_bits a ~pos ~len with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "free_bits ~pos:%d ~len:%d accepted" pos len
+  in
+  rejects 0 63;
+  rejects 150 51;
+  rejects (-1) 2;
+  rejects 3 (-1)
+
 let suite =
   [
     Alcotest.test_case "slot arithmetic" `Quick test_slot_arithmetic;
@@ -150,6 +189,7 @@ let suite =
     Alcotest.test_case "schedule save/parse roundtrip" `Quick test_sio_roundtrip;
     Alcotest.test_case "schedule parse rejects malformed" `Quick test_sio_rejects_malformed;
     Alcotest.test_case "population determinism" `Quick test_population_determinism;
+    Alcotest.test_case "free_bits = per-slot reads" `Quick test_free_bits_per_slot;
     prop_pivot_law;
     prop_windows_naive;
   ]
