@@ -232,7 +232,7 @@ let test_doomed_window_leaves_at_first_sight () =
    strictly better group, as the single-best sink does, and counts its
    [bound] reads sees at most one per node and one per include or
    removal.  At p = 5, s = 2, k = 2 each of [hot]'s initiators defers
-   more candidates than the search has nodes (from 1.9 to 18 times as
+   more candidates than the search has nodes (from 1.8 to 18 times as
    many), so a read before every examination would pass that count.
    The answer is SGSelect's. *)
 let test_bound_read_after_changes_only () =
