@@ -588,7 +588,7 @@ let ext_heuristics st () =
           (name, t, r)
         in
         let exact = run "SGSelect (exact)" (fun () -> Sgselect.solve instance query) in
-        let greedy = run "greedy" (fun () -> Heuristics.greedy_sgq instance query) in
+        let beam1 = run "beam w=1" (fun () -> Heuristics.beam_sgq ~width:1 instance query) in
         let beam8 = run "beam w=8" (fun () -> Heuristics.beam_sgq ~width:8 instance query) in
         let beam64 =
           run "beam w=64" (fun () -> Heuristics.beam_sgq ~width:64 instance query)
@@ -605,7 +605,7 @@ let ext_heuristics st () =
         List.map
           (fun ((name, t, _) as entry) ->
             [ string_of_int p; name; Report.ns t; ratio entry ])
-          [ exact; greedy; beam8; beam64 ])
+          [ exact; beam1; beam8; beam64 ])
       ps
   in
   print_table

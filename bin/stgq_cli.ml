@@ -1140,13 +1140,7 @@ let snapshot_load_cmd =
         let n = Socgraph.Graph.n_vertices st.Store.graph in
         let free =
           Array.fold_left
-            (fun acc a ->
-              let h = Timetable.Availability.horizon a in
-              let f = ref 0 in
-              for slot = 0 to h - 1 do
-                if Timetable.Availability.available a slot then incr f
-              done;
-              acc + !f)
+            (fun acc a -> acc + Timetable.Availability.free_count a)
             0 st.Store.schedules
         in
         Fmt.pr "%s: %d vertices, %d edges, horizon %d, %d free slots@." file n

@@ -163,8 +163,7 @@ let per_window (ti : Query.temporal_instance) (query : Query.stgq) ~budget
    and availability is checked slot by slot — none of the work is shared
    across periods.  (The property-test oracle [stgq_brute] below shares
    the extraction; only this benchmarked baseline models the naive cost.) *)
-let stgq_per_slot ?(config = Search_core.default_config)
-    ?(budget = Budget.unlimited) ti (query : Query.stgq) =
+let stgq_per_slot ?(budget = Budget.unlimited) ti (query : Query.stgq) =
   Query.check_stgq query;
   Query.check_temporal_instance ti;
   let horizon = Timetable.Availability.horizon ti.schedules.(0) in
@@ -200,7 +199,8 @@ let stgq_per_slot ?(config = Search_core.default_config)
       match
         Search_core.solve_social_out
           ~eligible:(fun v -> available.(v))
-          ~budget ctx ~p:query.p ~k:query.k ~config ~stats
+          ~budget ctx ~p:query.p ~k:query.k ~config:Search_core.default_config
+          ~stats
       with
       | Anytime.Optimal None -> ()
       | Anytime.Optimal (Some { Search_core.group; distance; _ }) ->

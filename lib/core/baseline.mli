@@ -35,10 +35,10 @@ type stg_report = {
   groups_examined : int;  (** total across windows; [stgq_brute] only *)
 }
 
-(** [stgq_per_slot ?config ?budget ti query] — one SGSelect run per
+(** [stgq_per_slot ?budget ti query] — one SGSelect run per
     activity period, as the paper's STGQ baseline. *)
 val stgq_per_slot :
-  ?config:Search_core.config -> ?budget:Budget.t ->
+  ?budget:Budget.t ->
   Query.temporal_instance -> Query.stgq -> stg_report
 
 (** [stgq_brute ?max_groups ?budget ti query] — brute-force SGQ per

@@ -1,4 +1,4 @@
-(* Both heuristics admit a candidate only when the partial group still
+(* The beam admits a candidate only when the partial group still
    satisfies the acquaintance bound outright — a sound filter because
    non-neighbour counts only grow as the group grows. *)
 
@@ -12,51 +12,7 @@ let partial_ok fg ~k group v =
   let extended = v :: group in
   List.for_all (fun x -> nn_of x extended <= k) extended
 
-(* ------------------------------------------------------------------ *)
-(* Greedy.                                                             *)
-
-let greedy_social fg ~p ~k ~eligible ~shrink ~init ~budget =
-  (* [shrink group v] is the temporal hook: [Some state'] when the common
-     window survives adding [v].  For SGQ it always succeeds. *)
-  let cands = fg.Engine.Feasible.by_dist in
-  let rec go group size state i =
-    if size = p then Some (group, state)
-    else if i >= Array.length cands then None
-    else
-      let v = cands.(i) in
-      (* Per-candidate budget poll: the acquaintance filter makes a
-         greedy pass quadratic in the group, so a tripped budget must
-         be observed mid-pass, not just between passes. *)
-      if Budget.check budget <> None then None
-      else if eligible v && partial_ok fg ~k group v then
-        match shrink state v with
-        | Some state' -> go (v :: group) (size + 1) state' (i + 1)
-        | None -> go group size state (i + 1)
-      else go group size state (i + 1)
-  in
-  go [ fg.Engine.Feasible.q ] 1 init 0
-
-let greedy_sgq ?(budget = Budget.unlimited) (instance : Query.instance)
-    (query : Query.sgq) =
-  Query.check_sgq query;
-  Query.check_instance instance;
-  if Budget.check budget <> None then None
-  else
-  let fg =
-    Engine.Feasible.extract instance.graph ~initiator:instance.initiator ~s:query.s
-  in
-  if query.p = 1 then Some { Query.attendees = [ instance.initiator ]; total_distance = 0. }
-  else
-    greedy_social fg ~p:query.p ~k:query.k ~eligible:(fun _ -> true)
-      ~shrink:(fun () _ -> Some ())
-      ~init:() ~budget
-    |> Option.map (fun (group, ()) ->
-           {
-             Query.attendees = Engine.Feasible.originals fg group;
-             total_distance = Engine.Feasible.total_distance fg group;
-           })
-
-(* Temporal runs around a pivot, shared by greedy and beam. *)
+(* Temporal runs around a pivot. *)
 let pivot_runs fg ~m ~avail pivot =
   let h = Timetable.Availability.horizon avail.(fg.Engine.Feasible.q) in
   let ilo, ihi = Timetable.Window.interval ~horizon:h ~m pivot in
@@ -66,58 +22,6 @@ let pivot_runs fg ~m ~avail pivot =
     | None -> (1, 0)
   in
   Array.init (Engine.Feasible.size fg) run
-
-let greedy_stgq ?(budget = Budget.unlimited) (ti : Query.temporal_instance)
-    (query : Query.stgq) =
-  Query.check_stgq query;
-  Query.check_temporal_instance ti;
-  let fg =
-    Engine.Feasible.extract ti.social.graph ~initiator:ti.social.initiator ~s:query.s
-  in
-  let avail = Engine.Feasible.slab fg ti.schedules in
-  let best = ref None in
-  let consider group start =
-    let td = Engine.Feasible.total_distance fg group in
-    match !best with
-    | Some (btd, _, _) when btd <= td +. 1e-12 -> ()
-    | _ -> best := Some (td, group, start)
-  in
-  List.iter
-    (fun pivot ->
-      let runs = pivot_runs fg ~m:query.m ~avail pivot in
-      let len (lo, hi) = hi - lo + 1 in
-      (* Per-pivot budget poll: tripped => remaining pivots are skipped
-         and the best answer so far stands. *)
-      if Budget.check budget = None && len runs.(fg.Engine.Feasible.q) >= query.m then begin
-        let shrink (lo, hi) v =
-          let rlo, rhi = runs.(v) in
-          let lo' = max lo rlo and hi' = min hi rhi in
-          if hi' - lo' + 1 >= query.m then Some (lo', hi') else None
-        in
-        let start_state = runs.(fg.Engine.Feasible.q) in
-        let result =
-          if query.p = 1 then Some ([ fg.Engine.Feasible.q ], start_state)
-          else
-            greedy_social fg ~p:query.p ~k:query.k
-              ~eligible:(fun v -> len runs.(v) >= query.m)
-              ~shrink ~init:start_state ~budget
-        in
-        match result with
-        | Some (group, (lo, _)) -> consider group lo
-        | None -> ()
-      end)
-    (Search_core.pivots avail ~m:query.m);
-  Option.map
-    (fun (td, group, start) ->
-      {
-        Query.st_attendees = Engine.Feasible.originals fg group;
-        st_total_distance = td;
-        start_slot = start;
-      })
-    !best
-
-(* ------------------------------------------------------------------ *)
-(* Beam search.                                                        *)
 
 type 'state beam_node = {
   group : int list;

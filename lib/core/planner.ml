@@ -4,7 +4,6 @@ type update_stats = {
 }
 
 type t = {
-  config : Search_core.config;
   query : Query.stgq;
   ctx : Engine.Context.t;
   schedules : Timetable.Availability.t array;
@@ -18,17 +17,17 @@ type t = {
 let solve_pivot t ~avail pivot =
   Anytime.solution
     (Search_core.solve_temporal_out t.ctx ~avail ~p:t.query.Query.p
-       ~k:t.query.Query.k ~m:t.query.Query.m ~pivots:[ pivot ] ~config:t.config
+       ~k:t.query.Query.k ~m:t.query.Query.m ~pivots:[ pivot ]
+       ~config:Search_core.default_config
        ~stats:(Search_core.fresh_stats ()))
 
-let create ?(config = Search_core.default_config) (ti : Query.temporal_instance)
-    (query : Query.stgq) =
+let create (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   let schedules = Array.map Timetable.Availability.copy ti.schedules in
   let ctx, avail = Query.stg_context { ti with schedules } ~s:query.s in
   let pivots = Array.of_list (Search_core.pivots avail ~m:query.m) in
   let t =
-    { config; query; ctx; schedules; pivots; cache = Array.map (fun _ -> None) pivots }
+    { query; ctx; schedules; pivots; cache = Array.map (fun _ -> None) pivots }
   in
   Array.iteri (fun i pivot -> t.cache.(i) <- solve_pivot t ~avail pivot) pivots;
   t

@@ -16,11 +16,10 @@ type update_stats = {
   pivots_recomputed : int;  (** by the last [update_schedule] *)
 }
 
-(** [create ?config ti query] solves every pivot and caches the results.
+(** [create ti query] solves every pivot and caches the results.
     The planner takes its own copy of the schedule array; later edits go
     through {!update_schedule}. *)
-val create :
-  ?config:Search_core.config -> Query.temporal_instance -> Query.stgq -> t
+val create : Query.temporal_instance -> Query.stgq -> t
 
 (** [solution t] is the current global optimum — always equal to a fresh
     [Stgselect.solve] on the planner's current schedules. *)

@@ -8,7 +8,7 @@
     + {b Anytime} — the budget tripped but the solver had an incumbent:
       the best feasible answer so far, with its optimality-gap bound
       (see {!Anytime}).
-    + {b Heuristic} — no incumbent survived; a budgeted beam/greedy
+    + {b Heuristic} — no incumbent survived; a budgeted beam
       heuristic answers instead (no gap bound).
     + Typed failure — {!Degraded} (resource-bounded, nothing found) or
       {!Unavailable} (hard fault), never a hang or a raw exception.

@@ -1,25 +1,24 @@
 type config = {
-  theta0 : int;
-  phi0 : int;
-  phi_threshold : int;
   use_access_ordering : bool;
   use_distance_pruning : bool;
   use_acquaintance_pruning : bool;
-  unsafe_lemma3 : bool;
   use_availability_pruning : bool;
 }
 
 let default_config =
   {
-    theta0 = 2;
-    phi0 = 2;
-    phi_threshold = 6;
     use_access_ordering = true;
     use_distance_pruning = true;
     use_acquaintance_pruning = true;
-    unsafe_lemma3 = false;
     use_availability_pruning = true;
   }
+
+(* Algorithms 2 and 4 start θ and φ at 2 and relax them by one per
+   round; at φ >= the "predetermined threshold t" the temporal
+   condition's right-hand side is 0. *)
+let theta0 = 2
+let phi0 = 2
+let phi_threshold = 6
 
 (* Accounting identity (kept exact, tested, and surfaced as the pruning
    waterfall): every [examined] candidate ends in exactly one of
@@ -284,7 +283,7 @@ let interior_threshold st theta =
 
 let temporal_threshold st phi =
   match st.temporal with
-  | Some tc when phi < st.cfg.phi_threshold ->
+  | Some tc when phi < phi_threshold ->
       float_of_int (tc.m - 1)
       *. Float.pow
            (float_of_int (st.p - (st.vs_size + 1)) /. float_of_int st.p)
@@ -346,7 +345,8 @@ let[@lint.bounded] rec all_above st threshold i =
   let v = st.by_dist.(i) in
   (not (st.in_va.(v) && st.nbr_va.(v) <= threshold)) && all_above st threshold (i + 1)
 
-(* Lemma 3, safe form by default (see DESIGN.md).  The sum of inner
+(* Lemma 3 in its safe form (docs/LEMMAS.md §3): the printed bound
+   [needed - k] per vertex prunes feasible groups.  The sum of inner
    degrees is maintained incrementally; the minimum is only scanned when
    the sum alone cannot decide, and that scan exits at the first vertex
    disproving the prune. *)
@@ -354,9 +354,7 @@ let acquaintance_prunes st =
   st.cfg.use_acquaintance_pruning
   &&
   let needed = st.p - st.vs_size in
-  let per_vertex =
-    if st.cfg.unsafe_lemma3 then needed - st.k else needed - 1 - st.k
-  in
+  let per_vertex = needed - 1 - st.k in
   per_vertex > 0
   &&
   let rhs = needed * per_vertex in
@@ -441,8 +439,8 @@ let rec node st =
   let fewest = fewest_vs_nbrs st max_int st.vs_list in
   let tied = ties st fewest 0 st.vs_list in
   let removed = ref [] in
-  let theta = ref st.cfg.theta0 in
-  let phi = ref st.cfg.phi0 in
+  let theta = ref theta0 in
+  let phi = ref phi0 in
   let interior_rhs = ref (interior_threshold st !theta) in
   let temporal_rhs = ref (temporal_threshold st !phi) in
   st.round <- st.round + 1;
@@ -486,7 +484,7 @@ let rec node st =
       end
       else
         match st.temporal with
-        | Some _ when !phi < st.cfg.phi_threshold ->
+        | Some _ when !phi < phi_threshold ->
             incr phi;
             temporal_rhs := temporal_threshold st !phi;
             new_round ();

@@ -12,24 +12,17 @@
     two sound tightenings of its lemmas: the safe form of Lemma 3, and
     Lemma 2 as the sum of the cheapest completion rather than the
     smallest distance times the members missing (docs/LEMMAS.md §2-3);
-    neither changes an optimum.  The [use_*] flags and [unsafe_lemma3]
-    exist for the ablation study (DESIGN.md A1-A6). *)
+    neither changes an optimum.  Turning a flag off is the ablation
+    study's variant (DESIGN.md A1-A5); every variant stays exact.  θ and
+    φ start at 2, and the temporal condition's threshold t is 6, as in
+    Algorithms 2 and 4. *)
 type config = {
-  theta0 : int;
-      (** initial θ of the interior-unfamiliarity condition (paper: 2) *)
-  phi0 : int;  (** initial φ of the temporal-extensibility condition *)
-  phi_threshold : int;
-      (** the "predetermined threshold t" of Algorithm 4: at φ >= this the
-          condition's RHS is treated as 0 *)
   use_access_ordering : bool;
       (** false: candidates in vertex-id order instead of distance order *)
   use_distance_pruning : bool;
       (** Lemma 2, summed, at every node and before every STGSelect
           pivot's setup *)
   use_acquaintance_pruning : bool;  (** Lemma 3, safe form *)
-  unsafe_lemma3 : bool;
-      (** use the paper's printed (too strong) Lemma 3 bound — may lose
-          optimality; for ablation only *)
   use_availability_pruning : bool;  (** Lemma 5 *)
 }
 

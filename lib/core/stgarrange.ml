@@ -3,16 +3,15 @@ type result = {
   solution : Query.stg_solution;
 }
 
-let run ?config ?k_max (ti : Query.temporal_instance) ~p ~s ~m ~target_distance =
-  let k_max = Option.value k_max ~default:(p - 1) in
+let run (ti : Query.temporal_instance) ~p ~s ~m ~target_distance =
   (* One context is shared across the whole k-relaxation ladder: only
      the acquaintance bound changes between attempts, never (q, s). *)
   let ctx, _ = Query.stg_context ti ~s in
   let rec attempt k =
-    if k > k_max then None
+    if k > p - 1 then None
     else
       match
-        Stgselect.solve ?config ~ctx ~initial_bound:(target_distance +. 1e-6) ti
+        Stgselect.solve ~ctx ~initial_bound:(target_distance +. 1e-6) ti
           { Query.p; s; k; m }
       with
       | Some solution when solution.Query.st_total_distance <= target_distance +. 1e-9 -> (
@@ -23,10 +22,10 @@ let run ?config ?k_max (ti : Query.temporal_instance) ~p ~s ~m ~target_distance 
   in
   attempt 0
 
-let versus_pcarrange ?config ti ~p ~s ~m =
+let versus_pcarrange ti ~p ~s ~m =
   match Pcarrange.run ti ~p ~s ~m with
   | None -> None
   | Some pc -> (
-      match run ?config ti ~p ~s ~m ~target_distance:pc.Pcarrange.total_distance with
+      match run ti ~p ~s ~m ~target_distance:pc.Pcarrange.total_distance with
       | None -> None
       | Some stg -> Some (stg, pc))

@@ -10,18 +10,16 @@ type result = {
   solution : Query.stg_solution;
 }
 
-(** [run ?config ?k_max ti ~p ~s ~m ~target_distance] — [k_max] defaults
-    to [p - 1] (beyond which the constraint is vacuous).  [None] when no
-    [k <= k_max] admits a solution at most [target_distance]. *)
+(** [run ti ~p ~s ~m ~target_distance] — [None] when no [k <= p - 1]
+    (beyond which the constraint is vacuous) admits a solution at most
+    [target_distance]. *)
 val run :
-  ?config:Search_core.config -> ?k_max:int ->
   Query.temporal_instance -> p:int -> s:int -> m:int -> target_distance:float ->
   result option
 
-(** [versus_pcarrange ?config ti ~p ~s ~m] runs PCArrange, then STGArrange
+(** [versus_pcarrange ti ~p ~s ~m] runs PCArrange, then STGArrange
     against its distance — one point of Fig. 1(g)/(h).  [None] when
     PCArrange itself finds no group. *)
 val versus_pcarrange :
-  ?config:Search_core.config ->
   Query.temporal_instance -> p:int -> s:int -> m:int ->
   (result * Pcarrange.result) option

@@ -44,21 +44,19 @@ let entries_of fg kept =
       })
     (Pqueue.Bounded.to_sorted_list kept)
 
-let sgq ?(config = Search_core.default_config) ?budget ~n instance
-    (query : Query.sgq) =
+let sgq ?budget ~n instance (query : Query.sgq) =
   Query.check_sgq query;
   if n < 0 then invalid_arg "Topk.sgq: negative n";
   let ctx = Query.sg_context instance ~s:query.s in
   let kept, sink = make_sink ~n in
   let stats = Search_core.fresh_stats () in
   ignore
-    (Search_core.solve_social_sink ?budget ctx ~p:query.p ~k:query.k ~config
-       ~stats ~sink
+    (Search_core.solve_social_sink ?budget ctx ~p:query.p ~k:query.k
+       ~config:Search_core.default_config ~stats ~sink
       : Budget.reason option);
   entries_of ctx.Engine.Context.fg kept
 
-let stgq ?(config = Search_core.default_config) ?budget ~n
-    (ti : Query.temporal_instance) (query : Query.stgq) =
+let stgq ?budget ~n (ti : Query.temporal_instance) (query : Query.stgq) =
   Query.check_stgq query;
   if n < 0 then invalid_arg "Topk.stgq: negative n";
   let ctx, avail = Query.stg_context ti ~s:query.s in
@@ -67,6 +65,6 @@ let stgq ?(config = Search_core.default_config) ?budget ~n
   let stats = Search_core.fresh_stats () in
   ignore
     (Search_core.solve_temporal_sink ?budget ctx ~avail ~p:query.p ~k:query.k
-       ~m:query.m ~pivots ~config ~stats ~sink
+       ~m:query.m ~pivots ~config:Search_core.default_config ~stats ~sink
       : Budget.reason option);
   entries_of ctx.Engine.Context.fg kept

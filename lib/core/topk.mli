@@ -18,17 +18,17 @@ type entry = {
   start_slot : int option;  (** [Some] for STGQ entries *)
 }
 
-(** [sgq ?config ?budget ~n instance query] — up to [n] best SGQ groups.
+(** [sgq ?budget ~n instance query] — up to [n] best SGQ groups.
     Under a {!Budget} that trips, the list is best-effort: every entry
     is a valid group, but the n-smallest claim no longer holds. *)
 val sgq :
-  ?config:Search_core.config -> ?budget:Budget.t -> n:int ->
+  ?budget:Budget.t -> n:int ->
   Query.instance -> Query.sgq -> entry list
 
-(** [stgq ?config ?budget ~n ti query] — up to [n] best STGQ groups,
+(** [stgq ?budget ~n ti query] — up to [n] best STGQ groups,
     each with the earliest feasible start of the pivot where it was
     first found.  A group feasible in several periods appears once.
     [budget] as in {!sgq}. *)
 val stgq :
-  ?config:Search_core.config -> ?budget:Budget.t -> n:int ->
+  ?budget:Budget.t -> n:int ->
   Query.temporal_instance -> Query.stgq -> entry list

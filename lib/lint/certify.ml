@@ -5,7 +5,6 @@ let solver_entry_points =
     "Sgselect.solve"; "Sgselect.solve_report";
     "Stgselect.solve"; "Stgselect.solve_report";
     "Parallel.solve"; "Parallel.solve_report";
-    "Heuristics.greedy_sgq"; "Heuristics.greedy_stgq";
     "Heuristics.beam_sgq"; "Heuristics.beam_stgq";
     "Topk.sgq"; "Topk.stgq";
     "Baseline.sgq_brute"; "Baseline.stgq_per_slot";

@@ -9,21 +9,17 @@
    level: the active file is fsynced, renamed to its generation slot
    ([events-NNNNNN.jsonl]) and the directory is fsynced, so a crash
    leaves either the old active file or a fully-published generation,
-   never a half-renamed log.  Per-record fsync is the default
-   ([`Every_record]); [`On_rotate] trades the per-record sync away for
-   hot serving paths. *)
+   never a half-renamed log.  Every record is fsynced before [emit]
+   returns. *)
 
 (* Domain-safety contract for the typed analysis: all mutable state
    below is guarded by [lock]; cross-domain access is by design. *)
 [@@@lint.domain_safe]
 
-type fsync_policy = Every_record | On_rotate
-
 type sink = {
   dir : string;
   max_bytes : int;
   generations : int;
-  fsync : fsync_policy;
   mutable fd : Unix.file_descr option;
   mutable bytes : int;  (* written to the active file *)
   mutable gen : int;  (* next generation number to publish *)
@@ -126,19 +122,16 @@ let write_line sink line =
   in
   write_all 0 (Bytes.length bytes);
   sink.bytes <- sink.bytes + Bytes.length bytes;
-  (match sink.fsync with
-  | Every_record -> fsync_timed fd
-  | On_rotate -> ());
+  fsync_timed fd;
   if sink.bytes >= sink.max_bytes then rotate sink
 
-let configure ?dir ?(max_bytes = 1 lsl 20) ?(generations = 4)
-    ?(fsync = Every_record) () =
+let configure ?dir ?(max_bytes = 1 lsl 20) ?(generations = 4) () =
   Mutex.lock state.lock;
   (match state.sink with Some s -> close_sink s | None -> ());
   state.sink <-
     Option.map
       (fun dir ->
-        { dir; max_bytes; generations; fsync; fd = None; bytes = 0; gen = 0 })
+        { dir; max_bytes; generations; fd = None; bytes = 0; gen = 0 })
       dir;
   Mutex.unlock state.lock;
   set_enabled true

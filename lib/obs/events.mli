@@ -7,7 +7,8 @@
     in-memory ring (served by [/events/tail?n=]); with {!configure}d
     directory they are also appended to [events.jsonl] with size-capped
     rotation (fsync → rename to [events-NNNNNN.jsonl] → dir fsync, the
-    lib/store durability discipline).  Totals surface as
+    lib/store durability discipline), and each record is fsynced before
+    {!emit} returns.  Totals surface as
     [obs.events.{emitted,dropped,rotations}]; per-record fsync latency
     as the [obs.events.fsync_ns] histogram. *)
 
@@ -17,11 +18,7 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-type fsync_policy =
-  | Every_record  (** fsync after each record (default) *)
-  | On_rotate  (** fsync only when rotating — for hot serving paths *)
-
-(** [configure ?dir ?max_bytes ?generations ?fsync ()] enables the log.
+(** [configure ?dir ?max_bytes ?generations ()] enables the log.
     Without [dir] records stay in-memory only.  [max_bytes] (default
     1 MiB) caps the active file before rotation; [generations]
     (default 4) caps how many rotated files are kept. *)
@@ -29,7 +26,6 @@ val configure :
   ?dir:string ->
   ?max_bytes:int ->
   ?generations:int ->
-  ?fsync:fsync_policy ->
   unit ->
   unit
 

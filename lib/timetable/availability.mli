@@ -1,11 +1,12 @@
-(** One person's availability over a slot horizon.
-
-    A thin veneer over {!Bitset.t} (bit set = available) adding the
-    window-algebra the query algorithms need. *)
+(** One person's availability over a slot horizon: one bit per slot,
+    set when the slot is free, packed {!bits_per_word} slots to an int,
+    with the window algebra the query algorithms need.  Every slot
+    argument is checked against the horizon. *)
 
 type t
 
-(** [create ~horizon] is an all-busy availability over [horizon] slots. *)
+(** [create ~horizon] is an all-busy availability over [horizon] slots.
+    @raise Invalid_argument if [horizon < 0]. *)
 val create : horizon:int -> t
 
 val horizon : t -> int
@@ -15,7 +16,8 @@ val copy : t -> t
     free slots. *)
 val equal : t -> t -> bool
 
-(** [available t slot] tests one slot. *)
+(** [available t slot] tests one slot.
+    @raise Invalid_argument unless [0 <= slot < horizon t]. *)
 val available : t -> int -> bool
 
 (** The most slots one {!free_bits} call reads (62). *)
@@ -28,10 +30,14 @@ val bits_per_word : int
     slots lie inside the horizon. *)
 val free_bits : t -> pos:int -> len:int -> int
 
-(** [set_free t lo hi] marks the inclusive slot range available. *)
+(** [set_free t lo hi] marks the inclusive slot range available; it
+    does nothing if [lo > hi].
+    @raise Invalid_argument if [lo <= hi] and either end leaves the
+    horizon. *)
 val set_free : t -> int -> int -> unit
 
-(** [set_busy t lo hi] marks the inclusive slot range unavailable. *)
+(** [set_busy t lo hi] marks the inclusive slot range unavailable, with
+    the checks of {!set_free}. *)
 val set_busy : t -> int -> int -> unit
 
 (** [free_count t] is the number of available slots. *)
@@ -61,10 +67,8 @@ val check_schedules : n:int -> t array -> unit
 val run_around : t -> int -> (int * int) option
 
 (** [has_run_in t ~len ~lo ~hi] tests for [len] consecutive available slots
-    within the inclusive window [lo..hi]. *)
+    within the inclusive window [lo..hi], clipped to the horizon. *)
 val has_run_in : t -> len:int -> lo:int -> hi:int -> bool
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Byte mask}
 

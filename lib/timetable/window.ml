@@ -7,18 +7,3 @@ let interval ~horizon ~m pivot = (max 0 (pivot - m + 1), min (horizon - 1) (pivo
 
 (* The unique t in [start, start+m-1] with (t+1) mod m = 0. *)
 let pivot_of ~m start = ((start + m) / m * m) - 1
-
-let group_windows avails ~len =
-  let common = Availability.common avails in
-  Availability.windows common ~len
-
-let best_window_through avails ~m ~pivot =
-  let common = Availability.common avails in
-  let horizon = Availability.horizon common in
-  let lo, hi = interval ~horizon ~m pivot in
-  let rec scan start =
-    if start + m - 1 > hi then None
-    else if Availability.window_free common ~start ~len:m then Some start
-    else scan (start + 1)
-  in
-  scan lo

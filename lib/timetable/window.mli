@@ -20,12 +20,3 @@ val interval : horizon:int -> m:int -> int -> int * int
 (** [pivot_of ~m start] is the unique pivot inside the window
     [start .. start+m-1]. *)
 val pivot_of : m:int -> int -> int
-
-(** [group_windows avails ~len] lists every start slot at which all the
-    given availabilities share a [len]-slot window. *)
-val group_windows : Availability.t list -> len:int -> int list
-
-(** [best_window_through avails ~m ~pivot] is [Some start] for the
-    earliest common [m]-window containing [pivot], scanning only the pivot
-    interval. *)
-val best_window_through : Availability.t list -> m:int -> pivot:int -> int option

@@ -252,7 +252,6 @@ let test_one_calendar_check () =
       raises "Parallel.solve" (fun () ->
           stg (Parallel.solve ~pool:(Lazy.force shared_pool) ti q));
       raises "Planner.create" (fun () -> ignore (Planner.create ti q : Planner.t));
-      raises "Heuristics.greedy_stgq" (fun () -> stg (Heuristics.greedy_stgq ti q));
       raises "Heuristics.beam_stgq" (fun () -> stg (Heuristics.beam_stgq ti q));
       raises "Topk.stgq" (fun () -> ignore (Topk.stgq ~n:2 ti q : Topk.entry list));
       raises "Baseline.stgq_per_slot" (fun () ->

@@ -299,8 +299,7 @@ let test_query_events_report_own_cache_hit () =
 let test_sink_rotation_discipline () =
   with_plane @@ fun () ->
   let dir = Filename.temp_dir "stgq_events_test" "" in
-  Obs.Events.configure ~dir ~max_bytes:256 ~generations:2
-    ~fsync:Obs.Events.Every_record ();
+  Obs.Events.configure ~dir ~max_bytes:256 ~generations:2 ();
   (* each record is ~90 bytes; 40 of them forces several rotations *)
   for i = 1 to 40 do
     Obs.Events.emit ~kind:"unit.rotate" [ ("seq", string_of_int i) ]

@@ -3,13 +3,15 @@
 
 open Stgq_core
 
-let prop_greedy_sgq_sound =
-  Gen.qtest ~count:200 "greedy SGQ valid and >= optimum" (Gen.sg_case ())
+(* At width 1 the beam is the greedy scan: each level keeps only the
+   nearest candidate that fits. *)
+let prop_beam1_sgq_sound =
+  Gen.qtest ~count:200 "beam SGQ at width 1 valid and >= optimum" (Gen.sg_case ())
     (fun case ->
       let instance = Gen.instance_of_sg_case case in
       let exact = Sgselect.solve instance case.Gen.query in
-      match Heuristics.greedy_sgq instance case.Gen.query with
-      | None -> true (* greedy may fail where exact succeeds *)
+      match Heuristics.beam_sgq ~width:1 instance case.Gen.query with
+      | None -> true (* a greedy scan may fail where exact succeeds *)
       | Some h -> (
           Validate.is_valid_sg instance case.Gen.query h
           &&
@@ -45,13 +47,13 @@ let prop_wide_beam_often_exact =
           Float.abs (e.Query.total_distance -. b.Query.total_distance) <= 1e-6
       | Some _, None | None, Some _ -> false)
 
-let prop_greedy_stgq_sound =
-  Gen.qtest ~count:100 "greedy STGQ valid and >= optimum" (Gen.stg_case ())
+let prop_beam1_stgq_sound =
+  Gen.qtest ~count:100 "beam STGQ at width 1 valid and >= optimum" (Gen.stg_case ())
     (fun case ->
       let ti = Gen.temporal_instance_of_stg_case case in
       let query = Gen.stgq_of_stg_case case in
       let exact = Stgselect.solve ti query in
-      match Heuristics.greedy_stgq ti query with
+      match Heuristics.beam_stgq ~width:1 ti query with
       | None -> true
       | Some h -> (
           Validate.is_valid_stg ti query h
@@ -94,9 +96,9 @@ let prop_exhaustive_beam_dominates =
       | Some _, None -> false)
 
 let test_greedy_trap () =
-  (* A graph where greedy's closest-first choice blocks the only feasible
-     completion: q's closest friend a knows nobody else, so taking a
-     first makes k=0, p=3 infeasible; the optimum is {q, b, c}. *)
+  (* A graph where the closest-first choice of a width-1 beam blocks the
+     only feasible completion: q's closest friend a knows nobody else, so
+     taking a first makes k=0, p=3 infeasible; the optimum is {q, b, c}. *)
   let g =
     Socgraph.Graph.of_edges 4 [ (0, 1, 1.); (0, 2, 5.); (0, 3, 5.); (2, 3, 1.) ]
   in
@@ -107,11 +109,9 @@ let test_greedy_trap () =
       Alcotest.check Alcotest.bool "exact finds 10" true
         (Float.abs (total_distance -. 10.) < 1e-9)
   | None -> Alcotest.fail "exact must solve the trap");
-  (match Heuristics.greedy_sgq instance query with
-  | None -> () (* greedy walked into the trap, as expected *)
-  | Some h ->
-      Alcotest.check Alcotest.bool "greedy never beats exact" true
-        (h.Query.total_distance >= 10. -. 1e-9));
+  (match Heuristics.beam_sgq ~width:1 instance query with
+  | None -> () (* width 1 walked into the trap, as expected *)
+  | Some h -> Alcotest.failf "width 1 escaped the trap at %g" h.Query.total_distance);
   match Heuristics.beam_sgq ~width:8 instance query with
   | Some h ->
       Alcotest.check Alcotest.bool "beam escapes the trap" true
@@ -121,10 +121,10 @@ let test_greedy_trap () =
 let suite =
   [
     Alcotest.test_case "greedy trap fixture" `Quick test_greedy_trap;
-    prop_greedy_sgq_sound;
+    prop_beam1_sgq_sound;
     prop_beam_sgq_sound;
     prop_wide_beam_often_exact;
-    prop_greedy_stgq_sound;
+    prop_beam1_stgq_sound;
     prop_beam_stgq_sound;
     prop_exhaustive_beam_dominates;
   ]

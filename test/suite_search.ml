@@ -50,18 +50,31 @@ let test_two_triangles () =
   | None -> Alcotest.fail "expected a solution"
 
 let test_lemma3_printed_bound_is_unsafe () =
-  (* Star with three leaves, p=4, k=2: {q,a,b,c} is feasible (each leaf has
-     exactly 2 unacquainted others), but the paper's printed Lemma 3 bound
-     prunes the root.  The safe correction must find it. *)
+  (* Star with three leaves, p = 4, k = 2: {q, a, b, c} qualifies (each
+     leaf has exactly 2 unacquainted others), and the search finds it.
+     At the root VS = {q} and VA = {a, b, c}: r = 3 members are missing
+     and VA's inner degrees sum to 0.  The paper's printed Lemma 3 cuts
+     when that sum is below r·(r−k) = 3, so it would prune the root; the
+     safe bound r·max(0, r−1−k) = 0 does not (docs/LEMMAS.md §3). *)
   let q = { Query.p = 4; s = 1; k = 2 } in
   (match Sgselect.solve (inst star) q with
-  | Some { total_distance; _ } -> check bool_c "safe finds 6" true (close total_distance 6.)
-  | None -> Alcotest.fail "safe bound must find the star group");
-  let unsafe =
-    { Search_core.default_config with Search_core.unsafe_lemma3 = true }
+  | Some { attendees; total_distance } ->
+      check (Alcotest.list Alcotest.int) "the whole star" [ 0; 1; 2; 3 ] attendees;
+      check bool_c "distance 6" true (close total_distance 6.);
+      check bool_c "a qualified group" true (Socgraph.Kplex.satisfies star ~k:q.k attendees)
+  | None -> Alcotest.fail "the safe bound must find the star group");
+  let va = [ 1; 2; 3 ] in
+  let r = q.p - 1 in
+  let inner =
+    List.fold_left
+      (fun acc v ->
+        acc + List.length (List.filter (fun w -> Socgraph.Graph.adjacent star v w) va))
+      0 va
   in
-  check bool_c "printed bound prunes the feasible star" true
-    (Sgselect.solve ~config:unsafe (inst star) q = None)
+  check Alcotest.int "r at the root" 3 r;
+  check Alcotest.int "inner degree sum at the root" 0 inner;
+  check bool_c "printed bound prunes the root" true (inner < r * (r - q.k));
+  check bool_c "safe bound keeps the root" false (inner < r * max 0 (r - 1 - q.k))
 
 let test_radius () =
   let g = graph [ (0, 1, 1.); (1, 2, 2.) ] 3 in
@@ -319,18 +332,6 @@ let prop_ablations_stay_optimal =
   Gen.qtest ~count:100 "SGSelect optimal under every safe ablation" (Gen.sg_case ())
     (fun case -> List.for_all (fun config -> agree_sg ~config case) configs)
 
-let prop_unsafe_lemma3_never_better =
-  let unsafe = { Search_core.default_config with Search_core.unsafe_lemma3 = true } in
-  Gen.qtest ~count:150 "printed Lemma 3 never beats the optimum" (Gen.sg_case ())
-    (fun case ->
-      let instance = Gen.instance_of_sg_case case in
-      let opt = Sgselect.solve instance case.Gen.query in
-      let u = Sgselect.solve ~config:unsafe instance case.Gen.query in
-      match (opt, u) with
-      | _, None -> true
-      | None, Some _ -> false
-      | Some o, Some x -> x.Query.total_distance >= o.Query.total_distance -. 1e-6)
-
 let agree_stg case =
   let ti = Gen.temporal_instance_of_stg_case case in
   let query = Gen.stgq_of_stg_case case in
@@ -382,10 +383,7 @@ let prop_stg_ablations_stay_optimal =
       { base with Search_core.use_access_ordering = false };
       { base with Search_core.use_distance_pruning = false };
       { base with Search_core.use_acquaintance_pruning = false };
-      { base with Search_core.theta0 = 0; phi0 = 0 };
-      { base with Search_core.theta0 = 5; phi0 = 5; phi_threshold = 12 };
       {
-        base with
         Search_core.use_availability_pruning = false;
         use_access_ordering = false;
         use_distance_pruning = false;
@@ -584,7 +582,6 @@ let suite =
       test_bound_read_after_changes_only;
     prop_sgselect_optimal;
     prop_ablations_stay_optimal;
-    prop_unsafe_lemma3_never_better;
     prop_stgselect_optimal;
     prop_stgselect_optimal_wide_m;
     prop_stgselect_optimal_word_edges;

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "stgq"
     [
-      ("bitset", Suite_bitset.suite);
       ("graph", Suite_graph.suite);
       ("timetable", Suite_timetable.suite);
       ("lp-ilp", Suite_lp.suite);
