@@ -315,7 +315,9 @@ let prop_run_around_naive =
           Some (!lo, !hi)
         end
       in
-      List.for_all (fun t -> A.run_around a t = naive t) (List.init (horizon + 2) (fun t -> t - 1)))
+      List.for_all
+        (fun t -> A.run_around a t = naive t)
+        (List.init (horizon + 2) (fun t -> t - 1)))
 
 let prop_has_run_in_naive =
   Gen.qtest ~count:300 "has_run_in = naive scan" calendar_arb (fun ((horizon, _) as c) ->
@@ -367,7 +369,8 @@ let prop_count_and_equal_per_slot =
         Printf.sprintf "horizon=%d ops=[%s]" h
           (String.concat ";"
              (List.map
-                (fun (free, lo, hi) -> Printf.sprintf "%s %d-%d" (if free then "+" else "-") lo hi)
+                (fun (free, lo, hi) ->
+                  Printf.sprintf "%s %d-%d" (if free then "+" else "-") lo hi)
                 ops)))
       QCheck.Gen.(
         0 -- 200 >>= fun h ->
