@@ -13,9 +13,9 @@
     Lemma 2 as the sum of the cheapest completion rather than the
     smallest distance times the members missing (docs/LEMMAS.md §2-3);
     neither changes an optimum.  Turning a flag off is the ablation
-    study's variant (DESIGN.md A1-A5); every variant stays exact.  θ and
-    φ start at 2, and the temporal condition's threshold t is 6, as in
-    Algorithms 2 and 4. *)
+    study's variant (DESIGN.md A1-A3, A5); every variant stays exact.
+    θ and φ start at 2, and the temporal condition's threshold t is 6,
+    as in Algorithms 2 and 4. *)
 type config = {
   use_access_ordering : bool;
       (** false: candidates in vertex-id order instead of distance order *)
